@@ -7,10 +7,10 @@ state-space experiments.
 """
 
 from .errors import (BadAngle, DimensionMismatch, EigenFailure, GeometryError,
-                     HypothesisFailed, NotAFace, OriginNotInterior, ParseError,
-                     PointNotInBody, UndefinedTouchingCone,
-                     UnsupportedArcCenter, UnsupportedForBodyType,
-                     ZeroDirection)
+                     HypothesisFailed, InvariantViolation, NotAFace,
+                     OriginNotInterior, ParseError, PointNotInBody,
+                     UndefinedTouchingCone, UnsupportedArcCenter,
+                     UnsupportedForBodyType, ZeroDirection)
 from .exactgeom import (AffineSubspace, PolyCone, Vec, aff_hull, cone_faces,
                         dot, dual_cone, full_space, intersect_cones,
                         orth_complement, pos_hull, project_onto, ri_contains,

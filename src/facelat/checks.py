@@ -102,11 +102,18 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict):
     nl = pt.normal_cone_lattice(p)
     counts["exposed_faces"] = len(fl)
     counts["normal_cones"] = len(nl)
+    if pt.face_lattice_is_lp_route(p):
+        routes = ("the two computations are independent: LP carrier-oracle "
+                  "face_lattice vs supporting-hyperplane exposed_face_lattice")
+    else:
+        routes = ("vacuous here: face_lattice fell back to the exposed route "
+                  "(dim > 3 or more than 12 vertices), so exposed_face_lattice "
+                  "was compared with itself")
     _v(out, "antitone.all_faces_exposed",
        {f.key for f in pt.face_lattice(p).elements} == {f.key for f in fl.elements},
        "the brute-force face lattice equals the supporting-hyperplane exposed "
        "lattice (classical fact for polytopes, asserted here as an invariant; "
-       "the two computations are independent)")
+       + routes + ")")
     rep = verify_isomorphism(lattice_map(
         fl, nl, lambda f: ConeElement(pt.normal_cone(p, f)), "antitone"))
     _v(out, "antitone.iso", rep.passed,
@@ -122,7 +129,8 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict):
                 ok = False
     _v(out, "antitone.cone_constant_on_ri", ok,
        "the normal cone of a face equals the normal cone at each sampled "
-       "relative-interior point")
+       "relative-interior point (active-facet normal_cone vs definitional "
+       "normal_cone_at_point)")
     ok = True
     for f in fl.elements:
         if not f.vertex_indices or len(f.vertex_indices) == len(p.vertices):
@@ -172,6 +180,7 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict):
 
 def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict):
     nl = pt.normal_cone_lattice(p)
+    whole = full_space(p.ambient_dim)
     ok_meet = ok_face = True
     for i, a in enumerate(nl.elements):
         for j, b in enumerate(nl.elements):
@@ -179,7 +188,7 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict):
             met = nl.elements[nl.meet([i, j])].cone
             if inter != met:
                 ok_meet = False
-            if a.cone != full_space(p.ambient_dim) and not inter.is_face_of(a.cone):
+            if a.cone != whole and not inter.is_face_of(a.cone):
                 ok_face = False
     _v(out, "meets.normal_infimum_is_intersection", ok_meet,
        "the infimum of normal cones is their intersection")
@@ -195,6 +204,12 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict):
     _v(out, "meets.exposed_intersection_witness", ok,
        "a nonempty intersection of exposed faces is exposed by one direction "
        "in the relative interior of the directions' hull")
+
+
+def _proper_touching_cones(p: Polytope) -> list:
+    """The touching cones other than the whole space."""
+    whole = full_space(p.ambient_dim)
+    return [el.cone for el in pt.touching_cone_lattice(p).elements if el.cone != whole]
 
 
 def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict):
@@ -214,11 +229,10 @@ def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict):
     _v(out, "touching.closed_under_faces", ok,
        "nonempty faces of touching cones are touching cones")
     dirs = compass_directions(72) if p.ambient_dim == 2 else _sample_directions(p)
+    proper = _proper_touching_cones(p)
     ok = True
     for u in dirs:
-        hits = sum(1 for el in tl.elements
-                   if el.cone != full_space(p.ambient_dim) and el.cone.ri_contains(u))
-        if hits != 1:
+        if sum(1 for c in proper if c.ri_contains(u)) != 1:
             ok = False
     _v(out, "touching.partition_of_directions", ok,
        "each sampled nonzero direction lies in the relative interior of "
@@ -381,12 +395,10 @@ def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict):
         dirs = _sample_directions(p)
     else:
         dirs = compass_directions(360)
-    tl = pt.touching_cone_lattice(p)
+    proper = _proper_touching_cones(p)
     ok = True
     for u in dirs:
-        hits = sum(1 for el in tl.elements
-                   if el.cone != full_space(p.ambient_dim) and el.cone.ri_contains(u))
-        if hits != 1:
+        if sum(1 for c in proper if c.ri_contains(u)) != 1:
             ok = False
     counts["partition_directions"] = len(dirs)
     _v(out, "partition.unique_touching_cone", ok,
@@ -398,22 +410,22 @@ def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict):
 # suites on planar bodies
 # ---------------------------------------------------------------------------
 
-def _cone_element(c: pl.Cone2):
-    @dataclass(frozen=True)
-    class C2:
-        cone: pl.Cone2
+@dataclass(frozen=True)
+class Cone2Element:
+    """Lattice payload wrapping a planar cone."""
 
-        @property
-        def key(self):
-            return self.cone.key
+    cone: pl.Cone2
 
-        @property
-        def dim(self):
-            return self.cone.dim
+    @property
+    def key(self):
+        return self.cone.key
 
-        def label(self):
-            return self.cone.label()
-    return C2(c)
+    @property
+    def dim(self):
+        return self.cone.dim
+
+    def label(self):
+        return self.cone.label()
 
 
 def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict):
@@ -429,11 +441,11 @@ def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict):
            "special exposed faces and their normal cones are not in bijection")
         return
     src = pl.special_face_lattice(b, exposed_only=True)
-    tgt = build_lattice(sorted((_cone_element(c) for c in cones.values()),
+    tgt = build_lattice(sorted((Cone2Element(c) for c in cones.values()),
                                key=lambda e: (e.dim, str(e.key))),
                         lambda a, c: a.cone.subset_of(c.cone))
     rep = verify_isomorphism(lattice_map(
-        src, tgt, lambda f: _cone_element(pl.normal_cone_at(b, f)), "antitone"))
+        src, tgt, lambda f: Cone2Element(pl.normal_cone_at(b, f)), "antitone"))
     _v(out, "antitone.special_iso", rep.passed,
        "special exposed faces correspond to their normal cones by an antitone "
        "lattice isomorphism; " + ("; ".join(rep.failures) or "verified"))

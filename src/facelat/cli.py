@@ -1,6 +1,7 @@
 """Command-line front end: lattices, polar bodies, theorem checks, state spaces.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 input or parse error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 input or parse error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from . import bodyio, checks
 from . import planar as pl
 from . import polytope as pt
 from . import statespace as ss
-from .errors import ParseError, UnsupportedForBodyType
+from .errors import BadAngle, GeometryError, ParseError, UnsupportedForBodyType
 from .lattice import element_dim, element_label
 from .polytope import Polytope
 
@@ -181,15 +182,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
+    except (ParseError, UnsupportedForBodyType) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except UnsupportedForBodyType as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:  # geometric precondition failures
+    except (BadAngle, GeometryError) as e:  # input outside a precondition
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a bug in facelat, never the input's fault
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

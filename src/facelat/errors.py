@@ -37,6 +37,15 @@ class UndefinedTouchingCone(GeometryError):
     """The direction exposes an empty face, so no touching cone exists."""
 
 
+class InvariantViolation(Exception):
+    """A theorem-level invariant of the library failed: an internal error.
+
+    Raised instead of `assert`, so the invariants are checked under
+    `python -O` too.  Deliberately not a `GeometryError`: it never signals
+    bad input.
+    """
+
+
 class ParseError(Exception):
     """Body file could not be parsed exactly."""
 

@@ -86,13 +86,6 @@ def primitive(v: Vec) -> Vec:
     return tuple(Fraction(n // g) for n in ints)
 
 
-def sign_normalized(v: Vec) -> Vec:
-    """Primitive form with the first nonzero coordinate positive (line direction)."""
-    p = primitive(v)
-    lead = next(x for x in p if x != 0)
-    return p if lead > 0 else vneg(p)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -366,12 +359,33 @@ class PolyCone:
         return span_basis(list(self.rays) + list(self.lineality))
 
     @cached_property
+    def span_perp(self) -> tuple[Vec, ...]:
+        """Canonical basis of the orthogonal complement of the span."""
+        return orth_complement(self.span, self.dim)
+
+    @cached_property
     def facet_normals(self) -> tuple[Vec, ...]:
         """Outer facet normals within span: cone = {x in span : n.x <= 0}."""
         gens = self.generators()
         if not gens:
             return ()
         return _cone_facet_normals(gens, self.span)
+
+    @cached_property
+    def faces(self) -> tuple["PolyCone", ...]:
+        """All nonempty faces, including the cone itself and its lineality space.
+
+        Each face is cut out by a set of facets; its canonical form is read off
+        directly: the same lineality space, and the extreme rays of the cone
+        that lie on every facet of the set.
+        """
+        normals = self.facet_normals
+        seen: dict[tuple[Vec, ...], PolyCone] = {}
+        for mask in range(1 << len(normals)):
+            active = [normals[i] for i in range(len(normals)) if mask >> i & 1]
+            rays = tuple(r for r in self.rays if all(dot(n, r) == 0 for n in active))
+            seen.setdefault(rays, PolyCone(self.dim, rays, self.lineality))
+        return tuple(sorted(seen.values(), key=lambda f: (f.cone_dim, f.rays)))
 
     def generators(self) -> list[Vec]:
         gens = list(self.rays)
@@ -391,15 +405,18 @@ class PolyCone:
     def is_subspace(self) -> bool:
         return not self.rays
 
+    def in_span(self, x: Vec) -> bool:
+        return all(dot(m, x) == 0 for m in self.span_perp)
+
     def contains(self, x: Vec) -> bool:
         if is_zero(x):
             return True
-        if not in_span(self.span, x):
+        if not self.in_span(x):
             return False
         return all(dot(n, x) <= 0 for n in self.facet_normals)
 
     def ri_contains(self, x: Vec) -> bool:
-        if not in_span(self.span, x):
+        if not self.in_span(x):
             return False
         return all(dot(n, x) < 0 for n in self.facet_normals)
 
@@ -413,7 +430,7 @@ class PolyCone:
         return None if is_zero(v) else v
 
     def is_face_of(self, other: "PolyCone") -> bool:
-        return self in cone_faces(other)
+        return self in other.faces
 
     def label(self) -> str:
         if not self.rays and not self.lineality:
@@ -513,7 +530,7 @@ def cone_from_hrep(span: Sequence[Vec], normals: Sequence[Vec], dim: int) -> Pol
 def dual_cone(k: PolyCone) -> PolyCone:
     """Polar dual {u : u.x <= 0 on k}, exactly."""
     gens = list(k.facet_normals)
-    for b in orth_complement(k.span, k.dim):
+    for b in k.span_perp:
         gens.append(b)
         gens.append(vneg(b))
     return pos_hull(gens, k.dim)
@@ -521,18 +538,7 @@ def dual_cone(k: PolyCone) -> PolyCone:
 
 def cone_faces(k: PolyCone) -> list[PolyCone]:
     """All nonempty faces of k, including k itself and its lineality space."""
-    normals = k.facet_normals
-    lin_gens = []
-    for b in k.lineality:
-        lin_gens.append(b)
-        lin_gens.append(vneg(b))
-    seen: dict[tuple, PolyCone] = {}
-    for mask in range(1 << len(normals)):
-        active = [normals[i] for i in range(len(normals)) if mask >> i & 1]
-        gens = [r for r in k.rays if all(dot(n, r) == 0 for n in active)] + lin_gens
-        face = pos_hull(gens, k.dim) if gens else PolyCone(k.dim, (), ())
-        seen.setdefault((face.rays, face.lineality), face)
-    return sorted(seen.values(), key=lambda f: (f.cone_dim, f.rays, f.lineality))
+    return list(k.faces)
 
 
 def intersect_cones(a: PolyCone, b: PolyCone) -> PolyCone:
@@ -548,12 +554,8 @@ def minkowski_sum_cone(a: PolyCone, b: PolyCone) -> PolyCone:
 
 
 def subspace_cone(basis: Sequence[Vec], dim: int) -> PolyCone:
-    """The subspace span(basis) as a canonical cone."""
-    gens = []
-    for v in basis:
-        gens.append(tuple(Fraction(c) for c in v))
-        gens.append(vneg(gens[-1]))
-    return pos_hull(gens, dim) if gens else PolyCone(dim, (), ())
+    """The subspace span(basis) as a canonical cone: no rays, lineality = span."""
+    return PolyCone(dim, (), span_basis(tuple(Fraction(c) for c in v) for v in basis))
 
 
 def full_space(dim: int) -> PolyCone:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from .errors import (HypothesisFailed, NotAFace, OriginNotInterior,
-                     PointNotInBody, UndefinedTouchingCone,
+from .errors import (HypothesisFailed, InvariantViolation, NotAFace,
+                     OriginNotInterior, PointNotInBody, UndefinedTouchingCone,
                      UnsupportedArcCenter, ZeroDirection)
 from .exactgeom import (Vec, cross2, dot, is_zero, perp2, primitive, vadd,
                         vneg, vscale, vsub)
@@ -619,7 +619,8 @@ def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
                 attainers.append(("arc", i))
     arcs = [a for a in attainers if a[0] == "arc"]
     if arcs:
-        assert len(attainers) == 1, "strictly convex arcs admit no support ties"
+        if len(attainers) != 1:
+            raise InvariantViolation("strictly convex arcs admit no support ties")
         i = arcs[0][1]
         f = body.features[i]
         t = sqrt_exact(f.radius_sq / dot(u, u))
@@ -628,12 +629,13 @@ def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     junctions = [j for _, j in attainers]
     if len(junctions) == 1:
         return best, FaceDescriptor.vertex(body.junction(junctions[0]))
-    assert len(junctions) == 2, "at most one segment can attain the support"
+    if len(junctions) != 2:
+        raise InvariantViolation("at most one segment can attain the support")
     pts = {body.junction(j) for j in junctions}
     for i, f in enumerate(body.features):
         if isinstance(f, Segment) and {f.start, f.end} == pts:
             return best, FaceDescriptor.edge(i)
-    raise AssertionError("two support junctions must bound a segment feature")
+    raise InvariantViolation("two support junctions must bound a segment feature")
 
 
 def exposed_face(body: PlanarBody, u: Vec) -> FaceDescriptor:
@@ -953,7 +955,8 @@ def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
             val = QuadVal(Fraction(0), Fraction(1), dot(u, u) / f.radius_sq)
         if best is None or quad_compare(val, best) > 0:
             best = val
-    assert best is not None, "a bounded body bounds every ray"
+    if best is None:
+        raise InvariantViolation("a bounded body bounds every ray")
     return best
 
 

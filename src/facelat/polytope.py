@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
-from .errors import (DimensionMismatch, HypothesisFailed, NotAFace,
-                     OriginNotInterior, PointNotInBody, ZeroDirection)
+from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
+                     NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
 from . import exactgeom as eg
 from .exactgeom import (AffineSubspace, PolyCone, Vec, aff_hull,
                         cone_faces, dot, dual_cone, full_space, in_conv_hull,
@@ -128,6 +128,34 @@ class Polytope:
     def facets(self) -> tuple[Facet, ...]:
         return _enumerate_facets(self.vertices, self.affine)
 
+    # Lattices, the polar and projections are memoized on the body itself, so
+    # each lives exactly as long as the body it was built from.
+
+    @cached_property
+    def _exposed_lattice(self) -> FiniteLattice:
+        return _build_exposed_lattice(self)
+
+    @cached_property
+    def _face_lattice(self) -> FiniteLattice:
+        return _build_face_lattice(self)
+
+    @cached_property
+    def _normal_lattice(self) -> FiniteLattice:
+        return _build_normal_lattice(self)
+
+    @cached_property
+    def _touching_lattice(self) -> FiniteLattice:
+        return _build_touching_lattice(self)
+
+    @cached_property
+    def _polar(self) -> "Polytope":
+        _require_origin_interior(self)
+        return Polytope(tuple(sorted(vscale(1 / f.offset, f.normal) for f in self.facets)))
+
+    @cached_property
+    def _projections(self) -> dict[tuple[Vec, ...], "Polytope"]:
+        return {}
+
     def contains(self, x: Vec) -> bool:
         if not self.affine.contains(x):
             return False
@@ -183,28 +211,29 @@ def _enumerate_facets(vertices: tuple[Vec, ...], affine: AffineSubspace) -> tupl
     if d == 0:
         return ()
     dirs = affine.directions
+    local = [tuple(dot(b, v) for b in dirs) for v in vertices]  # coordinates along dirs
     found: dict[Vec, Facet] = {}
     for subset in combinations(range(len(vertices)), d):
+        if any(f.vertex_set.issuperset(subset) for f in found.values()):
+            continue  # d points on a known facet span its hyperplane or nothing
         base = vertices[subset[0]]
-        rel = [vsub(vertices[s], base) for s in subset[1:]]
-        if rank(rel) != d - 1:
-            continue
-        rows = [tuple(dot(dirs[i], r) for i in range(d)) for r in rel]
+        rows = [vsub(local[s], local[subset[0]]) for s in subset[1:]]
         ker = kernel_basis(rows, d)
         if len(ker) != 1:
-            continue
+            continue  # the points are affinely dependent
         n = zero(len(base))
         for a, b in zip(ker[0], dirs):
             n = vadd(n, vscale(a, b))
         c = dot(n, base)
-        prods = [dot(n, v) - c for v in vertices]
-        if all(p <= 0 for p in prods):
-            pass
-        elif all(p >= 0 for p in prods):
-            n, c = vneg(n), -c
-        else:
-            continue
-        n = primitive(n)
+        above = below = False
+        for v in vertices:
+            t = dot(n, v) - c
+            above, below = above or t > 0, below or t < 0
+            if above and below:
+                break
+        if above and below:
+            continue  # vertices on both sides: not a supporting hyperplane
+        n = primitive(vneg(n) if above else n)
         c = dot(n, base)
         if n not in found:
             vset = frozenset(i for i, v in enumerate(vertices) if dot(n, v) == c)
@@ -228,11 +257,10 @@ def support(p: Polytope, u: Vec) -> tuple[Fraction, PolyFace]:
 
 def exposed_face_lattice(p: Polytope) -> FiniteLattice:
     """All exposed faces, via supporting-hyperplane enumeration."""
-    return _exposed_lattice_cached(p)
+    return p._exposed_lattice
 
 
-@lru_cache(maxsize=None)
-def _exposed_lattice_cached(p: Polytope) -> FiniteLattice:
+def _build_exposed_lattice(p: Polytope) -> FiniteLattice:
     n = len(p.vertices)
     facets = p.facets
     vsets = {frozenset(range(n)), frozenset()}
@@ -264,13 +292,17 @@ def face_lattice(p: Polytope) -> FiniteLattice:
     facet route); larger bodies fall back to the exposed route, which agrees
     for polytopes.
     """
-    return _face_lattice_cached(p)
+    return p._face_lattice
 
 
-@lru_cache(maxsize=None)
-def _face_lattice_cached(p: Polytope) -> FiniteLattice:
+def face_lattice_is_lp_route(p: Polytope) -> bool:
+    """Whether `face_lattice` uses the LP carrier oracle rather than falling back."""
+    return p.dim <= 3 and len(p.vertices) <= 12
+
+
+def _build_face_lattice(p: Polytope) -> FiniteLattice:
     n = len(p.vertices)
-    if p.dim > 3 or n > 12:
+    if not face_lattice_is_lp_route(p):
         return exposed_face_lattice(p)
     faces = [p.make_face(frozenset())]
     for size in range(1, n + 1):
@@ -305,20 +337,28 @@ def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
 
 
 def normal_cone(p: Polytope, f: PolyFace) -> PolyCone:
-    """Normal cone of a face; the empty face maps to the whole space."""
+    """Normal cone of a face, from the facets containing it.
+
+    N(C, F) is the positive hull of the normals of the facets that contain F,
+    plus the orthogonal complement of the body's direction space; the empty
+    face maps to the whole space.  `normal_cone_at_point` is the independent,
+    definitional route.
+    """
     if not f.vertex_indices:
         return full_space(p.ambient_dim)
     if not is_face(p, f):
         raise NotAFace(f"{f.vertex_indices} is not a face")
-    return normal_cone_at_point(p, p.ri_point(f))
+    gens = [fc.normal for fc in p.facets if f.vset <= fc.vertex_set]
+    for b in p.lin_perp:
+        gens += [b, vneg(b)]
+    return pos_hull(gens, p.ambient_dim)
 
 
 def normal_cone_lattice(p: Polytope) -> FiniteLattice:
-    return _normal_lattice_cached(p)
+    return p._normal_lattice
 
 
-@lru_cache(maxsize=None)
-def _normal_lattice_cached(p: Polytope) -> FiniteLattice:
+def _build_normal_lattice(p: Polytope) -> FiniteLattice:
     cones = {}
     for f in exposed_face_lattice(p).elements:
         c = normal_cone(p, f)
@@ -328,16 +368,17 @@ def _normal_lattice_cached(p: Polytope) -> FiniteLattice:
 
 
 def cone_subset(a: PolyCone, b: PolyCone) -> bool:
-    return all(b.contains(g) for g in a.generators()) if a.generators() else True
+    if a.cone_dim > b.cone_dim:
+        return False
+    return all(b.contains(g) for g in a.generators())
 
 
 def touching_cone_lattice(p: Polytope) -> FiniteLattice:
     """All nonempty faces of all normal cones (equals the normal fan here)."""
-    return _touching_lattice_cached(p)
+    return p._touching_lattice
 
 
-@lru_cache(maxsize=None)
-def _touching_lattice_cached(p: Polytope) -> FiniteLattice:
+def _build_touching_lattice(p: Polytope) -> FiniteLattice:
     cones = {}
     for el in normal_cone_lattice(p).elements:
         for face in cone_faces(el.cone):
@@ -355,7 +396,7 @@ def touching_cone_at(p: Polytope, u: Vec) -> PolyCone:
     for t in cone_faces(n):
         if t.ri_contains(u):
             return t
-    raise AssertionError("relative interiors of cone faces must partition the cone")
+    raise InvariantViolation("relative interiors of cone faces must partition the cone")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +413,8 @@ def sup_exposed(p: Polytope, f: PolyFace) -> PolyFace:
         v = normal_cone(p, f).ri_vector()
         if v is not None:
             _, alt = support(p, v)
-            assert alt.vset == result.vset, "both smallest-exposed formulas must agree"
+            if alt.vset != result.vset:
+                raise InvariantViolation("both smallest-exposed formulas must agree")
     return result
 
 
@@ -399,7 +441,8 @@ def exposed_meet(p: Polytope, directions: list[Vec]) -> tuple[PolyFace, Vec | No
     if is_zero(witness):
         witness = vadd(witness, vscale(Fraction(1, 2), directions[0]))
     _, wface = support(p, witness)
-    assert wface.vset == inter, "witness direction must expose the intersection"
+    if wface.vset != inter:
+        raise InvariantViolation("witness direction must expose the intersection")
     return p.make_face(inter, primitive(witness)), witness
 
 
@@ -416,8 +459,7 @@ def _require_origin_interior(p: Polytope):
 
 def polar(p: Polytope) -> Polytope:
     """Polar polytope; vertices are the facet normals scaled to offset 1."""
-    _require_origin_interior(p)
-    return Polytope(tuple(sorted(vscale(1 / f.offset, f.normal) for f in p.facets)))
+    return p._polar
 
 
 def conjugate_face(p: Polytope, f: PolyFace) -> PolyFace:
@@ -512,13 +554,12 @@ def extreme_points(points: list[Vec]) -> list[Vec]:
 
 def project_polytope(p: Polytope, v_basis: list[Vec]) -> Polytope:
     """Orthogonal projection onto the subspace spanned by v_basis."""
-    return _project_cached(p, span_basis(v_basis))
-
-
-@lru_cache(maxsize=None)
-def _project_cached(p: Polytope, basis: tuple[Vec, ...]) -> Polytope:
-    projected = [project_onto(basis, x) for x in p.vertices]
-    return Polytope(tuple(extreme_points(projected)))
+    basis = span_basis(v_basis)
+    q = p._projections.get(basis)
+    if q is None:
+        q = Polytope(tuple(extreme_points([project_onto(basis, x) for x in p.vertices])))
+        p._projections[basis] = q
+    return q
 
 
 def point_in_face(q: Polytope, f: PolyFace, x: Vec) -> bool:
@@ -744,7 +785,8 @@ def atom_decomposition(p: Polytope, n: PolyCone) -> list[PolyCone]:
     bound = n.cone_dim - len(p.lin_perp)
     from .lattice import decompose_by_atoms
     subset = decompose_by_atoms(lat, idx, bound)
-    assert subset is not None, "decomposition guaranteed under the hypothesis"
+    if subset is None:
+        raise InvariantViolation("decomposition guaranteed under the hypothesis")
     return [lat.elements[i].cone for i in subset]
 
 
@@ -760,7 +802,8 @@ def coatom_decomposition(p: Polytope, f: PolyFace) -> list[PolyFace]:
     bound = n.cone_dim - len(p.lin_perp)
     from .lattice import decompose_by_coatoms
     subset = decompose_by_coatoms(lat, idx, bound)
-    assert subset is not None, "decomposition guaranteed under the hypothesis"
+    if subset is None:
+        raise InvariantViolation("decomposition guaranteed under the hypothesis")
     return [lat.elements[i] for i in subset]
 
 
@@ -789,5 +832,5 @@ def minkowski_atom_check(p: Polytope, f: PolyFace) -> MinkowskiAtomReport:
     from .lattice import decompose_by_atoms
     subset = decompose_by_atoms(lat, idx, bound)
     if subset is None:
-        raise AssertionError("join decomposition guaranteed for closed polytopes")
+        raise InvariantViolation("join decomposition guaranteed for closed polytopes")
     return MinkowskiAtomReport(tuple(lat.elements[i] for i in subset), bound)

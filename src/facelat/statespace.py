@@ -17,21 +17,11 @@ import numpy as np
 from .errors import BadAngle, EigenFailure
 
 TOL_SYM = 1e-10
-TOL_PSD = 1e-10
 TOL_RANK = 1e-8
 TOL_GAP = 1e-8
 TOL_FLAT = 1e-6
 
 Algebra = tuple[int, ...]  # direct-sum block sizes
-
-
-def _as_blocks(alg: Algebra, m: np.ndarray) -> list[np.ndarray]:
-    out = []
-    k = 0
-    for n in alg:
-        out.append(m[k:k + n, k:k + n])
-        k += n
-    return out
 
 
 def algebra_dim(alg: Algebra) -> int:
@@ -42,14 +32,6 @@ def check_hermitian(m: np.ndarray, tol: float = TOL_SYM) -> np.ndarray:
     if np.linalg.norm(m - m.conj().T) > tol:
         raise EigenFailure("matrix is not self-adjoint within tolerance")
     return 0.5 * (m + m.conj().T)
-
-
-def check_state(alg: Algebra, rho: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
-    rho = check_hermitian(rho)
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -tol or abs(np.trace(rho).real - 1.0) > tol:
-        raise EigenFailure("not a state: needs psd and unit trace")
-    return rho
 
 
 def support_projection(rho: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:

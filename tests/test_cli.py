@@ -127,6 +127,17 @@ def test_statespace_bad_angle(capsys):
     assert code == 2 and "BadAngle" in err
 
 
+def test_internal_error_exits_3(monkeypatch, capsys):
+    from facelat import checks
+    from facelat.errors import InvariantViolation
+
+    def broken(*args):
+        raise InvariantViolation("deliberately broken invariant")
+    monkeypatch.setattr(checks, "run_suite", broken)
+    code, _, err = run(capsys, "check", "square")
+    assert code == 3 and "internal error" in err and "InvariantViolation" in err
+
+
 def test_exit_code_contract():
     from facelat.checks import CheckReport, Verdict
     rep = CheckReport("s", "f", [Verdict("a", "pass", ""), Verdict("b", "skip", "")])

@@ -3,26 +3,46 @@
 Random rational polytopes must give the same answers through the brute-force
 face oracle and the supporting-hyperplane route, and random convex polygons
 must give the same cones through the planar machinery and the polytope
-machinery.
+machinery.  The directly built canonical cones (subspaces, faces of a cone,
+active-facet normal cones) must equal what the brute-force `pos_hull` and
+the definitional dual give.
 """
 
+import gc
+import weakref
 from fractions import Fraction as F
 from functools import cmp_to_key
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from facelat.exactgeom import cross2, in_ri_conv_hull, pos_hull, vec, vsub
+from facelat.exactgeom import (PolyCone, cone_faces, cross2, dot,
+                               in_ri_conv_hull, pos_hull, subspace_cone, vec,
+                               vneg, vsub)
 from facelat.lattice import lattice_map, verify_isomorphism
 from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
                             normal_cone_at, polar_planar)
 from facelat.polytope import (ConeElement, Polytope, exposed_face_lattice,
                               extreme_points, face_lattice, normal_cone,
-                              normal_cone_lattice, polar, support,
+                              normal_cone_at_point, normal_cone_lattice,
+                              polar, project_polytope, support,
                               touching_cone_lattice)
 
 coord = st.integers(min_value=-3, max_value=3)
+small = st.integers(min_value=-2, max_value=2)
+
+
+def points(dim, elements=coord):
+    return st.lists(st.tuples(*[elements] * dim), min_size=1, max_size=6, unique=True)
+
+
+# random point sets in 1-4D; the 4D ones are drawn from {-2..2}^4
+any_dim_points = st.one_of(points(1), points(2), points(3), points(4, small))
+
+# random vector lists in 1-4D, zero and dependent vectors allowed
+vector_lists = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[small] * d), max_size=5)))
 
 
 def build_polytope(raw_points):
@@ -123,3 +143,63 @@ def test_random_polygon_polars_agree_across_modules(raw):
     assert set(mouse.junctions) == set(q.vertices)
     # interior points of the polygon land in the whole-body face
     assert face_at(body, vec(0, 0)) == FaceDescriptor.whole()
+
+
+@settings(max_examples=25, deadline=None)
+@given(any_dim_points)
+def test_active_facet_normal_cone_equals_definitional_dual(raw):
+    p = build_polytope(raw)
+    for f in exposed_face_lattice(p).elements:
+        if f.vertex_indices:
+            assert normal_cone(p, f) == normal_cone_at_point(p, p.ri_point(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists)
+def test_subspace_cone_equals_pos_hull_of_both_signs(case):
+    dim, raw = case
+    basis = [vec(*b) for b in raw]
+    assert subspace_cone(basis, dim) == pos_hull(basis + [vneg(b) for b in basis], dim)
+
+
+def faces_by_pos_hull(k: PolyCone) -> list[PolyCone]:
+    """Faces of k rebuilt by brute force: pos_hull of the rays on each facet set."""
+    normals = k.facet_normals
+    lin_gens = [g for b in k.lineality for g in (b, vneg(b))]
+    seen = {}
+    for mask in range(1 << len(normals)):
+        active = [normals[i] for i in range(len(normals)) if mask >> i & 1]
+        gens = [r for r in k.rays if all(dot(n, r) == 0 for n in active)] + lin_gens
+        face = pos_hull(gens, k.dim)
+        seen.setdefault((face.rays, face.lineality), face)
+    return sorted(seen.values(), key=lambda f: (f.cone_dim, f.rays, f.lineality))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_lists)
+def test_direct_cone_faces_equal_pos_hull_faces(case):
+    dim, raw = case
+    k = pos_hull([vec(*g) for g in raw], dim)
+    assert cone_faces(k) == faces_by_pos_hull(k)
+
+
+def test_cone_faces_returns_a_fresh_list():
+    k = pos_hull([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)])
+    first = cone_faces(k)
+    want = list(first)
+    first.clear()
+    first.append(k)
+    assert cone_faces(k) == want and len(want) == 8
+
+
+def test_body_caches_die_with_the_body():
+    p = Polytope((vec(-1, -1, 0), vec(1, -1, 0), vec(0, 2, 0), vec(0, 0, 1),
+                  vec(0, 0, -1)))
+    for build in (face_lattice, exposed_face_lattice, normal_cone_lattice,
+                  touching_cone_lattice, polar):
+        build(p)
+    project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)])
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
 
 import pytest
 
-from facelat.errors import (NotAFace, OriginNotInterior, PointNotInBody,
-                            ZeroDirection)
+from facelat import checks
+from facelat import lattice as lattice_module
+from facelat.errors import (GeometryError, InvariantViolation, NotAFace,
+                            OriginNotInterior, PointNotInBody, ZeroDirection)
 from facelat.exactgeom import full_space, pos_hull, subspace_cone, unit, vec
 from facelat.lattice import decompose_by_coatoms, lattice_map, verify_isomorphism
 from facelat.polytope import (ConeElement, Polytope, atom_decomposition,
@@ -18,14 +21,20 @@ from facelat.polytope import (ConeElement, Polytope, atom_decomposition,
                               touching_cone_at, touching_cone_lattice)
 
 
+# One instance per body for the whole module: lattices are cached on the body,
+# so the tests share them instead of rebuilding the cube's LP face lattice.
+
+@cache
 def square():
     return Polytope((vec(-1, -1), vec(1, -1), vec(1, 1), vec(-1, 1)))
 
 
+@cache
 def cube():
     return Polytope(tuple(vec(*p) for p in product([-1, 1], repeat=3)))
 
 
+@cache
 def triangle():
     return Polytope((vec(0, 0), vec(2, 0), vec(1, 1)))
 
@@ -327,3 +336,28 @@ def test_minkowski_atom_check():
     facet = c.face_of_point(vec(0, 0, 1))
     rep = minkowski_atom_check(c, facet)
     assert rep.passed and len(rep.atoms) <= 3
+
+
+def test_invariant_violation_is_raised_not_asserted(monkeypatch):
+    assert not issubclass(InvariantViolation, GeometryError)
+    sq = square()
+    f = support(sq, vec(1, 1))[1]
+    monkeypatch.setattr(lattice_module, "decompose_by_coatoms", lambda *a: None)
+    with pytest.raises(InvariantViolation):
+        coatom_decomposition(sq, f)
+
+
+def _detail(report, check_id):
+    return next(v.detail for v in report.verdicts if v.check_id == check_id)
+
+
+def test_route_labels_in_antitone_details():
+    rep = checks.run_suite(square(), "square", "antitone")
+    assert "LP carrier-oracle face_lattice" in _detail(rep, "antitone.all_faces_exposed")
+    assert ("active-facet normal_cone vs definitional normal_cone_at_point"
+            in _detail(rep, "antitone.cone_constant_on_ri"))
+    simplex4 = Polytope((vec(0, 0, 0, 0),) + tuple(unit(4, i) for i in range(4)))
+    rep = checks.run_suite(simplex4, "simplex4", "antitone")
+    detail = _detail(rep, "antitone.all_faces_exposed")
+    assert "vacuous" in detail and "fell back to the exposed route" in detail
+    assert all(v.status == "pass" for v in rep.verdicts)
