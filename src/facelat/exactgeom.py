@@ -316,24 +316,33 @@ def _hull_rows(points: Sequence[Vec]) -> list[list[Fraction]]:
     return rows
 
 
-def hull_weight_support(points: Sequence[Vec], x: Vec) -> set[int]:
+def hull_weight_support(points: Sequence[Vec], x: Vec,
+                        known: Iterable[int] = ()) -> set[int]:
     """Indices that can carry positive weight in some convex combination for x.
 
-    Empty set when x is not in the hull at all.  This is the face oracle used
-    by the brute-force face enumeration: the result is the vertex set of the
-    unique face containing x in its relative interior.
+    Empty set when x is not in the hull at all.  This is the carrier oracle of
+    the face route: for the vertices of a polytope the result is the vertex set
+    of the unique face containing x in its relative interior.  `known` names
+    indices the caller already knows can be positive (for a centroid, the
+    averaged points).
+
+    The carrier is found by shrinking the unknown index set: maximize the total
+    weight on the indices not yet known to be positive, add every index the
+    optimal solution weights positively, and stop when the optimum is 0, which
+    proves no remaining index can be positive.  That takes a few LPs, not one
+    per index.
     """
     rows = _hull_rows(points)
     rhs = list(x) + [Fraction(1)]
-    out = set()
-    for i in range(len(points)):
-        obj = [Fraction(1 if j == i else 0) for j in range(len(points))]
-        status, val, _ = simplex_max(obj, rows, rhs)
+    out = set(known)
+    while True:
+        obj = [Fraction(0 if j in out else 1) for j in range(len(points))]
+        status, val, sol = simplex_max(obj, rows, rhs)
         if status != "optimal":
             return set()
-        if val > 0:
-            out.add(i)
-    return out
+        if val == 0:
+            return out
+        out.update(j for j, w in enumerate(sol) if w > 0)
 
 
 # ---------------------------------------------------------------------------

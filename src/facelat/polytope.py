@@ -2,10 +2,11 @@
 
 Two independent routes compute the face structure.  The exposed route
 enumerates supporting hyperplanes from affinely independent vertex subsets
-and intersects the resulting facets.  The brute-force route decides the face
-property on candidate vertex subsets through a rational-LP carrier oracle and
-never touches the facet machinery, so the agreement of the two lattices is an
-actual test, not a tautology.
+and intersects the resulting facets.  The face route closes the vertices
+under carriers: the rational-LP carrier oracle gives the smallest face
+containing a face and one more vertex.  It never touches the facet
+machinery, so the agreement of the two lattices is an actual test, not a
+tautology, in every dimension.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ class Polytope:
     def facets(self) -> tuple[Facet, ...]:
         return _enumerate_facets(self.vertices, self.affine)
 
-    # Lattices, the polar and projections are memoized on the body itself, so
-    # each lives exactly as long as the body it was built from.
+    # Lattices, the polar, projections and normal cones are memoized on the
+    # body itself, so each lives exactly as long as the body it was built from.
 
     @cached_property
     def _exposed_lattice(self) -> FiniteLattice:
@@ -154,6 +155,14 @@ class Polytope:
 
     @cached_property
     def _projections(self) -> dict[tuple[Vec, ...], "Polytope"]:
+        return {}
+
+    @cached_property
+    def _face_normal_cones(self) -> dict[tuple[int, ...], PolyCone]:
+        return {}
+
+    @cached_property
+    def _point_normal_cones(self) -> dict[Vec, PolyCone]:
         return {}
 
     def contains(self, x: Vec) -> bool:
@@ -285,35 +294,40 @@ def _build_exposed_lattice(p: Polytope) -> FiniteLattice:
 
 
 def face_lattice(p: Polytope) -> FiniteLattice:
-    """All faces; brute-forced per the open-segment definition on small bodies.
+    """All faces, by carrier closure with the LP carrier oracle.
 
-    For bodies with dim <= 3 and at most 12 vertices the face property is
-    decided subset-by-subset via the LP carrier oracle (independent of the
-    facet route); larger bodies fall back to the exposed route, which agrees
-    for polytopes.
+    The carrier of centroid(F + {v}) is the smallest face containing a face F
+    and a vertex v.  Starting from the vertices, every face is reached by a
+    chain of such steps, so the closure costs O(#faces * n) carrier calls.  It
+    never touches the facets, so comparing it with `exposed_face_lattice` is a
+    real cross-check.
     """
     return p._face_lattice
 
 
-def face_lattice_is_lp_route(p: Polytope) -> bool:
-    """Whether `face_lattice` uses the LP carrier oracle rather than falling back."""
-    return p.dim <= 3 and len(p.vertices) <= 12
-
-
 def _build_face_lattice(p: Polytope) -> FiniteLattice:
     n = len(p.vertices)
-    if not face_lattice_is_lp_route(p):
-        return exposed_face_lattice(p)
-    faces = [p.make_face(frozenset())]
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            centroid = zero(p.ambient_dim)
-            for i in subset:
-                centroid = vadd(centroid, p.vertices[i])
-            centroid = vscale(Fraction(1, size), centroid)
-            carrier = eg.hull_weight_support(p.vertices, centroid)
-            if carrier == set(subset):
-                faces.append(p.make_face(frozenset(subset)))
+    carriers: dict[frozenset[int], frozenset[int]] = {}
+    found = {frozenset({i}) for i in range(n)}  # every vertex is extreme
+    todo = list(found)
+    while todo:
+        face = todo.pop()
+        for v in range(n):
+            if v in face:
+                continue
+            key = face | {v}
+            carrier = carriers.get(key)
+            if carrier is None:
+                centroid = zero(p.ambient_dim)
+                for i in key:
+                    centroid = vadd(centroid, p.vertices[i])
+                centroid = vscale(Fraction(1, len(key)), centroid)
+                carrier = carriers[key] = frozenset(
+                    eg.hull_weight_support(p.vertices, centroid, known=key))
+            if carrier not in found:
+                found.add(carrier)
+                todo.append(carrier)
+    faces = [p.make_face(vset) for vset in found | {frozenset()}]
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return build_lattice(faces, lambda a, b: a.vset <= b.vset)
 
@@ -332,8 +346,12 @@ def is_face(p: Polytope, f: PolyFace) -> bool:
 
 def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
     """N(C, x) as the exact dual of the cone of feasible directions at x."""
-    diffs = [vsub(v, x) for v in p.vertices]
-    return dual_cone(pos_hull(diffs, p.ambient_dim))
+    key = tuple(x)
+    cone = p._point_normal_cones.get(key)
+    if cone is None:
+        diffs = [vsub(v, key) for v in p.vertices]
+        cone = p._point_normal_cones[key] = dual_cone(pos_hull(diffs, p.ambient_dim))
+    return cone
 
 
 def normal_cone(p: Polytope, f: PolyFace) -> PolyCone:
@@ -341,17 +359,24 @@ def normal_cone(p: Polytope, f: PolyFace) -> PolyCone:
 
     N(C, F) is the positive hull of the normals of the facets that contain F,
     plus the orthogonal complement of the body's direction space; the empty
-    face maps to the whole space.  `normal_cone_at_point` is the independent,
-    definitional route.
+    face maps to the whole space.  F must be a face; it is checked against
+    `exposed_face_lattice`, the facet route this cone is built from (for a
+    polytope every face is exposed).  `normal_cone_at_point` is the
+    independent, definitional route.
     """
     if not f.vertex_indices:
         return full_space(p.ambient_dim)
-    if not is_face(p, f):
-        raise NotAFace(f"{f.vertex_indices} is not a face")
-    gens = [fc.normal for fc in p.facets if f.vset <= fc.vertex_set]
-    for b in p.lin_perp:
-        gens += [b, vneg(b)]
-    return pos_hull(gens, p.ambient_dim)
+    cone = p._face_normal_cones.get(f.vertex_indices)
+    if cone is None:
+        try:
+            exposed_face_lattice(p).index_of(f.key)
+        except KeyError:
+            raise NotAFace(f"{f.vertex_indices} is not a face") from None
+        gens = [fc.normal for fc in p.facets if f.vset <= fc.vertex_set]
+        for b in p.lin_perp:
+            gens += [b, vneg(b)]
+        cone = p._face_normal_cones[f.vertex_indices] = pos_hull(gens, p.ambient_dim)
+    return cone
 
 
 def normal_cone_lattice(p: Polytope) -> FiniteLattice:
@@ -639,6 +664,7 @@ class LiftReport:
     meets_are_intersections: bool
     invariance_passed: bool
     canonical_subspace_passed: bool
+    canonical_subspace_distinct: bool  # False: a lift was compared with itself
     details: tuple[str, ...]
 
     @property
@@ -683,7 +709,12 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
                 meets_ok = False
                 details.append("lifted meet differs from intersection")
 
+    # The lift depends only on the projection U of the subspace onto the
+    # body's direction space; when U is the subspace itself there is nothing
+    # to compare.
+    u_basis = span_basis([project_onto(p.affine.directions, b) for b in basis])
     lifted_keys = {f.key for f in lifted_f.elements}
+    canon_failures = []
     invariance_ok = True
     for f in face_lattice(p).elements:
         in_lattice = f.key in lifted_keys
@@ -692,25 +723,20 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
         else:
             lifted_pts = lift_point_set(p, list(basis), f)
             fixed = set(lifted_pts) == set(p.face_points(f))
+            if u_basis != basis:
+                canonical_pts = (lift_point_set(p, list(u_basis), f) if u_basis
+                                 else p.vertices)
+                if set(lifted_pts) != set(canonical_pts):
+                    canon_failures.append(
+                        f"canonical-subspace lift differs on {f.label()}")
         if in_lattice != fixed:
             invariance_ok = False
             details.append(
                 f"lift invariance mismatch on face {f.label()}: "
                 f"in lifted lattice {in_lattice}, lift-fixed {fixed}")
-
-    u_basis = span_basis([project_onto(p.affine.directions, b) for b in basis])
-    canon_ok = True
-    for f in face_lattice(p).elements:
-        if not f.vertex_indices:
-            continue
-        a = lift_point_set(p, list(basis), f)
-        b = lift_point_set(p, list(u_basis), f) if u_basis else tuple(
-            sorted(set(p.vertices)))
-        if set(a) != set(b):
-            canon_ok = False
-            details.append(f"canonical-subspace lift differs on {f.label()}")
+    details.extend(canon_failures)
     report = LiftReport(iso1.passed, iso2.passed, meets_ok, invariance_ok,
-                        canon_ok, tuple(details))
+                        not canon_failures, u_basis != basis, tuple(details))
     return lifted_f, lifted_perp, report
 
 

@@ -1,7 +1,8 @@
 """Randomized cross-checks between independent computation routes.
 
-Random rational polytopes must give the same answers through the brute-force
-face oracle and the supporting-hyperplane route, and random convex polygons
+Random rational polytopes must give the same answers through the LP carrier
+face route and the supporting-hyperplane route, the carrier closure must give
+the faces the 2^n subset search it replaced gives, and random convex polygons
 must give the same cones through the planar machinery and the polytope
 machinery.  The directly built canonical cones (subspaces, faces of a cone,
 active-facet normal cones) must equal what the brute-force `pos_hull` and
@@ -12,13 +13,15 @@ import gc
 import weakref
 from fractions import Fraction as F
 from functools import cmp_to_key
+from itertools import combinations
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facelat.exactgeom import (PolyCone, cone_faces, cross2, dot,
-                               in_ri_conv_hull, pos_hull, subspace_cone, vec,
-                               vneg, vsub)
+                               hull_weight_support, in_ri_conv_hull, pos_hull,
+                               simplex_max, subspace_cone, vadd, vec, vneg,
+                               vscale, vsub, zero)
 from facelat.lattice import lattice_map, verify_isomorphism
 from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
@@ -73,6 +76,73 @@ def test_random_3d_lattices_consistent(raw):
         rep = verify_isomorphism(lattice_map(
             fl, nl, lambda f: ConeElement(normal_cone(p, f)), "antitone"))
         assert rep.passed, rep.failures
+
+
+def carrier_per_index(points, x):
+    """The carrier as it was first computed: one LP per index."""
+    rows = [[q[d] for q in points] for d in range(len(x))] + [[F(1)] * len(points)]
+    out = set()
+    for i in range(len(points)):
+        obj = [F(1 if j == i else 0) for j in range(len(points))]
+        status, val, _ = simplex_max(obj, rows, list(x) + [F(1)])
+        if status != "optimal":
+            return set()
+        if val > 0:
+            out.add(i)
+    return out
+
+
+def centroid(points):
+    acc = zero(len(points[0]))
+    for q in points:
+        acc = vadd(acc, q)
+    return vscale(F(1, len(points)), acc)
+
+
+def faces_by_subsets(p):
+    """Face keys in lattice order from the 2^n subset search the closure replaced."""
+    n = len(p.vertices)
+    faces = [p.make_face(frozenset())]
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            x = centroid([p.vertices[i] for i in subset])
+            if carrier_per_index(p.vertices, x) == set(subset):
+                faces.append(p.make_face(frozenset(subset)))
+    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
+    return [f.key for f in faces]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(points(2), points(3)))
+def test_carrier_closure_equals_subset_search(raw):
+    p = build_polytope(raw)
+    assert [f.key for f in face_lattice(p).elements] == faces_by_subsets(p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(points(4, small))
+def test_4d_carrier_closure_equals_exposed_route(raw):
+    p = build_polytope(raw)
+    assert ([f.key for f in face_lattice(p).elements]
+            == [f.key for f in exposed_face_lattice(p).elements])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda d: st.tuples(
+    points(d), st.tuples(*[coord] * d), st.lists(st.integers(0, 5), min_size=1))))
+def test_carrier_equals_per_index_reference(case):
+    raw, outside, picks = case
+    pts = [vec(*q) for q in raw]
+    # a random lattice point, often outside the hull, and a centroid of some
+    # of the points, inside it, with those points known to be positive
+    x = vec(*outside)
+    assert hull_weight_support(pts, x) == carrier_per_index(pts, x)
+    known = {i % len(pts) for i in picks}
+    x = centroid([pts[i] for i in sorted(known)])
+    want = carrier_per_index(pts, x)
+    assert known <= want
+    assert hull_weight_support(pts, x) == want
+    assert hull_weight_support(pts, x, known=known) == want
 
 
 def ccw_polygon(raw_points):
@@ -199,6 +269,9 @@ def test_body_caches_die_with_the_body():
                   touching_cone_lattice, polar):
         build(p)
     project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)])
+    edge = p.make_face({0, 3})
+    assert normal_cone(p, edge) == normal_cone_at_point(p, p.ri_point(edge))
+    assert p._face_normal_cones and p._point_normal_cones
     ref = weakref.ref(p)
     del p
     gc.collect()

@@ -259,6 +259,20 @@ def test_lifted_lattices_square_and_full_space():
     assert rep2.passed and len(lifted_full) == len(face_lattice(triangle()))
 
 
+def test_canonical_subspace_lift_on_a_tilted_triangle():
+    # e1 is not in the triangle's direction space span{(1,0,1), (0,1,0)}, so
+    # the lift through e1 is compared with the lift through its projection
+    tilted = Polytope((vec(0, 0, 0), vec(2, 0, 2), vec(0, 2, 0)))
+    _, _, rep = lifted_face_lattices(tilted, [unit(3, 0)])
+    assert rep.canonical_subspace_distinct
+    assert rep.canonical_subspace_passed and rep.passed, rep.details
+    _, _, rep = lifted_face_lattices(triangle(), [vec(1, 0)])
+    assert not rep.canonical_subspace_distinct
+    detail = _detail(checks.run_suite(tilted, "tilted", "lift"),
+                     "lift.lattice_isomorphisms")
+    assert "a real comparison on 5 of 6 coordinate subspaces" in detail
+
+
 def test_cylinder_normal_check():
     sq = square()
     r = cylinder_normal_check(sq, [vec(1, 0)], vec(1, 1))
@@ -358,6 +372,5 @@ def test_route_labels_in_antitone_details():
             in _detail(rep, "antitone.cone_constant_on_ri"))
     simplex4 = Polytope((vec(0, 0, 0, 0),) + tuple(unit(4, i) for i in range(4)))
     rep = checks.run_suite(simplex4, "simplex4", "antitone")
-    detail = _detail(rep, "antitone.all_faces_exposed")
-    assert "vacuous" in detail and "fell back to the exposed route" in detail
+    assert "LP carrier-oracle face_lattice" in _detail(rep, "antitone.all_faces_exposed")
     assert all(v.status == "pass" for v in rep.verdicts)
