@@ -14,7 +14,6 @@ from pathlib import Path
 from . import bodyio, checks
 from . import planar as pl
 from . import polytope as pt
-from . import statespace as ss
 from .errors import BadAngle, GeometryError, ParseError, UnsupportedForBodyType
 from .lattice import element_dim, element_label
 from .polytope import Polytope
@@ -112,6 +111,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_statespace(args) -> int:
+    from . import statespace as ss  # numeric, needs numpy; the exact commands do not
+
     if args.example == "bloch":
         out = {"example": "bloch", "seed": args.seed, "samples": args.samples,
                "tolerance": args.tol, "mode": "numeric", "verdicts": []}
@@ -128,7 +129,8 @@ def cmd_statespace(args) -> int:
             ok = ok and rep.passed
         print(json.dumps(out, indent=2))
         return 0 if ok else 1
-    rep = ss.cone_experiment(args.phi, args.resolution, args.tol_flat)
+    tol_flat = ss.TOL_FLAT if args.tol_flat is None else args.tol_flat
+    rep = ss.cone_experiment(args.phi, args.resolution, tol_flat)
     doc = rep.as_dict()
     text = json.dumps(doc, indent=2)
     if args.out:
@@ -172,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=720)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--tol-flat", type=float, default=ss.TOL_FLAT)
+    p.add_argument("--tol-flat", type=float, default=None,
+                   help="flatness tolerance of the cone experiment "
+                        "(default: statespace.TOL_FLAT)")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_statespace)
     return ap

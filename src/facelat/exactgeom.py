@@ -1,6 +1,11 @@
 """Exact rational linear algebra and polyhedral-cone primitives (ambient dim <= 4).
 
-Everything in this module is computed over `fractions.Fraction`; there is no
+Vectors, solutions and support values are `fractions.Fraction`s at the
+boundary of this module, but the arithmetic inside runs on Python integers:
+elimination is fraction-free (each row scaled to integers, rows combined as
+p*row_i - f*row_r and divided by their gcd, Bareiss-style), the simplex keeps
+an integer tableau, and `dot`/`primitive` work on numerators over a common
+denominator.  Fractions are formed only for the results.  There is no
 floating point anywhere.  Cones are kept in a canonical V-representation
 (extreme rays modulo lineality, primitive integer scaling, sorted), so record
 equality coincides with geometric equality.
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -47,7 +52,24 @@ def vscale(t, a: Vec) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+    num = 0
+    for x, y in zip(a, b, strict=True):
+        if x.denominator != 1 or y.denominator != 1:
+            return _dot_rational(a, b)
+        num += x.numerator * y.numerator
+    return Fraction(num)
+
+
+def _dot_rational(a: Vec, b: Vec) -> Fraction:
+    """`dot` when some denominator is not 1: numerators over a running lcm."""
+    num, den = 0, 1
+    for x, y in zip(a, b, strict=True):
+        tn, td = x.numerator * y.numerator, x.denominator * y.denominator
+        if td != den:
+            new = lcm(den, td)
+            num, tn, den = num * (new // den), tn * (new // td), new
+        num += tn
+    return Fraction(num, den)
 
 
 def is_zero(a: Vec) -> bool:
@@ -74,50 +96,85 @@ def perp2(a: Vec) -> Vec:
 
 def primitive(v: Vec) -> Vec:
     """Scale a nonzero vector to coprime integer coordinates, keeping direction."""
-    if is_zero(v):
+    ints = _scaled(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
     return tuple(Fraction(n // g) for n in ints)
+
+
+def _scaled(row: Iterable[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, as Python integers."""
+    row = list(row)
+    dens = [x.denominator for x in row]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // d) for x, d in zip(row, dens)]
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
+def _eliminate(m: list[list[int]], reduced: bool) -> list[int]:
+    """Fraction-free row reduction of the integer rows m, in place.
+
+    Clearing column c of row i against pivot row r is row_i <- p*row_i -
+    f*row_r (p the pivot, f the entry of row i), then division by the gcd of
+    the row; both only rescale rows of the exact elimination, so no fraction
+    is ever formed.  Returns the pivot columns; the first len(pivots) rows of
+    m are then the pivot rows, in order.  With `reduced` the rows above each
+    pivot are cleared too, so the pivot rows are an integer multiple of the
+    RREF; without it they are an echelon form, enough for the rank.
+    """
+    nrows = len(m)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if reduced else r + 1, nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _combine(p, m[i], f, prow)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return [tuple(row) for row in m[:r]], pivots
+    return pivots
+
+
+def _combine(p: int, row: list[int], f: int, prow: list[int]) -> list[int]:
+    """p*row - f*prow divided by the gcd of its entries: the entry f of row
+    cleared against the pivot p of prow, without forming a fraction."""
+    new = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*new)
+    return [a // g for a in new] if g > 1 else new
+
+
+def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form; returns the nonzero rows and pivot columns.
+
+    Row scaling does not change the RREF, so each row is scaled to integers
+    and eliminated fraction-free; only the final division of each pivot row
+    by its pivot forms Fractions.
+    """
+    m = [_scaled(r) for r in rows]
+    pivots = _eliminate(m, reduced=True)
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        out.append(tuple(Fraction(a, p) for a in row))
+    return out, pivots
 
 
 def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)[0])
+    return len(_eliminate([_scaled(r) for r in rows], reduced=False))
 
 
 def span_basis(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
@@ -128,17 +185,31 @@ def span_basis(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
 
 
 def kernel_basis(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    """Canonical basis of {x : r . x = 0 for all rows r}."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(dim) if c not in pivots]
+    """Canonical basis of {x : r . x = 0 for all rows r}.
+
+    The same basis as `span_basis` of the kernel: one vector per free column
+    of the RREF, scaled to integers by the lcm of the pivots, brought to RREF
+    itself and made primitive, all in integers.
+    """
+    m = [_scaled(r) for r in rows]
+    pivots = _eliminate(m, reduced=True)
+    scale = lcm(*(row[c] for row, c in zip(m, pivots)))
     basis = []
-    for c in free:
-        v = [Fraction(0)] * dim
-        v[c] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][c]
-        basis.append(tuple(v))
-    return span_basis(basis)
+    for c in range(dim):
+        if c in pivots:
+            continue
+        v = [0] * dim
+        v[c] = scale
+        for row, p in zip(m, pivots):
+            v[p] = -row[c] * (scale // row[p])
+        basis.append(v)
+    out = []
+    for row, c in zip(basis, _eliminate(basis, reduced=True)):
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        out.append(tuple(Fraction(a // g) for a in row))
+    return tuple(out)
 
 
 def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
@@ -146,13 +217,13 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
     if not rows:
         return None
     dim = len(rows[0])
-    aug = [tuple(list(r) + [b]) for r, b in zip(rows, rhs, strict=True)]
-    reduced, pivots = rref(aug)
+    m = [_scaled(list(r) + [b]) for r, b in zip(rows, rhs, strict=True)]
+    pivots = _eliminate(m, reduced=True)
     if dim in pivots:
         return None
     x = [Fraction(0)] * dim
-    for i, p in enumerate(pivots):
-        x[p] = reduced[i][dim]
+    for row, p in zip(m, pivots):
+        x[p] = Fraction(row[dim], row[p])
     return tuple(x)
 
 
@@ -219,67 +290,100 @@ def simplex_max(obj: Sequence[Fraction], a_eq: Sequence[Sequence[Fraction]],
 
     Returns ("infeasible", None, None), ("unbounded", None, None) or
     ("optimal", value, x).  Bland's rule guarantees termination.
+
+    The tableau holds integers: row i stands for itself divided by its entry
+    in the basic column basis[i], which is kept positive.  Phase 1 starts from
+    artificial variables n..n+m-1 on the rows with nonnegative right-hand
+    sides, artificials left basic at value 0 are pivoted out, and phase 2
+    maximizes obj on what remains.
     """
     m, n = len(a_eq), len(obj)
-    rows = [[Fraction(v) for v in row] for row in a_eq]
-    rhs = [Fraction(v) for v in b_eq]
+    tab = []
     for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    # phase 1: artificial variables n..n+m-1
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
+        ints = _scaled([*a_eq[i], b_eq[i], 1])
+        scale = ints.pop()  # the artificial variable's coefficient
+        if ints[-1] < 0:
+            ints = [-v for v in ints]
+        tab.append(ints[:n] + [scale if j == i else 0 for j in range(m)] + ints[n:])
     basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
-
-    def pivot(tab, basis, row, col):
-        piv = tab[row][col]
-        tab[row] = [v / piv for v in tab[row]]
-        for i in range(len(tab)):
-            if i != row and tab[i][col] != 0:
-                f = tab[i][col]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[row])]
-        basis[row] = col
-
-    def run(tab, basis, cost, ncols):
-        while True:
-            red = list(cost[:ncols])
-            for i, bi in enumerate(basis):
-                if cost[bi] != 0:
-                    f = cost[bi]
-                    red = [r - f * tab[i][j] for j, r in enumerate(red)]
-            col = next((j for j in range(ncols) if red[j] < 0), None)
-            if col is None:
-                return True
-            ratios = [(tab[i][-1] / tab[i][col], basis[i], i)
-                      for i in range(len(tab)) if tab[i][col] > 0]
-            if not ratios:
-                return False
-            _, _, row = min(ratios)
-            pivot(tab, basis, row, col)
-
-    run(tab, basis, cost, n + m)  # run() minimizes `cost`
-    if sum(tab[i][-1] for i in range(m) if basis[i] >= n) > 0:
+    tab.append(_reduced_costs([0] * n + [1] * m, tab, basis))
+    _bland(tab, basis, n + m)
+    tab.pop()
+    if any(tab[i][-1] > 0 for i in range(m) if basis[i] >= n):
         return "infeasible", None, None
     # drive remaining artificials out of the basis
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if tab[i][j] != 0), None)
             if col is not None:
-                pivot(tab, basis, i, col)
+                _pivot(tab, basis, i, col)
     keep = [i for i in range(m) if basis[i] < n]
     tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
     # phase 2: minimize -obj
-    cost2 = [-Fraction(v) for v in obj]
-    if not run(tab, basis, cost2, n):
+    tab.append(_reduced_costs([-c for c in _scaled(obj)], tab, basis))
+    if not _bland(tab, basis, n):
         return "unbounded", None, None
+    tab.pop()
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    value = sum((Fraction(obj[j]) * x[j] for j in range(n)), Fraction(0))
-    return "optimal", value, tuple(x)
+    for row, b in zip(tab, basis):
+        x[b] = Fraction(row[-1], row[b])
+    return "optimal", dot(obj, x), tuple(x)
+
+
+def _reduced_costs(cost: list[int], tab: list[list[int]], basis: list[int]) -> list[int]:
+    """A positive integer multiple of the reduced-cost row (rhs entry included)
+    of the integer costs `cost`, for the basic rows of `tab`."""
+    den = lcm(*(row[b] for row, b in zip(tab, basis)))
+    z = [den * c for c in cost] + [0]
+    for row, b in zip(tab, basis):
+        if cost[b]:
+            f = cost[b] * (den // row[b])
+            z = [a - f * w for a, w in zip(z, row)]
+    return z
+
+
+def _bland(tab: list[list[int]], basis: list[int], ncols: int) -> bool:
+    """Minimize over the tableau whose last row is the reduced-cost row.
+
+    Bland's rule: the first column with a negative reduced cost enters; the
+    leaving row has the least ratio rhs/entry over positive entries (compared
+    by cross-multiplication), ties going to the smallest basic index.  False
+    when the objective is unbounded.
+    """
+    while True:
+        z = tab[-1]
+        col = next((j for j in range(ncols) if z[j] < 0), None)
+        if col is None:
+            return True
+        row = None
+        for i, b in enumerate(basis):
+            t = tab[i]
+            if t[col] > 0:
+                if row is not None:
+                    least = tab[row]
+                    lhs, rhs = t[-1] * least[col], least[-1] * t[col]
+                    if lhs > rhs or (lhs == rhs and b > basis[row]):
+                        continue
+                row = i
+        if row is None:
+            return False
+        _pivot(tab, basis, row, col)
+
+
+def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int):
+    """Make column col basic in row `row`; every other row of tab (the
+    reduced-cost row too, when present) is cleared in column col."""
+    prow = tab[row]
+    p = prow[col]
+    if p < 0:  # keep the basic entry, the row's implicit scale, positive
+        prow = tab[row] = [-a for a in prow]
+        p = -p
+    for i, t in enumerate(tab):
+        f = t[col]
+        if f and i != row:
+            tab[i] = _combine(p, t, f, prow)
+    basis[row] = col
 
 
 def in_conv_hull(points: Sequence[Vec], x: Vec) -> bool:

@@ -158,6 +158,10 @@ class Polytope:
         return {}
 
     @cached_property
+    def _lifted_faces(self) -> dict[tuple[tuple[Vec, ...], tuple[int, ...]], PolyFace]:
+        return {}
+
+    @cached_property
     def _face_normal_cones(self) -> dict[tuple[int, ...], PolyCone]:
         return {}
 
@@ -598,20 +602,29 @@ def point_in_face(q: Polytope, f: PolyFace, x: Vec) -> bool:
 
 
 def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
-    """Lift a face of the projection back to a face of p."""
+    """Lift a face of the projection back to a face of p.
+
+    Memoised on p by (subspace, face); the lifted face carries the exposing
+    normal of the face it was asked for.
+    """
     basis = span_basis(v_basis)
     q = project_polytope(p, list(basis))
     if not f.vertex_indices:
         return p.make_face(frozenset())
-    try:
-        face_lattice(q).index_of(f.key)
-    except KeyError:
-        raise NotAFace("not a face of the projected polytope")
-    vset = frozenset(i for i, vert in enumerate(p.vertices)
-                     if point_in_face(q, f, project_onto(basis, vert)))
-    lifted = p.make_face(vset, f.exposing_normal)
-    if not is_face(p, lifted):
-        raise NotAFace("lift did not produce a face")
+    lifted = p._lifted_faces.get((basis, f.key))
+    if lifted is None:
+        try:
+            face_lattice(q).index_of(f.key)
+        except KeyError:
+            raise NotAFace("not a face of the projected polytope")
+        vset = frozenset(i for i, vert in enumerate(p.vertices)
+                         if point_in_face(q, f, project_onto(basis, vert)))
+        lifted = p.make_face(vset, f.exposing_normal)
+        if not is_face(p, lifted):
+            raise NotAFace("lift did not produce a face")
+        p._lifted_faces[(basis, f.key)] = lifted
+    if lifted.exposing_normal != f.exposing_normal:
+        lifted = PolyFace(lifted.vertex_indices, lifted.dim, f.exposing_normal)
     return lifted
 
 

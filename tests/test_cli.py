@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import facelat
 from facelat.cli import main
 
 
@@ -120,6 +125,24 @@ def test_statespace_cone(capsys):
     assert doc["projection_nonexposed_points"] == 2
     code, out, _ = run(capsys, "statespace", "cone", "--phi", "39")
     assert json.loads(out)["conic_type"] == "elliptic"
+
+
+def test_statespace_cone_default_tolerance(capsys):
+    from facelat.statespace import TOL_FLAT
+    _, default, _ = run(capsys, "statespace", "cone", "--phi", "12")
+    _, explicit, _ = run(capsys, "statespace", "cone", "--phi", "12",
+                         "--tol-flat", repr(TOL_FLAT))
+    assert default == explicit
+
+
+def test_cli_import_leaves_numpy_out():
+    # only `statespace` needs numpy; the exact commands must not pay its import
+    src = str(Path(facelat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = subprocess.run(
+        [sys.executable, "-c", "import facelat.cli, sys; sys.exit('numpy' in sys.modules)"],
+        env=env).returncode
+    assert code == 0
 
 
 def test_statespace_bad_angle(capsys):

@@ -27,10 +27,10 @@ from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
                             normal_cone_at, polar_planar)
 from facelat.polytope import (ConeElement, Polytope, exposed_face_lattice,
-                              extreme_points, face_lattice, normal_cone,
-                              normal_cone_at_point, normal_cone_lattice,
-                              polar, project_polytope, support,
-                              touching_cone_lattice)
+                              extreme_points, face_lattice, lift_face,
+                              normal_cone, normal_cone_at_point,
+                              normal_cone_lattice, polar, project_polytope,
+                              support, touching_cone_lattice)
 
 coord = st.integers(min_value=-3, max_value=3)
 small = st.integers(min_value=-2, max_value=2)
@@ -268,10 +268,12 @@ def test_body_caches_die_with_the_body():
     for build in (face_lattice, exposed_face_lattice, normal_cone_lattice,
                   touching_cone_lattice, polar):
         build(p)
-    project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)])
+    q = project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)])
+    lifted = lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], q.make_face({0}))
+    assert lifted == lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], q.make_face({0}))
     edge = p.make_face({0, 3})
     assert normal_cone(p, edge) == normal_cone_at_point(p, p.ri_point(edge))
-    assert p._face_normal_cones and p._point_normal_cones
+    assert p._face_normal_cones and p._point_normal_cones and p._lifted_faces
     ref = weakref.ref(p)
     del p
     gc.collect()
