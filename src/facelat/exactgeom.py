@@ -8,7 +8,10 @@ an integer tableau, and `dot`/`primitive` work on numerators over a common
 denominator.  Fractions are formed only for the results.  There is no
 floating point anywhere.  Cones are kept in a canonical V-representation
 (extreme rays modulo lineality, primitive integer scaling, sorted), so record
-equality coincides with geometric equality.
+equality coincides with geometric equality.  Every conversion between an
+H- and a V-description, of cones here and of polytopes in `polytope`, goes
+through one integer double-description core, `double_description`, and the
+faces of cones and polytopes come from one `intersection_closure`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -488,17 +491,16 @@ class PolyCone:
     def faces(self) -> tuple["PolyCone", ...]:
         """All nonempty faces, including the cone itself and its lineality space.
 
-        Each face is cut out by a set of facets; its canonical form is read off
-        directly: the same lineality space, and the extreme rays of the cone
-        that lie on every facet of the set.
+        The faces are the intersections of facets (the cone itself is the
+        empty intersection), so their ray sets are the intersection closure
+        of the facets' ray sets.  Each canonical form is read off directly:
+        the same lineality space, and the extreme rays on those facets.
         """
-        normals = self.facet_normals
-        seen: dict[tuple[Vec, ...], PolyCone] = {}
-        for mask in range(1 << len(normals)):
-            active = [normals[i] for i in range(len(normals)) if mask >> i & 1]
-            rays = tuple(r for r in self.rays if all(dot(n, r) == 0 for n in active))
-            seen.setdefault(rays, PolyCone(self.dim, rays, self.lineality))
-        return tuple(sorted(seen.values(), key=lambda f: (f.cone_dim, f.rays)))
+        facets = [frozenset(r for r in self.rays if dot(n, r) == 0)
+                  for n in self.facet_normals]
+        faces = [PolyCone(self.dim, tuple(sorted(rays)), self.lineality)
+                 for rays in intersection_closure(frozenset(self.rays), facets)]
+        return tuple(sorted(faces, key=lambda f: (f.cone_dim, f.rays)))
 
     def generators(self) -> list[Vec]:
         gens = list(self.rays)
@@ -560,27 +562,81 @@ def _fmt_vec(v: Vec) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def _cone_facet_normals(gens: Sequence[Vec], span: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Brute-force facet normals of pos(gens) inside its span."""
-    w = len(span)
+def double_description(eq_rows: Sequence[Vec], ineq_rows: Sequence[Vec],
+                       dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Canonical (rays, lineality) of {x : e.x = 0 for e in eq_rows, a.x <= 0
+    for a in ineq_rows}.
+
+    The lineality space is the kernel of all rows; in W = ker(eq_rows) cap
+    lineality-perp the cone is pointed.  Its extreme rays, in integer
+    coordinates along a basis of W, come from the incremental double
+    description method (Fukuda & Prodon 1996): start from the simplicial cone
+    of w = dim W independent rows, add the other rows one at a time, and
+    combine each pair of rays the new row separates if they are adjacent,
+    that is, if no third ray vanishes on every processed row both vanish on
+    (zero sets are int bitmasks).
+    """
+    lin = kernel_basis([*eq_rows, *ineq_rows], dim)
+    basis = [_scaled(b) for b in kernel_basis([*eq_rows, *lin], dim)]
+    w = len(basis)
     if w == 0:
-        return ()
-    normals: set[Vec] = set()
-    for subset in combinations(range(len(gens)), w - 1):
-        # normal in span, orthogonal to the subset
-        rows = [tuple(dot(span[i], gens[s]) for i in range(w)) for s in subset]
-        ker = kernel_basis(rows, w)
-        if len(ker) != 1:
+        return (), lin
+    rows = [[_idot(a, b) for b in basis] for a in map(_scaled, ineq_rows)]
+    # the first w independent rows S exist as the cone is pointed in W; the
+    # rays -A_S^-1 e_j of {A_S y <= 0} come from Gauss-Jordan on (A_S | I),
+    # after which row k is p_k times (e_k | row k of the inverse)
+    start = _eliminate([list(col) for col in zip(*rows)], reduced=False)
+    inv = [rows[i] + [int(j == k) for k in range(w)] for j, i in enumerate(start)]
+    _eliminate(inv, reduced=True)
+    scale = lcm(*(row[k] for k, row in enumerate(inv)))
+    rays = [([-row[w + j] * (scale // row[k]) for k, row in enumerate(inv)],
+             sum(1 << k for k in start if k != i)) for j, i in enumerate(start)]
+    for i, a in enumerate(rows):
+        if i in start:
             continue
-        n = zero(len(gens[0]))
-        for a, b in zip(ker[0], span):
-            n = vadd(n, vscale(a, b))
-        prods = [dot(n, g) for g in gens]
-        if all(p <= 0 for p in prods):
-            normals.add(primitive(n))
-        elif all(p >= 0 for p in prods):
-            normals.add(primitive(vneg(n)))
-    return tuple(sorted(normals))
+        vals = [_idot(a, r) for r, _ in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        new = []
+        for p, q in product(pos, neg):
+            common = rays[p][1] & rays[q][1]
+            if common.bit_count() < w - 2 or any(z & common == common for k, (_, z)
+                                                 in enumerate(rays) if k not in (p, q)):
+                continue  # not adjacent
+            r = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
+            g = gcd(*r)
+            new.append(([x // g for x in r], common | 1 << i))
+        rays = [(r, (z | 1 << i) if v == 0 else z)
+                for (r, z), v in zip(rays, vals) if v <= 0] + new
+    out = [primitive([_idot(r, col) for col in zip(*basis)]) for r, _ in rays]
+    return tuple(sorted(out)), lin
+
+
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def intersection_closure(top, sets) -> set:
+    """All intersections of `top` with some of `sets` (frozensets or int
+    bitmasks), in O(#results * #sets) steps instead of one per subset:
+    intersect each new result with each set until nothing new appears."""
+    found = {top}
+    todo = [top]
+    while todo:
+        s = todo.pop()
+        for f in sets:
+            t = s & f
+            if t not in found:
+                found.add(t)
+                todo.append(t)
+    return found
+
+
+def _cone_facet_normals(gens: Sequence[Vec], span: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Facet normals of pos(gens) inside its span: the extreme rays of the
+    dual {u in span : g.u <= 0 for all g}, which is pointed there."""
+    dim = len(gens[0])
+    return double_description(orth_complement(span, dim), gens, dim)[0]
 
 
 def pos_hull(generators: Iterable[Vec], dim: int | None = None) -> PolyCone:
@@ -594,59 +650,17 @@ def pos_hull(generators: Iterable[Vec], dim: int | None = None) -> PolyCone:
     if not gens:
         return PolyCone(dim, (), ())
     span = span_basis(gens)
-    normals = _cone_facet_normals(gens, span)
-    lin = kernel_basis(list(normals), dim) if normals else span
-    if normals:
-        lin = tuple(b for b in subspace_intersection(lin, span, dim))
-    rays: set[Vec] = set()
-    spanc = list(orth_complement(span, dim))
-    for g in gens:
-        r0 = vsub(g, project_onto(lin, g))
-        if is_zero(r0):
-            continue
-        active = [n for n in normals if dot(n, g) == 0]
-        ker = kernel_basis(active + spanc, dim)
-        if len(ker) == len(lin) + 1:
-            rays.add(primitive(r0))
-    return PolyCone(dim, tuple(sorted(rays)), lin)
+    return cone_from_hrep(span, _cone_facet_normals(gens, span), dim)
 
 
 def cone_from_hrep(span: Sequence[Vec], normals: Sequence[Vec], dim: int) -> PolyCone:
     """Cone {x in span(span) : n.x <= 0 for all n}, canonicalized."""
-    w = len(span)
-    if w == 0:
-        return PolyCone(dim, (), ())
-    span_c = list(orth_complement(span, dim))
-    lin = kernel_basis(list(normals) + span_c, dim)
-    candidates: set[Vec] = set()
-    want = w - len(lin) - 1
-    if want >= 0:
-        for subset in combinations(range(len(normals)), want):
-            rows = [normals[s] for s in subset] + span_c
-            ker = kernel_basis(rows, dim)
-            if len(ker) != len(lin) + 1:
-                continue
-            for base in ker:
-                d = vsub(base, project_onto(lin, base))
-                if is_zero(d):
-                    continue
-                for cand in (d, vneg(d)):
-                    if all(dot(n, cand) <= 0 for n in normals):
-                        candidates.add(primitive(cand))
-    gens = list(candidates)
-    for b in lin:
-        gens.append(b)
-        gens.append(vneg(b))
-    return pos_hull(gens, dim) if gens else PolyCone(dim, (), ())
+    return PolyCone(dim, *double_description(orth_complement(span, dim), normals, dim))
 
 
 def dual_cone(k: PolyCone) -> PolyCone:
     """Polar dual {u : u.x <= 0 on k}, exactly."""
-    gens = list(k.facet_normals)
-    for b in k.span_perp:
-        gens.append(b)
-        gens.append(vneg(b))
-    return pos_hull(gens, k.dim)
+    return PolyCone(k.dim, *double_description((), k.generators(), k.dim))
 
 
 def cone_faces(k: PolyCone) -> list[PolyCone]:
@@ -658,8 +672,8 @@ def intersect_cones(a: PolyCone, b: PolyCone) -> PolyCone:
     """Exact intersection of two cones."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    span = subspace_intersection(a.span, b.span, a.dim)
-    return cone_from_hrep(span, list(a.facet_normals) + list(b.facet_normals), a.dim)
+    return PolyCone(a.dim, *double_description(
+        a.span_perp + b.span_perp, a.facet_normals + b.facet_normals, a.dim))
 
 
 def minkowski_sum_cone(a: PolyCone, b: PolyCone) -> PolyCone:

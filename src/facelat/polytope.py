@@ -1,12 +1,12 @@
 """Rational polytopes: face/exposed/normal/touching lattices, polarity, lifting.
 
-Two independent routes compute the face structure.  The exposed route
-enumerates supporting hyperplanes from affinely independent vertex subsets
-and intersects the resulting facets.  The face route closes the vertices
-under carriers: the rational-LP carrier oracle gives the smallest face
-containing a face and one more vertex.  It never touches the facet
-machinery, so the agreement of the two lattices is an actual test, not a
-tautology, in every dimension.
+Two independent routes compute the face structure.  The exposed route reads
+the facets off the double-description core (the rays of the homogenised cone
+over the vertices) and closes the vertex set under intersection with them.
+The face route closes the vertices under carriers: the rational-LP carrier
+oracle gives the smallest face containing a face and one more vertex.  It
+never touches the facet machinery, so the agreement of the two lattices is
+an actual test, not a tautology, in every dimension.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
@@ -22,8 +21,8 @@ from . import exactgeom as eg
 from .exactgeom import (AffineSubspace, PolyCone, Vec, aff_hull,
                         cone_faces, dot, dual_cone, full_space, in_conv_hull,
                         in_ri_conv_hull, intersect_cones, is_zero,
-                        kernel_basis, minkowski_sum_cone, orth_complement,
-                        pos_hull, primitive, project_onto, rank, span_basis,
+                        minkowski_sum_cone, orth_complement, pos_hull,
+                        primitive, project_onto, span_basis,
                         subspace_cone, subspace_intersection, vadd, vneg,
                         vscale, vsub, zero)
 from .lattice import FiniteLattice, build_lattice, lattice_map, verify_isomorphism
@@ -127,7 +126,7 @@ class Polytope:
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
-        return _enumerate_facets(self.vertices, self.affine)
+        return _enumerate_facets(self)
 
     # Lattices, the polar, projections and normal cones are memoized on the
     # body itself, so each lives exactly as long as the body it was built from.
@@ -219,39 +218,23 @@ class Polytope:
         return out
 
 
-def _enumerate_facets(vertices: tuple[Vec, ...], affine: AffineSubspace) -> tuple[Facet, ...]:
-    d = affine.dim
-    if d == 0:
-        return ()
-    dirs = affine.directions
-    local = [tuple(dot(b, v) for b in dirs) for v in vertices]  # coordinates along dirs
-    found: dict[Vec, Facet] = {}
-    for subset in combinations(range(len(vertices)), d):
-        if any(f.vertex_set.issuperset(subset) for f in found.values()):
-            continue  # d points on a known facet span its hyperplane or nothing
-        base = vertices[subset[0]]
-        rows = [vsub(local[s], local[subset[0]]) for s in subset[1:]]
-        ker = kernel_basis(rows, d)
-        if len(ker) != 1:
-            continue  # the points are affinely dependent
-        n = zero(len(base))
-        for a, b in zip(ker[0], dirs):
-            n = vadd(n, vscale(a, b))
-        c = dot(n, base)
-        above = below = False
-        for v in vertices:
-            t = dot(n, v) - c
-            above, below = above or t > 0, below or t < 0
-            if above and below:
-                break
-        if above and below:
-            continue  # vertices on both sides: not a supporting hyperplane
-        n = primitive(vneg(n) if above else n)
-        c = dot(n, base)
-        if n not in found:
-            vset = frozenset(i for i, v in enumerate(vertices) if dot(n, v) == c)
-            found[n] = Facet(n, c, vset)
-    return tuple(found[k] for k in sorted(found))
+def _enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
+    """Facets from the homogenised cone {(n, c) : n in the direction space,
+    n.v <= c for every vertex v}: each of its rays (n, c) with n != 0 is an
+    outer facet normal n with offset c = max n.v, and nothing else is."""
+    d = p.ambient_dim
+    eqs = [m + (Fraction(0),) for m in p.lin_perp]
+    ineqs = [v + (Fraction(-1),) for v in p.vertices]
+    rays, _ = eg.double_description(eqs, ineqs, d + 1)
+    facets = []
+    for r in rays:
+        if is_zero(r[:d]):
+            continue  # the ray (0, 1) of a point
+        n = primitive(r[:d])
+        values = [dot(n, v) for v in p.vertices]
+        c = max(values)
+        facets.append(Facet(n, c, frozenset(i for i, t in enumerate(values) if t == c)))
+    return tuple(sorted(facets, key=lambda f: f.normal))
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +252,15 @@ def support(p: Polytope, u: Vec) -> tuple[Fraction, PolyFace]:
 
 
 def exposed_face_lattice(p: Polytope) -> FiniteLattice:
-    """All exposed faces, via supporting-hyperplane enumeration."""
+    """All exposed faces: the intersections of facets, by intersection closure."""
     return p._exposed_lattice
 
 
 def _build_exposed_lattice(p: Polytope) -> FiniteLattice:
     n = len(p.vertices)
     facets = p.facets
-    vsets = {frozenset(range(n)), frozenset()}
-    for size in range(1, len(facets) + 1):
-        for subset in combinations(facets, size):
-            inter = subset[0].vertex_set
-            for f in subset[1:]:
-                inter &= f.vertex_set
-            vsets.add(inter)
+    vsets = eg.intersection_closure(frozenset(range(n)), [f.vertex_set for f in facets])
+    vsets.add(frozenset())
     faces = []
     for vset in vsets:
         if vset == frozenset(range(n)) or not vset:
@@ -629,7 +607,7 @@ def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
 
 
 def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[Vec, ...]:
-    """Vertices of (conv(f) + V_perp) cap p, by brute-force vertex enumeration."""
+    """Vertices of (conv(f) + V_perp) cap p, by vertex enumeration."""
     if not f.vertex_indices:
         return ()
     basis = span_basis(v_basis)
@@ -652,22 +630,16 @@ def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[Vec, .
 
 
 def _vertex_enumerate(equalities, inequalities, dim) -> tuple[Vec, ...]:
-    eq_rows = [e[0] for e in equalities]
-    eq_rhs = [e[1] for e in equalities]
-    base_rank = rank(eq_rows)
-    need = dim - base_rank
-    out = set()
-    for subset in combinations(range(len(inequalities)), need):
-        rows = eq_rows + [inequalities[i][0] for i in subset]
-        rhs = eq_rhs + [inequalities[i][1] for i in subset]
-        if rank(rows) != dim:
-            continue
-        x = eg.solve_linear(rows, rhs)
-        if x is None:
-            continue
-        if all(dot(n, x) <= c for n, c in inequalities):
-            out.add(x)
-    return tuple(sorted(out))
+    """Vertices of {x : e.x = c for (e, c) in equalities, n.x <= c for (n, c) in
+    inequalities}: the rays (x, t) with t > 0 of its homogenisation, a cone
+    with the extra row t >= 0.  A polyhedron with a lineality space has none."""
+    eqs = [tuple(e) + (-c,) for e, c in equalities]
+    ineqs = [tuple(n) + (-c,) for n, c in inequalities]
+    ineqs.append(zero(dim) + (Fraction(-1),))
+    rays, lin = eg.double_description(eqs, ineqs, dim + 1)
+    if lin:
+        return ()
+    return tuple(sorted(vscale(1 / r[-1], r[:-1]) for r in rays if r[-1] > 0))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ face route and the supporting-hyperplane route, the carrier closure must give
 the faces the 2^n subset search it replaced gives, and random convex polygons
 must give the same cones through the planar machinery and the polytope
 machinery.  The directly built canonical cones (subspaces, faces of a cone,
-active-facet normal cones) must equal what the brute-force `pos_hull` and
-the definitional dual give.
+active-facet normal cones) must equal what `pos_hull` and the definitional
+dual give.
 """
 
 import gc
