@@ -176,13 +176,16 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict):
     nl = pt.normal_cone_lattice(p)
     whole = full_space(p.ambient_dim)
     ok_meet = ok_face = True
+    # both claims are symmetric in the pair, so each unordered pair is
+    # intersected once and the intersection tested against both cones
     for i, a in enumerate(nl.elements):
-        for j, b in enumerate(nl.elements):
+        for j in range(i, len(nl.elements)):
+            b = nl.elements[j]
             inter = intersect_cones(a.cone, b.cone)
             met = nl.elements[nl.meet([i, j])].cone
             if inter != met:
                 ok_meet = False
-            if a.cone != whole and not inter.is_face_of(a.cone):
+            if any(c != whole and not inter.is_face_of(c) for c in (a.cone, b.cone)):
                 ok_face = False
     _v(out, "meets.normal_infimum_is_intersection", ok_meet,
        "the infimum of normal cones is their intersection")
@@ -257,7 +260,6 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict):
         for v in p.vertices:
             if not pt.cylinder_normal_check(p, basis, v).passed:
                 ok_cyl = False
-        q = pt.project_polytope(p, basis)
         for u in basis:
             if pt.is_sharp_normal(p, u) and not pt.is_sharp_normal(q, u):
                 ok_sharp = False

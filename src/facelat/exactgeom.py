@@ -11,12 +11,15 @@ floating point anywhere.  Cones are kept in a canonical V-representation
 equality coincides with geometric equality.  Every conversion between an
 H- and a V-description, of cones here and of polytopes in `polytope`, goes
 through one integer double-description core, `double_description`, and the
-faces of cones and polytopes come from one `intersection_closure`.
+faces of cones and polytopes come from one `intersection_closure`.  A
+`ConeTable`, owned by a body and passed in by the caller, interns canonical
+cones and memoises the core's conversions; without one, nothing is cached
+beyond the properties of each `PolyCone` instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -469,6 +472,9 @@ class PolyCone:
     dim: int
     rays: tuple[Vec, ...]
     lineality: tuple[Vec, ...]
+    # the table that interned this cone, if any: the cones and conversions
+    # its cached properties build go through it too
+    table: "ConeTable | None" = field(default=None, compare=False, repr=False)
 
     @cached_property
     def span(self) -> tuple[Vec, ...]:
@@ -485,7 +491,12 @@ class PolyCone:
         gens = self.generators()
         if not gens:
             return ()
-        return _cone_facet_normals(gens, self.span)
+        return _cone_facet_normals(gens, self.span, self.table)
+
+    @cached_property
+    def dual(self) -> "PolyCone":
+        """The polar dual {u : u.x <= 0 on the cone}."""
+        return dual_cone(self)
 
     @cached_property
     def faces(self) -> tuple["PolyCone", ...]:
@@ -498,7 +509,7 @@ class PolyCone:
         """
         facets = [frozenset(r for r in self.rays if dot(n, r) == 0)
                   for n in self.facet_normals]
-        faces = [PolyCone(self.dim, tuple(sorted(rays)), self.lineality)
+        faces = [_cone(self.table, self.dim, tuple(sorted(rays)), self.lineality)
                  for rays in intersection_closure(frozenset(self.rays), facets)]
         return tuple(sorted(faces, key=lambda f: (f.cone_dim, f.rays)))
 
@@ -562,12 +573,59 @@ def _fmt_vec(v: Vec) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-def double_description(eq_rows: Sequence[Vec], ineq_rows: Sequence[Vec],
-                       dim: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Canonical (rays, lineality) of {x : e.x = 0 for e in eq_rows, a.x <= 0
-    for a in ineq_rows}.
+@dataclass(eq=False)
+class ConeTable:
+    """The canonical cones of one body family and the conversions behind them.
 
-    The lineality space is the kernel of all rows; in W = ker(eq_rows) cap
+    Hash-consing (Filliatre & Conchon 2006): `cones` maps each canonical key
+    (dim, rays, lineality) to its single `PolyCone`, bound to this table, so
+    the facet normals, faces, span and dual cached on it are computed once
+    per cone and the cones they build are interned here too.  `conversions`
+    memoises `double_description` by its integer input rows.  A `Polytope`
+    owns one table and shares it with the bodies derived from it, so the
+    table lives exactly as long as that family; no table is process-global.
+    """
+
+    cones: dict[tuple, PolyCone] = field(default_factory=dict)
+    conversions: dict[tuple, tuple[tuple[Vec, ...], tuple[Vec, ...]]] = field(
+        default_factory=dict)
+
+
+def _cone(table: ConeTable | None, dim: int, rays: tuple[Vec, ...],
+          lineality: tuple[Vec, ...]) -> PolyCone:
+    """The canonical cone (rays, lineality), interned in `table` when given."""
+    if table is None:
+        return PolyCone(dim, rays, lineality)
+    key = (dim, rays, lineality)
+    k = table.cones.get(key)
+    if k is None:
+        k = table.cones[key] = PolyCone(dim, rays, lineality, table)
+    return k
+
+
+def double_description(eq_rows: Sequence[Vec], ineq_rows: Sequence[Vec], dim: int,
+                       table: ConeTable | None = None
+                       ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Canonical (rays, lineality) of {x : e.x = 0 for e in eq_rows, a.x <= 0
+    for a in ineq_rows}; with a `table`, memoised there by the rows scaled to
+    integers, which determine the result."""
+    eqs = tuple(tuple(_scaled(e)) for e in eq_rows)
+    ineqs = tuple(tuple(_scaled(a)) for a in ineq_rows)
+    if table is None:
+        return _double_description(eqs, ineqs, dim)
+    key = (dim, eqs, ineqs)
+    out = table.conversions.get(key)
+    if out is None:
+        out = table.conversions[key] = _double_description(eqs, ineqs, dim)
+    return out
+
+
+def _double_description(eqs: tuple[tuple[int, ...], ...],
+                        ineqs: tuple[tuple[int, ...], ...], dim: int
+                        ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """`double_description` on integer rows, computed.
+
+    The lineality space is the kernel of all rows; in W = ker(eqs) cap
     lineality-perp the cone is pointed.  Its extreme rays, in integer
     coordinates along a basis of W, come from the incremental double
     description method (Fukuda & Prodon 1996): start from the simplicial cone
@@ -576,12 +634,12 @@ def double_description(eq_rows: Sequence[Vec], ineq_rows: Sequence[Vec],
     that is, if no third ray vanishes on every processed row both vanish on
     (zero sets are int bitmasks).
     """
-    lin = kernel_basis([*eq_rows, *ineq_rows], dim)
-    basis = [_scaled(b) for b in kernel_basis([*eq_rows, *lin], dim)]
+    lin = kernel_basis([*eqs, *ineqs], dim)
+    basis = [_scaled(b) for b in kernel_basis([*eqs, *lin], dim)]
     w = len(basis)
     if w == 0:
         return (), lin
-    rows = [[_idot(a, b) for b in basis] for a in map(_scaled, ineq_rows)]
+    rows = [[_idot(a, b) for b in basis] for a in ineqs]
     # the first w independent rows S exist as the cone is pointed in W; the
     # rays -A_S^-1 e_j of {A_S y <= 0} come from Gauss-Jordan on (A_S | I),
     # after which row k is p_k times (e_k | row k of the inverse)
@@ -632,15 +690,20 @@ def intersection_closure(top, sets) -> set:
     return found
 
 
-def _cone_facet_normals(gens: Sequence[Vec], span: Sequence[Vec]) -> tuple[Vec, ...]:
+def _cone_facet_normals(gens: Sequence[Vec], span: Sequence[Vec],
+                        table: ConeTable | None = None) -> tuple[Vec, ...]:
     """Facet normals of pos(gens) inside its span: the extreme rays of the
     dual {u in span : g.u <= 0 for all g}, which is pointed there."""
     dim = len(gens[0])
-    return double_description(orth_complement(span, dim), gens, dim)[0]
+    return double_description(orth_complement(span, dim), gens, dim, table)[0]
 
 
-def pos_hull(generators: Iterable[Vec], dim: int | None = None) -> PolyCone:
-    """Canonical positive hull; pos() of the empty set is the zero cone."""
+def pos_hull(generators: Iterable[Vec], dim: int | None = None,
+             table: ConeTable | None = None) -> PolyCone:
+    """Canonical positive hull; pos() of the empty set is the zero cone.
+
+    The facet normals computed on the way are the result's own (they depend
+    only on the cone), so they seed its `facet_normals`."""
     gens = [tuple(Fraction(c) for c in g) for g in generators]
     gens = [g for g in gens if not is_zero(g)]
     if dim is None:
@@ -648,19 +711,24 @@ def pos_hull(generators: Iterable[Vec], dim: int | None = None) -> PolyCone:
             raise ValueError("ambient dimension required for an empty generator list")
         dim = len(gens[0])
     if not gens:
-        return PolyCone(dim, (), ())
+        return _cone(table, dim, (), ())
     span = span_basis(gens)
-    return cone_from_hrep(span, _cone_facet_normals(gens, span), dim)
+    normals = _cone_facet_normals(gens, span, table)
+    k = cone_from_hrep(span, normals, dim, table)
+    k.__dict__.setdefault("facet_normals", normals)
+    return k
 
 
-def cone_from_hrep(span: Sequence[Vec], normals: Sequence[Vec], dim: int) -> PolyCone:
+def cone_from_hrep(span: Sequence[Vec], normals: Sequence[Vec], dim: int,
+                   table: ConeTable | None = None) -> PolyCone:
     """Cone {x in span(span) : n.x <= 0 for all n}, canonicalized."""
-    return PolyCone(dim, *double_description(orth_complement(span, dim), normals, dim))
+    return _cone(table, dim, *double_description(
+        orth_complement(span, dim), normals, dim, table))
 
 
 def dual_cone(k: PolyCone) -> PolyCone:
-    """Polar dual {u : u.x <= 0 on k}, exactly."""
-    return PolyCone(k.dim, *double_description((), k.generators(), k.dim))
+    """Polar dual {u : u.x <= 0 on k}, exactly, in k's table."""
+    return _cone(k.table, k.dim, *double_description((), k.generators(), k.dim, k.table))
 
 
 def cone_faces(k: PolyCone) -> list[PolyCone]:
@@ -669,24 +737,26 @@ def cone_faces(k: PolyCone) -> list[PolyCone]:
 
 
 def intersect_cones(a: PolyCone, b: PolyCone) -> PolyCone:
-    """Exact intersection of two cones."""
+    """Exact intersection of two cones, in the table of either."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return PolyCone(a.dim, *double_description(
-        a.span_perp + b.span_perp, a.facet_normals + b.facet_normals, a.dim))
+    table = a.table or b.table
+    return _cone(table, a.dim, *double_description(
+        a.span_perp + b.span_perp, a.facet_normals + b.facet_normals, a.dim, table))
 
 
 def minkowski_sum_cone(a: PolyCone, b: PolyCone) -> PolyCone:
-    return pos_hull(a.generators() + b.generators(), a.dim)
+    return pos_hull(a.generators() + b.generators(), a.dim, a.table or b.table)
 
 
-def subspace_cone(basis: Sequence[Vec], dim: int) -> PolyCone:
+def subspace_cone(basis: Sequence[Vec], dim: int,
+                  table: ConeTable | None = None) -> PolyCone:
     """The subspace span(basis) as a canonical cone: no rays, lineality = span."""
-    return PolyCone(dim, (), span_basis(tuple(Fraction(c) for c in v) for v in basis))
+    return _cone(table, dim, (), span_basis(tuple(Fraction(c) for c in v) for v in basis))
 
 
-def full_space(dim: int) -> PolyCone:
-    return subspace_cone([unit(dim, i) for i in range(dim)], dim)
+def full_space(dim: int, table: ConeTable | None = None) -> PolyCone:
+    return subspace_cone([unit(dim, i) for i in range(dim)], dim, table)
 
 
 def zero_cone(dim: int) -> PolyCone:

@@ -18,8 +18,8 @@ from functools import cached_property
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
 from . import exactgeom as eg
-from .exactgeom import (AffineSubspace, PolyCone, Vec, aff_hull,
-                        cone_faces, dot, dual_cone, full_space, in_conv_hull,
+from .exactgeom import (AffineSubspace, ConeTable, PolyCone, Vec, aff_hull,
+                        cone_faces, dot, full_space, in_conv_hull,
                         in_ri_conv_hull, intersect_cones, is_zero,
                         minkowski_sum_cone, orth_complement, pos_hull,
                         primitive, project_onto, span_basis,
@@ -128,8 +128,21 @@ class Polytope:
     def facets(self) -> tuple[Facet, ...]:
         return _enumerate_facets(self)
 
-    # Lattices, the polar, projections and normal cones are memoized on the
-    # body itself, so each lives exactly as long as the body it was built from.
+    # Lattices, the polar, projections, lifts and normal cones are memoized on
+    # the body itself, so each lives exactly as long as the body it was built
+    # from.  The cone table is shared with the bodies derived from this one
+    # (`_derive`), so it lives as long as the body they all derive from.
+
+    @cached_property
+    def cone_table(self) -> ConeTable:
+        return ConeTable()
+
+    def _derive(self, vertices: tuple[Vec, ...]) -> "Polytope":
+        """A body built from this one (polar, projection, lift system) that
+        shares this body's cone table."""
+        q = Polytope(vertices)
+        q.__dict__["cone_table"] = self.cone_table
+        return q
 
     @cached_property
     def _exposed_lattice(self) -> FiniteLattice:
@@ -150,14 +163,20 @@ class Polytope:
     @cached_property
     def _polar(self) -> "Polytope":
         _require_origin_interior(self)
-        return Polytope(tuple(sorted(vscale(1 / f.offset, f.normal) for f in self.facets)))
+        return self._derive(tuple(sorted(vscale(1 / f.offset, f.normal) for f in self.facets)))
 
     @cached_property
-    def _projections(self) -> dict[tuple[Vec, ...], "Polytope"]:
+    def _projections(self) -> dict[tuple[Vec, ...], tuple["Polytope", tuple[Vec, ...]]]:
+        """Canonical basis -> (projection, projected vertex of each vertex)."""
         return {}
 
     @cached_property
     def _lifted_faces(self) -> dict[tuple[tuple[Vec, ...], tuple[int, ...]], PolyFace]:
+        return {}
+
+    @cached_property
+    def _lifted_point_sets(self) -> dict[tuple[tuple[Vec, ...], frozenset[Vec]],
+                                         tuple[Vec, ...]]:
         return {}
 
     @cached_property
@@ -225,7 +244,7 @@ def _enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
     d = p.ambient_dim
     eqs = [m + (Fraction(0),) for m in p.lin_perp]
     ineqs = [v + (Fraction(-1),) for v in p.vertices]
-    rays, _ = eg.double_description(eqs, ineqs, d + 1)
+    rays, _ = eg.double_description(eqs, ineqs, d + 1, p.cone_table)
     facets = []
     for r in rays:
         if is_zero(r[:d]):
@@ -332,7 +351,7 @@ def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
     cone = p._point_normal_cones.get(key)
     if cone is None:
         diffs = [vsub(v, key) for v in p.vertices]
-        cone = p._point_normal_cones[key] = dual_cone(pos_hull(diffs, p.ambient_dim))
+        cone = p._point_normal_cones[key] = pos_hull(diffs, p.ambient_dim, p.cone_table).dual
     return cone
 
 
@@ -347,7 +366,7 @@ def normal_cone(p: Polytope, f: PolyFace) -> PolyCone:
     independent, definitional route.
     """
     if not f.vertex_indices:
-        return full_space(p.ambient_dim)
+        return full_space(p.ambient_dim, p.cone_table)
     cone = p._face_normal_cones.get(f.vertex_indices)
     if cone is None:
         try:
@@ -357,7 +376,8 @@ def normal_cone(p: Polytope, f: PolyFace) -> PolyCone:
         gens = [fc.normal for fc in p.facets if f.vset <= fc.vertex_set]
         for b in p.lin_perp:
             gens += [b, vneg(b)]
-        cone = p._face_normal_cones[f.vertex_indices] = pos_hull(gens, p.ambient_dim)
+        cone = p._face_normal_cones[f.vertex_indices] = pos_hull(
+            gens, p.ambient_dim, p.cone_table)
     return cone
 
 
@@ -508,9 +528,15 @@ def pos_iso_check(p: Polytope) -> PosIsoReport:
         raise ValueError("needs at least two vertices")
     q = polar(p)
     details = []
+    hulls: dict[tuple[int, ...], ConeElement] = {}
 
     def pos_of_face(face: PolyFace) -> ConeElement:
-        return ConeElement(pos_hull(q.face_points(face), q.ambient_dim))
+        # the exposed faces of the polar are among its faces: one hull each
+        el = hulls.get(face.key)
+        if el is None:
+            el = hulls[face.key] = ConeElement(
+                pos_hull(q.face_points(face), q.ambient_dim, q.cone_table))
+        return el
 
     def checked(src, tgt, what):
         try:
@@ -535,7 +561,7 @@ def pos_iso_check(p: Polytope) -> PosIsoReport:
         if cone == full_space(p.ambient_dim):
             continue
         vset = frozenset(j for j, w in enumerate(q.vertices) if cone.contains(w))
-        back = pos_hull([q.vertices[j] for j in vset], q.ambient_dim)
+        back = pos_hull([q.vertices[j] for j in vset], q.ambient_dim, q.cone_table)
         try:
             fq.index_of(tuple(sorted(vset)))
         except KeyError:
@@ -561,12 +587,17 @@ def extreme_points(points: list[Vec]) -> list[Vec]:
 
 def project_polytope(p: Polytope, v_basis: list[Vec]) -> Polytope:
     """Orthogonal projection onto the subspace spanned by v_basis."""
-    basis = span_basis(v_basis)
-    q = p._projections.get(basis)
-    if q is None:
-        q = Polytope(tuple(extreme_points([project_onto(basis, x) for x in p.vertices])))
-        p._projections[basis] = q
-    return q
+    return _projection(p, span_basis(v_basis))[0]
+
+
+def _projection(p: Polytope, basis: tuple[Vec, ...]) -> tuple[Polytope, tuple[Vec, ...]]:
+    """The projection onto span(basis) (a canonical basis) and the projection
+    of each vertex of p, in vertex order, solved once per basis."""
+    out = p._projections.get(basis)
+    if out is None:
+        proj = tuple(project_onto(basis, x) for x in p.vertices)
+        out = p._projections[basis] = (p._derive(tuple(extreme_points(list(proj)))), proj)
+    return out
 
 
 def point_in_face(q: Polytope, f: PolyFace, x: Vec) -> bool:
@@ -586,7 +617,7 @@ def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
     normal of the face it was asked for.
     """
     basis = span_basis(v_basis)
-    q = project_polytope(p, list(basis))
+    q, proj = _projection(p, basis)
     if not f.vertex_indices:
         return p.make_face(frozenset())
     lifted = p._lifted_faces.get((basis, f.key))
@@ -595,8 +626,7 @@ def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
             face_lattice(q).index_of(f.key)
         except KeyError:
             raise NotAFace("not a face of the projected polytope")
-        vset = frozenset(i for i, vert in enumerate(p.vertices)
-                         if point_in_face(q, f, project_onto(basis, vert)))
+        vset = frozenset(i for i, x in enumerate(proj) if point_in_face(q, f, x))
         lifted = p.make_face(vset, f.exposing_normal)
         if not is_face(p, lifted):
             raise NotAFace("lift did not produce a face")
@@ -607,12 +637,26 @@ def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
 
 
 def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[Vec, ...]:
-    """Vertices of (conv(f) + V_perp) cap p, by vertex enumeration."""
+    """Vertices of (conv(f) + V_perp) cap p, by vertex enumeration.
+
+    Memoised on p by (subspace, projected points of f): faces with the same
+    projection have the same lift."""
     if not f.vertex_indices:
         return ()
     basis = span_basis(v_basis)
-    pts = [project_onto(basis, x) for x in p.face_points(f)]
-    sub = Polytope(tuple(extreme_points(pts)))
+    proj = _projection(p, basis)[1]
+    pts = [proj[i] for i in f.vertex_indices]
+    key = (basis, frozenset(pts))
+    out = p._lifted_point_sets.get(key)
+    if out is None:
+        out = p._lifted_point_sets[key] = _lift_vertices(p, basis, pts)
+    return out
+
+
+def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple[Vec, ...]:
+    """`lift_point_set` computed: pts are the projections onto span(basis)
+    of the face's vertices."""
+    sub = p._derive(tuple(extreme_points(pts)))
     equalities: list[tuple[Vec, Fraction]] = []
     inequalities: list[tuple[Vec, Fraction]] = []
     d = p.ambient_dim
@@ -744,8 +788,9 @@ def cylinder_normal_check(p: Polytope, v_basis: list[Vec], a: Vec) -> CylinderNo
     lhs = normal_cone_at_point(q, project_onto(basis, a))
     v_perp = orth_complement(basis, p.ambient_dim)
     inter = intersect_cones(normal_cone_at_point(p, a),
-                            subspace_cone(list(basis), p.ambient_dim))
-    rhs = minkowski_sum_cone(inter, subspace_cone(list(v_perp), p.ambient_dim))
+                            subspace_cone(list(basis), p.ambient_dim, p.cone_table))
+    rhs = minkowski_sum_cone(inter, subspace_cone(list(v_perp), p.ambient_dim,
+                                                  p.cone_table))
     return CylinderNormalReport(lhs, rhs)
 
 

@@ -6,7 +6,8 @@ the faces the 2^n subset search it replaced gives, and random convex polygons
 must give the same cones through the planar machinery and the polytope
 machinery.  The directly built canonical cones (subspaces, faces of a cone,
 active-facet normal cones) must equal what `pos_hull` and the definitional
-dual give.
+dual give, and every cone and lift served from a body's tables must equal
+one computed without them.
 """
 
 import gc
@@ -15,22 +16,26 @@ from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import combinations
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from facelat.exactgeom import (PolyCone, cone_faces, cross2, dot,
+from facelat import bodyio, checks
+from facelat import exactgeom as eg
+from facelat import polytope as pt
+from facelat.exactgeom import (PolyCone, cone_faces, cross2, dot, dual_cone,
                                hull_weight_support, in_ri_conv_hull, pos_hull,
-                               simplex_max, subspace_cone, vadd, vec, vneg,
-                               vscale, vsub, zero)
+                               project_onto, simplex_max, span_basis,
+                               subspace_cone, unit, vadd, vec, vneg, vscale,
+                               vsub, zero)
 from facelat.lattice import lattice_map, verify_isomorphism
 from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
                             normal_cone_at, polar_planar)
 from facelat.polytope import (ConeElement, Polytope, exposed_face_lattice,
                               extreme_points, face_lattice, lift_face,
-                              normal_cone, normal_cone_at_point,
-                              normal_cone_lattice, polar, project_polytope,
-                              support, touching_cone_lattice)
+                              lift_point_set, normal_cone, normal_cone_at_point,
+                              normal_cone_lattice, polar, pos_iso_check,
+                              project_polytope, support, touching_cone_lattice)
 
 coord = st.integers(min_value=-3, max_value=3)
 small = st.integers(min_value=-2, max_value=2)
@@ -262,6 +267,85 @@ def test_cone_faces_returns_a_fresh_list():
     assert cone_faces(k) == want and len(want) == 8
 
 
+# random 1-4D polytopes, and polytopes in a plane of R^3 and a line of R^4
+tabled_bodies = st.one_of(
+    any_dim_points,
+    points(2).map(lambda ps: [(a, b, a - b) for a, b in ps]),
+    points(1).map(lambda ps: [(a, 1, -a, 2 * a) for (a,) in ps]))
+
+
+def assert_same_cone(k, ref):
+    """k, served from a body's cone table, equals ref, computed without one,
+    in its record and in every cached field; both equal a fresh recomputation,
+    so the facet normals `pos_hull` seeds are checked too."""
+    fresh = PolyCone(k.dim, k.rays, k.lineality)
+    assert k.table.cones[(k.dim, k.rays, k.lineality)] is k
+    assert (k.rays, k.lineality) == (ref.rays, ref.lineality)
+    assert k.facet_normals == ref.facet_normals == fresh.facet_normals
+    assert k.faces == ref.faces == fresh.faces
+    assert all(f.table is k.table for f in k.faces)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tabled_bodies)
+def test_table_cones_equal_untabled_cones(raw):
+    p = build_polytope(raw)
+    d = p.ambient_dim
+    lin_gens = [g for b in p.lin_perp for g in (b, vneg(b))]
+    for f in exposed_face_lattice(p).elements:
+        if not f.vertex_indices:
+            continue
+        gens = [fc.normal for fc in p.facets if f.vset <= fc.vertex_set]
+        assert_same_cone(normal_cone(p, f), pos_hull(gens + lin_gens, d))
+        for x in [p.ri_point(f), *p.ri_samples(f)]:
+            ref = dual_cone(pos_hull([vsub(v, x) for v in p.vertices], d))
+            assert_same_cone(normal_cone_at_point(p, x), ref)
+    for el in (*normal_cone_lattice(p).elements, *touching_cone_lattice(p).elements):
+        assert_same_cone(el.cone, PolyCone(d, el.cone.rays, el.cone.lineality))
+    if p.dim == d and len(p.vertices) >= 2:
+        # translated so that the origin is interior, the polar exists
+        c = centroid(p.vertices)
+        centred = Polytope(tuple(vsub(v, c) for v in p.vertices))
+        assert pos_iso_check(centred).passed
+        q = polar(centred)
+        assert q.cone_table is centred.cone_table
+        for f in face_lattice(q).elements:
+            pts = q.face_points(f)
+            assert_same_cone(pos_hull(pts, d, q.cone_table), pos_hull(pts, d))
+
+
+@settings(max_examples=10, deadline=None)
+@given(tabled_bodies)
+@example([(0, 0, 1), (1, 0, 0), (0, 1, 0)])  # vertex 0 projects to 0 on e1 and e2
+def test_memoised_lifts_equal_fresh_lifts(raw):
+    p = build_polytope(raw)
+    d = p.ambient_dim
+    faces = [f for f in face_lattice(p).elements if f.vertex_indices]
+    for size in range(1, d + 1):
+        for coords in combinations(range(d), size):
+            basis = [unit(d, i) for i in coords]
+            canon = span_basis(basis)
+            for f in faces:
+                pts = [project_onto(canon, x) for x in p.face_points(f)]
+                assert lift_point_set(p, basis, f) == pt._lift_vertices(p, canon, pts)
+
+
+def test_cube_conversions_are_memoised(monkeypatch):
+    """The cube's suites repeat about half of their H/V conversions (2,053
+    calls on 1,030 distinct inputs before the cone table): the table must
+    compute at most half of the calls."""
+    computed = []
+    core = eg._double_description
+
+    def counting(*args):
+        computed.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(eg, "_double_description", counting)
+    assert checks.run_suite(bodyio.load_fixture("cube"), "cube", "all").passed
+    assert 0 < len(computed) <= 1026
+
+
 def test_body_caches_die_with_the_body():
     p = Polytope((vec(-1, -1, 0), vec(1, -1, 0), vec(0, 2, 0), vec(0, 0, 1),
                   vec(0, 0, -1)))
@@ -271,10 +355,18 @@ def test_body_caches_die_with_the_body():
     q = project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)])
     lifted = lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], q.make_face({0}))
     assert lifted == lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], q.make_face({0}))
+    assert lift_point_set(p, [vec(1, 0, 0)], p.make_face({3}))
     edge = p.make_face({0, 3})
-    assert normal_cone(p, edge) == normal_cone_at_point(p, p.ri_point(edge))
-    assert p._face_normal_cones and p._point_normal_cones and p._lifted_faces
-    ref = weakref.ref(p)
-    del p
+    cone = normal_cone(p, edge)
+    assert cone == normal_cone_at_point(p, p.ri_point(edge))
+    assert (p._face_normal_cones and p._point_normal_cones and p._lifted_faces
+            and p._lifted_point_sets)
+    table = p.cone_table
+    assert table.cones[(cone.dim, cone.rays, cone.lineality)] is cone
+    assert table.conversions
+    pol = polar(p)
+    assert q.cone_table is table and pol.cone_table is table
+    refs = [weakref.ref(x) for x in (p, table, cone, q, pol)]
+    del p, table, cone, q, pol
     gc.collect()
-    assert ref() is None
+    assert all(r() is None for r in refs)
