@@ -92,7 +92,10 @@ def unit(dim: int, i: int) -> Vec:
 
 def cross2(a: Vec, b: Vec) -> Fraction:
     """z-component of the 2D cross product."""
-    return a[0] * b[1] - a[1] * b[0]
+    a0, a1, b0, b1 = a[0], a[1], b[0], b[1]
+    if a0.denominator == a1.denominator == b0.denominator == b1.denominator == 1:
+        return Fraction(a0.numerator * b1.numerator - a1.numerator * b0.numerator)
+    return a0 * b1 - a1 * b0
 
 
 def perp2(a: Vec) -> Vec:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (HypothesisFailed, InvariantViolation, NotAFace,
                      OriginNotInterior, PointNotInBody, UndefinedTouchingCone,
@@ -40,13 +40,6 @@ class QuadVal:
     def __post_init__(self):
         if self.s < 0 or self.m < 0:
             raise ValueError("QuadVal stores the radical part with s, m >= 0")
-
-    def is_rational(self) -> bool:
-        return self.s == 0 or self.m == 0
-
-    def rational(self) -> Fraction:
-        assert self.is_rational()
-        return self.q
 
 
 def _sign_p_minus_q_sqrt(p: Fraction, qq: Fraction, m: Fraction) -> int:
@@ -415,10 +408,23 @@ class PlanarBody:
                 self.features[j % self.n].normal_at(p))
 
     def junction_cone(self, j: int) -> Cone2:
-        n_prev, n_next = self.junction_normals(j)
-        if cross2(n_prev, n_next) == 0:
-            return Cone2.ray(n_prev)
-        return Cone2.sector(n_prev, n_next)
+        return self._junction_cones[j % self.n]
+
+    # Per-body memos: each dies with the body it was computed for.
+
+    @cached_property
+    def _junction_cones(self) -> tuple[Cone2, ...]:
+        cones = []
+        for j in range(self.n):
+            n_prev, n_next = self.junction_normals(j)
+            cones.append(Cone2.ray(n_prev) if cross2(n_prev, n_next) == 0
+                         else Cone2.sector(n_prev, n_next))
+        return tuple(cones)
+
+    @cached_property
+    def _support_memo(self) -> dict[Vec, tuple[QuadVal, FaceDescriptor]]:
+        """Exact direction -> `support_value` answer."""
+        return {}
 
     def is_closed(self) -> bool:
         return all(self.feature_closed) and all(self.vertex_closed)
@@ -600,6 +606,17 @@ def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     """Support value over the closure and the exposed face of the closure."""
     if is_zero(u):
         raise ZeroDirection("support direction must be nonzero")
+    memo = body._support_memo
+    key = tuple(u)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _support(body, u)
+    return found
+
+
+def _support(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
+    """`support_value` computed afresh: a maximum over every junction and
+    every arc whose radial wedge holds u."""
     best: QuadVal | None = None
     attainers: list[tuple[str, int]] = []
     for j in range(body.n):
@@ -873,15 +890,14 @@ def partition_check_planar(body: PlanarBody, directions: list[Vec]) -> RuleRepor
     """Each direction lies in the relative interior of exactly one touching cone."""
     if not body.is_closed():
         raise HypothesisFailed("partition check requires a closed bounded body")
-    rays = touching_ray_directions(body)
-    sectors = [body.junction_cone(j) for j in range(body.n)
-               if body.junction_cone(j).kind == "sector"]
+    rays = [Cone2.ray(d) for d in touching_ray_directions(body)]
+    sectors = [c for c in body._junction_cones if c.kind == "sector"]
     details = []
     ok = True
     for u in directions:
         if is_zero(u):
             raise ZeroDirection("partition directions must be nonzero")
-        count = sum(1 for d in rays if Cone2.ray(d).ri_contains(u))
+        count = sum(1 for r in rays if r.ri_contains(u))
         count += sum(1 for s in sectors if s.ri_contains(u))
         for i, f in enumerate(body.features):
             if isinstance(f, Arc) and f.wedge_contains(u, strict=True):
@@ -1071,21 +1087,18 @@ def sample_boundary_points(body: PlanarBody, per_arc: int = 2) -> list[Vec]:
 
 
 def compass_directions(count: int = 360) -> list[Vec]:
-    """Deterministic primitive rational directions spread around the circle."""
+    """Deterministic primitive rational directions spread around the circle.
+
+    For t = s/half with s = -half..-1, the direction (1 - t^2, 2t) is
+    (half^2 - s^2, 2*s*half) up to a positive factor; each is followed by
+    its negation.  Angles fall in [-pi/2, 0) and their negations in
+    [pi/2, pi), so no direction repeats.
+    """
     half = count // 2
     out: list[Vec] = []
-    for k in range(half):
-        t = Fraction(k, half) - 1
-        d = (1 - t * t, 2 * t)
-        if is_zero(d):
-            d = (Fraction(-1), Fraction(0))
-        p = primitive(d)
-        out.append(p)
-        out.append(vneg(p))
-    seen = set()
-    unique = []
-    for d in out:
-        if d not in seen:
-            seen.add(d)
-            unique.append(d)
-    return unique
+    for s in range(-half, 0):
+        x, y = half * half - s * s, 2 * s * half
+        g = gcd(x, y)
+        x, y = x // g, y // g
+        out += [(Fraction(x), Fraction(y)), (Fraction(-x), Fraction(-y))]
+    return out

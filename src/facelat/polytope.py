@@ -180,6 +180,11 @@ class Polytope:
         return {}
 
     @cached_property
+    def _face_dims(self) -> dict[tuple[int, ...], int]:
+        """Sorted vertex indices of a face -> dimension of their affine hull."""
+        return {}
+
+    @cached_property
     def _face_normal_cones(self) -> dict[tuple[int, ...], PolyCone]:
         return {}
 
@@ -206,8 +211,10 @@ class Polytope:
         idx = tuple(sorted(vset))
         if not idx:
             return PolyFace((), -1, normal)
-        pts = [self.vertices[i] for i in idx]
-        return PolyFace(idx, aff_hull(pts).dim, normal)
+        dim = self._face_dims.get(idx)
+        if dim is None:
+            dim = self._face_dims[idx] = aff_hull([self.vertices[i] for i in idx]).dim
+        return PolyFace(idx, dim, normal)
 
     def face_points(self, f: PolyFace) -> list[Vec]:
         return [self.vertices[i] for i in f.vertex_indices]

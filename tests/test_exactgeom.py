@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelat.exactgeom import (aff_hull, cone_faces, cone_from_hrep, dot,
-                               dual_cone, full_space, hull_weight_support,
+from facelat.exactgeom import (aff_hull, cone_faces, cone_from_hrep, cross2,
+                               dot, dual_cone, full_space, hull_weight_support,
                                intersect_cones, kernel_basis, orth_complement,
                                pos_hull, primitive, project_onto, rank,
                                ri_contains, rref, simplex_max, solve_linear,
@@ -443,3 +443,16 @@ def test_dot_and_primitive_match_fraction_definitions(a, b):
     if len(a) != len(b):
         with pytest.raises(ValueError):
             dot(a, b)
+
+
+integral = st.builds(F, st.integers(-10**12, 10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.one_of(integral, rational)] * 4))
+def test_cross2_matches_fraction_formula(coords):
+    """The integer path (every denominator 1) and the Fraction path agree
+    with the plain formula on integer, rational and mixed pairs."""
+    a, b = coords[:2], coords[2:]
+    assert cross2(a, b) == a[0] * b[1] - a[1] * b[0]
+    assert type(cross2(a, b)) is F

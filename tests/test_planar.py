@@ -1,13 +1,17 @@
+import gc
+import weakref
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from facelat import bodyio
+from facelat import bodyio, checks, planar
 from facelat.errors import (HypothesisFailed, NotAFace, PointNotInBody,
                             UndefinedTouchingCone, UnsupportedArcCenter,
                             ZeroDirection)
-from facelat.exactgeom import pos_hull, vec
+from facelat.exactgeom import cross2, is_zero, pos_hull, primitive, vec
 from facelat.lattice import build_lattice, lattice_map, verify_isomorphism
 from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
                             Segment, check_2d_nonexposed_rule,
@@ -427,3 +431,111 @@ def test_sample_helpers_are_exact():
     assert all(qd.contains(p) for p in pts)
     dirs = compass_directions(360)
     assert len(dirs) == 360 and len(set(dirs)) == 360
+
+
+# ---------------------------------------------------------------------------
+# per-body memos against fresh computations
+# ---------------------------------------------------------------------------
+
+PLANAR_FIXTURES = ("lens", "quarter_disk", "square_planar", "stadium",
+                   "triangle_minus_vertex", "triangle_open_side",
+                   "triangle_open_side_apex", "truncated_disk_closed",
+                   "truncated_disk_open", "unit_disk")
+PLANAR_BODIES = {name: fixture(name) for name in PLANAR_FIXTURES}
+
+small_rational = st.builds(F, st.integers(-20, 20), st.integers(1, 6))
+positive_rational = st.builds(F, st.integers(1, 9), st.integers(1, 4))
+
+
+def _exact(answer):
+    """Everything a support answer carries, including the optional point."""
+    h, f = answer
+    return h, f.tag, f.feature, f.point, f.direction
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PLANAR_FIXTURES),
+       st.tuples(small_rational, small_rational).filter(lambda u: not is_zero(u)),
+       positive_rational)
+def test_memoised_support_equals_fresh_support(name, u, scale):
+    body = PLANAR_BODIES[name]
+    for v in (u, (scale * u[0], scale * u[1])):
+        fresh = planar._support(body, v)
+        assert _exact(support_value(body, v)) == _exact(fresh)
+        assert _exact(support_value(body, v)) == _exact(fresh)  # a memo hit
+        assert body._support_memo[v] is support_value(body, v)
+        _, f = fresh
+        if f.tag == "arcpoint":
+            assert f.direction == primitive(v)
+    # the value scales with the direction; the face does not
+    (h1, f1), (h2, f2) = support_value(body, u), support_value(body, v)
+    assert f1 == f2
+    assert quad_compare(QuadVal(scale * h1.q, scale * h1.s, h1.m), h2) == 0
+
+
+def test_support_memo_rejects_zero_and_stores_no_error():
+    body = fixture("quarter_disk")
+    with pytest.raises(ZeroDirection):
+        support_value(body, vec(0, 0))
+    assert not body._support_memo
+
+
+def test_cached_junction_cones_equal_fresh_cones():
+    for name, body in PLANAR_BODIES.items():
+        for j in range(-body.n, 2 * body.n):
+            n_prev, n_next = body.junction_normals(j)
+            fresh = (Cone2.ray(n_prev) if cross2(n_prev, n_next) == 0
+                     else Cone2.sector(n_prev, n_next))
+            assert body.junction_cone(j) == fresh, (name, j)
+
+
+def _fraction_compass(count):
+    """compass_directions as first written, on Fractions."""
+    half = count // 2
+    out = []
+    for k in range(half):
+        t = F(k, half) - 1
+        d = (1 - t * t, 2 * t)
+        if is_zero(d):
+            d = (F(-1), F(0))
+        p = primitive(d)
+        out.append(p)
+        out.append((-p[0], -p[1]))
+    seen = set()
+    return [d for d in out if not (d in seen or seen.add(d))]
+
+
+@pytest.mark.parametrize("count", [2, 7, 72, 120, 360])
+def test_integer_compass_equals_fraction_compass(count):
+    dirs = compass_directions(count)
+    assert dirs == _fraction_compass(count)
+    assert all(type(x) is F for d in dirs for x in d)
+
+
+def test_planar_caches_die_with_the_body():
+    body = fixture("quarter_disk")
+    checks.run_suite(body, "quarter_disk", "all")
+    memo, cones = body._support_memo, body._junction_cones
+    assert memo and cones
+    # dicts and tuples take no weak references; the objects they alone hold do
+    h, f = next(iter(memo.values()))
+    refs = [weakref.ref(x) for x in (body, h, f, cones[0])]
+    del body, memo, cones, h, f
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_planar_support_values_are_memoised(monkeypatch):
+    """The ten planar fixtures' suites asked for 4,218 support values on
+    1,637 distinct (body, direction) pairs: at most half may be computed."""
+    computed = []
+    core = planar._support
+
+    def counting(body, u):
+        computed.append(u)
+        return core(body, u)
+
+    monkeypatch.setattr(planar, "_support", counting)
+    for name in PLANAR_FIXTURES:
+        assert checks.run_suite(bodyio.load_fixture(name), name, "all").passed, name
+    assert 0 < len(computed) <= 2109
