@@ -4,8 +4,9 @@ Vectors, solutions and support values are `fractions.Fraction`s at the
 boundary of this module, but the arithmetic inside runs on Python integers:
 elimination is fraction-free (each row scaled to integers, rows combined as
 p*row_i - f*row_r and divided by their gcd, Bareiss-style), the simplex keeps
-an integer tableau, and `dot`/`primitive` work on numerators over a common
-denominator.  Fractions are formed only for the results.  There is no
+an integer tableau, `dot`/`primitive` work on numerators over a common
+denominator, and the 2D predicates `orient2`/`dot2_sign` return a sign read
+off integer products.  Fractions are formed only for the results.  There is no
 floating point anywhere.  Cones are kept in a canonical V-representation
 (extreme rays modulo lineality, primitive integer scaling, sorted), so record
 equality coincides with geometric equality.  Every conversion between an
@@ -90,12 +91,27 @@ def unit(dim: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
-def cross2(a: Vec, b: Vec) -> Fraction:
-    """z-component of the 2D cross product."""
-    a0, a1, b0, b1 = a[0], a[1], b[0], b[1]
-    if a0.denominator == a1.denominator == b0.denominator == b1.denominator == 1:
-        return Fraction(a0.numerator * b1.numerator - a1.numerator * b0.numerator)
-    return a0 * b1 - a1 * b0
+def orient2(a: Vec, b: Vec) -> int:
+    """Sign of the 2D cross product a0*b1 - a1*b0: 1 when b lies
+    counterclockwise of a, -1 clockwise, 0 when they are parallel.
+
+    Both products are brought over the positive denominator
+    a0.d*a1.d*b0.d*b1.d, so the sign is read off integers and no Fraction
+    is built."""
+    a0, a1 = a
+    b0, b1 = b
+    c = (a0.numerator * b1.numerator * a1.denominator * b0.denominator
+         - a1.numerator * b0.numerator * a0.denominator * b1.denominator)
+    return (c > 0) - (c < 0)
+
+
+def dot2_sign(a: Vec, b: Vec) -> int:
+    """Sign of the 2D dot product, decided in integers like `orient2`."""
+    a0, a1 = a
+    b0, b1 = b
+    c = (a0.numerator * b0.numerator * a1.denominator * b1.denominator
+         + a1.numerator * b1.numerator * a0.denominator * b0.denominator)
+    return (c > 0) - (c < 0)
 
 
 def perp2(a: Vec) -> Vec:

@@ -7,7 +7,9 @@ where non-exposed faces and touching cones that are not normal cones occur.
 All decisions reduce to sign tests of rational cross/dot products or to exact
 comparisons of values q + s*sqrt(m) with rational q, s, m, so arcs only need
 rational centers and squared radii, with endpoints satisfying the circle
-equation exactly.
+equation exactly.  Each decision is an integer sign test on numerators and
+denominators (integers alone when the inputs are integers): no Fraction is
+built for a sign, and the per-body memos are keyed by those integers.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (HypothesisFailed, InvariantViolation, NotAFace,
                      OriginNotInterior, PointNotInBody, UndefinedTouchingCone,
                      UnsupportedArcCenter, ZeroDirection)
-from .exactgeom import (Vec, cross2, dot, is_zero, perp2, primitive, vadd,
-                        vneg, vscale, vsub)
+from .exactgeom import (Vec, dot, dot2_sign, is_zero, orient2, perp2, primitive,
+                        vadd, vneg, vscale, vsub)
 from .lattice import FiniteLattice, build_lattice
 
 
@@ -29,8 +31,14 @@ from .lattice import FiniteLattice, build_lattice
 # exact values of the form q + s*sqrt(m)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadVal:
+class _Weakrefable:
+    """Gives the slotted records below the `__weakref__` slot that
+    `dataclass(slots=True)` adds only from Python 3.11 on."""
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class QuadVal(_Weakrefable):
     """Exact number q + s*sqrt(m) with rational q, m >= 0 and s >= 0."""
 
     q: Fraction
@@ -42,29 +50,40 @@ class QuadVal:
             raise ValueError("QuadVal stores the radical part with s, m >= 0")
 
 
-def _sign_p_minus_q_sqrt(p: Fraction, qq: Fraction, m: Fraction) -> int:
-    """Sign of p - qq*sqrt(m) for qq >= 0, m >= 0."""
-    if qq == 0 or m == 0:
-        return (p > 0) - (p < 0)
-    if p <= 0:
-        return -1 if (p < 0 or m > 0) else 0
-    d = p * p - qq * qq * m
-    return (d > 0) - (d < 0)
+_ONE = Fraction(1)  # the s of every arc support and gauge value
 
 
 def quad_compare(a: QuadVal, b: QuadVal) -> int:
-    """Exact three-way comparison of two q + s*sqrt(m) values."""
-    d = a.q - b.q
-    s1s, s2s = a.s * a.s * a.m, b.s * b.s * b.m
-    if s1s == s2s:
-        return (d > 0) - (d < 0)
-    if s1s > s2s:
-        # X := a.s*sqrt(a.m) - b.s*sqrt(b.m) > 0; sign(d + X)
-        if d >= 0:
-            return 1
-        p = s1s + s2s - d * d
-        return _sign_p_minus_q_sqrt(p, 2 * a.s * b.s, a.m * b.m)
-    return -quad_compare(b, a)
+    """Exact three-way comparison of two q + s*sqrt(m) values.
+
+    The sign of d + sqrt(A) - sqrt(B), with d = a.q - b.q, A = a.s^2*a.m and
+    B = b.s^2*b.m, is kept when d is scaled by L > 0 and A, B by L^2; with L
+    the lcm of their denominators, all three are integers."""
+    aq, bq = a.q, b.q
+    dd = aq.denominator * bq.denominator
+    ad = a.s.denominator ** 2 * a.m.denominator
+    bd = b.s.denominator ** 2 * b.m.denominator
+    scale = lcm(dd, ad, bd)
+    d = ((aq.numerator * bq.denominator - bq.numerator * aq.denominator)
+         * (scale // dd))
+    big = a.s.numerator ** 2 * a.m.numerator * (scale // ad) * scale
+    small = b.s.numerator ** 2 * b.m.numerator * (scale // bd) * scale
+    flip = 1
+    if big < small:
+        d, big, small, flip = -d, small, big, -1
+    if big == small:
+        return flip * ((d > 0) - (d < 0))
+    if d >= 0:
+        return flip
+    # d < 0 < sqrt(big) - sqrt(small): compare the squares, that is the
+    # sign of p - 2*sqrt(big*small)
+    p = big + small - d * d
+    if small == 0:
+        return flip * ((p > 0) - (p < 0))
+    if p <= 0:
+        return -flip
+    c = p * p - 4 * big * small
+    return flip * ((c > 0) - (c < 0))
 
 
 def sqrt_exact(x: Fraction) -> Fraction | None:
@@ -78,12 +97,28 @@ def sqrt_exact(x: Fraction) -> Fraction | None:
     return None
 
 
+def _exact_key(v: Vec) -> tuple[int, int, int, int]:
+    """Hashable integer form of an exact 2D point or direction: equal keys
+    exactly when the vectors are equal, and no Fraction hash is computed."""
+    x, y = v
+    return x.numerator, y.numerator, x.denominator, y.denominator
+
+
+def _primitive2(v: Vec) -> Vec:
+    """`primitive(v)`, but v itself when it is already primitive."""
+    x, y = v
+    if (type(x) is type(y) is Fraction and x.denominator == y.denominator == 1
+            and gcd(x.numerator, y.numerator) == 1):
+        return v
+    return primitive(v)
+
+
 # ---------------------------------------------------------------------------
 # two-dimensional cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cone2:
+@dataclass(frozen=True, slots=True)
+class Cone2(_Weakrefable):
     """Canonical 2D convex cone: zero, ray, sector (< pi), halfplane, line, plane.
 
     Sectors store their boundary directions in counterclockwise order; rays
@@ -100,14 +135,14 @@ class Cone2:
 
     @staticmethod
     def ray(d: Vec) -> "Cone2":
-        return Cone2("ray", primitive(d))
+        return Cone2("ray", _primitive2(d))
 
     @staticmethod
     def sector(a: Vec, b: Vec) -> "Cone2":
-        a, b = primitive(a), primitive(b)
-        c = cross2(a, b)
+        a, b = _primitive2(a), _primitive2(b)
+        c = orient2(a, b)
         if c == 0:
-            if dot(a, b) > 0:
+            if dot2_sign(a, b) > 0:
                 return Cone2("ray", a)
             raise ValueError("sector boundary directions must span < pi")
         return Cone2("sector", a, b) if c > 0 else Cone2("sector", b, a)
@@ -150,42 +185,41 @@ class Cone2:
         return "plane"
 
     def contains(self, u: Vec) -> bool:
-        if is_zero(u):
-            return True
-        if self.kind == "zero":
-            return False
-        if self.kind == "plane":
-            return True
-        if self.kind == "ray":
-            return cross2(self.d1, u) == 0 and dot(self.d1, u) > 0
-        if self.kind == "line":
-            return cross2(self.d1, u) == 0
-        if self.kind == "halfplane":
-            return dot(self.d1, u) >= 0
-        return cross2(self.d1, u) >= 0 and cross2(u, self.d2) >= 0
+        # u = 0 gives sign 0 in every test, which the closed kinds accept
+        kind = self.kind
+        if kind == "sector":
+            return orient2(self.d1, u) >= 0 and orient2(u, self.d2) >= 0
+        if kind == "ray":
+            return is_zero(u) or (orient2(self.d1, u) == 0
+                                  and dot2_sign(self.d1, u) > 0)
+        if kind == "halfplane":
+            return dot2_sign(self.d1, u) >= 0
+        if kind == "line":
+            return orient2(self.d1, u) == 0
+        return kind == "plane" or is_zero(u)
 
     def ri_contains(self, u: Vec) -> bool:
-        if self.kind == "zero":
+        # u = 0 gives sign 0, which the strict tests of sector, ray and
+        # halfplane reject
+        kind = self.kind
+        if kind == "sector":
+            return orient2(self.d1, u) > 0 and orient2(u, self.d2) > 0
+        if kind == "ray":
+            return orient2(self.d1, u) == 0 and dot2_sign(self.d1, u) > 0
+        if kind == "halfplane":
+            return dot2_sign(self.d1, u) > 0
+        if kind == "zero":
             return is_zero(u)
-        if is_zero(u):
-            return False
-        if self.kind in ("ray", "line"):
-            return self.contains(u)
-        if self.kind == "plane":
-            return True
-        if self.kind == "halfplane":
-            return dot(self.d1, u) > 0
-        return cross2(self.d1, u) > 0 and cross2(u, self.d2) > 0
+        return not is_zero(u) and (kind == "plane"
+                                   or orient2(self.d1, u) == 0)
 
     def ri_vector(self) -> Vec | None:
         if self.kind == "zero":
             return None
-        if self.kind in ("ray", "line"):
+        if self.kind in ("ray", "line", "halfplane"):
             return self.d1
         if self.kind == "plane":
             return (Fraction(1), Fraction(0))
-        if self.kind == "halfplane":
-            return self.d1
         return vadd(self.d1, self.d2)
 
     def generators(self) -> list[Vec]:
@@ -280,25 +314,23 @@ class Arc:
     @cached_property
     def _minor(self) -> bool:
         """True when the angular extent is at most pi."""
-        c = cross2(self.start_radial, self.end_radial)
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-        return dot(self.start_radial, self.end_radial) < 0  # exactly pi
+        c = orient2(self.start_radial, self.end_radial)
+        return c > 0 if c else dot2_sign(self.start_radial, self.end_radial) < 0
 
     def wedge_contains(self, d: Vec, strict: bool = False) -> bool:
         """Does the direction d lie in the arc's radial wedge?"""
         u, w = self.start_radial, self.end_radial
         if self._minor:
             if strict:
-                return cross2(u, d) > 0 and cross2(d, w) > 0
-            return (cross2(u, d) >= 0 and cross2(d, w) >= 0
-                    and (dot(u, d) > 0 or dot(w, d) > 0 or cross2(u, d) > 0))
-        inside_complement = cross2(w, d) > 0 and cross2(d, u) > 0
+                return orient2(u, d) > 0 and orient2(d, w) > 0
+            ud = orient2(u, d)
+            return (ud >= 0 and orient2(d, w) >= 0
+                    and (ud > 0 or dot2_sign(u, d) > 0 or dot2_sign(w, d) > 0))
+        wd = orient2(w, d)
+        inside_complement = wd > 0 and orient2(d, u) > 0
         if strict:
-            on_boundary = (cross2(u, d) == 0 and dot(u, d) > 0) or (
-                cross2(w, d) == 0 and dot(w, d) > 0)
+            on_boundary = (orient2(u, d) == 0 and dot2_sign(u, d) > 0) or (
+                wd == 0 and dot2_sign(w, d) > 0)
             return not inside_complement and not on_boundary and not is_zero(d)
         return not inside_complement and not is_zero(d)
 
@@ -375,8 +407,8 @@ class PlanarBody:
             nxt = self.features[j]
             p = nxt.start
             n_prev, n_next = prev.normal_at(p), nxt.normal_at(p)
-            c = cross2(n_prev, n_next)
-            if c < 0 or (c == 0 and dot(n_prev, n_next) <= 0):
+            c = orient2(n_prev, n_next)
+            if c < 0 or (c == 0 and dot2_sign(n_prev, n_next) <= 0):
                 raise ValueError(f"boundary is not convex at junction {j}")
             if (c == 0 and isinstance(prev, Segment) and isinstance(nxt, Segment)):
                 raise ValueError("consecutive collinear segments must be merged")
@@ -417,14 +449,30 @@ class PlanarBody:
         cones = []
         for j in range(self.n):
             n_prev, n_next = self.junction_normals(j)
-            cones.append(Cone2.ray(n_prev) if cross2(n_prev, n_next) == 0
+            cones.append(Cone2.ray(n_prev) if orient2(n_prev, n_next) == 0
                          else Cone2.sector(n_prev, n_next))
         return tuple(cones)
 
     @cached_property
-    def _support_memo(self) -> dict[Vec, tuple[QuadVal, FaceDescriptor]]:
-        """Exact direction -> `support_value` answer."""
+    def _support_memo(self) -> dict[tuple[int, ...], tuple[QuadVal, FaceDescriptor]]:
+        """`_exact_key` of a direction -> `support_value` answer."""
         return {}
+
+    @cached_property
+    def _junction_indices(self) -> dict[tuple[int, ...], int]:
+        """`_exact_key` of a junction point -> its first index."""
+        out: dict[tuple[int, ...], int] = {}
+        for j, p in enumerate(self.junctions):
+            out.setdefault(_exact_key(p), j)
+        return out
+
+    @cached_property
+    def _junction_grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(d, points): junction j is points[j]/d, over one common d."""
+        d = lcm(*(x.denominator for p in self.junctions for x in p))
+        return d, tuple((x.numerator * (d // x.denominator),
+                         y.numerator * (d // y.denominator))
+                        for x, y in self.junctions)
 
     def is_closed(self) -> bool:
         return all(self.feature_closed) and all(self.vertex_closed)
@@ -443,20 +491,20 @@ class PlanarBody:
                     return False
                 for endpoint in (f.start, f.end):
                     rad = f.normal_at(endpoint)
-                    if dot(rad, vsub(x, endpoint)) > 0:
+                    if dot2_sign(rad, vsub(x, endpoint)) > 0:
                         return False
         return True
 
     def locate(self, x: Vec):
         """('outside'|'interior'|('junction',j)|('segment',i)|('arc',i))."""
-        for j in range(self.n):
-            if x == self.junction(j):
-                return ("junction", j)
+        j = self._junction_indices.get(_exact_key(x))
+        if j is not None:
+            return ("junction", j)
         for i, f in enumerate(self.features):
             if isinstance(f, Segment):
                 d = f.direction
                 rel = vsub(x, f.start)
-                if cross2(d, rel) == 0:
+                if orient2(d, rel) == 0:
                     t = dot(rel, d)
                     if 0 < t < dot(d, d):
                         return ("segment", i)
@@ -481,8 +529,8 @@ class PlanarBody:
 # face descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FaceDescriptor:
+@dataclass(frozen=True, eq=False, slots=True)
+class FaceDescriptor(_Weakrefable):
     """Symbolic identity of a face of a planar body.
 
     Arc-point faces are keyed by (feature, primitive radial direction); the
@@ -522,7 +570,7 @@ class FaceDescriptor:
     def arc_point(feature: int, direction: Vec, point: Vec | None = None
                   ) -> "FaceDescriptor":
         return FaceDescriptor("arcpoint", feature=feature, point=point,
-                              direction=primitive(direction))
+                              direction=_primitive2(direction))
 
     @property
     def key(self):
@@ -571,10 +619,10 @@ def face_at(body: PlanarBody, x: Vec) -> FaceDescriptor:
 
 
 def _junction_index(body: PlanarBody, point: Vec) -> int:
-    for j in range(body.n):
-        if body.junction(j) == point:
-            return j
-    raise NotAFace(f"{point} is not a junction")
+    j = body._junction_indices.get(_exact_key(point))
+    if j is None:
+        raise NotAFace(f"{point} is not a junction")
+    return j
 
 
 def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
@@ -607,7 +655,7 @@ def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     if is_zero(u):
         raise ZeroDirection("support direction must be nonzero")
     memo = body._support_memo
-    key = tuple(u)
+    key = _exact_key(u)
     found = memo.get(key)
     if found is None:
         found = memo[key] = _support(body, u)
@@ -616,19 +664,23 @@ def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
 
 def _support(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     """`support_value` computed afresh: a maximum over every junction and
-    every arc whose radial wedge holds u."""
-    best: QuadVal | None = None
-    attainers: list[tuple[str, int]] = []
-    for j in range(body.n):
-        val = QuadVal(dot(u, body.junction(j)))
-        c = -1 if best is None else quad_compare(val, best)
-        if best is None or c > 0:
-            best, attainers = val, [("junction", j)]
-        elif c == 0:
-            attainers.append(("junction", j))
+    every arc whose radial wedge holds u.
+
+    The junction values are rational, so they are ranked as integers: u
+    times the lcm e of its denominators against the junctions over their
+    common denominator d.  Only the arc candidates are `QuadVal`s."""
+    ux, uy = u
+    e = lcm(ux.denominator, uy.denominator)
+    un = ux.numerator * (e // ux.denominator)
+    vn = uy.numerator * (e // uy.denominator)
+    d, grid = body._junction_grid
+    vals = [un * x + vn * y for x, y in grid]
+    top = max(vals)
+    best = QuadVal(Fraction(top, e * d))
+    attainers = [("junction", j) for j, v in enumerate(vals) if v == top]
     for i, f in enumerate(body.features):
         if isinstance(f, Arc) and f.wedge_contains(u, strict=True):
-            val = QuadVal(dot(u, f.center), Fraction(1), f.radius_sq * dot(u, u))
+            val = QuadVal(dot(u, f.center), _ONE, f.radius_sq * dot(u, u))
             c = quad_compare(val, best)
             if c > 0:
                 best, attainers = val, [("arc", i)]
@@ -697,9 +749,7 @@ def _cone_is_normal(body: PlanarBody, t: Cone2) -> bool:
 
 def sup_exposed_planar(body: PlanarBody, f: FaceDescriptor) -> FaceDescriptor:
     """Smallest exposed face containing f: the face exposed by any ri normal."""
-    if f.tag == "whole":
-        return f
-    if f.tag == "empty":
+    if f.tag in ("whole", "empty"):
         return f
     v = normal_cone_at(body, f).ri_vector()
     return exposed_face(body, v)
@@ -811,9 +861,7 @@ class CoatomReport:
 
 
 def _is_coatom(body: PlanarBody, f: FaceDescriptor) -> bool:
-    if f.tag == "edge":
-        return True
-    if f.tag == "arcpoint":
+    if f.tag in ("edge", "arcpoint"):
         return True
     if f.tag == "vertex":
         j = _junction_index(body, f.point)
@@ -870,10 +918,8 @@ def touching_ray_directions(body: PlanarBody) -> list[Vec]:
         if not body.junction_present(j):
             continue
         cone = body.junction_cone(j)
-        if cone.kind == "ray":
-            dirs.add(cone.d1)
-        else:
-            dirs.add(cone.d1)
+        dirs.add(cone.d1)
+        if cone.kind == "sector":
             dirs.add(cone.d2)
     confirmed = []
     for d in sorted(dirs):
@@ -890,18 +936,16 @@ def partition_check_planar(body: PlanarBody, directions: list[Vec]) -> RuleRepor
     """Each direction lies in the relative interior of exactly one touching cone."""
     if not body.is_closed():
         raise HypothesisFailed("partition check requires a closed bounded body")
-    rays = [Cone2.ray(d) for d in touching_ray_directions(body)]
-    sectors = [c for c in body._junction_cones if c.kind == "sector"]
+    cones = [Cone2.ray(d) for d in touching_ray_directions(body)]
+    cones += [c for c in body._junction_cones if c.kind == "sector"]
+    arcs = [f for f in body.features if isinstance(f, Arc)]
     details = []
     ok = True
     for u in directions:
         if is_zero(u):
             raise ZeroDirection("partition directions must be nonzero")
-        count = sum(1 for r in rays if r.ri_contains(u))
-        count += sum(1 for s in sectors if s.ri_contains(u))
-        for i, f in enumerate(body.features):
-            if isinstance(f, Arc) and f.wedge_contains(u, strict=True):
-                count += 1
+        count = (sum(c.ri_contains(u) for c in cones)
+                 + sum(f.wedge_contains(u, strict=True) for f in arcs))
         if count != 1:
             ok = False
             details.append(f"direction {u} lies in {count} touching-cone interiors")
@@ -960,15 +1004,14 @@ def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
         if isinstance(f, Segment):
             n = f.outward_normal
             num = dot(n, u)
-            if num > 0:
-                val = QuadVal(num / dot(n, f.start))
-            else:
+            if num <= 0:
                 continue
+            val = QuadVal(num / dot(n, f.start))
         else:
             d = vsub(u, f.center)  # centers are 0 for supported bodies
             if not f.wedge_contains(d):
                 continue
-            val = QuadVal(Fraction(0), Fraction(1), dot(u, u) / f.radius_sq)
+            val = QuadVal(Fraction(0), _ONE, dot(u, u) / f.radius_sq)
         if best is None or quad_compare(val, best) > 0:
             best = val
     if best is None:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from facelat import bodyio, checks
 from facelat import exactgeom as eg
 from facelat import polytope as pt
-from facelat.exactgeom import (PolyCone, cone_faces, cross2, dot, dual_cone,
+from facelat.exactgeom import (PolyCone, cone_faces, dot, dual_cone,
                                hull_weight_support, in_ri_conv_hull, pos_hull,
                                project_onto, simplex_max, span_basis,
                                subspace_cone, unit, vadd, vec, vneg, vscale,
@@ -165,7 +165,8 @@ def ccw_polygon(raw_points):
         ha, hb = half(a), half(b)
         if ha != hb:
             return -1 if ha < hb else 1
-        c = cross2(vsub(a, (cx, cy)), vsub(b, (cx, cy)))
+        (a0, a1), (b0, b1) = vsub(a, (cx, cy)), vsub(b, (cx, cy))
+        c = a0 * b1 - a1 * b0
         return -1 if c > 0 else (1 if c < 0 else 0)
 
     ordered = sorted(pts, key=cmp_to_key(cmp))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from facelat.exactgeom import (aff_hull, cone_faces, cone_from_hrep, cross2,
-                               dot, dual_cone, full_space, hull_weight_support,
-                               intersect_cones, kernel_basis, orth_complement,
+from facelat.exactgeom import (aff_hull, cone_faces, cone_from_hrep, dot,
+                               dot2_sign, dual_cone, full_space,
+                               hull_weight_support, intersect_cones,
+                               kernel_basis, orient2, orth_complement,
                                pos_hull, primitive, project_onto, rank,
                                ri_contains, rref, simplex_max, solve_linear,
                                span_basis, subspace_cone, vec, zero_cone)
@@ -448,11 +449,19 @@ def test_dot_and_primitive_match_fraction_definitions(a, b):
 integral = st.builds(F, st.integers(-10**12, 10**12))
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(*[st.one_of(integral, rational)] * 4))
-def test_cross2_matches_fraction_formula(coords):
-    """The integer path (every denominator 1) and the Fraction path agree
-    with the plain formula on integer, rational and mixed pairs."""
-    a, b = coords[:2], coords[2:]
-    assert cross2(a, b) == a[0] * b[1] - a[1] * b[0]
-    assert type(cross2(a, b)) is F
+@given(st.tuples(*[st.one_of(integral, rational)] * 4), rational)
+def test_orient2_matches_fraction_formula(coords, k):
+    """The sign predicates agree with the signs of the plain Fraction
+    formulas on integer, rational and mixed pairs, and on parallel (k*a,
+    zero for k = 0), zero and perpendicular partners."""
+    a = coords[:2]
+    for b in (coords[2:], (k * a[0], k * a[1]), (F(0), F(0)), (-a[1], a[0])):
+        assert orient2(a, b) == _sign(a[0] * b[1] - a[1] * b[0])
+        assert orient2(b, a) == -orient2(a, b)
+        assert dot2_sign(a, b) == _sign(a[0] * b[0] + a[1] * b[1])
+        assert type(orient2(a, b)) is int and type(dot2_sign(a, b)) is int

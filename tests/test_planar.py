@@ -11,7 +11,7 @@ from facelat import bodyio, checks, planar
 from facelat.errors import (HypothesisFailed, NotAFace, PointNotInBody,
                             UndefinedTouchingCone, UnsupportedArcCenter,
                             ZeroDirection)
-from facelat.exactgeom import cross2, is_zero, pos_hull, primitive, vec
+from facelat.exactgeom import is_zero, pos_hull, primitive, vec
 from facelat.lattice import build_lattice, lattice_map, verify_isomorphism
 from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
                             Segment, check_2d_nonexposed_rule,
@@ -463,7 +463,7 @@ def test_memoised_support_equals_fresh_support(name, u, scale):
         fresh = planar._support(body, v)
         assert _exact(support_value(body, v)) == _exact(fresh)
         assert _exact(support_value(body, v)) == _exact(fresh)  # a memo hit
-        assert body._support_memo[v] is support_value(body, v)
+        assert body._support_memo[planar._exact_key(v)] is support_value(body, v)
         _, f = fresh
         if f.tag == "arcpoint":
             assert f.direction == primitive(v)
@@ -484,7 +484,8 @@ def test_cached_junction_cones_equal_fresh_cones():
     for name, body in PLANAR_BODIES.items():
         for j in range(-body.n, 2 * body.n):
             n_prev, n_next = body.junction_normals(j)
-            fresh = (Cone2.ray(n_prev) if cross2(n_prev, n_next) == 0
+            parallel = n_prev[0] * n_next[1] == n_prev[1] * n_next[0]
+            fresh = (Cone2.ray(n_prev) if parallel
                      else Cone2.sector(n_prev, n_next))
             assert body.junction_cone(j) == fresh, (name, j)
 
