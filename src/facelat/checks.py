@@ -10,6 +10,7 @@ exit-code neutral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import planar as pl
 from . import polytope as pt
@@ -93,7 +94,7 @@ def _sample_directions(p: Polytope) -> list:
 # suites on polytopes
 # ---------------------------------------------------------------------------
 
-def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     if len(p.vertices) == 1:
         _skip(out, "antitone.iso", "excluded by hypothesis: the body is a single "
               "point, where the exposed-face/normal-cone correspondence degenerates")
@@ -172,7 +173,7 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict):
        "iff it equals the orthogonal complement of the body's direction space")
 
 
-def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     nl = pt.normal_cone_lattice(p)
     whole = full_space(p.ambient_dim)
     ok_meet = ok_face = True
@@ -209,7 +210,7 @@ def _proper_touching_cones(p: Polytope) -> list:
     return [el.cone for el in pt.touching_cone_lattice(p).elements if el.cone != whole]
 
 
-def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     nl = pt.normal_cone_lattice(p)
     tl = pt.touching_cone_lattice(p)
     counts["touching_cones"] = len(tl)
@@ -225,7 +226,7 @@ def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict):
                 ok = False
     _v(out, "touching.closed_under_faces", ok,
        "nonempty faces of touching cones are touching cones")
-    dirs = compass_directions(72) if p.ambient_dim == 2 else _sample_directions(p)
+    dirs = compass(72) if p.ambient_dim == 2 else _sample_directions(p)
     proper = _proper_touching_cones(p)
     ok = True
     for u in dirs:
@@ -236,7 +237,7 @@ def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict):
        "exactly one touching cone other than the whole space")
 
 
-def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     d = p.ambient_dim
     subspaces = [[unit(d, i)] for i in range(d)]
     if d >= 3:
@@ -289,7 +290,7 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict):
        "have all touching cones normal")
 
 
-def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     ok = True
     for u in _sample_directions(p):
         if not pt.is_sharp_normal(p, u):
@@ -311,7 +312,7 @@ def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict):
        "all exposed)")
 
 
-def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     fl = pt.exposed_face_lattice(p)
     nl = pt.normal_cone_lattice(p)
     lin_perp_dim = len(p.lin_perp)
@@ -357,7 +358,7 @@ def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict):
        "most dim(F)+1 extreme-point atoms")
 
 
-def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     try:
         q = pt.polar(p)
     except OriginNotInterior as e:
@@ -391,11 +392,11 @@ def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict):
        "the biconjugate of a face is its smallest exposed superface")
 
 
-def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict):
+def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     if p.ambient_dim != 2:
         dirs = _sample_directions(p)
     else:
-        dirs = compass_directions(360)
+        dirs = compass(360)
     proper = _proper_touching_cones(p)
     ok = True
     for u in dirs:
@@ -429,7 +430,7 @@ class Cone2Element:
         return self.cone.label()
 
 
-def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict):
+def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     faces = pl.special_faces(b, exposed_only=True)
     cones = {}
     for f in faces:
@@ -466,7 +467,7 @@ def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict):
        "directions of their normal cone")
 
 
-def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict):
+def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     inv = pl.cone_inventory(b)
     counts["proper_normal_cones"] = inv.proper_normal_count
     counts["proper_touching_cones"] = inv.proper_touching_count
@@ -494,9 +495,9 @@ def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict):
        "the same face")
 
 
-def _sharp_planar(b: PlanarBody, out: list[Verdict], counts: dict):
+def _sharp_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     ok = True
-    for u in compass_directions(120):
+    for u in compass(120):
         f = pl.exposed_face(b, u)
         if f.tag == "empty":
             continue
@@ -510,7 +511,7 @@ def _sharp_planar(b: PlanarBody, out: list[Verdict], counts: dict):
        "normal cone")
 
 
-def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict):
+def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     for f in pl.special_faces(b, exposed_only=True):
         if f.tag in ("empty", "whole"):
             continue
@@ -529,7 +530,7 @@ def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict):
                   f"coatoms; {rep.note}")
 
 
-def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict):
+def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     try:
         q = pl.polar_planar(b)
     except (OriginNotInterior, UnsupportedArcCenter) as e:
@@ -540,7 +541,7 @@ def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict):
             == {(f.kind, f.start, f.end) for f in b.features})
     _v(out, "polar.involution", same, "the polar of the polar body is the body")
     worst_ok = True
-    for u in compass_directions(120):
+    for u in compass(120):
         h, _ = pl.support_value(q, u)
         g = pl.gauge_value(b, u)
         if quad_compare(h, g) != 0:
@@ -571,12 +572,12 @@ def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict):
        "representatives)")
 
 
-def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict):
+def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     if not b.is_closed():
         _skip(out, "partition.unique_touching_cone",
               "partition of directions requires a closed bounded body")
         return
-    dirs = compass_directions(360)
+    dirs = compass(360)
     rep = pl.partition_check_planar(b, dirs)
     counts["partition_directions"] = len(dirs)
     _v(out, "partition.unique_touching_cone", rep.passed,
@@ -584,7 +585,7 @@ def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict):
        "of exactly one touching cone; " + ("; ".join(rep.details[:4]) or "verified"))
 
 
-def _2d_planar(b: PlanarBody, out: list[Verdict], counts: dict):
+def _2d_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     ne = pl.non_exposed_faces(b)
     counts["non_exposed_faces"] = len(ne)
     out.append(Verdict("2d.non_exposed_inventory", "pass",
@@ -634,16 +635,21 @@ _PLANAR = {
 
 
 def run_suite(body, fixture_name: str, suite: str) -> CheckReport:
-    """Run one named suite (or 'all') on a parsed body."""
+    """Run one named suite (or 'all') on a parsed body.
+
+    Each suite gets `compass`, `compass_directions` memoised for this call
+    only, so a list of sample directions is built at most once per run and
+    shared by the suites that use it."""
     suites = SUITE_NAMES if suite == "all" else (suite,)
     report = CheckReport(suite, fixture_name)
     table = _POLY if isinstance(body, Polytope) else _PLANAR
     kind = "polytope" if isinstance(body, Polytope) else "planar"
+    compass = cache(compass_directions)
     for s in suites:
         fn = table.get(s)
         if fn is None:
             _skip(report.verdicts, f"{s}.applicable",
                   f"suite '{s}' does not apply to {kind} bodies")
             continue
-        fn(body, report.verdicts, report.counts)
+        fn(body, report.verdicts, report.counts, compass)
     return report

@@ -1,21 +1,30 @@
 """Exact rational linear algebra and polyhedral-cone primitives (ambient dim <= 4).
 
-Vectors, solutions and support values are `fractions.Fraction`s at the
-boundary of this module, but the arithmetic inside runs on Python integers:
-elimination is fraction-free (each row scaled to integers, rows combined as
-p*row_i - f*row_r and divided by their gcd, Bareiss-style), the simplex keeps
-an integer tableau, `dot`/`primitive` work on numerators over a common
-denominator, and the 2D predicates `orient2`/`dot2_sign` return a sign read
-off integer products.  Fractions are formed only for the results.  There is no
+Two kinds of vector cross this module's boundary.  Points, directions,
+solutions and support values are `fractions.Fraction`s (`Vec`), and so is
+every result of the public kernel helpers (`rref`, `span_basis`,
+`kernel_basis`, `solve_linear`, `simplex_max`, `dot`, `primitive`, ...).
+Canonical vectors are tuples of Python `int`s (`IVec`): the rays, lineality
+and facet normals of a cone, its span and perp bases, and the facet normals
+of a polytope.  `Fraction(n) == n`, `hash(Fraction(n)) == hash(n)` and both
+print alike, so keys, order and labels do not depend on the type.
+
+The arithmetic inside runs on Python integers: elimination is fraction-free
+(each row scaled to integers, rows combined as p*row_i - f*row_r and divided
+by their gcd, Bareiss-style), the simplex keeps an integer tableau, `dot` and
+`primitive` work on numerators over a common denominator, the cone predicates
+read a sign off an integer dot product, and the 2D predicates
+`orient2`/`dot2_sign` return a sign read off integer products.  There is no
 floating point anywhere.  Cones are kept in a canonical V-representation
 (extreme rays modulo lineality, primitive integer scaling, sorted), so record
 equality coincides with geometric equality.  Every conversion between an
 H- and a V-description, of cones here and of polytopes in `polytope`, goes
-through one integer double-description core, `double_description`, and the
-faces of cones and polytopes come from one `intersection_closure`.  A
-`ConeTable`, owned by a body and passed in by the caller, interns canonical
-cones and memoises the core's conversions; without one, nothing is cached
-beyond the properties of each `PolyCone` instance.
+through one integer double-description core, `double_description`, on top of
+one integer kernel, `_ikernel`; the faces of cones and polytopes come from
+one `intersection_closure`.  A `ConeTable`, owned by a body and passed in by
+the caller, interns canonical cones and memoises the core's conversions;
+without one, nothing is cached beyond the properties of each `PolyCone`
+instance.
 """
 
 from __future__ import annotations
@@ -25,11 +34,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[Fraction, ...]  # a point, direction or solution
+IVec = tuple[int, ...]      # a canonical vector: primitive, integer coordinates
+
+_INT = frozenset({int})
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +134,23 @@ def perp2(a: Vec) -> Vec:
 
 def primitive(v: Vec) -> Vec:
     """Scale a nonzero vector to coprime integer coordinates, keeping direction."""
-    ints = _scaled(v)
+    return tuple(Fraction(n) for n in _iprimitive(_scaled(v)))
+
+
+def _iprimitive(ints: Sequence[int]) -> IVec:
+    """`primitive` of an integer vector, as ints."""
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(Fraction(n // g) for n in ints)
+    return tuple(n // g for n in ints)
 
 
 def _scaled(row: Iterable[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators, as Python integers."""
+    """The row times the lcm of its denominators, as Python integers; a row
+    of ints comes back as they are."""
     row = list(row)
+    if set(map(type, row)) <= _INT:
+        return row
     dens = [x.denominator for x in row]
     den = lcm(*dens)
     if den == 1:
@@ -210,13 +230,20 @@ def span_basis(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
 
 
 def kernel_basis(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    """Canonical basis of {x : r . x = 0 for all rows r}.
+    """Canonical basis of {x : r . x = 0 for all rows r}: `_ikernel` of the
+    rows scaled to integers, as Fractions."""
+    return tuple(tuple(Fraction(a) for a in v)
+                 for v in _ikernel([_scaled(r) for r in rows], dim))
+
+
+def _ikernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[IVec, ...]:
+    """Canonical basis of the kernel of the integer rows, as ints.
 
     The same basis as `span_basis` of the kernel: one vector per free column
-    of the RREF, scaled to integers by the lcm of the pivots, brought to RREF
-    itself and made primitive, all in integers.
+    of the RREF, scaled to integers by the lcm of the pivots, then brought to
+    the canonical form of `_ispan`, all in integers.
     """
-    m = [_scaled(r) for r in rows]
+    m = list(rows)
     pivots = _eliminate(m, reduced=True)
     scale = lcm(*(row[c] for row, c in zip(m, pivots)))
     basis = []
@@ -228,13 +255,25 @@ def kernel_basis(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
         for row, p in zip(m, pivots):
             v[p] = -row[c] * (scale // row[p])
         basis.append(v)
+    return _ispan(basis)
+
+
+def _ispan(rows: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
+    """Canonical basis of the span of the integer rows, as ints: the RREF
+    rows made primitive, which keeps each pivot positive."""
+    m = list(rows)
     out = []
-    for row, c in zip(basis, _eliminate(basis, reduced=True)):
+    for row, c in zip(m, _eliminate(m, reduced=True)):
         g = gcd(*row)
         if row[c] < 0:
             g = -g
-        out.append(tuple(Fraction(a // g) for a in row))
+        out.append(tuple(a // g for a in row))
     return tuple(out)
+
+
+def _perp(basis: Sequence[Vec], dim: int) -> tuple[IVec, ...]:
+    """`orth_complement` as ints, for rational or integer basis vectors."""
+    return _ikernel([_scaled(b) for b in basis], dim)
 
 
 def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
@@ -455,17 +494,31 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
     indices the caller already knows can be positive (for a centroid, the
     averaged points).
 
-    The carrier is found by shrinking the unknown index set: maximize the total
-    weight on the indices not yet known to be positive, add every index the
-    optimal solution weights positively, and stop when the optimum is 0, which
-    proves no remaining index can be positive.  That takes a few LPs, not one
-    per index.
+    The first LP maximizes the least weight on the indices not yet known to
+    be positive (lambda_j = mu_j + t there, as in `in_ri_conv_hull`).  If
+    t > 0, every index is in the carrier, the common case when the carrier is
+    a large face.  Otherwise the indices that optimum weights positively join
+    the known ones, and the carrier is found by shrinking the unknown index
+    set: maximize the total weight on the indices not yet known to be
+    positive, add every index the optimal solution weights positively, and
+    stop when the optimum is 0, which proves no remaining index can be
+    positive.  That takes a few LPs, not one per index.
     """
     rows = _hull_rows(points)
     rhs = list(x) + [Fraction(1)]
     out = set(known)
+    n = len(points)
+    unknown = [j for j in range(n) if j not in out]
+    if unknown:
+        least = [row + [sum(row[j] for j in unknown)] for row in rows]
+        status, val, sol = simplex_max([Fraction(0)] * n + [Fraction(1)], least, rhs)
+        if status != "optimal":
+            return set()
+        if val > 0:
+            return set(range(n))
+        out.update(j for j in range(n) if sol[j] > 0)
     while True:
-        obj = [Fraction(0 if j in out else 1) for j in range(len(points))]
+        obj = [Fraction(0 if j in out else 1) for j in range(n)]
         status, val, sol = simplex_max(obj, rows, rhs)
         if status != "optimal":
             return set()
@@ -484,28 +537,29 @@ class PolyCone:
 
     `rays` are the extreme-ray generators taken in the orthogonal complement
     of the lineality space, primitive and lexicographically sorted;
-    `lineality` is the canonical (RREF) basis of the lineality space.  Two
+    `lineality` is the canonical (RREF) basis of the lineality space.  Both
+    hold int vectors, as do the span bases and facet normals below.  Two
     cones are equal iff their records are equal.
     """
 
     dim: int
-    rays: tuple[Vec, ...]
-    lineality: tuple[Vec, ...]
+    rays: tuple[IVec, ...]
+    lineality: tuple[IVec, ...]
     # the table that interned this cone, if any: the cones and conversions
     # its cached properties build go through it too
     table: "ConeTable | None" = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def span(self) -> tuple[Vec, ...]:
-        return span_basis(list(self.rays) + list(self.lineality))
+    def span(self) -> tuple[IVec, ...]:
+        return _ispan([_scaled(r) for r in (*self.rays, *self.lineality)])
 
     @cached_property
-    def span_perp(self) -> tuple[Vec, ...]:
+    def span_perp(self) -> tuple[IVec, ...]:
         """Canonical basis of the orthogonal complement of the span."""
-        return orth_complement(self.span, self.dim)
+        return _ikernel(self.span, self.dim)
 
     @cached_property
-    def facet_normals(self) -> tuple[Vec, ...]:
+    def facet_normals(self) -> tuple[IVec, ...]:
         """Outer facet normals within span: cone = {x in span : n.x <= 0}."""
         gens = self.generators()
         if not gens:
@@ -526,13 +580,13 @@ class PolyCone:
         of the facets' ray sets.  Each canonical form is read off directly:
         the same lineality space, and the extreme rays on those facets.
         """
-        facets = [frozenset(r for r in self.rays if dot(n, r) == 0)
+        facets = [frozenset(r for r in self.rays if not _idot(n, r))
                   for n in self.facet_normals]
         faces = [_cone(self.table, self.dim, tuple(sorted(rays)), self.lineality)
                  for rays in intersection_closure(frozenset(self.rays), facets)]
         return tuple(sorted(faces, key=lambda f: (f.cone_dim, f.rays)))
 
-    def generators(self) -> list[Vec]:
+    def generators(self) -> list[IVec]:
         gens = list(self.rays)
         for b in self.lineality:
             gens.append(b)
@@ -550,29 +604,32 @@ class PolyCone:
     def is_subspace(self) -> bool:
         return not self.rays
 
+    # The predicates scale x once to integers (a positive multiple, so every
+    # sign is kept) and read each sign off an integer dot product.
+
+    def _ints(self, x: Vec) -> list[int]:
+        if len(x) != self.dim:
+            raise DimensionMismatch("point and cone dimensions differ")
+        return _scaled(x)
+
+    def _in_span(self, xs: Sequence[int]) -> bool:
+        return not any(_idot(m, xs) for m in self.span_perp)
+
     def in_span(self, x: Vec) -> bool:
-        return all(dot(m, x) == 0 for m in self.span_perp)
+        return self._in_span(self._ints(x))
 
     def contains(self, x: Vec) -> bool:
-        if is_zero(x):
-            return True
-        if not self.in_span(x):
-            return False
-        return all(dot(n, x) <= 0 for n in self.facet_normals)
+        xs = self._ints(x)
+        return self._in_span(xs) and all(_idot(n, xs) <= 0 for n in self.facet_normals)
 
     def ri_contains(self, x: Vec) -> bool:
-        if not self.in_span(x):
-            return False
-        return all(dot(n, x) < 0 for n in self.facet_normals)
+        xs = self._ints(x)
+        return self._in_span(xs) and all(_idot(n, xs) < 0 for n in self.facet_normals)
 
-    def ri_vector(self) -> Vec | None:
+    def ri_vector(self) -> IVec | None:
         """A vector in the relative interior; None only for the zero cone."""
-        v = zero(self.dim)
-        for r in self.rays:
-            v = vadd(v, r)
-        for b in self.lineality:
-            v = vadd(v, b)
-        return None if is_zero(v) else v
+        v = tuple(sum(c) for c in zip(*self.rays, *self.lineality))
+        return v if any(v) else None
 
     def is_face_of(self, other: "PolyCone") -> bool:
         return self in other.faces
@@ -606,12 +663,12 @@ class ConeTable:
     """
 
     cones: dict[tuple, PolyCone] = field(default_factory=dict)
-    conversions: dict[tuple, tuple[tuple[Vec, ...], tuple[Vec, ...]]] = field(
+    conversions: dict[tuple, tuple[tuple[IVec, ...], tuple[IVec, ...]]] = field(
         default_factory=dict)
 
 
-def _cone(table: ConeTable | None, dim: int, rays: tuple[Vec, ...],
-          lineality: tuple[Vec, ...]) -> PolyCone:
+def _cone(table: ConeTable | None, dim: int, rays: tuple[IVec, ...],
+          lineality: tuple[IVec, ...]) -> PolyCone:
     """The canonical cone (rays, lineality), interned in `table` when given."""
     if table is None:
         return PolyCone(dim, rays, lineality)
@@ -624,10 +681,11 @@ def _cone(table: ConeTable | None, dim: int, rays: tuple[Vec, ...],
 
 def double_description(eq_rows: Sequence[Vec], ineq_rows: Sequence[Vec], dim: int,
                        table: ConeTable | None = None
-                       ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+                       ) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
     """Canonical (rays, lineality) of {x : e.x = 0 for e in eq_rows, a.x <= 0
-    for a in ineq_rows}; with a `table`, memoised there by the rows scaled to
-    integers, which determine the result."""
+    for a in ineq_rows}, as int vectors; the rows may be rational or integer.
+    With a `table`, memoised there by the rows scaled to integers, which
+    determine the result."""
     eqs = tuple(tuple(_scaled(e)) for e in eq_rows)
     ineqs = tuple(tuple(_scaled(a)) for a in ineq_rows)
     if table is None:
@@ -641,7 +699,7 @@ def double_description(eq_rows: Sequence[Vec], ineq_rows: Sequence[Vec], dim: in
 
 def _double_description(eqs: tuple[tuple[int, ...], ...],
                         ineqs: tuple[tuple[int, ...], ...], dim: int
-                        ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+                        ) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
     """`double_description` on integer rows, computed.
 
     The lineality space is the kernel of all rows; in W = ker(eqs) cap
@@ -653,8 +711,8 @@ def _double_description(eqs: tuple[tuple[int, ...], ...],
     that is, if no third ray vanishes on every processed row both vanish on
     (zero sets are int bitmasks).
     """
-    lin = kernel_basis([*eqs, *ineqs], dim)
-    basis = [_scaled(b) for b in kernel_basis([*eqs, *lin], dim)]
+    lin = _ikernel([*eqs, *ineqs], dim)
+    basis = _ikernel([*eqs, *lin], dim)
     w = len(basis)
     if w == 0:
         return (), lin
@@ -685,12 +743,12 @@ def _double_description(eqs: tuple[tuple[int, ...], ...],
             new.append(([x // g for x in r], common | 1 << i))
         rays = [(r, (z | 1 << i) if v == 0 else z)
                 for (r, z), v in zip(rays, vals) if v <= 0] + new
-    out = [primitive([_idot(r, col) for col in zip(*basis)]) for r, _ in rays]
+    out = [_iprimitive([_idot(r, col) for col in zip(*basis)]) for r, _ in rays]
     return tuple(sorted(out)), lin
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def intersection_closure(top, sets) -> set:
@@ -710,28 +768,29 @@ def intersection_closure(top, sets) -> set:
 
 
 def _cone_facet_normals(gens: Sequence[Vec], span: Sequence[Vec],
-                        table: ConeTable | None = None) -> tuple[Vec, ...]:
+                        table: ConeTable | None = None) -> tuple[IVec, ...]:
     """Facet normals of pos(gens) inside its span: the extreme rays of the
     dual {u in span : g.u <= 0 for all g}, which is pointed there."""
     dim = len(gens[0])
-    return double_description(orth_complement(span, dim), gens, dim, table)[0]
+    return double_description(_perp(span, dim), gens, dim, table)[0]
 
 
 def pos_hull(generators: Iterable[Vec], dim: int | None = None,
              table: ConeTable | None = None) -> PolyCone:
     """Canonical positive hull; pos() of the empty set is the zero cone.
 
-    The facet normals computed on the way are the result's own (they depend
-    only on the cone), so they seed its `facet_normals`."""
-    gens = [tuple(Fraction(c) for c in g) for g in generators]
-    gens = [g for g in gens if not is_zero(g)]
+    Each generator is scaled to integers first (a positive multiple, so the
+    cone is the same).  The facet normals computed on the way are the
+    result's own (they depend only on the cone), so they seed its
+    `facet_normals`."""
+    gens = [g for g in map(_scaled, generators) if any(g)]
     if dim is None:
         if not gens:
             raise ValueError("ambient dimension required for an empty generator list")
         dim = len(gens[0])
     if not gens:
         return _cone(table, dim, (), ())
-    span = span_basis(gens)
+    span = _ispan(gens)
     normals = _cone_facet_normals(gens, span, table)
     k = cone_from_hrep(span, normals, dim, table)
     k.__dict__.setdefault("facet_normals", normals)
@@ -742,7 +801,7 @@ def cone_from_hrep(span: Sequence[Vec], normals: Sequence[Vec], dim: int,
                    table: ConeTable | None = None) -> PolyCone:
     """Cone {x in span(span) : n.x <= 0 for all n}, canonicalized."""
     return _cone(table, dim, *double_description(
-        orth_complement(span, dim), normals, dim, table))
+        _perp(span, dim), normals, dim, table))
 
 
 def dual_cone(k: PolyCone) -> PolyCone:
@@ -771,11 +830,12 @@ def minkowski_sum_cone(a: PolyCone, b: PolyCone) -> PolyCone:
 def subspace_cone(basis: Sequence[Vec], dim: int,
                   table: ConeTable | None = None) -> PolyCone:
     """The subspace span(basis) as a canonical cone: no rays, lineality = span."""
-    return _cone(table, dim, (), span_basis(tuple(Fraction(c) for c in v) for v in basis))
+    return _cone(table, dim, (), _ispan([_scaled(v) for v in basis]))
 
 
 def full_space(dim: int, table: ConeTable | None = None) -> PolyCone:
-    return subspace_cone([unit(dim, i) for i in range(dim)], dim, table)
+    return subspace_cone([[int(i == j) for j in range(dim)] for i in range(dim)],
+                         dim, table)
 
 
 def zero_cone(dim: int) -> PolyCone:

@@ -14,25 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
 from . import exactgeom as eg
-from .exactgeom import (AffineSubspace, ConeTable, PolyCone, Vec, aff_hull,
-                        cone_faces, dot, full_space, in_conv_hull,
+from .exactgeom import (AffineSubspace, ConeTable, IVec, PolyCone, Vec,
+                        aff_hull, cone_faces, dot, full_space, in_conv_hull,
                         in_ri_conv_hull, intersect_cones, is_zero,
-                        minkowski_sum_cone, orth_complement, pos_hull,
-                        primitive, project_onto, span_basis,
-                        subspace_cone, subspace_intersection, vadd, vneg,
-                        vscale, vsub, zero)
+                        minkowski_sum_cone, pos_hull,
+                        project_onto, span_basis, subspace_cone,
+                        subspace_intersection, vadd, vneg, vscale, zero)
 from .lattice import FiniteLattice, build_lattice, lattice_map, verify_isomorphism
 
 
 @dataclass(frozen=True)
 class Facet:
-    """Supporting hyperplane <normal, x> = offset with all vertices on <=."""
+    """Supporting hyperplane <normal, x> = offset with all vertices on <=;
+    the normal is a primitive int vector."""
 
-    normal: Vec
+    normal: IVec
     offset: Fraction
     vertex_set: frozenset[int]
 
@@ -121,8 +122,15 @@ class Polytope:
         return self.affine.dim
 
     @cached_property
-    def lin_perp(self) -> tuple[Vec, ...]:
-        return orth_complement(self.affine.directions, self.ambient_dim)
+    def lin_perp(self) -> tuple[IVec, ...]:
+        return eg._perp(self.affine.directions, self.ambient_dim)
+
+    @cached_property
+    def _vertex_grid(self) -> tuple[int, tuple[IVec, ...]]:
+        """(d, points): vertex i is points[i]/d, over one common d."""
+        d = lcm(*(x.denominator for v in self.vertices for x in v))
+        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v)
+                        for v in self.vertices)
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
@@ -163,7 +171,8 @@ class Polytope:
     @cached_property
     def _polar(self) -> "Polytope":
         _require_origin_interior(self)
-        return self._derive(tuple(sorted(vscale(1 / f.offset, f.normal) for f in self.facets)))
+        return self._derive(tuple(sorted(vscale(Fraction(1) / f.offset, f.normal)
+                                         for f in self.facets)))
 
     @cached_property
     def _projections(self) -> dict[tuple[Vec, ...], tuple["Polytope", tuple[Vec, ...]]]:
@@ -192,19 +201,36 @@ class Polytope:
     def _point_normal_cones(self) -> dict[Vec, PolyCone]:
         return {}
 
+    @cached_property
+    def _cylinders(self) -> dict[tuple[Vec, ...], tuple]:
+        """Subspace basis as given -> (canonical basis, projection, the
+        subspace and its complement as cones, {N(C, a) cap V: the Minkowski
+        sum with the complement}) for `cylinder_normal_check`."""
+        return {}
+
+    def _slacks(self, x: Vec) -> list[int] | None:
+        """For each facet an integer with the sign of n.x - offset, or None
+        when x is off the affine hull; computed on the vertex grid."""
+        e, xs = _int_point(x, self.ambient_dim)
+        d, grid = self._vertex_grid
+        if any(eg._idot(m, xs) * d != eg._idot(m, grid[0]) * e for m in self.lin_perp):
+            return None
+        return [eg._idot(f.normal, xs) * f.offset.denominator - f.offset.numerator * e
+                for f in self.facets]
+
     def contains(self, x: Vec) -> bool:
-        if not self.affine.contains(x):
-            return False
-        return all(dot(f.normal, x) <= f.offset for f in self.facets)
+        slacks = self._slacks(x)
+        return slacks is not None and all(t <= 0 for t in slacks)
 
     def face_of_point(self, x: Vec) -> PolyFace:
         """The unique face with x in its relative interior."""
-        if not self.contains(x):
+        slacks = self._slacks(x)
+        if slacks is None or any(t > 0 for t in slacks):
             raise PointNotInBody(f"{x} is not in the polytope")
-        active = [f for f in self.facets if dot(f.normal, x) == f.offset]
         vset = frozenset(range(len(self.vertices)))
-        for f in active:
-            vset &= f.vertex_set
+        for f, t in zip(self.facets, slacks):
+            if t == 0:
+                vset &= f.vertex_set
         return self.make_face(vset)
 
     def make_face(self, vset, normal: Vec | None = None) -> PolyFace:
@@ -221,13 +247,15 @@ class Polytope:
 
     def ri_point(self, f: PolyFace) -> Vec:
         """Centroid of the face's vertices; lies in the relative interior."""
-        pts = self.face_points(f)
-        if not pts:
+        if not f.vertex_indices:
             raise NotAFace("the empty face has no relative-interior point")
-        acc = zero(self.ambient_dim)
-        for p in pts:
-            acc = vadd(acc, p)
-        return vscale(Fraction(1, len(pts)), acc)
+        return self._centroid(f.vertex_indices)
+
+    def _centroid(self, indices) -> Vec:
+        """The mean of the given vertices, summed on the vertex grid."""
+        d, grid = self._vertex_grid
+        return tuple(Fraction(sum(c), d * len(indices))
+                     for c in zip(*(grid[i] for i in indices)))
 
     def ri_samples(self, f: PolyFace, count: int = 3) -> list[Vec]:
         """A few distinct relative-interior points (positive-weight mixes)."""
@@ -244,22 +272,33 @@ class Polytope:
         return out
 
 
+def _int_point(x: Vec, dim: int) -> tuple[int, list[int]]:
+    """(e, xs) with x = xs/e, e the lcm of the denominators of x, a point or
+    direction of R^dim."""
+    if len(x) != dim:
+        raise DimensionMismatch("point and polytope dimensions differ")
+    e = lcm(*(c.denominator for c in x))
+    return e, [c.numerator * (e // c.denominator) for c in x]
+
+
 def _enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
     """Facets from the homogenised cone {(n, c) : n in the direction space,
     n.v <= c for every vertex v}: each of its rays (n, c) with n != 0 is an
     outer facet normal n with offset c = max n.v, and nothing else is."""
     d = p.ambient_dim
-    eqs = [m + (Fraction(0),) for m in p.lin_perp]
-    ineqs = [v + (Fraction(-1),) for v in p.vertices]
+    den, grid = p._vertex_grid
+    eqs = [m + (0,) for m in p.lin_perp]
+    ineqs = [v + (-den,) for v in grid]
     rays, _ = eg.double_description(eqs, ineqs, d + 1, p.cone_table)
     facets = []
     for r in rays:
-        if is_zero(r[:d]):
+        if not any(r[:d]):
             continue  # the ray (0, 1) of a point
-        n = primitive(r[:d])
-        values = [dot(n, v) for v in p.vertices]
+        n = eg._iprimitive(r[:d])
+        values = [eg._idot(n, v) for v in grid]
         c = max(values)
-        facets.append(Facet(n, c, frozenset(i for i, t in enumerate(values) if t == c)))
+        facets.append(Facet(n, Fraction(c, den),
+                            frozenset(i for i, t in enumerate(values) if t == c)))
     return tuple(sorted(facets, key=lambda f: f.normal))
 
 
@@ -271,10 +310,12 @@ def support(p: Polytope, u: Vec) -> tuple[Fraction, PolyFace]:
     """Support value and the exposed face of the direction u."""
     if is_zero(u):
         raise ZeroDirection("support direction must be nonzero")
-    values = [dot(u, v) for v in p.vertices]
+    e, us = _int_point(u, p.ambient_dim)
+    d, grid = p._vertex_grid
+    values = [eg._idot(us, v) for v in grid]
     h = max(values)
     vset = frozenset(i for i, val in enumerate(values) if val == h)
-    return h, p.make_face(vset, primitive(u))
+    return Fraction(h, e * d), p.make_face(vset, eg._iprimitive(us))
 
 
 def exposed_face_lattice(p: Polytope) -> FiniteLattice:
@@ -293,10 +334,8 @@ def _build_exposed_lattice(p: Polytope) -> FiniteLattice:
             faces.append(p.make_face(vset))
             continue
         active = [f.normal for f in facets if vset <= f.vertex_set]
-        witness = zero(p.ambient_dim)
-        for a in active:
-            witness = vadd(witness, a)
-        faces.append(p.make_face(vset, primitive(witness)))
+        witness = [sum(c) for c in zip(*active)]
+        faces.append(p.make_face(vset, eg._iprimitive(witness)))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return build_lattice(faces, lambda a, b: a.vset <= b.vset)
 
@@ -326,12 +365,8 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
             key = face | {v}
             carrier = carriers.get(key)
             if carrier is None:
-                centroid = zero(p.ambient_dim)
-                for i in key:
-                    centroid = vadd(centroid, p.vertices[i])
-                centroid = vscale(Fraction(1, len(key)), centroid)
                 carrier = carriers[key] = frozenset(
-                    eg.hull_weight_support(p.vertices, centroid, known=key))
+                    eg.hull_weight_support(p.vertices, p._centroid(key), known=key))
             if carrier not in found:
                 found.add(carrier)
                 todo.append(carrier)
@@ -357,7 +392,10 @@ def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
     key = tuple(x)
     cone = p._point_normal_cones.get(key)
     if cone is None:
-        diffs = [vsub(v, key) for v in p.vertices]
+        # v - x for each vertex v, times d*e: on the vertex grid, in integers
+        e, xs = _int_point(key, p.ambient_dim)
+        d, grid = p._vertex_grid
+        diffs = [[a * e - b * d for a, b in zip(v, xs)] for v in grid]
         cone = p._point_normal_cones[key] = pos_hull(diffs, p.ambient_dim, p.cone_table).dual
     return cone
 
@@ -477,7 +515,7 @@ def exposed_meet(p: Polytope, directions: list[Vec]) -> tuple[PolyFace, Vec | No
     _, wface = support(p, witness)
     if wface.vset != inter:
         raise InvariantViolation("witness direction must expose the intersection")
-    return p.make_face(inter, primitive(witness)), witness
+    return p.make_face(inter, eg._iprimitive(eg._scaled(witness))), witness
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +540,11 @@ def conjugate_face(p: Polytope, f: PolyFace) -> PolyFace:
     q = polar(p)
     if not f.vertex_indices:
         return q.make_face(frozenset(range(len(q.vertices))))
-    pts = p.face_points(f)
-    vset = frozenset(j for j, w in enumerate(q.vertices)
-                     if all(dot(w, y) == 1 for y in pts))
+    # w.y == 1 on the two vertex grids, in integers
+    dp, ys = p._vertex_grid
+    dq, ws = q._vertex_grid
+    vset = frozenset(j for j, w in enumerate(ws)
+                     if all(eg._idot(w, ys[i]) == dp * dq for i in f.vertex_indices))
     return q.make_face(vset)
 
 
@@ -611,10 +651,10 @@ def point_in_face(q: Polytope, f: PolyFace, x: Vec) -> bool:
     """Membership of x in the face f of q (as a point set)."""
     if not f.vertex_indices:
         return False
-    if not q.contains(x):
+    slacks = q._slacks(x)
+    if slacks is None or any(t > 0 for t in slacks):
         return False
-    active = [fc for fc in q.facets if f.vset <= fc.vertex_set]
-    return all(dot(fc.normal, x) == fc.offset for fc in active)
+    return all(t == 0 for fc, t in zip(q.facets, slacks) if f.vset <= fc.vertex_set)
 
 
 def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
@@ -667,12 +707,12 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     equalities: list[tuple[Vec, Fraction]] = []
     inequalities: list[tuple[Vec, Fraction]] = []
     d = p.ambient_dim
-    for m in orth_complement(p.affine.directions, d):
+    for m in p.lin_perp:
         equalities.append((m, dot(m, p.vertices[0])))
     for fc in p.facets:
         inequalities.append((fc.normal, fc.offset))
     # slab constraints pull the projected face back through V
-    slab_eq = subspace_intersection(basis, orth_complement(sub.affine.directions, d), d)
+    slab_eq = subspace_intersection(basis, sub.lin_perp, d)
     for m in slab_eq:
         equalities.append((m, dot(m, pts[0])))
     for fc in sub.facets:
@@ -686,11 +726,11 @@ def _vertex_enumerate(equalities, inequalities, dim) -> tuple[Vec, ...]:
     with the extra row t >= 0.  A polyhedron with a lineality space has none."""
     eqs = [tuple(e) + (-c,) for e, c in equalities]
     ineqs = [tuple(n) + (-c,) for n, c in inequalities]
-    ineqs.append(zero(dim) + (Fraction(-1),))
+    ineqs.append((0,) * dim + (-1,))
     rays, lin = eg.double_description(eqs, ineqs, dim + 1)
     if lin:
         return ()
-    return tuple(sorted(vscale(1 / r[-1], r[:-1]) for r in rays if r[-1] > 0))
+    return tuple(sorted(vscale(Fraction(1, r[-1]), r[:-1]) for r in rays if r[-1] > 0))
 
 
 @dataclass(frozen=True)
@@ -790,14 +830,21 @@ def cylinder_normal_check(p: Polytope, v_basis: list[Vec], a: Vec) -> CylinderNo
     """Compare N(pi_V(C), pi_V(a)) against (N(C,a) cap V) + V_perp, exactly."""
     if not p.contains(a):
         raise PointNotInBody(f"{a} is not in the polytope")
-    basis = span_basis(v_basis)
-    q = project_polytope(p, list(basis))
+    key = tuple(map(tuple, v_basis))
+    cyl = p._cylinders.get(key)
+    if cyl is None:
+        basis = span_basis(v_basis)
+        d = p.ambient_dim
+        cyl = p._cylinders[key] = (
+            basis, project_polytope(p, list(basis)),
+            subspace_cone(basis, d, p.cone_table),
+            subspace_cone(eg._perp(basis, d), d, p.cone_table), {})
+    basis, q, v_cone, perp_cone, sums = cyl
     lhs = normal_cone_at_point(q, project_onto(basis, a))
-    v_perp = orth_complement(basis, p.ambient_dim)
-    inter = intersect_cones(normal_cone_at_point(p, a),
-                            subspace_cone(list(basis), p.ambient_dim, p.cone_table))
-    rhs = minkowski_sum_cone(inter, subspace_cone(list(v_perp), p.ambient_dim,
-                                                  p.cone_table))
+    inter = intersect_cones(normal_cone_at_point(p, a), v_cone)
+    rhs = sums.get(inter)
+    if rhs is None:
+        rhs = sums[inter] = minkowski_sum_cone(inter, perp_cone)
     return CylinderNormalReport(lhs, rhs)
 
 

@@ -97,6 +97,22 @@ def carrier_per_index(points, x):
     return out
 
 
+def carrier_total_weight_loop(points, x, known=()):
+    """The carrier as computed before the least-weight LP: maximize the
+    total weight on the indices not yet known to be positive until the
+    optimum is 0."""
+    rows = [[q[d] for q in points] for d in range(len(x))] + [[F(1)] * len(points)]
+    out = set(known)
+    while True:
+        obj = [F(0 if j in out else 1) for j in range(len(points))]
+        status, val, sol = simplex_max(obj, rows, list(x) + [F(1)])
+        if status != "optimal":
+            return set()
+        if val == 0:
+            return out
+        out.update(j for j, w in enumerate(sol) if w > 0)
+
+
 def centroid(points):
     acc = zero(len(points[0]))
     for q in points:
@@ -148,6 +164,49 @@ def test_carrier_equals_per_index_reference(case):
     assert known <= want
     assert hull_weight_support(pts, x) == want
     assert hull_weight_support(pts, x, known=known) == want
+
+
+rational_coord = st.builds(F, coord, st.sampled_from([1, 1, 2, 3]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(
+    points(d, rational_coord if d < 4 else small), st.tuples(*[rational_coord] * d),
+    st.lists(st.integers(0, 5), min_size=1))))
+def test_carrier_equals_total_weight_loop(case):
+    """The least-weight LP first, then the loop: the same carrier as the
+    loop alone, on random rational hulls, with and without `known`."""
+    raw, outside, picks = case
+    pts = [vec(*q) for q in raw]
+    x = vec(*outside)
+    assert hull_weight_support(pts, x) == carrier_total_weight_loop(pts, x)
+    known = {i % len(pts) for i in picks}
+    x = centroid([pts[i] for i in sorted(known)])
+    want = carrier_total_weight_loop(pts, x, known)
+    assert hull_weight_support(pts, x) == want == carrier_total_weight_loop(pts, x)
+    assert hull_weight_support(pts, x, known=known) == want
+    # nothing left unknown: no least-weight LP, whose t would be unbounded
+    everything = set(range(len(pts)))
+    assert hull_weight_support(pts, centroid(pts), known=everything) == everything
+
+
+def test_face_lattice_solves_fewer_lps():
+    """The least-weight LP settles most carriers at once: the cube's face
+    lattice takes 166 LPs (299 with the total-weight loop alone)."""
+    calls = [0]
+    solve = eg.simplex_max
+
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    eg.simplex_max = counting
+    try:
+        lat = face_lattice(bodyio.load_fixture("cube"))
+    finally:
+        eg.simplex_max = solve
+    assert len(lat.elements) == 28
+    assert calls[0] <= 200
 
 
 def ccw_polygon(raw_points):

@@ -6,17 +6,21 @@ before: every (w-1)-subset of the generators for cone facets, every subset of
 normals for cone rays, every d-subset of vertices for polytope facets, every
 subset of inequalities for vertices, and all 2^F facet subsets for the faces
 of a cone and the exposed faces of a polytope.  Random 1-4D inputs must give
-identical records, keys and order through both routes.
+identical records, keys and order through both routes.  The double-description
+core itself is also compared with its Fraction-era form, which returned
+Fraction vectors.
 """
 
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facelat import polytope as pt
-from facelat.exactgeom import (PolyCone, _cone_facet_normals, cone_from_hrep,
+from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
+                               _eliminate, _scaled, cone_from_hrep,
                                dot, double_description, dual_cone,
                                intersect_cones, intersection_closure, is_zero,
                                kernel_basis, orth_complement, pos_hull,
@@ -183,6 +187,46 @@ def ref_exposed_lattice(p, facets):
         faces.append(p.make_face(vset, primitive(witness)))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return build_lattice(faces, lambda a, b: a.vset <= b.vset)
+
+
+def ref_fraction_double_description(eq_rows, ineq_rows, dim):
+    """`double_description` as it was while canonical vectors were Fractions:
+    both kernels return Fractions, and the second one's input and the core's
+    basis are scaled back to integers."""
+    eqs = [_scaled(e) for e in eq_rows]
+    ineqs = [_scaled(a) for a in ineq_rows]
+    lin = kernel_basis([*eqs, *ineqs], dim)
+    basis = [_scaled(b) for b in kernel_basis([*eqs, *lin], dim)]
+    w = len(basis)
+    if w == 0:
+        return (), lin
+    idot = lambda a, b: sum(x * y for x, y in zip(a, b))  # noqa: E731
+    rows = [[idot(a, b) for b in basis] for a in ineqs]
+    start = _eliminate([list(col) for col in zip(*rows)], reduced=False)
+    inv = [rows[i] + [int(j == k) for k in range(w)] for j, i in enumerate(start)]
+    _eliminate(inv, reduced=True)
+    scale = lcm(*(row[k] for k, row in enumerate(inv)))
+    rays = [([-row[w + j] * (scale // row[k]) for k, row in enumerate(inv)],
+             sum(1 << k for k in start if k != i)) for j, i in enumerate(start)]
+    for i, a in enumerate(rows):
+        if i in start:
+            continue
+        vals = [idot(a, r) for r, _ in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        new = []
+        for p, q in product(pos, neg):
+            common = rays[p][1] & rays[q][1]
+            if common.bit_count() < w - 2 or any(z & common == common for k, (_, z)
+                                                 in enumerate(rays) if k not in (p, q)):
+                continue
+            r = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
+            g = gcd(*r)
+            new.append(([x // g for x in r], common | 1 << i))
+        rays = [(r, (z | 1 << i) if v == 0 else z)
+                for (r, z), v in zip(rays, vals) if v <= 0] + new
+    out = [primitive([idot(r, col) for col in zip(*basis)]) for r, _ in rays]
+    return tuple(sorted(out)), lin
 
 
 def ref_vertex_enumerate(equalities, inequalities, dim):
@@ -357,6 +401,32 @@ def test_lift_systems_equal_subset_route(p, raw_basis):
         u = unit(dim, 0)
         bad = ineqs + [(u, F(-1)), (vneg(u), F(-1))]  # x_0 <= -1 and x_0 >= 1
         assert _vertex_enumerate(eqs, bad, dim) == ref_vertex_enumerate(eqs, bad, dim) == ()
+
+
+@st.composite
+def rational_systems(draw):
+    """A dimension, at most two equality rows and some inequality rows, each
+    row scaled by a random positive or negative rational."""
+    dim, eqs, ineqs = draw(per_dim(2))
+    factor = st.sampled_from([F(1), F(-1), F(1, 2), F(2, 3), F(-3, 4), F(5)])
+    return (dim, [vscale(draw(factor), e) for e in eqs[:2]],
+            [vscale(draw(factor), a) for a in ineqs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_double_description_equals_fraction_era_core(system):
+    """Same records, hashes and order as the Fraction-era core, as ints,
+    and the same from a cone table's memo."""
+    dim, eqs, ineqs = system
+    want = ref_fraction_double_description(eqs, ineqs, dim)
+    got = double_description(eqs, ineqs, dim)
+    assert got == want and hash(got) == hash(want)
+    assert all(type(x) is int for part in got for v in part for x in v)
+    table = ConeTable()
+    assert double_description(eqs, ineqs, dim, table) == want
+    assert double_description(eqs, ineqs, dim, table) == want
+    assert list(table.conversions.values()) == [got]
 
 
 def test_infeasible_and_unbounded_systems_have_no_vertices():

@@ -513,6 +513,26 @@ def test_integer_compass_equals_fraction_compass(count):
     assert all(type(x) is F for d in dirs for x in d)
 
 
+@pytest.mark.parametrize("name, counts", [("square", [72, 360]),
+                                          ("unit_disk", [120, 360]),
+                                          ("triangle_open_side", [120])])
+def test_compass_lists_are_built_once_per_run(monkeypatch, name, counts):
+    """`run_suite` builds each compass list once and hands it to every suite
+    that samples it: the 2D polytope's touching and partition suites, the
+    planar sharp, polar and partition suites."""
+    built = []
+
+    def counting(count=360):
+        built.append(count)
+        return compass_directions(count)
+
+    monkeypatch.setattr(checks, "compass_directions", counting)
+    for _ in range(2):  # one list per count per call, not per process
+        built.clear()
+        assert checks.run_suite(fixture(name), name, "all").passed
+        assert sorted(built) == counts
+
+
 def test_planar_caches_die_with_the_body():
     body = fixture("quarter_disk")
     checks.run_suite(body, "quarter_disk", "all")

@@ -5,10 +5,12 @@ from itertools import product
 import pytest
 
 from facelat import checks
+from facelat import exactgeom as eg
 from facelat import lattice as lattice_module
 from facelat.errors import (GeometryError, InvariantViolation, NotAFace,
                             OriginNotInterior, PointNotInBody, ZeroDirection)
-from facelat.exactgeom import full_space, pos_hull, subspace_cone, unit, vec
+from facelat.exactgeom import (full_space, intersect_cones, minkowski_sum_cone,
+                               pos_hull, subspace_cone, unit, vec)
 from facelat.lattice import decompose_by_coatoms, lattice_map, verify_isomorphism
 from facelat.polytope import (ConeElement, Polytope, atom_decomposition,
                               coatom_decomposition, conjugate_face,
@@ -16,7 +18,8 @@ from facelat.polytope import (ConeElement, Polytope, atom_decomposition,
                               exposed_meet, face_lattice, is_sharp_exposed,
                               is_sharp_normal, lift_face, lifted_face_lattices,
                               minkowski_atom_check, normal_cone,
-                              normal_cone_lattice, polar, pos_iso_check,
+                              normal_cone_at_point, normal_cone_lattice,
+                              polar, pos_iso_check,
                               project_polytope, sup_exposed, support,
                               touching_cone_at, touching_cone_lattice)
 
@@ -286,6 +289,35 @@ def test_cylinder_normal_check():
     for basis in ([unit(3, 0)], [unit(3, 0), unit(3, 1)]):
         for v in c.vertices:
             assert cylinder_normal_check(c, basis, v).passed
+
+
+def test_cylinder_check_sums_each_distinct_cone_once():
+    """The lift suite's 48 cylinder checks on the cube (six coordinate
+    subspaces, eight vertices) meet 18 distinct cones (N(C, a) cap V, V):
+    the Minkowski sum with V_perp is memoised on the body, so at most 18
+    `pos_hull` calls sum them, and every verdict is unchanged."""
+    c = Polytope(tuple(vec(*p) for p in product([-1, 1], repeat=3)))
+    subspaces = [[unit(3, i)] for i in range(3)]
+    subspaces += [[unit(3, i), unit(3, j)] for i in range(3) for j in range(i + 1, 3)]
+    calls = [0]
+    hull = eg.pos_hull
+
+    def counting(*args):
+        calls[0] += 1  # minkowski_sum_cone is the only caller in exactgeom
+        return hull(*args)
+
+    eg.pos_hull = counting
+    try:
+        reports = [(basis, v, cylinder_normal_check(c, basis, v))
+                   for basis in subspaces for v in c.vertices]
+    finally:
+        eg.pos_hull = hull
+    assert len(reports) == 48 and calls[0] <= 18
+    for basis, v, rep in reports:
+        fresh = minkowski_sum_cone(
+            intersect_cones(normal_cone_at_point(c, v), subspace_cone(basis, 3)),
+            subspace_cone([unit(3, i) for i in range(3) if unit(3, i) not in basis], 3))
+        assert rep.passed and rep.formula_cone == fresh
 
 
 def test_sharp_relations():
