@@ -204,10 +204,12 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "in the relative interior of the directions' hull")
 
 
-def _proper_touching_cones(p: Polytope) -> list:
-    """The touching cones other than the whole space."""
+def _touching_cones_partition(p: Polytope, dirs) -> bool:
+    """Each direction lies in the relative interior of exactly one touching
+    cone other than the whole space."""
     whole = full_space(p.ambient_dim)
-    return [el.cone for el in pt.touching_cone_lattice(p).elements if el.cone != whole]
+    proper = [el.cone for el in pt.touching_cone_lattice(p).elements if el.cone != whole]
+    return all(sum(1 for c in proper if c.ri_contains(u)) == 1 for u in dirs)
 
 
 def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
@@ -227,12 +229,7 @@ def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     _v(out, "touching.closed_under_faces", ok,
        "nonempty faces of touching cones are touching cones")
     dirs = compass(72) if p.ambient_dim == 2 else _sample_directions(p)
-    proper = _proper_touching_cones(p)
-    ok = True
-    for u in dirs:
-        if sum(1 for c in proper if c.ri_contains(u)) != 1:
-            ok = False
-    _v(out, "touching.partition_of_directions", ok,
+    _v(out, "touching.partition_of_directions", _touching_cones_partition(p, dirs),
        "each sampled nonzero direction lies in the relative interior of "
        "exactly one touching cone other than the whole space")
 
@@ -397,13 +394,8 @@ def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
         dirs = _sample_directions(p)
     else:
         dirs = compass(360)
-    proper = _proper_touching_cones(p)
-    ok = True
-    for u in dirs:
-        if sum(1 for c in proper if c.ri_contains(u)) != 1:
-            ok = False
     counts["partition_directions"] = len(dirs)
-    _v(out, "partition.unique_touching_cone", ok,
+    _v(out, "partition.unique_touching_cone", _touching_cones_partition(p, dirs),
        "sampled nonzero directions lie in the relative interior of exactly "
        "one touching cone other than the whole space")
 

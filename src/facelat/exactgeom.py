@@ -223,10 +223,10 @@ def rank(rows: Sequence[Vec]) -> int:
 
 
 def span_basis(vectors: Iterable[Vec]) -> tuple[Vec, ...]:
-    """Canonical basis of the span: primitive-scaled RREF rows."""
-    rows = [v for v in vectors if not is_zero(v)]
-    reduced, _ = rref(rows)
-    return tuple(primitive(r) for r in reduced)
+    """Canonical basis of the span, the primitive-scaled RREF rows: `_ispan`
+    of the nonzero vectors scaled to integers, as Fractions."""
+    rows = [_scaled(v) for v in vectors if not is_zero(v)]
+    return tuple(tuple(Fraction(a) for a in r) for r in _ispan(rows))
 
 
 def kernel_basis(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
@@ -291,14 +291,6 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
     return tuple(x)
 
 
-def in_span(basis: Sequence[Vec], x: Vec) -> bool:
-    if is_zero(x):
-        return True
-    if not basis:
-        return False
-    return rank(list(basis) + [x]) == len(basis)
-
-
 def orth_complement(basis: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     """Canonical basis of the orthogonal complement of span(basis) in R^dim."""
     return kernel_basis(list(basis), dim)
@@ -332,9 +324,6 @@ class AffineSubspace:
     @property
     def dim(self) -> int:
         return len(self.directions)
-
-    def contains(self, x: Vec) -> bool:
-        return in_span(self.directions, vsub(x, self.basepoint))
 
 
 def aff_hull(points: Sequence[Vec]) -> AffineSubspace:
@@ -597,10 +586,6 @@ class PolyCone:
     def cone_dim(self) -> int:
         return len(self.span)
 
-    @property
-    def lineality_dim(self) -> int:
-        return len(self.lineality)
-
     def is_subspace(self) -> bool:
         return not self.rays
 
@@ -614,9 +599,6 @@ class PolyCone:
 
     def _in_span(self, xs: Sequence[int]) -> bool:
         return not any(_idot(m, xs) for m in self.span_perp)
-
-    def in_span(self, x: Vec) -> bool:
-        return self._in_span(self._ints(x))
 
     def contains(self, x: Vec) -> bool:
         xs = self._ints(x)

@@ -3,13 +3,23 @@
 Element payloads are opaque.  A payload may expose `key` (canonical hashable
 descriptor), `dim` (integer rank for diagram layout) and `label` (display
 string); plain hashable objects work as their own key.
+
+The order is stored once, as two rows of int bitmasks per element: its
+down-set (bit j of `down[i]` is set when j <= i) and its up-set (bit j of
+`up[i]` is set when i <= j).  A finite lattice is determined by its family
+of down-sets, and that family is closed under intersection (Ganter & Wille,
+*Formal Concept Analysis*, 1999, ch. 1): the meet of a set of elements is
+the element whose down-set is the AND of theirs, and the join is the dual
+on up-sets.  Every query reads the rows, and set bits are visited in
+ascending order, so every list comes out in row-major index order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class LatticeError(Exception):
@@ -42,93 +52,93 @@ def element_dim(payload) -> int:
     return d() if callable(d) else int(d)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class FiniteLattice:
-    """Explicit finite complete lattice with a full order matrix.
+    """Explicit finite complete lattice, stored as down-set and up-set rows.
 
     Immutable after construction; all query methods are pure.
     """
 
     elements: tuple
-    leq: tuple[tuple[bool, ...], ...]
     bottom: int
     top: int
-    _meet: tuple[tuple[int, ...], ...] = field(repr=False)
-    _join: tuple[tuple[int, ...], ...] = field(repr=False)
+    down: tuple[int, ...]
+    up: tuple[int, ...]
+
+    @cached_property
+    def _by_key(self) -> dict:
+        return {element_key(e): i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def _by_down(self) -> dict[int, int]:
+        return {r: i for i, r in enumerate(self.down)}
+
+    @cached_property
+    def _by_up(self) -> dict[int, int]:
+        return {r: i for i, r in enumerate(self.up)}
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, key) -> int:
-        for i, e in enumerate(self.elements):
-            if element_key(e) == key:
-                return i
-        raise KeyError(key)
+        return self._by_key[key]
 
     def le(self, i: int, j: int) -> bool:
-        return self.leq[i][j]
+        return bool(self.up[i] >> j & 1)
 
     def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq[i][j]
+        return i != j and self.le(i, j)
 
     def meet(self, indices: Iterable[int]) -> int:
         """Infimum of a set of elements; the empty infimum is the top."""
-        out = None
+        mask = self.down[self.top]
         for i in indices:
-            out = i if out is None else self._meet[out][i]
-        return self.top if out is None else out
+            mask &= self.down[i]
+        return self._by_down[mask]
 
     def join(self, indices: Iterable[int]) -> int:
         """Supremum of a set of elements; the empty supremum is the bottom."""
-        out = None
+        mask = self.up[self.bottom]
         for i in indices:
-            out = i if out is None else self._join[out][i]
-        return self.bottom if out is None else out
+            mask &= self.up[i]
+        return self._by_up[mask]
 
     def atoms(self) -> list[int]:
         """Elements with only the bottom strictly below them."""
-        out = []
-        for x in range(len(self.elements)):
-            if x == self.bottom:
-                continue
-            below = [y for y in range(len(self.elements)) if self.lt(y, x)]
-            if below == [self.bottom]:
-                out.append(x)
-        return out
+        b = self.bottom
+        return [x for x, row in enumerate(self.down)
+                if x != b and row == 1 << x | 1 << b]
 
     def coatoms(self) -> list[int]:
         """Elements with only the top strictly above them."""
-        out = []
-        for x in range(len(self.elements)):
-            if x == self.top:
-                continue
-            above = [y for y in range(len(self.elements)) if self.lt(x, y)]
-            if above == [self.top]:
-                out.append(x)
-        return out
+        t = self.top
+        return [x for x, row in enumerate(self.up)
+                if x != t and row == 1 << x | 1 << t]
 
     def covers(self, i: int, j: int) -> bool:
         """True when j covers i (i < j with nothing strictly between)."""
-        if not self.lt(i, j):
-            return False
-        return not any(self.lt(i, k) and self.lt(k, j)
-                       for k in range(len(self.elements)))
+        return i != j and self.up[i] & self.down[j] == 1 << i | 1 << j
 
     def hasse_edges(self) -> list[tuple[int, int]]:
-        n = len(self.elements)
-        return [(i, j) for i in range(n) for j in range(n) if self.covers(i, j)]
+        return [(i, j) for i, row in enumerate(self.up) for j in _bits(row)
+                if self.covers(i, j)]
 
     def is_modular(self) -> bool:
         """Check the modular law x <= z  =>  x v (y ^ z) = (x v y) ^ z."""
         n = len(self.elements)
-        for x in range(n):
-            for z in range(n):
-                if not self.leq[x][z]:
-                    continue
+        for x, row in enumerate(self.up):
+            for z in _bits(row):
                 for y in range(n):
-                    lhs = self._join[x][self._meet[y][z]]
-                    rhs = self._meet[self._join[x][y]][z]
-                    if lhs != rhs:
+                    if (self.join((x, self.meet((y, z))))
+                            != self.meet((self.join((x, y)), z))):
                         return False
         return True
 
@@ -155,6 +165,7 @@ def build_lattice(elements: Sequence, leq: Callable) -> FiniteLattice:
 
     Raises DuplicateElement when two elements share a canonical descriptor and
     NotALattice when the order axioms fail or some pair lacks a meet or join.
+    The predicate is called once per ordered pair, row by row.
     """
     elements = tuple(elements)
     if not elements:
@@ -163,46 +174,36 @@ def build_lattice(elements: Sequence, leq: Callable) -> FiniteLattice:
     if len(set(keys)) != len(keys):
         raise DuplicateElement("elements share a canonical descriptor")
     n = len(elements)
-    m = tuple(tuple(bool(leq(elements[i], elements[j])) for j in range(n))
-              for i in range(n))
-    for i in range(n):
-        if not m[i][i]:
-            raise NotALattice("order is not reflexive")
-    for i in range(n):
-        for j in range(n):
-            if i != j and m[i][j] and m[j][i]:
-                raise NotALattice("order is not antisymmetric")
-    for i in range(n):
-        for j in range(n):
-            if not m[i][j]:
-                continue
-            for k in range(n):
-                if m[j][k] and not m[i][k]:
-                    raise NotALattice("order is not transitive")
-    meet_tab = [[0] * n for _ in range(n)]
-    join_tab = [[0] * n for _ in range(n)]
+    up = [0] * n
+    down = [0] * n
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            if leq(x, y):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    if any(not row >> i & 1 for i, row in enumerate(up)):
+        raise NotALattice("order is not reflexive")
+    if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
+        raise NotALattice("order is not antisymmetric")
+    for row in up:
+        reach = row
+        for j in _bits(row):
+            reach |= up[j]
+        if reach != row:
+            raise NotALattice("order is not transitive")
+    by_down = {r: i for i, r in enumerate(down)}
+    by_up = {r: i for i, r in enumerate(up)}
     for i in range(n):
         for j in range(i, n):
-            lower = [k for k in range(n) if m[k][i] and m[k][j]]
-            glb = [g for g in lower if all(m[k][g] for k in lower)]
-            if len(glb) != 1:
+            if down[i] & down[j] not in by_down:
                 raise NotALattice(
                     f"pair ({keys[i]!r}, {keys[j]!r}) has no infimum")
-            upper = [k for k in range(n) if m[i][k] and m[j][k]]
-            lub = [g for g in upper if all(m[g][k] for k in upper)]
-            if len(lub) != 1:
+            if up[i] & up[j] not in by_up:
                 raise NotALattice(
                     f"pair ({keys[i]!r}, {keys[j]!r}) has no supremum")
-            meet_tab[i][j] = meet_tab[j][i] = glb[0]
-            join_tab[i][j] = join_tab[j][i] = lub[0]
-    bottom = 0
-    top = 0
-    for i in range(1, n):
-        bottom = meet_tab[bottom][i]
-        top = join_tab[top][i]
-    return FiniteLattice(elements, m, bottom, top,
-                         tuple(tuple(r) for r in meet_tab),
-                         tuple(tuple(r) for r in join_tab))
+    everything = (1 << n) - 1
+    return FiniteLattice(elements, by_up[everything], by_down[everything],
+                         tuple(down), tuple(up))
 
 
 @dataclass(frozen=True)
@@ -246,6 +247,17 @@ class IsomorphismReport:
                 and self.inverse_order_preserved)
 
 
+def _order_violation(src: FiniteLattice, tgt: FiniteLattice, f, isotone: bool):
+    """'a <= b' for the first pair a <= b of src, in row-major order, whose
+    images under f break the (isotone or antitone) order of tgt; else None."""
+    for i, row in enumerate(src.up):
+        for j in _bits(row):
+            if not (tgt.le(f[i], f[j]) if isotone else tgt.le(f[j], f[i])):
+                return (f"{element_label(src.elements[i])} <= "
+                        f"{element_label(src.elements[j])}")
+    return None
+
+
 def verify_isomorphism(m: LatticeMap) -> IsomorphismReport:
     """Check bijectivity and order behaviour of a lattice map.
 
@@ -268,58 +280,42 @@ def verify_isomorphism(m: LatticeMap) -> IsomorphismReport:
     surjective = set(f) == set(range(len(tgt.elements)))
     if not surjective:
         failures.append("not surjective onto the target lattice")
-
-    def expect(i, j):
-        return tgt.le(f[i], f[j]) if m.direction == "isotone" else tgt.le(f[j], f[i])
-
-    order_ok = True
-    n = len(src.elements)
-    for i in range(n):
-        for j in range(n):
-            if src.le(i, j) and not expect(i, j):
-                order_ok = False
-                failures.append(
-                    f"order violated at {element_label(src.elements[i])} <= "
-                    f"{element_label(src.elements[j])}")
-                break
-        if not order_ok:
-            break
+    isotone = m.direction == "isotone"
+    bad = _order_violation(src, tgt, f, isotone)
+    order_ok = bad is None
+    if not order_ok:
+        failures.append(f"order violated at {bad}")
     inverse_ok = injective and surjective
     if inverse_ok:
-        inv = {t: i for i, t in enumerate(f)}
-        for a in range(len(tgt.elements)):
-            for b in range(len(tgt.elements)):
-                if not tgt.le(a, b):
-                    continue
-                i, j = inv[a], inv[b]
-                ok = src.le(i, j) if m.direction == "isotone" else src.le(j, i)
-                if not ok:
-                    inverse_ok = False
-                    failures.append(
-                        f"inverse order violated at {element_label(tgt.elements[a])}"
-                        f" <= {element_label(tgt.elements[b])}")
-                    break
-            if not inverse_ok:
-                break
+        bad = _order_violation(tgt, src, {t: i for i, t in enumerate(f)}, isotone)
+        if bad is not None:
+            inverse_ok = False
+            failures.append(f"inverse order violated at {bad}")
     return IsomorphismReport(injective, surjective, order_ok, inverse_ok,
                              tuple(failures))
 
 
-def decompose_by_atoms(lat: FiniteLattice, x: int, bound: int) -> list[int] | None:
-    """Lexicographically smallest set of <= bound atoms whose join is x."""
-    atoms = lat.atoms()
+def _first_subset(candidates: list[int], combine: Callable, x: int,
+                  bound: int) -> list[int] | None:
+    """Lexicographically smallest subset of <= bound candidates combining to x.
+
+    The callers pass only the atoms below x (coatoms above x): no other atom
+    joins (coatom meets) to x, so the subset is the same as over all of them.
+    """
     for size in range(1, bound + 1):
-        for subset in combinations(atoms, size):
-            if lat.join(subset) == x:
+        for subset in combinations(candidates, size):
+            if combine(subset) == x:
                 return list(subset)
     return None
+
+
+def decompose_by_atoms(lat: FiniteLattice, x: int, bound: int) -> list[int] | None:
+    """Lexicographically smallest set of <= bound atoms whose join is x."""
+    below = [a for a in lat.atoms() if lat.le(a, x)]
+    return _first_subset(below, lat.join, x, bound)
 
 
 def decompose_by_coatoms(lat: FiniteLattice, x: int, bound: int) -> list[int] | None:
     """Lexicographically smallest set of <= bound coatoms whose meet is x."""
-    coatoms = lat.coatoms()
-    for size in range(1, bound + 1):
-        for subset in combinations(coatoms, size):
-            if lat.meet(subset) == x:
-                return list(subset)
-    return None
+    above = [c for c in lat.coatoms() if lat.le(x, c)]
+    return _first_subset(above, lat.meet, x, bound)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from facelat.lattice import (DuplicateElement, NotALattice, build_lattice,
                              decompose_by_atoms, decompose_by_coatoms,
                              lattice_map, verify_isomorphism)
+from facelat.lattice import (FiniteLattice, LatticeError, LatticeMap, element_key,
+                             element_label)
 
 
 def powerset_lattice(letters="ab"):
@@ -164,3 +166,264 @@ def test_closure_families_build_lattices(family):
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):
             assert lat.elements[lat.meet([i, j])] == a & b
+
+
+# ---------------------------------------------------------------------------
+# reference: the order-matrix implementation the bitmask rows replaced
+# ---------------------------------------------------------------------------
+
+class RefLattice:
+    """Order matrix plus meet/join tables, filled by the O(n^3) search."""
+
+    def __init__(self, elements, leq):
+        elements = tuple(elements)
+        if not elements:
+            raise NotALattice("empty element list")
+        keys = [element_key(e) for e in elements]
+        if len(set(keys)) != len(keys):
+            raise DuplicateElement("elements share a canonical descriptor")
+        n = len(elements)
+        m = tuple(tuple(bool(leq(elements[i], elements[j])) for j in range(n))
+                  for i in range(n))
+        for i in range(n):
+            if not m[i][i]:
+                raise NotALattice("order is not reflexive")
+        for i in range(n):
+            for j in range(n):
+                if i != j and m[i][j] and m[j][i]:
+                    raise NotALattice("order is not antisymmetric")
+        for i in range(n):
+            for j in range(n):
+                if not m[i][j]:
+                    continue
+                for k in range(n):
+                    if m[j][k] and not m[i][k]:
+                        raise NotALattice("order is not transitive")
+        meet_tab = [[0] * n for _ in range(n)]
+        join_tab = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                lower = [k for k in range(n) if m[k][i] and m[k][j]]
+                glb = [g for g in lower if all(m[k][g] for k in lower)]
+                if len(glb) != 1:
+                    raise NotALattice(
+                        f"pair ({keys[i]!r}, {keys[j]!r}) has no infimum")
+                upper = [k for k in range(n) if m[i][k] and m[j][k]]
+                lub = [g for g in upper if all(m[g][k] for k in upper)]
+                if len(lub) != 1:
+                    raise NotALattice(
+                        f"pair ({keys[i]!r}, {keys[j]!r}) has no supremum")
+                meet_tab[i][j] = meet_tab[j][i] = glb[0]
+                join_tab[i][j] = join_tab[j][i] = lub[0]
+        self.elements, self.leq, self.n = elements, m, n
+        self._meet, self._join = meet_tab, join_tab
+        self.bottom = self.top = 0
+        for i in range(1, n):
+            self.bottom = meet_tab[self.bottom][i]
+            self.top = join_tab[self.top][i]
+
+    def lt(self, i, j):
+        return i != j and self.leq[i][j]
+
+    def meet(self, indices):
+        out = None
+        for i in indices:
+            out = i if out is None else self._meet[out][i]
+        return self.top if out is None else out
+
+    def join(self, indices):
+        out = None
+        for i in indices:
+            out = i if out is None else self._join[out][i]
+        return self.bottom if out is None else out
+
+    def atoms(self):
+        return [x for x in range(self.n) if x != self.bottom
+                and [y for y in range(self.n) if self.lt(y, x)] == [self.bottom]]
+
+    def coatoms(self):
+        return [x for x in range(self.n) if x != self.top
+                and [y for y in range(self.n) if self.lt(x, y)] == [self.top]]
+
+    def covers(self, i, j):
+        return self.lt(i, j) and not any(self.lt(i, k) and self.lt(k, j)
+                                         for k in range(self.n))
+
+    def hasse_edges(self):
+        return [(i, j) for i in range(self.n) for j in range(self.n)
+                if self.covers(i, j)]
+
+    def is_modular(self):
+        for x in range(self.n):
+            for z in range(self.n):
+                if not self.leq[x][z]:
+                    continue
+                for y in range(self.n):
+                    if (self._join[x][self._meet[y][z]]
+                            != self._meet[self._join[x][y]][z]):
+                        return False
+        return True
+
+    def decompose(self, x, bound, candidates, combine):
+        for size in range(1, bound + 1):
+            for subset in combinations(candidates, size):
+                if combine(subset) == x:
+                    return list(subset)
+        return None
+
+
+def ref_verify(src, tgt, f, direction):
+    """The matrix scan of verify_isomorphism, as a report tuple."""
+    failures = []
+    injective = len(set(f)) == len(f)
+    if not injective:
+        seen = {}
+        for i, t in enumerate(f):
+            if t in seen:
+                failures.append(
+                    f"not injective: {element_label(src.elements[seen[t]])} and "
+                    f"{element_label(src.elements[i])} both map to "
+                    f"{element_label(tgt.elements[t])}")
+                break
+            seen[t] = i
+    surjective = set(f) == set(range(tgt.n))
+    if not surjective:
+        failures.append("not surjective onto the target lattice")
+
+    def expect(i, j):
+        return tgt.leq[f[i]][f[j]] if direction == "isotone" else tgt.leq[f[j]][f[i]]
+
+    order_ok = True
+    for i in range(src.n):
+        for j in range(src.n):
+            if src.leq[i][j] and not expect(i, j):
+                order_ok = False
+                failures.append(
+                    f"order violated at {element_label(src.elements[i])} <= "
+                    f"{element_label(src.elements[j])}")
+                break
+        if not order_ok:
+            break
+    inverse_ok = injective and surjective
+    if inverse_ok:
+        inv = {t: i for i, t in enumerate(f)}
+        for a in range(tgt.n):
+            for b in range(tgt.n):
+                if not tgt.leq[a][b]:
+                    continue
+                i, j = inv[a], inv[b]
+                ok = src.leq[i][j] if direction == "isotone" else src.leq[j][i]
+                if not ok:
+                    inverse_ok = False
+                    failures.append(
+                        f"inverse order violated at {element_label(tgt.elements[a])}"
+                        f" <= {element_label(tgt.elements[b])}")
+                    break
+            if not inverse_ok:
+                break
+    return injective, surjective, order_ok, inverse_ok, tuple(failures)
+
+
+class Payload:
+    """A set with a key, a label and a dimension, as the geometry layers use."""
+
+    def __init__(self, s):
+        self.set, self.key, self.dim = s, tuple(sorted(s)), len(s)
+
+    def label(self):
+        return "{" + ",".join(map(str, sorted(self.set))) + "}"
+
+
+def _closed(family):
+    """The family closed under intersection, plus the union as a top."""
+    sets = set(family) | {frozenset().union(*family)}
+    while True:
+        more = {a & b for a in sets for b in sets} - sets
+        if not more:
+            return sets
+        sets |= more
+
+
+@st.composite
+def posets(draw):
+    """Elements and a relation: inclusion on a small set family.
+
+    The kind picks what may go wrong: nothing (the family closed into a
+    lattice), missing infima and suprema (the family as drawn), broken order
+    axioms (a closed family with one or two pairs of the relation flipped),
+    or a repeated key.
+    """
+    kind = draw(st.sampled_from(("lattice", "family", "flipped", "duplicate")))
+    family = draw(st.lists(st.frozensets(st.integers(0, 4), min_size=1, max_size=4),
+                           min_size=3, max_size=6))
+    if kind != "family":
+        family = _closed(family)
+    family = draw(st.permutations(sorted(set(family), key=sorted)))
+    els = [Payload(s) for s in family]
+    n = len(els)
+    if kind == "duplicate" and n > 1:
+        els[-1].key = els[0].key
+    pair = st.sampled_from([(i, j) for i in range(n) for j in range(n)])
+    flips = set(draw(st.lists(pair, min_size=1, max_size=2))) if kind == "flipped" else set()
+    index = {id(e): i for i, e in enumerate(els)}
+
+    def leq(x, y):
+        return (x.set <= y.set) != ((index[id(x)], index[id(y)]) in flips)
+
+    return els, leq
+
+
+def _outcome(build, els, leq):
+    calls = []
+
+    def logged(x, y):
+        calls.append((id(x), id(y)))
+        return leq(x, y)
+
+    try:
+        return build(els, logged), None, calls
+    except LatticeError as exc:
+        return None, (type(exc), str(exc)), calls
+
+
+@settings(max_examples=400, deadline=None)
+@given(posets(), st.data())
+def test_rows_match_order_matrix_reference(poset, data):
+    els, leq = poset
+    ref, ref_err, ref_calls = _outcome(RefLattice, els, leq)
+    lat, err, calls = _outcome(build_lattice, els, leq)
+    assert err == ref_err
+    assert calls == ref_calls
+    if ref is None:
+        return
+    n = len(els)
+    assert (lat.bottom, lat.top) == (ref.bottom, ref.top)
+    for i in range(n):
+        for j in range(n):
+            assert lat.le(i, j) == ref.leq[i][j]
+            assert lat.covers(i, j) == ref.covers(i, j)
+            assert lat.meet([i, j]) == ref.meet([i, j])
+            assert lat.join([i, j]) == ref.join([i, j])
+    assert (lat.meet([]), lat.join([])) == (ref.meet([]), ref.join([]))
+    subset = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    assert (lat.meet(subset), lat.join(subset)) == (ref.meet(subset), ref.join(subset))
+    assert lat.atoms() == ref.atoms() and lat.coatoms() == ref.coatoms()
+    assert lat.hasse_edges() == ref.hasse_edges()
+    assert lat.is_modular() == ref.is_modular()
+    # to_dot reads nothing of the order but the Hasse edges
+    assert lat.to_dot("t") == FiniteLattice.to_dot(ref, "t")
+    for x in range(n):
+        assert lat.index_of(els[x].key) == x
+        for bound in (1, 2, 3):
+            assert decompose_by_atoms(lat, x, bound) == ref.decompose(
+                x, bound, ref.atoms(), ref.join)
+            assert decompose_by_coatoms(lat, x, bound) == ref.decompose(
+                x, bound, ref.coatoms(), ref.meet)
+    for direction in ("isotone", "antitone"):
+        f = tuple(data.draw(st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
+        rep = verify_isomorphism(LatticeMap(lat, lat, f, direction))
+        assert (rep.injective, rep.surjective, rep.order_preserved,
+                rep.inverse_order_preserved, rep.failures) == ref_verify(
+                    ref, ref, f, direction)
