@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Iterator
 
 from . import planar as pl
 from . import polytope as pt
 from .errors import HypothesisFailed, OriginNotInterior, UnsupportedArcCenter
-from .exactgeom import (cone_faces, dot, full_space, in_ri_conv_hull,
-                        intersect_cones, is_zero, subspace_cone, unit, vadd)
+from .exactgeom import (cone_faces, cone_hyperplanes, dot, full_space,
+                        in_ri_conv_hull, intersect_cones, is_zero, sign_vector,
+                        subspace_cone, unit, vadd)
 from .lattice import build_lattice, lattice_map, verify_isomorphism
 from .planar import PlanarBody, compass_directions, quad_compare
 from .polytope import ConeElement, Polytope
@@ -204,12 +206,32 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "in the relative interior of the directions' hull")
 
 
+def _ri_counts(cones: list, dirs) -> Iterator[int]:
+    """For each direction, how many of the cones hold it in their relative
+    interior.
+
+    That depends only on the signs of h.u over the cones' span-perp and
+    facet normals, so all directions in one cell of that hyperplane
+    arrangement meet the same cones: the first direction of a cell is
+    tested against every cone, and the later ones reuse its count.  No
+    normal-fan query picks a cone, so an overlap or a gap still shows.
+    """
+    hyperplanes = cone_hyperplanes(cones)
+    by_cell: dict[tuple[int, ...], int] = {}
+    for u in dirs:
+        cell = sign_vector(hyperplanes, u)
+        n = by_cell.get(cell)
+        if n is None:
+            n = by_cell[cell] = sum(1 for c in cones if c.ri_contains(u))
+        yield n
+
+
 def _touching_cones_partition(p: Polytope, dirs) -> bool:
     """Each direction lies in the relative interior of exactly one touching
     cone other than the whole space."""
     whole = full_space(p.ambient_dim)
     proper = [el.cone for el in pt.touching_cone_lattice(p).elements if el.cone != whole]
-    return all(sum(1 for c in proper if c.ri_contains(u)) == 1 for u in dirs)
+    return all(n == 1 for n in _ri_counts(proper, dirs))
 
 
 def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):

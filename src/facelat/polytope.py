@@ -60,8 +60,9 @@ class PolyFace:
     def key(self):
         return self.vertex_indices
 
-    @property
+    @cached_property
     def vset(self) -> frozenset[int]:
+        """The vertex indices as a set, built once per face."""
         return frozenset(self.vertex_indices)
 
     def label(self) -> str:
@@ -175,16 +176,18 @@ class Polytope:
                                          for f in self.facets)))
 
     @cached_property
-    def _projections(self) -> dict[tuple[Vec, ...], tuple["Polytope", tuple[Vec, ...]]]:
-        """Canonical basis -> (projection, projected vertex of each vertex)."""
+    def _projections(self) -> dict[tuple[IVec, ...], tuple]:
+        """Subspace basis scaled to integers, as given or canonical ->
+        (canonical basis, its integer rows, projection, projected vertex of
+        each vertex), one record per subspace (`_projection`)."""
         return {}
 
     @cached_property
-    def _lifted_faces(self) -> dict[tuple[tuple[Vec, ...], tuple[int, ...]], PolyFace]:
+    def _lifted_faces(self) -> dict[tuple[tuple[IVec, ...], tuple[int, ...]], PolyFace]:
         return {}
 
     @cached_property
-    def _lifted_point_sets(self) -> dict[tuple[tuple[Vec, ...], frozenset[Vec]],
+    def _lifted_point_sets(self) -> dict[tuple[tuple[IVec, ...], frozenset[Vec]],
                                          tuple[Vec, ...]]:
         return {}
 
@@ -202,10 +205,10 @@ class Polytope:
         return {}
 
     @cached_property
-    def _cylinders(self) -> dict[tuple[Vec, ...], tuple]:
-        """Subspace basis as given -> (canonical basis, projection, the
-        subspace and its complement as cones, {N(C, a) cap V: the Minkowski
-        sum with the complement}) for `cylinder_normal_check`."""
+    def _cylinders(self) -> dict[tuple[IVec, ...], tuple]:
+        """Canonical subspace basis as integers -> (the subspace and its
+        complement as cones, {N(C, a) cap V: the Minkowski sum with the
+        complement}) for `cylinder_normal_check`."""
         return {}
 
     def _slacks(self, x: Vec) -> list[int] | None:
@@ -634,16 +637,29 @@ def extreme_points(points: list[Vec]) -> list[Vec]:
 
 def project_polytope(p: Polytope, v_basis: list[Vec]) -> Polytope:
     """Orthogonal projection onto the subspace spanned by v_basis."""
-    return _projection(p, span_basis(v_basis))[0]
+    return _projection(p, v_basis)[2]
 
 
-def _projection(p: Polytope, basis: tuple[Vec, ...]) -> tuple[Polytope, tuple[Vec, ...]]:
-    """The projection onto span(basis) (a canonical basis) and the projection
-    of each vertex of p, in vertex order, solved once per basis."""
-    out = p._projections.get(basis)
+def _projection(p: Polytope, v_basis) -> tuple:
+    """(basis, key, q, proj) for span(v_basis): its canonical basis, the same
+    rows as ints (the key of the body's lift memos), the projection q of p
+    and the projection of each vertex of p, in vertex order.
+
+    Solved once per subspace and found again by the basis as given, scaled
+    to integers (a positive multiple of each row spans the same space), so
+    a repeated basis is neither canonicalised again nor hashed as Fractions.
+    """
+    given = tuple(tuple(eg._scaled(b)) for b in v_basis)
+    out = p._projections.get(given)
     if out is None:
-        proj = tuple(project_onto(basis, x) for x in p.vertices)
-        out = p._projections[basis] = (p._derive(tuple(extreme_points(list(proj)))), proj)
+        basis = span_basis(v_basis)
+        key = tuple(tuple(eg._scaled(b)) for b in basis)
+        out = p._projections.get(key)
+        if out is None:
+            proj = tuple(project_onto(basis, x) for x in p.vertices)
+            out = p._projections[key] = (
+                basis, key, p._derive(tuple(extreme_points(list(proj)))), proj)
+        p._projections[given] = out
     return out
 
 
@@ -663,11 +679,15 @@ def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
     Memoised on p by (subspace, face); the lifted face carries the exposing
     normal of the face it was asked for.
     """
-    basis = span_basis(v_basis)
-    q, proj = _projection(p, basis)
+    return _lift_face(p, _projection(p, v_basis), f)
+
+
+def _lift_face(p: Polytope, sub: tuple, f: PolyFace) -> PolyFace:
+    """`lift_face` onto the subspace record `sub` of `_projection`."""
+    _, key, q, proj = sub
     if not f.vertex_indices:
         return p.make_face(frozenset())
-    lifted = p._lifted_faces.get((basis, f.key))
+    lifted = p._lifted_faces.get((key, f.key))
     if lifted is None:
         try:
             face_lattice(q).index_of(f.key)
@@ -677,7 +697,7 @@ def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
         lifted = p.make_face(vset, f.exposing_normal)
         if not is_face(p, lifted):
             raise NotAFace("lift did not produce a face")
-        p._lifted_faces[(basis, f.key)] = lifted
+        p._lifted_faces[(key, f.key)] = lifted
     if lifted.exposing_normal != f.exposing_normal:
         lifted = PolyFace(lifted.vertex_indices, lifted.dim, f.exposing_normal)
     return lifted
@@ -690,13 +710,17 @@ def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[Vec, .
     projection have the same lift."""
     if not f.vertex_indices:
         return ()
-    basis = span_basis(v_basis)
-    proj = _projection(p, basis)[1]
+    return _lift_point_set(p, _projection(p, v_basis), f)
+
+
+def _lift_point_set(p: Polytope, sub: tuple, f: PolyFace) -> tuple[Vec, ...]:
+    """`lift_point_set` of a nonempty face onto the subspace record `sub`."""
+    basis, key, _, proj = sub
     pts = [proj[i] for i in f.vertex_indices]
-    key = (basis, frozenset(pts))
-    out = p._lifted_point_sets.get(key)
+    memo_key = (key, frozenset(pts))
+    out = p._lifted_point_sets.get(memo_key)
     if out is None:
-        out = p._lifted_point_sets[key] = _lift_vertices(p, basis, pts)
+        out = p._lifted_point_sets[memo_key] = _lift_vertices(p, basis, pts)
     return out
 
 
@@ -753,14 +777,14 @@ class LiftReport:
 def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
                          ) -> tuple[FiniteLattice, FiniteLattice, LiftReport]:
     """Lifted face and exposed-face lattices of a projection, with verification."""
-    basis = span_basis(v_basis)
-    q = project_polytope(p, list(basis))
+    sub = _projection(p, v_basis)
+    basis, _, q, _ = sub
     details: list[str] = []
 
     def build_lifted(src: FiniteLattice):
         faces = {}
         for f in src.elements:
-            lf = lift_face(p, list(basis), f)
+            lf = _lift_face(p, sub, f)
             faces[lf.key] = lf
         elements = sorted(faces.values(), key=lambda f: (f.dim, f.vertex_indices))
         return build_lattice(elements, lambda a, b: a.vset <= b.vset)
@@ -770,10 +794,10 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
 
     iso1 = verify_isomorphism(lattice_map(
         face_lattice(q), lifted_f,
-        lambda f: lift_face(p, list(basis), f), "isotone"))
+        lambda f: _lift_face(p, sub, f), "isotone"))
     iso2 = verify_isomorphism(lattice_map(
         exposed_face_lattice(q), lifted_perp,
-        lambda f: lift_face(p, list(basis), f), "isotone"))
+        lambda f: _lift_face(p, sub, f), "isotone"))
     details.extend(iso1.failures)
     details.extend(iso2.failures)
 
@@ -789,6 +813,7 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
     # body's direction space; when U is the subspace itself there is nothing
     # to compare.
     u_basis = span_basis([project_onto(p.affine.directions, b) for b in basis])
+    u_sub = _projection(p, u_basis) if u_basis and u_basis != basis else None
     lifted_keys = {f.key for f in lifted_f.elements}
     canon_failures = []
     invariance_ok = True
@@ -797,11 +822,10 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
         if not f.vertex_indices:
             fixed = True
         else:
-            lifted_pts = lift_point_set(p, list(basis), f)
+            lifted_pts = _lift_point_set(p, sub, f)
             fixed = set(lifted_pts) == set(p.face_points(f))
             if u_basis != basis:
-                canonical_pts = (lift_point_set(p, list(u_basis), f) if u_basis
-                                 else p.vertices)
+                canonical_pts = _lift_point_set(p, u_sub, f) if u_sub else p.vertices
                 if set(lifted_pts) != set(canonical_pts):
                     canon_failures.append(
                         f"canonical-subspace lift differs on {f.label()}")
@@ -830,16 +854,14 @@ def cylinder_normal_check(p: Polytope, v_basis: list[Vec], a: Vec) -> CylinderNo
     """Compare N(pi_V(C), pi_V(a)) against (N(C,a) cap V) + V_perp, exactly."""
     if not p.contains(a):
         raise PointNotInBody(f"{a} is not in the polytope")
-    key = tuple(map(tuple, v_basis))
+    basis, key, q, _ = _projection(p, v_basis)
     cyl = p._cylinders.get(key)
     if cyl is None:
-        basis = span_basis(v_basis)
         d = p.ambient_dim
         cyl = p._cylinders[key] = (
-            basis, project_polytope(p, list(basis)),
             subspace_cone(basis, d, p.cone_table),
             subspace_cone(eg._perp(basis, d), d, p.cone_table), {})
-    basis, q, v_cone, perp_cone, sums = cyl
+    v_cone, perp_cone, sums = cyl
     lhs = normal_cone_at_point(q, project_onto(basis, a))
     inter = intersect_cones(normal_cone_at_point(p, a), v_cone)
     rhs = sums.get(inter)
@@ -879,8 +901,7 @@ def is_sharp_exposed(p: Polytope, x: Vec) -> bool:
 # ---------------------------------------------------------------------------
 
 def _touching_inside_all_normal(p: Polytope, n: PolyCone) -> bool:
-    lat = normal_cone_lattice(p)
-    keys = {el.key for el in lat.elements}
+    keys = normal_cone_lattice(p)._by_key
     return all((f.rays, f.lineality) in keys for f in cone_faces(n))
 
 
@@ -934,9 +955,8 @@ def minkowski_atom_check(p: Polytope, f: PolyFace) -> MinkowskiAtomReport:
     if idx in (lat.bottom, lat.top):
         raise ValueError("check applies to proper exposed faces")
     flat = face_lattice(p)
-    exposed_keys = {e.key for e in lat.elements}
     for sub in flat.elements:
-        if sub.vset <= f.vset and sub.key not in exposed_keys:
+        if sub.vset <= f.vset and sub.key not in lat._by_key:
             raise HypothesisFailed(f"face {sub.label()} inside F is not exposed")
     bound = f.dim + 1
     from .lattice import decompose_by_atoms

@@ -430,3 +430,116 @@ def test_body_caches_die_with_the_body():
     del p, table, cone, q, pol
     gc.collect()
     assert all(r() is None for r in refs)
+
+
+def ri_counts_all_cones(cones, dirs):
+    """The partition count as taken before the sign cells: every direction
+    against every cone."""
+    return [sum(1 for c in cones if c.ri_contains(u)) for u in dirs]
+
+
+def proper_touching_cones(p):
+    whole = eg.full_space(p.ambient_dim)
+    return [el.cone for el in touching_cone_lattice(p).elements if el.cone != whole]
+
+
+def embedded(dim, rows):
+    """Point lists of a lower dimension, mapped injectively into R^dim."""
+    return st.lists(st.tuples(*[small] * len(rows[0])), min_size=1, max_size=6,
+                    unique=True).map(
+        lambda ps: [tuple(sum(a * r[k] for a, r in zip(q, rows)) for k in range(dim))
+                    for q in ps])
+
+
+# random bodies in 1-4D, some of them lower-dimensional in a higher ambient
+# space, each with random rational directions of its ambient dimension
+partition_cases = st.one_of(
+    points(1), points(2, rational_coord), points(3, rational_coord), points(4, small),
+    embedded(3, [(1, 0, 1), (0, 1, -1)]), embedded(4, [(1, 2, -1, 0)]),
+    embedded(4, [(1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, -1)]),
+).flatmap(lambda raw: st.tuples(
+    st.just(raw), st.lists(st.tuples(*[rational_coord] * len(raw[0])), max_size=12)))
+
+
+def partition_directions(p, extra):
+    dirs = checks._sample_directions(p) + [vec(*u) for u in extra]
+    if p.ambient_dim == 2:
+        dirs += compass_directions(72)
+    return dirs
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_cases)
+@example(([(0, 0), (1, 0), (1, 1), (0, 1)], [(2, 1), (F(1, 2), F(1, 3))]))
+def test_cell_keyed_counts_equal_all_cones_scan(case):
+    """Counting once per sign cell gives every direction the count of the
+    plain scan: for the proper touching cones, with the whole space too, and
+    for each cone alone, whose span-perp normals no other cone supplies."""
+    raw, extra = case
+    p = build_polytope(raw)
+    dirs = partition_directions(p, extra)
+    proper = proper_touching_cones(p)
+    for cones in (proper, proper + [eg.full_space(p.ambient_dim)],
+                  *([c] for c in proper)):
+        assert list(checks._ri_counts(cones, dirs)) == ri_counts_all_cones(cones, dirs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(partition_cases, st.integers(min_value=0))
+def test_cell_keyed_counts_see_an_overlap_and_a_gap(case, pick):
+    """A duplicated cone and a missing cone both leave a direction whose
+    count is not 1, wherever that direction comes in the list."""
+    raw, extra = case
+    p = build_polytope(raw)
+    proper = proper_touching_cones(p)
+    sectors = [c for c in proper if c.ri_vector() is not None]
+    assume(sectors)
+    c = sectors[pick % len(sectors)]
+    dirs = partition_directions(p, extra)
+    at = pick % (len(dirs) + 1)
+    dirs.insert(at, c.ri_vector())
+    for cones, want in ((proper + [c], 2), ([k for k in proper if k != c], 0)):
+        counts = list(checks._ri_counts(cones, dirs))
+        assert counts == ri_counts_all_cones(cones, dirs)
+        assert counts[at] == want
+        assert not all(n == 1 for n in counts)
+
+
+def test_sign_vectors_read_each_hyperplane_once():
+    """The arrangement keeps each normal once, up to sign and scale, and a
+    sign vector is read on the direction scaled to integers."""
+    cones = [pos_hull([vec(1, 0), vec(1, 1)], 2), pos_hull([vec(-1, 0)], 2),
+             pos_hull([], 2)]
+    hyperplanes = eg.cone_hyperplanes(cones)
+    assert hyperplanes == ((1, -1), (0, 1), (1, 0))
+    assert eg.sign_vector(hyperplanes, vec(F(1, 2), F(1, 3))) == (1, 1, 1)
+    assert eg.sign_vector(hyperplanes, (-2, 0)) == (-1, 0, -1)
+    try:
+        eg.sign_vector(hyperplanes, vec(1, 2, 3))
+    except eg.DimensionMismatch:
+        pass
+    else:
+        raise AssertionError("a 3D direction against 2D hyperplanes")
+
+
+def test_lift_subspaces_are_canonicalised_once(monkeypatch):
+    """The cube's lift suite asks about six coordinate subspaces: each is
+    canonicalised once for its projection and once for its projection onto
+    the body's directions, and every verdict is unchanged.  A face builds
+    its vertex set once."""
+    calls = [0]
+    canonical = pt.span_basis
+
+    def counting(vectors):
+        calls[0] += 1
+        return canonical(vectors)
+
+    monkeypatch.setattr(pt, "span_basis", counting)
+    cube = bodyio.load_fixture("cube")
+    assert checks.run_suite(cube, "cube", "lift").passed
+    assert calls[0] <= 12
+    # a positive multiple of the basis finds the same projection record
+    assert (pt._projection(cube, [vec(2, 0, 0)])
+            is pt._projection(cube, [vec(1, 0, 0)]))
+    face = face_lattice(cube).elements[-2]
+    assert face.vset is face.vset
