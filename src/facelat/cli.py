@@ -41,34 +41,29 @@ def cmd_lattice(args) -> int:
             "touching": pt.touching_cone_lattice,
         }[args.kind](body)
         _print_lattice(lat, f"{name} {args.kind}")
+    elif args.kind in ("faces", "exposed"):
+        print("note: arc bodies have infinitely many faces; this is the "
+              "finite special-face summary only")
+        lat = pl.special_face_lattice(body, exposed_only=args.kind == "exposed")
+        _print_lattice(lat, f"{name} special {args.kind}")
     else:
-        if args.kind in ("faces", "exposed"):
-            print("note: arc bodies have infinitely many faces; this is the "
-                  "finite special-face summary only")
-            lat = pl.special_face_lattice(body, exposed_only=args.kind == "exposed")
-            _print_lattice(lat, f"{name} special {args.kind}")
-        else:
-            inv = pl.cone_inventory(body)
-            print(f"{name} {args.kind} cone summary (finite part):")
-            sectors = [c for c in inv.proper_normal if c.kind == "sector"]
-            rays = [c for c in inv.proper_normal if c.kind == "ray"]
-            print(f"  {len(sectors)} sectors: "
-                  + ", ".join(c.label() for c in sectors))
-            print(f"  {len(rays)} edge/vertex rays: "
-                  + ", ".join(c.label() for c in rays))
-            for i in inv.arc_families:
-                print(f"  arc feature {i}: one-parameter family of radial rays")
-            if args.kind == "touching":
-                print(f"  {len(inv.extra_touching)} touching-but-not-normal rays: "
-                      + (", ".join(c.label() for c in inv.extra_touching) or "none"))
-            if args.dot:
-                raise UnsupportedForBodyType(
-                    "DOT output for planar bodies is limited to the "
-                    "faces/exposed special lattices")
-            return 0
+        inv = pl.cone_inventory(body)
+        print(f"{name} {args.kind} cone summary (finite part):")
+        sectors = [c for c in inv.proper_normal if c.kind == "sector"]
+        rays = [c for c in inv.proper_normal if c.kind == "ray"]
+        print(f"  {len(sectors)} sectors: "
+              + ", ".join(c.label() for c in sectors))
+        print(f"  {len(rays)} edge/vertex rays: "
+              + ", ".join(c.label() for c in rays))
+        for i in inv.arc_families:
+            print(f"  arc feature {i}: one-parameter family of radial rays")
+        if args.kind == "touching":
+            print(f"  {len(inv.extra_touching)} touching-but-not-normal rays: "
+                  + (", ".join(c.label() for c in inv.extra_touching) or "none"))
         if args.dot:
-            Path(args.dot).write_text(lat.to_dot(name))
-            print(f"wrote {args.dot}")
+            raise UnsupportedForBodyType(
+                "DOT output for planar bodies is limited to the "
+                "faces/exposed special lattices")
         return 0
     if args.dot:
         Path(args.dot).write_text(lat.to_dot(name))

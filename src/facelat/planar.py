@@ -119,10 +119,11 @@ def _primitive2(v: Vec) -> Vec:
 
 @dataclass(frozen=True, slots=True)
 class Cone2(_Weakrefable):
-    """Canonical 2D convex cone: zero, ray, sector (< pi), halfplane, line, plane.
+    """Canonical 2D convex cone: zero, ray, sector (< pi) or plane.
 
-    Sectors store their boundary directions in counterclockwise order; rays
-    and lines store primitive directions, halfplanes their inner normal.
+    Sectors store their boundary directions in counterclockwise order, rays
+    their primitive direction.  These are all the normal and touching cones
+    of a `PlanarBody`, which is bounded and two-dimensional.
     """
 
     kind: str
@@ -148,23 +149,12 @@ class Cone2(_Weakrefable):
         return Cone2("sector", a, b) if c > 0 else Cone2("sector", b, a)
 
     @staticmethod
-    def line(d: Vec) -> "Cone2":
-        p = primitive(d)
-        lead = next(x for x in p if x != 0)
-        return Cone2("line", p if lead > 0 else vneg(p))
-
-    @staticmethod
-    def halfplane(inner_normal: Vec) -> "Cone2":
-        return Cone2("halfplane", primitive(inner_normal))
-
-    @staticmethod
     def plane() -> "Cone2":
         return Cone2("plane")
 
     @property
     def dim(self) -> int:
-        return {"zero": 0, "ray": 1, "line": 1, "sector": 2,
-                "halfplane": 2, "plane": 2}[self.kind]
+        return {"zero": 0, "ray": 1, "sector": 2, "plane": 2}[self.kind]
 
     @property
     def key(self):
@@ -178,10 +168,6 @@ class Cone2(_Weakrefable):
         if self.kind == "sector":
             return (f"sector(({self.d1[0]},{self.d1[1]}),"
                     f"({self.d2[0]},{self.d2[1]}))")
-        if self.kind == "line":
-            return f"line({self.d1[0]},{self.d1[1]})"
-        if self.kind == "halfplane":
-            return f"halfplane({self.d1[0]},{self.d1[1]})"
         return "plane"
 
     def contains(self, u: Vec) -> bool:
@@ -192,31 +178,23 @@ class Cone2(_Weakrefable):
         if kind == "ray":
             return is_zero(u) or (orient2(self.d1, u) == 0
                                   and dot2_sign(self.d1, u) > 0)
-        if kind == "halfplane":
-            return dot2_sign(self.d1, u) >= 0
-        if kind == "line":
-            return orient2(self.d1, u) == 0
         return kind == "plane" or is_zero(u)
 
     def ri_contains(self, u: Vec) -> bool:
-        # u = 0 gives sign 0, which the strict tests of sector, ray and
-        # halfplane reject
+        # u = 0 gives sign 0, which the strict tests of sector and ray reject
         kind = self.kind
         if kind == "sector":
             return orient2(self.d1, u) > 0 and orient2(u, self.d2) > 0
         if kind == "ray":
             return orient2(self.d1, u) == 0 and dot2_sign(self.d1, u) > 0
-        if kind == "halfplane":
-            return dot2_sign(self.d1, u) > 0
         if kind == "zero":
             return is_zero(u)
-        return not is_zero(u) and (kind == "plane"
-                                   or orient2(self.d1, u) == 0)
+        return not is_zero(u)
 
     def ri_vector(self) -> Vec | None:
         if self.kind == "zero":
             return None
-        if self.kind in ("ray", "line", "halfplane"):
+        if self.kind == "ray":
             return self.d1
         if self.kind == "plane":
             return (Fraction(1), Fraction(0))
@@ -227,13 +205,8 @@ class Cone2(_Weakrefable):
             return []
         if self.kind == "ray":
             return [self.d1]
-        if self.kind == "line":
-            return [self.d1, vneg(self.d1)]
         if self.kind == "sector":
             return [self.d1, self.d2]
-        if self.kind == "halfplane":
-            p = perp2(self.d1)
-            return [p, vneg(p), self.d1]
         return [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)),
                 (Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1))]
 
@@ -246,10 +219,6 @@ class Cone2(_Weakrefable):
             return [self]
         if self.kind == "ray":
             return [Cone2.zero(), self]
-        if self.kind == "line":
-            return [self]
-        if self.kind == "halfplane":
-            return [Cone2.line(perp2(self.d1)), self]
         return [Cone2.zero(), Cone2.ray(self.d1), Cone2.ray(self.d2), self]
 
     def face_with_in_ri(self, u: Vec) -> "Cone2":
@@ -333,6 +302,12 @@ class Arc:
                 wd == 0 and dot2_sign(w, d) > 0)
             return not inside_complement and not on_boundary and not is_zero(d)
         return not inside_complement and not is_zero(d)
+
+    def radial_point(self, u: Vec) -> Vec | None:
+        """The point center + t*u (t > 0) of the arc's circle, or None when
+        it is irrational."""
+        t = sqrt_exact(self.radius_sq / dot(u, u))
+        return vadd(self.center, vscale(t, u)) if t is not None else None
 
     def point_on(self, x: Vec, strict: bool = False) -> bool:
         r = vsub(x, self.center)
@@ -465,6 +440,11 @@ class PlanarBody:
         for j, p in enumerate(self.junctions):
             out.setdefault(_exact_key(p), j)
         return out
+
+    @cached_property
+    def _inventory(self) -> ConeInventory:
+        """The `cone_inventory`, built by one walk over the boundary."""
+        return _build_inventory(self)
 
     @cached_property
     def _junction_grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -691,10 +671,8 @@ def _support(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
         if len(attainers) != 1:
             raise InvariantViolation("strictly convex arcs admit no support ties")
         i = arcs[0][1]
-        f = body.features[i]
-        t = sqrt_exact(f.radius_sq / dot(u, u))
-        point = vadd(f.center, vscale(t, u)) if t is not None else None
-        return best, FaceDescriptor.arc_point(i, u, point)
+        return best, FaceDescriptor.arc_point(
+            i, u, body.features[i].radial_point(u))
     junctions = [j for _, j in attainers]
     if len(junctions) == 1:
         return best, FaceDescriptor.vertex(body.junction(junctions[0]))
@@ -732,19 +710,9 @@ def touching_cone(body: PlanarBody, u: Vec) -> tuple[Cone2, bool]:
     f = exposed_face(body, u)
     if f.tag == "empty":
         raise UndefinedTouchingCone(f"direction {u} exposes the empty face")
-    n = normal_cone_at(body, f)
-    t = n.face_with_in_ri(u)
-    return t, _cone_is_normal(body, t)
-
-
-def _cone_is_normal(body: PlanarBody, t: Cone2) -> bool:
-    if t.kind == "zero" or t.kind == "plane":
-        return True
-    v = t.ri_vector()
-    f = exposed_face(body, v)
-    if f.tag == "empty":
-        return False
-    return normal_cone_at(body, f) == t
+    t = normal_cone_at(body, f).face_with_in_ri(u)  # a ray or a sector
+    g = exposed_face(body, t.ri_vector())
+    return t, g.tag != "empty" and normal_cone_at(body, g) == t
 
 
 def sup_exposed_planar(body: PlanarBody, f: FaceDescriptor) -> FaceDescriptor:
@@ -755,36 +723,82 @@ def sup_exposed_planar(body: PlanarBody, f: FaceDescriptor) -> FaceDescriptor:
     return exposed_face(body, v)
 
 
+# ---------------------------------------------------------------------------
+# cone inventory
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConeInventory:
+    """Finite summary of the normal/touching cone structure of a planar body.
+
+    Arc features contribute a one-parameter family of radial rays (all of
+    them normal cones); those are recorded per feature, not enumerated.
+    """
+
+    proper_normal: tuple[Cone2, ...]
+    arc_families: tuple[int, ...]
+    extra_touching: tuple[Cone2, ...]  # touching cones that are not normal
+    non_exposed: tuple[FaceDescriptor, ...]  # always vertex faces
+
+    @property
+    def proper_normal_count(self) -> int:
+        return len(self.proper_normal)
+
+    @property
+    def proper_touching_count(self) -> int:
+        return len(self.proper_normal) + len(self.extra_touching)
+
+
+def _build_inventory(body: PlanarBody) -> ConeInventory:
+    """`cone_inventory` computed: one walk over the closed features and the
+    present junctions.
+
+    A vertex is non-exposed when a direction inside its normal cone exposes
+    something else.  A touching cone that is not a normal cone is a ray on
+    the boundary of a vertex's sector; each such boundary ray is tested."""
+    normals: dict[tuple, Cone2] = {}
+    families = []
+    for i, f in enumerate(body.features):
+        if not body.feature_closed[i]:
+            continue
+        if isinstance(f, Segment):
+            c = Cone2.ray(f.outward_normal)
+            normals[c.key] = c
+        else:
+            families.append(i)
+    extra: dict[tuple, Cone2] = {}
+    non_exposed = []
+    for j, cone in enumerate(body._junction_cones):
+        if not body.vertex_closed[j]:
+            continue
+        normals[cone.key] = cone
+        v = FaceDescriptor.vertex(body.junctions[j])
+        if exposed_face(body, cone.ri_vector()) != v:
+            non_exposed.append(v)
+        if cone.kind == "sector":
+            for d in (cone.d1, cone.d2):
+                t, is_normal = touching_cone(body, d)
+                if not is_normal:
+                    extra[t.key] = t
+    return ConeInventory(tuple(sorted(normals.values(), key=lambda c: c.key)),
+                         tuple(families),
+                         tuple(sorted(extra.values(), key=lambda c: c.key)),
+                         tuple(non_exposed))
+
+
+def cone_inventory(body: PlanarBody) -> ConeInventory:
+    """The body's cone inventory, built once and freed with the body."""
+    return body._inventory
+
+
 def non_exposed_faces(body: PlanarBody) -> list[FaceDescriptor]:
     """The finitely many faces that are not exposed (always vertex faces)."""
-    out = []
-    for j in range(body.n):
-        if not body.junction_present(j):
-            continue
-        v = FaceDescriptor.vertex(body.junction(j))
-        u = body.junction_cone(j).ri_vector()
-        if exposed_face(body, u) != v:
-            out.append(v)
-    return out
+    return list(body._inventory.non_exposed)
 
 
 def touching_not_normal(body: PlanarBody) -> list[Cone2]:
     """Proper touching cones that are not normal cones (always rays)."""
-    out: dict[tuple, Cone2] = {}
-    for j in range(body.n):
-        if not body.junction_present(j):
-            continue
-        cone = body.junction_cone(j)
-        if cone.kind != "sector":
-            continue
-        for d in (cone.d1, cone.d2):
-            try:
-                t, is_norm = touching_cone(body, d)
-            except UndefinedTouchingCone:
-                continue
-            if t.kind == "ray" and not is_norm:
-                out[t.key] = t
-    return sorted(out.values(), key=lambda c: c.key)
+    return list(body._inventory.extra_touching)
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +828,10 @@ def check_2d_nonexposed_rule(body: PlanarBody) -> RuleReport:
     Valid only when every touching cone is a normal cone; otherwise the
     hypothesis fails and the rule is not applicable.
     """
-    if touching_not_normal(body):
+    inv = body._inventory
+    if inv.extra_touching:
         raise HypothesisFailed("some touching cone is not a normal cone")
-    non_exp = {f.key for f in non_exposed_faces(body)}
+    non_exp = {f.key for f in inv.non_exposed}
     details = []
     ok = True
     for j in range(body.n):
@@ -840,7 +855,7 @@ def singular_points(body: PlanarBody) -> list[Vec]:
 
 def check_2d_smoothness(body: PlanarBody) -> RuleReport:
     """Each singular point is the intersection of two boundary segments."""
-    if touching_not_normal(body):
+    if body._inventory.extra_touching:
         raise HypothesisFailed("some touching cone is not a normal cone")
     details = []
     ok = True
@@ -881,8 +896,8 @@ def coatom_check_planar(body: PlanarBody, f: FaceDescriptor) -> CoatomReport:
     v = n.ri_vector()
     if exposed_face(body, v) != f:
         raise NotAFace("face is not exposed")
-    hypothesis_ok = all(_cone_is_normal(body, t) for t in n.faces()
-                        if t.kind == "ray")
+    extra = body._inventory.extra_touching
+    hypothesis_ok = not any(t in extra for t in n.faces())
     coatoms: list[FaceDescriptor] = []
     if _is_coatom(body, f):
         coatoms.append(f)
@@ -908,37 +923,14 @@ def coatom_check_planar(body: PlanarBody, f: FaceDescriptor) -> CoatomReport:
 # partition of directions by touching cones
 # ---------------------------------------------------------------------------
 
-def touching_ray_directions(body: PlanarBody) -> list[Vec]:
-    """Primitive directions of all ray touching cones except arc families."""
-    dirs: set[Vec] = set()
-    for i, f in enumerate(body.features):
-        if isinstance(f, Segment) and body.feature_closed[i]:
-            dirs.add(f.outward_normal)
-    for j in range(body.n):
-        if not body.junction_present(j):
-            continue
-        cone = body.junction_cone(j)
-        dirs.add(cone.d1)
-        if cone.kind == "sector":
-            dirs.add(cone.d2)
-    confirmed = []
-    for d in sorted(dirs):
-        try:
-            t, _ = touching_cone(body, d)
-        except UndefinedTouchingCone:
-            continue
-        if t == Cone2.ray(d):
-            confirmed.append(d)
-    return confirmed
-
-
 def partition_check_planar(body: PlanarBody, directions: list[Vec]) -> RuleReport:
-    """Each direction lies in the relative interior of exactly one touching cone."""
+    """Each direction lies in the relative interior of exactly one touching
+    cone: the proper cones of the body's inventory and its arc families."""
     if not body.is_closed():
         raise HypothesisFailed("partition check requires a closed bounded body")
-    cones = [Cone2.ray(d) for d in touching_ray_directions(body)]
-    cones += [c for c in body._junction_cones if c.kind == "sector"]
-    arcs = [f for f in body.features if isinstance(f, Arc)]
+    inv = body._inventory
+    cones = [*inv.proper_normal, *inv.extra_touching]
+    arcs = [body.features[i] for i in inv.arc_families]
     details = []
     ok = True
     for u in directions:
@@ -1020,59 +1012,15 @@ def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
 
 
 # ---------------------------------------------------------------------------
-# cone inventory
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConeInventory:
-    """Finite summary of the normal/touching cone structure of a planar body.
-
-    Arc features contribute a one-parameter family of radial rays (all of
-    them normal cones); those are recorded per feature, not enumerated.
-    """
-
-    proper_normal: tuple[Cone2, ...]
-    arc_families: tuple[int, ...]
-    extra_touching: tuple[Cone2, ...]  # touching cones that are not normal
-
-    @property
-    def proper_normal_count(self) -> int:
-        return len(self.proper_normal)
-
-    @property
-    def proper_touching_count(self) -> int:
-        return len(self.proper_normal) + len(self.extra_touching)
-
-
-def cone_inventory(body: PlanarBody) -> ConeInventory:
-    normals: dict[tuple, Cone2] = {}
-    families = []
-    for i, f in enumerate(body.features):
-        if not body.feature_closed[i]:
-            continue
-        if isinstance(f, Segment):
-            c = normal_cone_at(body, FaceDescriptor.edge(i))
-            normals[c.key] = c
-        else:
-            families.append(i)
-    for j in range(body.n):
-        if body.junction_present(j):
-            c = body.junction_cone(j)
-            normals[c.key] = c
-    extra = touching_not_normal(body)
-    return ConeInventory(tuple(sorted(normals.values(), key=lambda c: c.key)),
-                         tuple(families), tuple(extra))
-
-
-# ---------------------------------------------------------------------------
 # finite special-face lattice
 # ---------------------------------------------------------------------------
 
-def special_faces(body: PlanarBody, exposed_only: bool = False,
-                  arc_representatives: int = 1) -> list[FaceDescriptor]:
-    """Empty, whole, vertex and edge faces plus representative arc points."""
+def special_faces(body: PlanarBody, exposed_only: bool = False
+                  ) -> list[FaceDescriptor]:
+    """Empty, whole, vertex and edge faces plus one arc point per arc."""
     out = [FaceDescriptor.empty(), FaceDescriptor.whole()]
-    non_exp = {f.key for f in non_exposed_faces(body)} if exposed_only else set()
+    non_exp = ({f.key for f in body._inventory.non_exposed} if exposed_only
+               else set())
     for j in range(body.n):
         if body.junction_present(j):
             v = FaceDescriptor.vertex(body.junction(j))
@@ -1083,11 +1031,9 @@ def special_faces(body: PlanarBody, exposed_only: bool = False,
             continue
         if isinstance(f, Segment):
             out.append(FaceDescriptor.edge(i))
-        elif arc_representatives:
+        else:
             d = f.interior_direction()
-            t = sqrt_exact(f.radius_sq / dot(d, d))
-            pt = vadd(f.center, vscale(t, d)) if t is not None else None
-            out.append(FaceDescriptor.arc_point(i, d, pt))
+            out.append(FaceDescriptor.arc_point(i, d, f.radial_point(d)))
     return out
 
 
@@ -1130,16 +1076,18 @@ def sample_boundary_points(body: PlanarBody, per_arc: int = 2) -> list[Vec]:
 
 
 def compass_directions(count: int = 360) -> list[Vec]:
-    """Deterministic primitive rational directions spread around the circle.
+    """2*(count//2) deterministic primitive rational directions around the
+    whole circle.
 
-    For t = s/half with s = -half..-1, the direction (1 - t^2, 2t) is
-    (half^2 - s^2, 2*s*half) up to a positive factor; each is followed by
-    its negation.  Angles fall in [-pi/2, 0) and their negations in
-    [pi/2, pi), so no direction repeats.
+    For t = s/half with s = -half, -half+2, ..., so that t runs over [-1, 1),
+    the direction (1 - t^2, 2t) is (half^2 - s^2, 2*s*half) up to a positive
+    factor; each is followed by its negation.  The angles 2*atan(t) fall in
+    [-pi/2, pi/2) and their negations in [pi/2, 3pi/2), so no direction
+    repeats, both axes appear and every open quadrant is sampled.
     """
     half = count // 2
     out: list[Vec] = []
-    for s in range(-half, 0):
+    for s in range(-half, half, 2):
         x, y = half * half - s * s, 2 * s * half
         g = gcd(x, y)
         x, y = x // g, y // g

@@ -822,11 +822,13 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
         if not f.vertex_indices:
             fixed = True
         else:
+            # lifts are sorted tuples of distinct points
             lifted_pts = _lift_point_set(p, sub, f)
-            fixed = set(lifted_pts) == set(p.face_points(f))
+            fixed = lifted_pts == tuple(sorted(p.face_points(f)))
             if u_basis != basis:
-                canonical_pts = _lift_point_set(p, u_sub, f) if u_sub else p.vertices
-                if set(lifted_pts) != set(canonical_pts):
+                canonical_pts = (_lift_point_set(p, u_sub, f) if u_sub
+                                 else tuple(sorted(p.vertices)))
+                if lifted_pts != canonical_pts:
                     canon_failures.append(
                         f"canonical-subspace lift differs on {f.label()}")
         if in_lattice != fixed:

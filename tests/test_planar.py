@@ -1,6 +1,7 @@
 import gc
 import weakref
 from fractions import Fraction as F
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -491,11 +492,11 @@ def test_cached_junction_cones_equal_fresh_cones():
 
 
 def _fraction_compass(count):
-    """compass_directions as first written, on Fractions."""
+    """compass_directions on Fractions: t = 2k/half - 1 runs over [-1, 1)."""
     half = count // 2
     out = []
     for k in range(half):
-        t = F(k, half) - 1
+        t = F(2 * k, half) - 1
         d = (1 - t * t, 2 * t)
         if is_zero(d):
             d = (F(-1), F(0))
@@ -511,6 +512,16 @@ def test_integer_compass_equals_fraction_compass(count):
     dirs = compass_directions(count)
     assert dirs == _fraction_compass(count)
     assert all(type(x) is F for d in dirs for x in d)
+
+
+@pytest.mark.parametrize("count", [8, 72, 120, 360])
+def test_compass_covers_every_quadrant_and_axis(count):
+    dirs = compass_directions(count)
+    assert len(set(dirs)) == count
+    assert {vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)} <= set(dirs)
+    quadrants = Counter((x > 0, y > 0) for x, y in dirs if x and y)
+    assert len(quadrants) == 4
+    assert set(quadrants.values()) == {count // 4 - 1}
 
 
 @pytest.mark.parametrize("name, counts", [("square", [72, 360]),
@@ -536,19 +547,19 @@ def test_compass_lists_are_built_once_per_run(monkeypatch, name, counts):
 def test_planar_caches_die_with_the_body():
     body = fixture("quarter_disk")
     checks.run_suite(body, "quarter_disk", "all")
-    memo, cones = body._support_memo, body._junction_cones
+    memo, cones, inv = body._support_memo, body._junction_cones, body._inventory
     assert memo and cones
     # dicts and tuples take no weak references; the objects they alone hold do
     h, f = next(iter(memo.values()))
-    refs = [weakref.ref(x) for x in (body, h, f, cones[0])]
-    del body, memo, cones, h, f
+    refs = [weakref.ref(x) for x in (body, h, f, cones[0], inv)]
+    del body, memo, cones, inv, h, f
     gc.collect()
     assert all(r() is None for r in refs)
 
 
 def test_planar_support_values_are_memoised(monkeypatch):
-    """The ten planar fixtures' suites asked for 4,218 support values on
-    1,637 distinct (body, direction) pairs: at most half may be computed."""
+    """The ten planar fixtures' suites ask for 3,804 support values on
+    1,621 distinct (body, direction) pairs: at most half may be computed."""
     computed = []
     core = planar._support
 
@@ -559,4 +570,94 @@ def test_planar_support_values_are_memoised(monkeypatch):
     monkeypatch.setattr(planar, "_support", counting)
     for name in PLANAR_FIXTURES:
         assert checks.run_suite(bodyio.load_fixture(name), name, "all").passed, name
-    assert 0 < len(computed) <= 2109
+    assert 0 < len(computed) <= 1902
+
+
+# ---------------------------------------------------------------------------
+# the cone inventory against the rediscovery route it replaced
+# ---------------------------------------------------------------------------
+
+def _rediscovered_cones(body):
+    """The touching cones of a closed body as the partition check once found
+    them: each candidate ray direction (segment normals, junction cone
+    boundaries) probed with `touching_cone`, plus the junction sectors."""
+    dirs = set()
+    for i, f in enumerate(body.features):
+        if isinstance(f, Segment) and body.feature_closed[i]:
+            dirs.add(f.outward_normal)
+    for j in range(body.n):
+        if not body.junction_present(j):
+            continue
+        cone = body.junction_cone(j)
+        dirs.add(cone.d1)
+        if cone.kind == "sector":
+            dirs.add(cone.d2)
+    rays = []
+    for d in sorted(dirs):
+        try:
+            t, _ = touching_cone(body, d)
+        except UndefinedTouchingCone:
+            continue
+        if t == Cone2.ray(d):
+            rays.append(t)
+    return rays + [c for c in body._junction_cones if c.kind == "sector"]
+
+
+def _signed_images(body):
+    """The body's images under the eight signed coordinate permutations.  A
+    map that flips orientation reverses the boundary, so the features are
+    listed backwards, each from its old end to its old start."""
+    n = body.n
+    for swap, sx, sy in product((False, True), (1, -1), (1, -1)):
+        def m(p, swap=swap, sx=sx, sy=sy):
+            x, y = (p[1], p[0]) if swap else p
+            return (sx * x, sy * y)
+
+        feats = [Segment(m(f.start), m(f.end)) if isinstance(f, Segment)
+                 else Arc(m(f.center), f.radius_sq, m(f.start), m(f.end))
+                 for f in body.features]
+        fc, vc = body.feature_closed, body.vertex_closed
+        if swap != (sx * sy < 0):
+            feats = [Segment(f.end, f.start) if isinstance(f, Segment)
+                     else Arc(f.center, f.radius_sq, f.end, f.start)
+                     for f in reversed(feats)]
+            fc, vc = fc[::-1], tuple(vc[-k] for k in range(n))
+        yield PlanarBody(tuple(feats), fc, vc)
+
+
+CLOSED_FIXTURES = [name for name in PLANAR_FIXTURES
+                   if PLANAR_BODIES[name].is_closed()]
+
+
+@pytest.mark.parametrize("name", CLOSED_FIXTURES)
+def test_inventory_equals_rediscovered_touching_cones(name):
+    """The partition check reads the inventory's proper cones; on closed
+    bodies they are exactly the cones the probing route found."""
+    assert len(CLOSED_FIXTURES) == 6
+    images = list(_signed_images(fixture(name)))
+    assert len(images) == 8
+    for body in images:
+        inv = cone_inventory(body)
+        found = sorted(c.key for c in (*inv.proper_normal, *inv.extra_touching))
+        assert found == sorted(c.key for c in _rediscovered_cones(body)), name
+        assert inv.arc_families == tuple(
+            i for i, f in enumerate(body.features) if isinstance(f, Arc))
+        assert partition_check_planar(body, compass_directions(72)).passed
+
+
+def test_inventory_is_built_once_per_body(monkeypatch):
+    """One round of every suite on the ten planar fixtures walks each body's
+    boundary once: the ten fixtures and the three polar bodies."""
+    built = []
+    core = planar._build_inventory
+
+    def counting(body):
+        built.append(body)  # keeps each body alive, so ids stay distinct
+        return core(body)
+
+    monkeypatch.setattr(planar, "_build_inventory", counting)
+    for name in PLANAR_FIXTURES:
+        body = fixture(name)
+        assert checks.run_suite(body, name, "all").passed, name
+        assert cone_inventory(body) is cone_inventory(body)
+    assert len({id(b) for b in built}) == len(built) == 13
