@@ -265,20 +265,20 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
     ok_iso = ok_cyl = ok_sharp = ok_cor = ok_exp = True
     distinct = 0
     for basis in subspaces:
-        _, _, rep = pt.lifted_face_lattices(p, basis)
+        proj = pt.projection(p, basis)
+        _, _, rep = pt.lifted_face_lattices(p, proj.basis)
         if not rep.passed:
             ok_iso = False
         distinct += rep.canonical_subspace_distinct
-        q = pt.project_polytope(p, basis)
+        q = proj.polytope
         for f in pt.exposed_face_lattice(q).elements:
             w = f.exposing_normal
             if w is None:
                 continue
-            lifted = pt.lift_face(p, basis, f)
-            if lifted.vset != pt.support(p, w)[1].vset:
+            if proj.lift_face(f).vset != pt.support(p, w)[1].vset:
                 ok_exp = False
         for v in p.vertices:
-            if not pt.cylinder_normal_check(p, basis, v).passed:
+            if not proj.cylinder_normal_check(v).passed:
                 ok_cyl = False
         for u in basis:
             if pt.is_sharp_normal(p, u) and not pt.is_sharp_normal(q, u):
@@ -426,24 +426,6 @@ def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
 # suites on planar bodies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cone2Element:
-    """Lattice payload wrapping a planar cone."""
-
-    cone: pl.Cone2
-
-    @property
-    def key(self):
-        return self.cone.key
-
-    @property
-    def dim(self):
-        return self.cone.dim
-
-    def label(self):
-        return self.cone.label()
-
-
 def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
     faces = pl.special_faces(b, exposed_only=True)
     cones = {}
@@ -457,11 +439,10 @@ def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
            "special exposed faces and their normal cones are not in bijection")
         return
     src = pl.special_face_lattice(b, exposed_only=True)
-    tgt = build_lattice(sorted((Cone2Element(c) for c in cones.values()),
-                               key=lambda e: (e.dim, str(e.key))),
-                        lambda a, c: a.cone.subset_of(c.cone))
+    tgt = build_lattice(sorted(cones.values(), key=lambda c: (c.dim, str(c.key))),
+                        lambda a, c: a.subset_of(c))
     rep = verify_isomorphism(lattice_map(
-        src, tgt, lambda f: Cone2Element(pl.normal_cone_at(b, f)), "antitone"))
+        src, tgt, lambda f: pl.normal_cone_at(b, f), "antitone"))
     _v(out, "antitone.special_iso", rep.passed,
        "special exposed faces correspond to their normal cones by an antitone "
        "lattice isomorphism; " + ("; ".join(rep.failures) or "verified"))

@@ -47,6 +47,10 @@ def cmd_lattice(args) -> int:
         lat = pl.special_face_lattice(body, exposed_only=args.kind == "exposed")
         _print_lattice(lat, f"{name} special {args.kind}")
     else:
+        if args.dot:
+            raise UnsupportedForBodyType(
+                "DOT output for planar bodies is limited to the "
+                "faces/exposed special lattices")
         inv = pl.cone_inventory(body)
         print(f"{name} {args.kind} cone summary (finite part):")
         sectors = [c for c in inv.proper_normal if c.kind == "sector"]
@@ -60,10 +64,6 @@ def cmd_lattice(args) -> int:
         if args.kind == "touching":
             print(f"  {len(inv.extra_touching)} touching-but-not-normal rays: "
                   + (", ".join(c.label() for c in inv.extra_touching) or "none"))
-        if args.dot:
-            raise UnsupportedForBodyType(
-                "DOT output for planar bodies is limited to the "
-                "faces/exposed special lattices")
         return 0
     if args.dot:
         Path(args.dot).write_text(lat.to_dot(name))

@@ -454,15 +454,8 @@ def in_ri_conv_hull(points: Sequence[Vec], x: Vec) -> bool:
     hull as the strictly positive convex combinations: maximizes the least
     admissible weight via one LP.
     """
-    k = len(points)
-    # variables mu_1..mu_k, t  with  lambda_i = mu_i + t
-    rows = []
-    dim = len(x)
-    for d in range(dim):
-        rows.append([p[d] for p in points] + [sum(p[d] for p in points)])
-    rows.append([Fraction(1)] * k + [Fraction(k)])
-    obj = [Fraction(0)] * k + [Fraction(1)]
-    status, val, _ = simplex_max(obj, rows, list(x) + [Fraction(1)])
+    status, val, _ = _least_weight(_hull_rows(points), list(x) + [Fraction(1)],
+                                   range(len(points)))
     return status == "optimal" and val > 0
 
 
@@ -471,6 +464,15 @@ def _hull_rows(points: Sequence[Vec]) -> list[list[Fraction]]:
     rows = [[p[d] for p in points] for d in range(dim)]
     rows.append([Fraction(1)] * len(points))
     return rows
+
+
+def _least_weight(rows: list[list[Fraction]], rhs: list[Fraction],
+                  unknown: Iterable[int]) -> tuple[str, Fraction | None, Vec | None]:
+    """The least-weight LP: maximize t over the convex combinations
+    rows . lambda = rhs (`_hull_rows`) with lambda_j = mu_j + t on the indices
+    `unknown`; its variables are the weights (mu_j there), then t."""
+    least = [row + [sum(row[j] for j in unknown)] for row in rows]
+    return simplex_max([Fraction(0)] * len(rows[0]) + [Fraction(1)], least, rhs)
 
 
 def hull_weight_support(points: Sequence[Vec], x: Vec,
@@ -499,8 +501,7 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
     n = len(points)
     unknown = [j for j in range(n) if j not in out]
     if unknown:
-        least = [row + [sum(row[j] for j in unknown)] for row in rows]
-        status, val, sol = simplex_max([Fraction(0)] * n + [Fraction(1)], least, rhs)
+        status, val, sol = _least_weight(rows, rhs, unknown)
         if status != "optimal":
             return set()
         if val > 0:

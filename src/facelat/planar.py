@@ -966,16 +966,16 @@ def polar_planar(body: PlanarBody) -> PlanarBody:
         if isinstance(f, Segment):
             n = f.outward_normal
             c = dot(n, f.start)
-            w = vscale(1 / c, n)
+            w = vscale(Fraction(1) / c, n)
             return w, w
-        inv = 1 / f.radius_sq
+        inv = Fraction(1) / f.radius_sq
         return vscale(inv, f.start), vscale(inv, f.end)
 
     features: list[Feature] = []
     n = body.n
     for i, f in enumerate(body.features):
         if isinstance(f, Arc):
-            inv = 1 / f.radius_sq
+            inv = Fraction(1) / f.radius_sq
             features.append(Arc((Fraction(0), Fraction(0)), inv,
                                 vscale(inv, f.start), vscale(inv, f.end)))
         g = body.features[(i + 1) % n]

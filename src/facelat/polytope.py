@@ -22,9 +22,8 @@ from . import exactgeom as eg
 from .exactgeom import (AffineSubspace, ConeTable, IVec, PolyCone, Vec,
                         aff_hull, cone_faces, dot, full_space, in_conv_hull,
                         in_ri_conv_hull, intersect_cones, is_zero,
-                        minkowski_sum_cone, pos_hull,
-                        project_onto, span_basis, subspace_cone,
-                        subspace_intersection, vadd, vneg, vscale, zero)
+                        minkowski_sum_cone, pos_hull, project_onto,
+                        span_basis, subspace_cone, vadd, vneg, vscale, zero)
 from .lattice import FiniteLattice, build_lattice, lattice_map, verify_isomorphism
 
 
@@ -129,26 +128,25 @@ class Polytope:
     @cached_property
     def _vertex_grid(self) -> tuple[int, tuple[IVec, ...]]:
         """(d, points): vertex i is points[i]/d, over one common d."""
-        d = lcm(*(x.denominator for v in self.vertices for x in v))
-        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v)
-                        for v in self.vertices)
+        return _point_grid(self.vertices)
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
-        return _enumerate_facets(self)
+        return _enumerate_facets(*self._vertex_grid, self.lin_perp, self.cone_table)
 
-    # Lattices, the polar, projections, lifts and normal cones are memoized on
-    # the body itself, so each lives exactly as long as the body it was built
-    # from.  The cone table is shared with the bodies derived from this one
-    # (`_derive`), so it lives as long as the body they all derive from.
+    # Lattices, the polar, the projections (each with its lifts) and normal
+    # cones are memoized on the body itself, so each lives exactly as long as
+    # the body it was built from.  The cone table is shared with the bodies
+    # derived from this one (`_derive`), so it lives as long as the body they
+    # all derive from.
 
     @cached_property
     def cone_table(self) -> ConeTable:
         return ConeTable()
 
     def _derive(self, vertices: tuple[Vec, ...]) -> "Polytope":
-        """A body built from this one (polar, projection, lift system) that
-        shares this body's cone table."""
+        """A body built from this one (its polar or a projection) that shares
+        this body's cone table."""
         q = Polytope(vertices)
         q.__dict__["cone_table"] = self.cone_table
         return q
@@ -176,19 +174,9 @@ class Polytope:
                                          for f in self.facets)))
 
     @cached_property
-    def _projections(self) -> dict[tuple[IVec, ...], tuple]:
-        """Subspace basis scaled to integers, as given or canonical ->
-        (canonical basis, its integer rows, projection, projected vertex of
-        each vertex), one record per subspace (`_projection`)."""
-        return {}
-
-    @cached_property
-    def _lifted_faces(self) -> dict[tuple[tuple[IVec, ...], tuple[int, ...]], PolyFace]:
-        return {}
-
-    @cached_property
-    def _lifted_point_sets(self) -> dict[tuple[tuple[IVec, ...], frozenset[Vec]],
-                                         tuple[Vec, ...]]:
+    def _projections(self) -> dict[tuple[IVec, ...], Projection]:
+        """Subspace basis scaled to integers, as given or canonical -> the
+        subspace's `Projection`, one record per subspace (`projection`)."""
         return {}
 
     @cached_property
@@ -202,13 +190,6 @@ class Polytope:
 
     @cached_property
     def _point_normal_cones(self) -> dict[Vec, PolyCone]:
-        return {}
-
-    @cached_property
-    def _cylinders(self) -> dict[tuple[IVec, ...], tuple]:
-        """Canonical subspace basis as integers -> (the subspace and its
-        complement as cones, {N(C, a) cap V: the Minkowski sum with the
-        complement}) for `cylinder_normal_check`."""
         return {}
 
     def _slacks(self, x: Vec) -> list[int] | None:
@@ -284,15 +265,25 @@ def _int_point(x: Vec, dim: int) -> tuple[int, list[int]]:
     return e, [c.numerator * (e // c.denominator) for c in x]
 
 
-def _enumerate_facets(p: Polytope) -> tuple[Facet, ...]:
-    """Facets from the homogenised cone {(n, c) : n in the direction space,
-    n.v <= c for every vertex v}: each of its rays (n, c) with n != 0 is an
-    outer facet normal n with offset c = max n.v, and nothing else is."""
-    d = p.ambient_dim
-    den, grid = p._vertex_grid
-    eqs = [m + (0,) for m in p.lin_perp]
+def _point_grid(points) -> tuple[int, tuple[IVec, ...]]:
+    """(d, grid): point i is grid[i]/d, over one common d."""
+    d = lcm(*(x.denominator for v in points for x in v))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v)
+                    for v in points)
+
+
+def _enumerate_facets(den: int, grid: tuple[IVec, ...], lin_perp: tuple[IVec, ...],
+                      table: ConeTable) -> tuple[Facet, ...]:
+    """Facets of conv(grid[i]/den), lin_perp the orthogonal complement of
+    the direction space of its affine hull, from the homogenised cone
+    {(n, c) : n in the direction space, n.v <= c for every point v}: each of
+    its rays (n, c) with n != 0 is an outer facet normal n with offset
+    c = max n.v, and nothing else is.  A point that is not a vertex only
+    adds a redundant row, so the facets are those of the vertices alone."""
+    d = len(grid[0])
+    eqs = [m + (0,) for m in lin_perp]
     ineqs = [v + (-den,) for v in grid]
-    rays, _ = eg.double_description(eqs, ineqs, d + 1, p.cone_table)
+    rays, _ = eg.double_description(eqs, ineqs, d + 1, table)
     facets = []
     for r in rays:
         if not any(r[:d]):
@@ -635,15 +626,87 @@ def extreme_points(points: list[Vec]) -> list[Vec]:
             if not in_conv_hull(pts[:i] + pts[i + 1:], v)] if len(pts) > 1 else pts
 
 
-def project_polytope(p: Polytope, v_basis: list[Vec]) -> Polytope:
-    """Orthogonal projection onto the subspace spanned by v_basis."""
-    return _projection(p, v_basis)[2]
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """What a body derives from one subspace V, built once per canonical
+    subspace by `projection` and freed with the body.
+
+    `basis` is the canonical basis of V and `points` the projection of each
+    vertex, in vertex order.  The memos: `lifted_faces` by face of the
+    projection, `lifted_point_sets` by the projected points of a face of the
+    body (faces with the same projection have the same lift), and `sums`,
+    the Minkowski sum with V_perp by N(C, a) cap V.
+    """
+
+    body: Polytope
+    basis: tuple[Vec, ...]
+    points: tuple[Vec, ...]
+    lifted_faces: dict[tuple[int, ...], PolyFace]
+    lifted_point_sets: dict[frozenset[Vec], tuple[Vec, ...]]
+    sums: dict[PolyCone, PolyCone]
+
+    @cached_property
+    def polytope(self) -> Polytope:
+        """The projection of the body onto V."""
+        return self.body._derive(tuple(extreme_points(list(self.points))))
+
+    @cached_property
+    def v_cone(self) -> PolyCone:
+        return subspace_cone(self.basis, self.body.ambient_dim, self.body.cone_table)
+
+    @cached_property
+    def perp_cone(self) -> PolyCone:
+        d = self.body.ambient_dim
+        return subspace_cone(eg._perp(self.basis, d), d, self.body.cone_table)
+
+    def lift_face(self, f: PolyFace) -> PolyFace:
+        """The face of the body whose projection is the face f of the
+        projection; it carries the exposing normal of f."""
+        p = self.body
+        if not f.vertex_indices:
+            return p.make_face(frozenset())
+        lifted = self.lifted_faces.get(f.key)
+        if lifted is None:
+            q = self.polytope
+            try:
+                face_lattice(q).index_of(f.key)
+            except KeyError:
+                raise NotAFace("not a face of the projected polytope")
+            vset = frozenset(i for i, x in enumerate(self.points) if point_in_face(q, f, x))
+            lifted = p.make_face(vset, f.exposing_normal)
+            if not is_face(p, lifted):
+                raise NotAFace("lift did not produce a face")
+            self.lifted_faces[f.key] = lifted
+        if lifted.exposing_normal != f.exposing_normal:
+            lifted = PolyFace(lifted.vertex_indices, lifted.dim, f.exposing_normal)
+        return lifted
+
+    def lift_point_set(self, f: PolyFace) -> tuple[Vec, ...]:
+        """Vertices of (conv(f) + V_perp) cap C for a face f of the body C."""
+        if not f.vertex_indices:
+            return ()
+        pts = [self.points[i] for i in f.vertex_indices]
+        key = frozenset(pts)
+        out = self.lifted_point_sets.get(key)
+        if out is None:
+            out = self.lifted_point_sets[key] = _lift_vertices(self.body, self.basis, pts)
+        return out
+
+    def cylinder_normal_check(self, a: Vec) -> CylinderNormalReport:
+        """N(pi_V(C), pi_V(a)) against (N(C, a) cap V) + V_perp."""
+        p = self.body
+        if not p.contains(a):
+            raise PointNotInBody(f"{a} is not in the polytope")
+        lhs = normal_cone_at_point(self.polytope, project_onto(self.basis, a))
+        inter = intersect_cones(normal_cone_at_point(p, a), self.v_cone)
+        rhs = self.sums.get(inter)
+        if rhs is None:
+            rhs = self.sums[inter] = minkowski_sum_cone(inter, self.perp_cone)
+        return CylinderNormalReport(lhs, rhs)
 
 
-def _projection(p: Polytope, v_basis) -> tuple:
-    """(basis, key, q, proj) for span(v_basis): its canonical basis, the same
-    rows as ints (the key of the body's lift memos), the projection q of p
-    and the projection of each vertex of p, in vertex order.
+def projection(p: Polytope, v_basis: list[Vec]) -> Projection:
+    """The record of span(v_basis) on p.
 
     Solved once per subspace and found again by the basis as given, scaled
     to integers (a positive multiple of each row spans the same space), so
@@ -656,11 +719,15 @@ def _projection(p: Polytope, v_basis) -> tuple:
         key = tuple(tuple(eg._scaled(b)) for b in basis)
         out = p._projections.get(key)
         if out is None:
-            proj = tuple(project_onto(basis, x) for x in p.vertices)
-            out = p._projections[key] = (
-                basis, key, p._derive(tuple(extreme_points(list(proj)))), proj)
+            out = p._projections[key] = Projection(
+                p, basis, tuple(project_onto(basis, x) for x in p.vertices), {}, {}, {})
         p._projections[given] = out
     return out
+
+
+def project_polytope(p: Polytope, v_basis: list[Vec]) -> Polytope:
+    """Orthogonal projection onto the subspace spanned by v_basis."""
+    return projection(p, v_basis).polytope
 
 
 def point_in_face(q: Polytope, f: PolyFace, x: Vec) -> bool:
@@ -674,73 +741,32 @@ def point_in_face(q: Polytope, f: PolyFace, x: Vec) -> bool:
 
 
 def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
-    """Lift a face of the projection back to a face of p.
-
-    Memoised on p by (subspace, face); the lifted face carries the exposing
-    normal of the face it was asked for.
-    """
-    return _lift_face(p, _projection(p, v_basis), f)
-
-
-def _lift_face(p: Polytope, sub: tuple, f: PolyFace) -> PolyFace:
-    """`lift_face` onto the subspace record `sub` of `_projection`."""
-    _, key, q, proj = sub
-    if not f.vertex_indices:
-        return p.make_face(frozenset())
-    lifted = p._lifted_faces.get((key, f.key))
-    if lifted is None:
-        try:
-            face_lattice(q).index_of(f.key)
-        except KeyError:
-            raise NotAFace("not a face of the projected polytope")
-        vset = frozenset(i for i, x in enumerate(proj) if point_in_face(q, f, x))
-        lifted = p.make_face(vset, f.exposing_normal)
-        if not is_face(p, lifted):
-            raise NotAFace("lift did not produce a face")
-        p._lifted_faces[(key, f.key)] = lifted
-    if lifted.exposing_normal != f.exposing_normal:
-        lifted = PolyFace(lifted.vertex_indices, lifted.dim, f.exposing_normal)
-    return lifted
+    """Lift a face of the projection back to a face of p (`Projection.lift_face`)."""
+    return projection(p, v_basis).lift_face(f)
 
 
 def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[Vec, ...]:
-    """Vertices of (conv(f) + V_perp) cap p, by vertex enumeration.
-
-    Memoised on p by (subspace, projected points of f): faces with the same
-    projection have the same lift."""
-    if not f.vertex_indices:
-        return ()
-    return _lift_point_set(p, _projection(p, v_basis), f)
-
-
-def _lift_point_set(p: Polytope, sub: tuple, f: PolyFace) -> tuple[Vec, ...]:
-    """`lift_point_set` of a nonempty face onto the subspace record `sub`."""
-    basis, key, _, proj = sub
-    pts = [proj[i] for i in f.vertex_indices]
-    memo_key = (key, frozenset(pts))
-    out = p._lifted_point_sets.get(memo_key)
-    if out is None:
-        out = p._lifted_point_sets[memo_key] = _lift_vertices(p, basis, pts)
-    return out
+    """Vertices of (conv(f) + V_perp) cap p, by vertex enumeration
+    (`Projection.lift_point_set`)."""
+    return projection(p, v_basis).lift_point_set(f)
 
 
 def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple[Vec, ...]:
-    """`lift_point_set` computed: pts are the projections onto span(basis)
-    of the face's vertices."""
-    sub = p._derive(tuple(extreme_points(pts)))
-    equalities: list[tuple[Vec, Fraction]] = []
-    inequalities: list[tuple[Vec, Fraction]] = []
+    """`lift_point_set` computed: pts are the projections onto V = span(basis)
+    of the face's vertices, extreme or not.
+
+    The system is p's own, plus conv(pts) pulled back through V: its facets,
+    and the slab equalities on V cap D_perp, D the direction space of
+    conv(pts), all read off the points' integer grid."""
     d = p.ambient_dim
-    for m in p.lin_perp:
-        equalities.append((m, dot(m, p.vertices[0])))
-    for fc in p.facets:
-        inequalities.append((fc.normal, fc.offset))
-    # slab constraints pull the projected face back through V
-    slab_eq = subspace_intersection(basis, sub.lin_perp, d)
-    for m in slab_eq:
-        equalities.append((m, dot(m, pts[0])))
-    for fc in sub.facets:
-        inequalities.append((fc.normal, fc.offset))
+    den, grid = _point_grid(pts)
+    dirs = [[a - b for a, b in zip(g, grid[0])] for g in grid[1:]]
+    equalities = [(m, dot(m, p.vertices[0])) for m in p.lin_perp]
+    inequalities = [(fc.normal, fc.offset) for fc in p.facets]
+    slab = eg._ikernel([*eg._perp(basis, d), *dirs], d)
+    equalities += [(m, dot(m, pts[0])) for m in slab]
+    facets = _enumerate_facets(den, grid, eg._ikernel(dirs, d), p.cone_table)
+    inequalities += [(fc.normal, fc.offset) for fc in facets]
     return _vertex_enumerate(equalities, inequalities, d)
 
 
@@ -777,14 +803,14 @@ class LiftReport:
 def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
                          ) -> tuple[FiniteLattice, FiniteLattice, LiftReport]:
     """Lifted face and exposed-face lattices of a projection, with verification."""
-    sub = _projection(p, v_basis)
-    basis, _, q, _ = sub
+    proj = projection(p, v_basis)
+    q = proj.polytope
     details: list[str] = []
 
     def build_lifted(src: FiniteLattice):
         faces = {}
         for f in src.elements:
-            lf = _lift_face(p, sub, f)
+            lf = proj.lift_face(f)
             faces[lf.key] = lf
         elements = sorted(faces.values(), key=lambda f: (f.dim, f.vertex_indices))
         return build_lattice(elements, lambda a, b: a.vset <= b.vset)
@@ -793,11 +819,9 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
     lifted_perp = build_lifted(exposed_face_lattice(q))
 
     iso1 = verify_isomorphism(lattice_map(
-        face_lattice(q), lifted_f,
-        lambda f: _lift_face(p, sub, f), "isotone"))
+        face_lattice(q), lifted_f, proj.lift_face, "isotone"))
     iso2 = verify_isomorphism(lattice_map(
-        exposed_face_lattice(q), lifted_perp,
-        lambda f: _lift_face(p, sub, f), "isotone"))
+        exposed_face_lattice(q), lifted_perp, proj.lift_face, "isotone"))
     details.extend(iso1.failures)
     details.extend(iso2.failures)
 
@@ -812,8 +836,9 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
     # The lift depends only on the projection U of the subspace onto the
     # body's direction space; when U is the subspace itself there is nothing
     # to compare.
+    basis = proj.basis
     u_basis = span_basis([project_onto(p.affine.directions, b) for b in basis])
-    u_sub = _projection(p, u_basis) if u_basis and u_basis != basis else None
+    u_proj = projection(p, u_basis) if u_basis and u_basis != basis else None
     lifted_keys = {f.key for f in lifted_f.elements}
     canon_failures = []
     invariance_ok = True
@@ -823,10 +848,10 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
             fixed = True
         else:
             # lifts are sorted tuples of distinct points
-            lifted_pts = _lift_point_set(p, sub, f)
+            lifted_pts = proj.lift_point_set(f)
             fixed = lifted_pts == tuple(sorted(p.face_points(f)))
             if u_basis != basis:
-                canonical_pts = (_lift_point_set(p, u_sub, f) if u_sub
+                canonical_pts = (u_proj.lift_point_set(f) if u_proj
                                  else tuple(sorted(p.vertices)))
                 if lifted_pts != canonical_pts:
                     canon_failures.append(
@@ -853,23 +878,9 @@ class CylinderNormalReport:
 
 
 def cylinder_normal_check(p: Polytope, v_basis: list[Vec], a: Vec) -> CylinderNormalReport:
-    """Compare N(pi_V(C), pi_V(a)) against (N(C,a) cap V) + V_perp, exactly."""
-    if not p.contains(a):
-        raise PointNotInBody(f"{a} is not in the polytope")
-    basis, key, q, _ = _projection(p, v_basis)
-    cyl = p._cylinders.get(key)
-    if cyl is None:
-        d = p.ambient_dim
-        cyl = p._cylinders[key] = (
-            subspace_cone(basis, d, p.cone_table),
-            subspace_cone(eg._perp(basis, d), d, p.cone_table), {})
-    v_cone, perp_cone, sums = cyl
-    lhs = normal_cone_at_point(q, project_onto(basis, a))
-    inter = intersect_cones(normal_cone_at_point(p, a), v_cone)
-    rhs = sums.get(inter)
-    if rhs is None:
-        rhs = sums[inter] = minkowski_sum_cone(inter, perp_cone)
-    return CylinderNormalReport(lhs, rhs)
+    """Compare N(pi_V(C), pi_V(a)) against (N(C,a) cap V) + V_perp, exactly
+    (`Projection.cylinder_normal_check`)."""
+    return projection(p, v_basis).cylinder_normal_check(a)
 
 
 # ---------------------------------------------------------------------------

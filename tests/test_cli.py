@@ -39,6 +39,15 @@ def test_lattice_planar_touching_summary(capsys):
     assert "2 touching-but-not-normal rays" in out
 
 
+def test_lattice_planar_cone_summary_refuses_dot_before_output(tmp_path, capsys):
+    for kind in ("normal", "touching"):
+        dot = tmp_path / f"{kind}.dot"
+        code, out, err = run(capsys, "lattice", "quarter_disk", "--kind", kind,
+                             "--dot", str(dot))
+        assert code == 2 and out == "" and "DOT output" in err
+        assert not dot.exists()
+
+
 def test_lattice_planar_faces_note(capsys):
     code, out, _ = run(capsys, "lattice", "stadium", "--kind", "faces")
     assert code == 0

@@ -419,8 +419,9 @@ def test_body_caches_die_with_the_body():
     edge = p.make_face({0, 3})
     cone = normal_cone(p, edge)
     assert cone == normal_cone_at_point(p, p.ri_point(edge))
-    assert (p._face_normal_cones and p._point_normal_cones and p._lifted_faces
-            and p._lifted_point_sets)
+    assert p._face_normal_cones and p._point_normal_cones
+    assert pt.projection(p, [vec(1, 0, 0), vec(0, 1, 0)]).lifted_faces
+    assert pt.projection(p, [vec(1, 0, 0)]).lifted_point_sets
     table = p.cone_table
     assert table.cones[(cone.dim, cone.rays, cone.lineality)] is cone
     assert table.conversions
@@ -539,7 +540,67 @@ def test_lift_subspaces_are_canonicalised_once(monkeypatch):
     assert checks.run_suite(cube, "cube", "lift").passed
     assert calls[0] <= 12
     # a positive multiple of the basis finds the same projection record
-    assert (pt._projection(cube, [vec(2, 0, 0)])
-            is pt._projection(cube, [vec(1, 0, 0)]))
+    assert (pt.projection(cube, [vec(2, 0, 0)])
+            is pt.projection(cube, [vec(1, 0, 0)]))
     face = face_lattice(cube).elements[-2]
     assert face.vset is face.vset
+
+
+def test_lift_suite_derives_one_body_per_subspace(monkeypatch):
+    """The cube's lift suite derives one body per coordinate subspace, its
+    projection; a lift system reads its facets off the projected points
+    and builds no body, so it never asks for their extreme points."""
+    derived = []
+    in_system = [False]
+    in_system_extreme = []
+    derive, lift_vertices, extreme = Polytope._derive, pt._lift_vertices, pt.extreme_points
+
+    def counting_derive(self, vertices):
+        derived.append(vertices)
+        return derive(self, vertices)
+
+    def flagged_lift_vertices(*args):
+        in_system[0] = True
+        try:
+            return lift_vertices(*args)
+        finally:
+            in_system[0] = False
+
+    def watched_extreme(points):
+        if in_system[0]:
+            in_system_extreme.append(points)
+        return extreme(points)
+
+    monkeypatch.setattr(Polytope, "_derive", counting_derive)
+    monkeypatch.setattr(pt, "_lift_vertices", flagged_lift_vertices)
+    monkeypatch.setattr(pt, "extreme_points", watched_extreme)
+    cube = bodyio.load_fixture("cube")
+    assert checks.run_suite(cube, "cube", "lift").passed
+    assert 0 < len(derived) <= 6
+    assert not in_system_extreme
+
+
+def test_projection_record_holds_the_subspace_memos():
+    """One record per canonical subspace holds the projection and its lift
+    and cylinder memos; the public functions read and fill it."""
+    p = Polytope((vec(-1, -1, 0), vec(1, -1, 0), vec(0, 2, 0), vec(0, 0, 1),
+                  vec(0, 0, -1)))
+    rec = pt.projection(p, [vec(0, 3, 0), vec(2, 0, 0)])
+    assert rec is pt.projection(p, [vec(1, 0, 0), vec(0, 1, 0)])
+    assert rec.basis == span_basis([vec(1, 0, 0), vec(0, 1, 0)])
+    assert rec.points == tuple(project_onto(rec.basis, v) for v in p.vertices)
+    assert project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)]) is rec.polytope
+    assert rec.polytope.cone_table is p.cone_table
+    q = rec.polytope
+    for f in face_lattice(q).elements:
+        assert lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], f) == rec.lift_face(f)
+    assert set(rec.lifted_faces) == {f.key for f in face_lattice(q).elements
+                                     if f.vertex_indices}
+    for f in face_lattice(p).elements:
+        assert lift_point_set(p, [vec(1, 0, 0), vec(0, 1, 0)], f) == rec.lift_point_set(f)
+    for v in p.vertices:
+        rep = pt.cylinder_normal_check(p, [vec(1, 0, 0), vec(0, 1, 0)], v)
+        assert rep.passed and rep.formula_cone in rec.sums.values()
+    assert rec.v_cone == subspace_cone(rec.basis, 3)
+    assert rec.perp_cone == subspace_cone([unit(3, 2)], 3)
+    assert set(p._projections.values()) == {rec}

@@ -245,6 +245,18 @@ def ref_vertex_enumerate(equalities, inequalities, dim):
     return tuple(sorted(out))
 
 
+def ref_lift_system(p, basis, pts):
+    """The system a lift solved when it built the projected face as a body
+    from the extreme points of pts."""
+    sub = Polytope(tuple(extreme_points(pts)))
+    d = p.ambient_dim
+    eqs = [(m, dot(m, p.vertices[0])) for m in p.lin_perp]
+    ineqs = [(fc.normal, fc.offset) for fc in p.facets]
+    eqs += [(m, dot(m, pts[0])) for m in subspace_intersection(basis, sub.lin_perp, d)]
+    ineqs += [(fc.normal, fc.offset) for fc in sub.facets]
+    return eqs, ineqs, d
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -401,6 +413,32 @@ def test_lift_systems_equal_subset_route(p, raw_basis):
         u = unit(dim, 0)
         bad = ineqs + [(u, F(-1)), (vneg(u), F(-1))]  # x_0 <= -1 and x_0 >= 1
         assert _vertex_enumerate(eqs, bad, dim) == ref_vertex_enumerate(eqs, bad, dim) == ()
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets(), st.lists(st.tuples(small, small, small, small), min_size=1, max_size=2))
+def test_lift_systems_equal_extreme_point_route(p, raw_basis):
+    """A lift system read off all projected points of a face, extreme or
+    not, has the rows of the one read off a body built from the extreme
+    points alone, in the same order."""
+    basis = [vec(*b[:p.ambient_dim]) for b in raw_basis]
+    assume(any(not is_zero(b) for b in basis))
+    canon = span_basis(basis)
+    systems = []
+
+    def record(*system):
+        systems.append(system)
+        return _vertex_enumerate(*system)
+
+    pt._vertex_enumerate = record
+    try:
+        for f in exposed_face_lattice(p).elements:
+            if f.vertex_indices:
+                pts = [project_onto(canon, x) for x in p.face_points(f)]
+                pt._lift_vertices(p, canon, pts)
+                assert systems.pop() == ref_lift_system(p, canon, pts)
+    finally:
+        pt._vertex_enumerate = _vertex_enumerate
 
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from facelat import exactgeom as eg
 from facelat.exactgeom import (aff_hull, cone_faces, cone_from_hrep, dot,
                                dot2_sign, dual_cone, full_space,
                                hull_weight_support, intersect_cones,
@@ -158,6 +159,25 @@ def test_hull_weight_support_identifies_carrier_faces():
     assert hull_weight_support(sq, vec(1, 0)) == {1, 2}
     assert hull_weight_support(sq, vec(1, 1)) == {2}
     assert hull_weight_support(sq, vec(2, 0)) == set()
+
+
+def test_ri_membership_solves_the_first_carrier_lp(monkeypatch):
+    """in_ri_conv_hull solves the least-weight LP of hull_weight_support's
+    first round with nothing known: the same rows, objective and rhs."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return simplex_max(*args)
+
+    monkeypatch.setattr(eg, "simplex_max", recording)
+    pts = [vec(-1, -1), vec(1, -1), vec(1, 1), vec(-1, 1), vec(0, 1)]
+    for x, inside in ((vec(0, 0), True), (vec(1, 0), False), (vec(2, 0), False)):
+        assert eg.in_ri_conv_hull(pts, x) is inside
+        ri_lp = calls.pop()
+        hull_weight_support(pts, x)
+        assert calls[0] == ri_lp
+        calls.clear()
 
 
 coord = st.integers(min_value=-3, max_value=3)

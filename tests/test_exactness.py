@@ -25,7 +25,8 @@ from facelat.lattice import FiniteLattice
 from facelat.polytope import ConeElement, Facet, PolyFace, Polytope
 
 SRC = Path(pt.__file__).resolve().parent
-EXACT_MODULES = ("exactgeom.py", "polytope.py", "lattice.py", "checks.py")
+EXACT_MODULES = ("exactgeom.py", "polytope.py", "lattice.py", "checks.py",
+                 "planar.py")
 
 
 def numbers(value, cones: list, seen: set):

@@ -199,6 +199,20 @@ def test_polar_planar_bodies():
         polar_planar(fixture("quarter_disk"))  # origin on the boundary
 
 
+@pytest.mark.parametrize("radius_sq, a", [(4, vec(2, 0)), (5, vec(2, 1))])
+def test_polar_of_int_radius_arcs_is_exact(radius_sq, a):
+    """An int radius_sq must not make the polar arcs float: 1/4 would be
+    0.25, and vscale(1/5, a) would lie off the circle of radius_sq 1/5."""
+    b = (-a[0], -a[1])
+    o = vec(0, 0)
+    disk = PlanarBody((Arc(o, radius_sq, a, b), Arc(o, radius_sq, b, a)),
+                      (True, True), (True, True))
+    pd = polar_planar(disk)
+    assert [type(f.radius_sq) for f in pd.features] == [F, F]
+    assert all(f.radius_sq == F(1, radius_sq) for f in pd.features)
+    assert pd.features[0].start == (F(a[0], radius_sq), F(a[1], radius_sq))
+
+
 def test_polar_support_oracle():
     td = fixture("truncated_disk_closed")
     mouse = polar_planar(td)
