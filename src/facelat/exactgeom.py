@@ -439,11 +439,43 @@ def _pivot(tab: list[list[int]], basis: list[int], row: int, col: int):
     basis[row] = col
 
 
+def point_grid(points: Iterable[Sequence[Fraction]]) -> tuple[int, tuple[IVec, ...]]:
+    """(d, grid): point i is grid[i]/d, over one common d, the lcm of every
+    denominator."""
+    points = list(points)
+    d = lcm(*(x.denominator for v in points for x in v))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v)
+                    for v in points)
+
+
+# The hull LP on integers.  Point j is grid[j]/d; the point asked about is
+# xs/(d*k) for integers xs and k > 0 (a centroid of k grid points has xs their
+# sum).  Writing mu = k*lambda, x = sum lambda_j grid[j]/d with sum lambda_j = 1
+# becomes `hull_rows(grid) . mu = (*xs, k)`: the rows depend on the points
+# only, and scaling the weights by k > 0 changes no sign, so the support and
+# the sign of every optimum are those of the convex combinations themselves.
+
+def hull_rows(grid: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer rows of the hull LP: one per coordinate of the grid
+    points, then a row of ones."""
+    rows = [list(c) for c in zip(*grid)]
+    rows.append([1] * len(grid))
+    return rows
+
+
+def _hull_system(points: Sequence[Vec], x: Vec) -> tuple[list[list[int]], list[int]]:
+    """`hull_rows` and the right-hand side of x in conv(points), over the
+    grid of the points and x together."""
+    if len(x) != len(points[0]):
+        raise DimensionMismatch("point and hull dimensions differ")
+    _, grid = point_grid((*points, x))
+    return hull_rows(grid[:-1]), [*grid[-1], 1]
+
+
 def in_conv_hull(points: Sequence[Vec], x: Vec) -> bool:
     """Exact membership x in conv(points), by LP feasibility."""
-    status, _, _ = simplex_max(
-        [Fraction(0)] * len(points),
-        _hull_rows(points), list(x) + [Fraction(1)])
+    rows, rhs = _hull_system(points, x)
+    status, _, _ = simplex_max([0] * len(points), rows, rhs)
     return status == "optimal"
 
 
@@ -454,25 +486,18 @@ def in_ri_conv_hull(points: Sequence[Vec], x: Vec) -> bool:
     hull as the strictly positive convex combinations: maximizes the least
     admissible weight via one LP.
     """
-    status, val, _ = _least_weight(_hull_rows(points), list(x) + [Fraction(1)],
-                                   range(len(points)))
+    rows, rhs = _hull_system(points, x)
+    status, val, _ = _least_weight(rows, rhs, range(len(points)))
     return status == "optimal" and val > 0
 
 
-def _hull_rows(points: Sequence[Vec]) -> list[list[Fraction]]:
-    dim = len(points[0])
-    rows = [[p[d] for p in points] for d in range(dim)]
-    rows.append([Fraction(1)] * len(points))
-    return rows
-
-
-def _least_weight(rows: list[list[Fraction]], rhs: list[Fraction],
-                  unknown: Iterable[int]) -> tuple[str, Fraction | None, Vec | None]:
-    """The least-weight LP: maximize t over the convex combinations
-    rows . lambda = rhs (`_hull_rows`) with lambda_j = mu_j + t on the indices
+def _least_weight(rows: list[list[int]], rhs: list[int],
+                  unknown: Sequence[int]) -> tuple[str, Fraction | None, Vec | None]:
+    """The least-weight LP: maximize t over the weights with
+    rows . lambda = rhs (`hull_rows`) and lambda_j = mu_j + t on the indices
     `unknown`; its variables are the weights (mu_j there), then t."""
     least = [row + [sum(row[j] for j in unknown)] for row in rows]
-    return simplex_max([Fraction(0)] * len(rows[0]) + [Fraction(1)], least, rhs)
+    return simplex_max([0] * len(rows[0]) + [1], least, rhs)
 
 
 def hull_weight_support(points: Sequence[Vec], x: Vec,
@@ -483,7 +508,16 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
     the face route: for the vertices of a polytope the result is the vertex set
     of the unique face containing x in its relative interior.  `known` names
     indices the caller already knows can be positive (for a centroid, the
-    averaged points).
+    averaged points).  The LPs are `hull_carrier`'s, on the integer grid of
+    the points and x.
+    """
+    return hull_carrier(*_hull_system(points, x), known)
+
+
+def hull_carrier(rows: list[list[int]], rhs: list[int],
+                 known: Iterable[int] = ()) -> set[int]:
+    """`hull_weight_support` on the integer hull LP rows . lambda = rhs
+    (`hull_rows`): the columns some feasible lambda >= 0 weights positively.
 
     The first LP maximizes the least weight on the indices not yet known to
     be positive (lambda_j = mu_j + t there, as in `in_ri_conv_hull`).  If
@@ -495,10 +529,8 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
     stop when the optimum is 0, which proves no remaining index can be
     positive.  That takes a few LPs, not one per index.
     """
-    rows = _hull_rows(points)
-    rhs = list(x) + [Fraction(1)]
     out = set(known)
-    n = len(points)
+    n = len(rows[0])
     unknown = [j for j in range(n) if j not in out]
     if unknown:
         status, val, sol = _least_weight(rows, rhs, unknown)
@@ -508,7 +540,7 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
             return set(range(n))
         out.update(j for j in range(n) if sol[j] > 0)
     while True:
-        obj = [Fraction(0 if j in out else 1) for j in range(n)]
+        obj = [0 if j in out else 1 for j in range(n)]
         status, val, sol = simplex_max(obj, rows, rhs)
         if status != "optimal":
             return set()

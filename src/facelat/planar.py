@@ -929,19 +929,43 @@ def partition_check_planar(body: PlanarBody, directions: list[Vec]) -> RuleRepor
     if not body.is_closed():
         raise HypothesisFailed("partition check requires a closed bounded body")
     inv = body._inventory
-    cones = [*inv.proper_normal, *inv.extra_touching]
     arcs = [body.features[i] for i in inv.arc_families]
     details = []
     ok = True
-    for u in directions:
-        if is_zero(u):
-            raise ZeroDirection("partition directions must be nonzero")
-        count = (sum(c.ri_contains(u) for c in cones)
-                 + sum(f.wedge_contains(u, strict=True) for f in arcs))
+    counts = _touching_counts([*inv.proper_normal, *inv.extra_touching], arcs, directions)
+    for u, count in zip(directions, counts):
         if count != 1:
             ok = False
             details.append(f"direction {u} lies in {count} touching-cone interiors")
     return RuleReport(ok, tuple(details))
+
+
+def _touching_counts(cones: list[Cone2], arcs: list[Arc], directions: list[Vec]):
+    """For each nonzero direction u, how many of the cones hold u in their
+    relative interior plus how many of the arcs hold it strictly inside
+    their radial wedge.
+
+    Those tests read only orient2(r, u) over the cones' boundary rays and the
+    arcs' radial end rays r, and dot2_sign(r, u) where that orient2 is 0, so
+    all directions with the same such signs (one cell) get the same count:
+    the first direction of a cell is tested against every cone and arc, and
+    the later ones reuse its count.  Nothing picks a cone per direction, so
+    an overlap or a gap still shows.
+    """
+    rays = list(dict.fromkeys(
+        [r for c in cones for r in (c.d1, c.d2) if r is not None]
+        + [r for f in arcs for r in (f.start_radial, f.end_radial)]))
+    by_cell: dict[tuple[int, ...], int] = {}
+    for u in directions:
+        if is_zero(u):
+            raise ZeroDirection("partition directions must be nonzero")
+        # orient2 in {-1, 1} off the ray's line, 2 * dot2_sign in {-2, 2} on it
+        cell = tuple(orient2(r, u) or 2 * dot2_sign(r, u) for r in rays)
+        count = by_cell.get(cell)
+        if count is None:
+            count = by_cell[cell] = (sum(c.ri_contains(u) for c in cones)
+                                     + sum(f.wedge_contains(u, strict=True) for f in arcs))
+        yield count
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ an actual test, not a tautology, in every dimension.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -128,7 +129,11 @@ class Polytope:
     @cached_property
     def _vertex_grid(self) -> tuple[int, tuple[IVec, ...]]:
         """(d, points): vertex i is points[i]/d, over one common d."""
-        return _point_grid(self.vertices)
+        return eg.point_grid(self.vertices)
+
+    @cached_property
+    def _vertex_index(self) -> dict[Vec, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
@@ -265,13 +270,6 @@ def _int_point(x: Vec, dim: int) -> tuple[int, list[int]]:
     return e, [c.numerator * (e // c.denominator) for c in x]
 
 
-def _point_grid(points) -> tuple[int, tuple[IVec, ...]]:
-    """(d, grid): point i is grid[i]/d, over one common d."""
-    d = lcm(*(x.denominator for v in points for x in v))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v)
-                    for v in points)
-
-
 def _enumerate_facets(den: int, grid: tuple[IVec, ...], lin_perp: tuple[IVec, ...],
                       table: ConeTable) -> tuple[Facet, ...]:
     """Facets of conv(grid[i]/den), lin_perp the orthogonal complement of
@@ -347,26 +345,93 @@ def face_lattice(p: Polytope) -> FiniteLattice:
 
 
 def _build_face_lattice(p: Polytope) -> FiniteLattice:
+    """The carrier closure, each carrier solved inside a face already found.
+
+    A face of a face is a face, so the carrier of K = F + {v} is the carrier
+    of K in any face G containing K: the LP (`eg.hull_carrier` on the body's
+    integer `hull_rows`) runs over the vertices of the smallest face G found
+    so far that contains K.  The body itself counts as found from the start,
+    so G always exists, and every G is a carrier of this route, never a facet.
+    No LP is needed when dim G = dim F + 1: a face F meets the body only in
+    F, so v lies off aff(F), K spans aff(G), and the centroid of K lies in
+    ri G.  Nor is one needed when K contains a key already solved to G: the
+    carrier grows with the key, and K lies in G.  Face dimensions are integer
+    ranks on the vertex grid.
+    """
     n = len(p.vertices)
-    carriers: dict[frozenset[int], frozenset[int]] = {}
-    found = {frozenset({i}) for i in range(n)}  # every vertex is extreme
-    todo = list(found)
+    _, grid = p._vertex_grid
+    rows = eg.hull_rows(grid)
+    dims: dict[int, int] = {}  # found face (vertex bitmask) -> its dimension
+    containing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    carriers: dict[int, int] = {}  # key bitmask -> its carrier's
+    spanning: dict[int, list[int]] = {}  # found face -> keys it carries
+    todo: list[int] = []
+
+    def add(face: int):
+        idx = _bit_indices(face)
+        dims[face] = _grid_rank([[a - b for a, b in zip(grid[i], grid[idx[0]])]
+                                 for i in idx[1:]])
+        for i in idx:  # (size, face), smallest first, for the search for G
+            insort(containing[i], (len(idx), face))
+        todo.append(face)
+
+    for i in range(n):  # every vertex is extreme
+        add(1 << i)
+    if n > 1:
+        add((1 << n) - 1)
     while todo:
         face = todo.pop()
         for v in range(n):
-            if v in face:
+            key = face | 1 << v
+            if key == face:
                 continue
-            key = face | {v}
             carrier = carriers.get(key)
             if carrier is None:
-                carrier = carriers[key] = frozenset(
-                    eg.hull_weight_support(p.vertices, p._centroid(key), known=key))
-            if carrier not in found:
-                found.add(carrier)
-                todo.append(carrier)
-    faces = [p.make_face(vset) for vset in found | {frozenset()}]
+                g = next(g for _, g in containing[v] if g | key == g)
+                if dims[g] == dims[face] + 1 or any(
+                        k | key == key for k in spanning.get(g, ())):
+                    carrier = g
+                else:
+                    carrier = _carrier_in_face(grid, rows, g, key)
+                    spanning.setdefault(carrier, []).append(key)
+                carriers[key] = carrier
+            if carrier not in dims:
+                add(carrier)
+    faces = [p.make_face(frozenset())]
+    for face, dim in dims.items():
+        idx = tuple(_bit_indices(face))
+        p._face_dims.setdefault(idx, dim)
+        faces.append(p.make_face(idx))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return build_lattice(faces, lambda a, b: a.vset <= b.vset)
+
+
+def _carrier_in_face(grid: tuple[IVec, ...], rows: list[list[int]], g: int,
+                     key: int) -> int:
+    """The carrier of the centroid of the vertices `key`, solved over the
+    vertices of a face g that contains them (bitmasks over the vertex grid;
+    rows = `eg.hull_rows(grid)`)."""
+    cols = _bit_indices(g)
+    idx = _bit_indices(key)
+    rhs = [sum(c) for c in zip(*(grid[i] for i in idx))] + [len(idx)]
+    support = eg.hull_carrier([[row[j] for j in cols] for row in rows], rhs,
+                              [k for k, j in enumerate(cols) if key >> j & 1])
+    return sum(1 << cols[k] for k in support)
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _grid_rank(rows: list[list[int]]) -> int:
+    """The rank of integer rows, by fraction-free elimination."""
+    return len(eg._eliminate(rows, reduced=False))
 
 
 def is_face(p: Polytope, f: PolyFace) -> bool:
@@ -635,7 +700,9 @@ class Projection:
     vertex, in vertex order.  The memos: `lifted_faces` by face of the
     projection, `lifted_point_sets` by the projected points of a face of the
     body (faces with the same projection have the same lift), and `sums`,
-    the Minkowski sum with V_perp by N(C, a) cap V.
+    the Minkowski sum with V_perp by N(C, a) cap V.  `vertex_slacks` keeps
+    one integer slack row per projected vertex for every lift, and a cylinder
+    check at a vertex reads that vertex's projection from `points`.
     """
 
     body: Polytope
@@ -659,6 +726,12 @@ class Projection:
         d = self.body.ambient_dim
         return subspace_cone(eg._perp(self.basis, d), d, self.body.cone_table)
 
+    @cached_property
+    def vertex_slacks(self) -> tuple[list[int], ...]:
+        """The projection's `Polytope._slacks` at each projected vertex, in
+        vertex order: the facets of the projection through it."""
+        return tuple(map(self.polytope._slacks, self.points))
+
     def lift_face(self, f: PolyFace) -> PolyFace:
         """The face of the body whose projection is the face f of the
         projection; it carries the exposing normal of f."""
@@ -672,7 +745,11 @@ class Projection:
                 face_lattice(q).index_of(f.key)
             except KeyError:
                 raise NotAFace("not a face of the projected polytope")
-            vset = frozenset(i for i, x in enumerate(self.points) if point_in_face(q, f, x))
+            # a projected vertex lies in q, so it is in f when it is on
+            # every facet of q that contains f
+            active = [k for k, fc in enumerate(q.facets) if f.vset <= fc.vertex_set]
+            vset = frozenset(i for i, s in enumerate(self.vertex_slacks)
+                             if all(s[k] == 0 for k in active))
             lifted = p.make_face(vset, f.exposing_normal)
             if not is_face(p, lifted):
                 raise NotAFace("lift did not produce a face")
@@ -697,7 +774,9 @@ class Projection:
         p = self.body
         if not p.contains(a):
             raise PointNotInBody(f"{a} is not in the polytope")
-        lhs = normal_cone_at_point(self.polytope, project_onto(self.basis, a))
+        i = p._vertex_index.get(tuple(a))
+        pa = project_onto(self.basis, a) if i is None else self.points[i]
+        lhs = normal_cone_at_point(self.polytope, pa)
         inter = intersect_cones(normal_cone_at_point(p, a), self.v_cone)
         rhs = self.sums.get(inter)
         if rhs is None:
@@ -730,16 +809,6 @@ def project_polytope(p: Polytope, v_basis: list[Vec]) -> Polytope:
     return projection(p, v_basis).polytope
 
 
-def point_in_face(q: Polytope, f: PolyFace, x: Vec) -> bool:
-    """Membership of x in the face f of q (as a point set)."""
-    if not f.vertex_indices:
-        return False
-    slacks = q._slacks(x)
-    if slacks is None or any(t > 0 for t in slacks):
-        return False
-    return all(t == 0 for fc, t in zip(q.facets, slacks) if f.vset <= fc.vertex_set)
-
-
 def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
     """Lift a face of the projection back to a face of p (`Projection.lift_face`)."""
     return projection(p, v_basis).lift_face(f)
@@ -759,7 +828,7 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     and the slab equalities on V cap D_perp, D the direction space of
     conv(pts), all read off the points' integer grid."""
     d = p.ambient_dim
-    den, grid = _point_grid(pts)
+    den, grid = eg.point_grid(pts)
     dirs = [[a - b for a, b in zip(g, grid[0])] for g in grid[1:]]
     equalities = [(m, dot(m, p.vertices[0])) for m in p.lin_perp]
     inequalities = [(fc.normal, fc.offset) for fc in p.facets]

@@ -190,9 +190,33 @@ def test_carrier_equals_total_weight_loop(case):
     assert hull_weight_support(pts, centroid(pts), known=everything) == everything
 
 
-def test_face_lattice_solves_fewer_lps():
-    """The least-weight LP settles most carriers at once: the cube's face
-    lattice takes 166 LPs (299 with the total-weight loop alone)."""
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(
+    points(d, rational_coord if d < 4 else small), st.integers(min_value=0),
+    st.lists(st.integers(0, 5), min_size=1))))
+def test_carrier_inside_a_face_equals_carrier_over_all_points(case):
+    """The face route solves a carrier over the vertices of a face G that
+    contains the key: on random rational hulls that gives
+    `hull_weight_support` over all the points, with and without `known`.
+    When the key spans aff(G), the carrier is G, the route's shortcut."""
+    raw, pick, picks = case
+    p = build_polytope(raw)
+    faces = [f for f in exposed_face_lattice(p).elements if f.vertex_indices]
+    g = faces[pick % len(faces)]
+    key = sorted({g.vertex_indices[i % len(g.vertex_indices)] for i in picks})
+    x = p._centroid(key)
+    want = hull_weight_support(p.vertices, x)
+    assert hull_weight_support(p.vertices, x, known=key) == want
+    _, grid = p._vertex_grid
+    mask = lambda indices: sum(1 << i for i in indices)
+    assert pt._carrier_in_face(grid, eg.hull_rows(grid), mask(g.vertex_indices),
+                               mask(key)) == mask(want)
+    diffs = [[a - b for a, b in zip(grid[i], grid[key[0]])] for i in key[1:]]
+    if pt._grid_rank(diffs) == g.dim:
+        assert want == g.vset
+
+
+def count_lps(build):
     calls = [0]
     solve = eg.simplex_max
 
@@ -202,11 +226,22 @@ def test_face_lattice_solves_fewer_lps():
 
     eg.simplex_max = counting
     try:
-        lat = face_lattice(bodyio.load_fixture("cube"))
+        return build(), calls[0]
     finally:
         eg.simplex_max = solve
+
+
+def test_face_lattice_solves_fewer_lps():
+    """Each carrier is solved inside a face already found, and a key that
+    spans that face, or holds a key already solved to it, needs no LP: the
+    cube's face lattice takes 52 LPs (166 over all vertices, 299 with the
+    total-weight loop alone), the 4-cube's 276 (2,491 over all vertices)."""
+    lat, lps = count_lps(lambda: face_lattice(bodyio.load_fixture("cube")))
     assert len(lat.elements) == 28
-    assert calls[0] <= 200
+    assert 0 < lps <= 60
+    lat, lps = count_lps(lambda: face_lattice(bodyio.load_fixture("cube4")))
+    assert len(lat.elements) == 82
+    assert 0 < lps <= 300
 
 
 def ccw_polygon(raw_points):
@@ -544,6 +579,30 @@ def test_lift_subspaces_are_canonicalised_once(monkeypatch):
             is pt.projection(cube, [vec(1, 0, 0)]))
     face = face_lattice(cube).elements[-2]
     assert face.vset is face.vset
+
+
+def test_lift_suite_reads_the_projection_record(monkeypatch):
+    """Each lift reads the projection's slack rows, kept once per projected
+    vertex, and a cylinder check at a vertex reads its projection off the
+    record: the cube's lift suite makes 96 slack computations (336 when
+    each lift rebuilt them) and 57 Gram solves (105)."""
+    slacks, projections = [0], [0]
+    slack, project = Polytope._slacks, pt.project_onto
+
+    def counting_slacks(self, x):
+        slacks[0] += 1
+        return slack(self, x)
+
+    def counting_project(basis, x):
+        projections[0] += 1
+        return project(basis, x)
+
+    monkeypatch.setattr(Polytope, "_slacks", counting_slacks)
+    monkeypatch.setattr(pt, "project_onto", counting_project)
+    cube = bodyio.load_fixture("cube")
+    assert checks.run_suite(cube, "cube", "lift").passed
+    assert 0 < slacks[0] <= 100
+    assert 0 < projections[0] <= 60
 
 
 def test_lift_suite_derives_one_body_per_subspace(monkeypatch):

@@ -335,3 +335,49 @@ def test_support_compares_each_arc_candidate_at_most_once(monkeypatch):
     for name in sorted(PLANAR):
         assert checks.run_suite(bodyio.load_fixture(name), name, "all").passed, name
     assert 0 < calls[0] <= candidates[0]
+
+
+# ---------------------------------------------------------------------------
+# the partition check, counted once per sign cell
+# ---------------------------------------------------------------------------
+
+CLOSED = sorted(name for name, body in PLANAR.items() if body.is_closed())
+
+
+def _ref_touching_counts(cones, arcs, dirs):
+    """The all-cones scan: every direction against every cone and arc."""
+    return [sum(c.ri_contains(u) for c in cones)
+            + sum(f.wedge_contains(u, strict=True) for f in arcs) for u in dirs]
+
+
+@pytest.mark.parametrize("name", CLOSED)
+def test_cell_keyed_touching_counts_equal_all_cones_scan(name):
+    """Each direction gets the count of the plain scan, on the compass and
+    on every boundary ray; a duplicated cone and a removed cone or arc
+    family leave a direction whose count is not 1, and the check fails."""
+    body = PLANAR[name]
+    inv = body._inventory
+    cones = [*inv.proper_normal, *inv.extra_touching]
+    arcs = [body.features[i] for i in inv.arc_families]
+    rays = [r for c in cones for r in (c.d1, c.d2) if r is not None]
+    rays += [r for f in arcs for r in (f.start_radial, f.end_radial)]
+    dirs = planar.compass_directions(72) + rays + [vneg(r) for r in rays]
+    counts = list(planar._touching_counts(cones, arcs, dirs))
+    assert counts == _ref_touching_counts(cones, arcs, dirs)
+    assert all(n == 1 for n in counts)
+    broken = [(cones + [c], arcs, c.ri_vector(), 2) for c in cones]
+    broken += [([k for k in cones if k != c], arcs, c.ri_vector(), 0) for c in cones]
+    broken += [(cones, [g for g in arcs if g != f], f.interior_direction(), 0)
+               for f in arcs]
+    for cs, fs, u, want in broken:
+        # u late in the list, after directions of its own cell
+        probe = dirs + [u]
+        counts = list(planar._touching_counts(cs, fs, probe))
+        assert counts == _ref_touching_counts(cs, fs, probe)
+        assert counts[-1] == want
+    cs, fs, u, _ = broken[0]
+    body = bodyio.load_fixture(name)
+    object.__setattr__(body, "_inventory", planar.ConeInventory(
+        tuple(cs), inv.arc_families, (), inv.non_exposed))
+    rep = planar.partition_check_planar(body, dirs + [u])
+    assert not rep.passed and rep.details
