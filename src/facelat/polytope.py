@@ -352,7 +352,7 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
     integer `hull_rows`) runs over the vertices of the smallest face G found
     so far that contains K.  The body itself counts as found from the start,
     so G always exists, and every G is a carrier of this route, never a facet.
-    No LP is needed when dim G = dim F + 1: a face F meets the body only in
+    No LP is needed when dim G = dim F + 1: aff(F) meets the body only in
     F, so v lies off aff(F), K spans aff(G), and the centroid of K lies in
     ri G.  Nor is one needed when K contains a key already solved to G: the
     carrier grows with the key, and K lies in G.  Face dimensions are integer
