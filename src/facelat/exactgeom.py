@@ -237,12 +237,15 @@ def kernel_basis(rows: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
 
 
 def _ikernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[IVec, ...]:
-    """Canonical basis of the kernel of the integer rows, as ints.
+    """Canonical basis of the kernel of the integer rows, as ints: the same
+    basis as `span_basis` of the kernel, `_kernel_vectors` brought to the
+    canonical form of `_ispan`."""
+    return _ispan(_kernel_vectors(rows, dim))
 
-    The same basis as `span_basis` of the kernel: one vector per free column
-    of the RREF, scaled to integers by the lcm of the pivots, then brought to
-    the canonical form of `_ispan`, all in integers.
-    """
+
+def _kernel_vectors(rows: Sequence[Sequence[int]], dim: int) -> list[list[int]]:
+    """A basis of the kernel of the integer rows, not canonical: one vector
+    per free column of the RREF, scaled to integers by the lcm of the pivots."""
     m = list(rows)
     pivots = _eliminate(m, reduced=True)
     scale = lcm(*(row[c] for row, c in zip(m, pivots)))
@@ -255,7 +258,7 @@ def _ikernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[IVec, ...]:
         for row, p in zip(m, pivots):
             v[p] = -row[c] * (scale // row[p])
         basis.append(v)
-    return _ispan(basis)
+    return basis
 
 
 def _ispan(rows: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
@@ -725,13 +728,22 @@ def _double_description(eqs: tuple[tuple[int, ...], ...],
     combine each pair of rays the new row separates if they are adjacent,
     that is, if no third ray vanishes on every processed row both vanish on
     (zero sets are int bitmasks).
+
+    The lineality output is canonical; W needs only some basis, since the
+    extreme rays, mapped back to R^dim and made primitive, do not depend on
+    it.  So W's basis is `_kernel_vectors` of (eqs, lin), and with neither
+    (a pointed cone in the whole space) the rows are used as they are.
     """
     lin = _ikernel([*eqs, *ineqs], dim)
-    basis = _ikernel([*eqs, *lin], dim)
-    w = len(basis)
-    if w == 0:
-        return (), lin
-    rows = [[_idot(a, b) for b in basis] for a in ineqs]
+    if eqs or lin:
+        basis = _kernel_vectors([*eqs, *lin], dim)
+        w = len(basis)
+        if w == 0:
+            return (), lin
+        rows = [[_idot(a, b) for b in basis] for a in ineqs]
+    else:  # W is the whole space: no basis, and nothing to map back
+        basis, w = None, dim
+        rows = [list(a) for a in ineqs]
     # the first w independent rows S exist as the cone is pointed in W; the
     # rays -A_S^-1 e_j of {A_S y <= 0} come from Gauss-Jordan on (A_S | I),
     # after which row k is p_k times (e_k | row k of the inverse)
@@ -758,8 +770,9 @@ def _double_description(eqs: tuple[tuple[int, ...], ...],
             new.append(([x // g for x in r], common | 1 << i))
         rays = [(r, (z | 1 << i) if v == 0 else z)
                 for (r, z), v in zip(rays, vals) if v <= 0] + new
-    out = [_iprimitive([_idot(r, col) for col in zip(*basis)]) for r, _ in rays]
-    return tuple(sorted(out)), lin
+    if basis is not None:
+        rays = [([_idot(r, col) for col in zip(*basis)], z) for r, z in rays]
+    return tuple(sorted(_iprimitive(r) for r, _ in rays)), lin
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:

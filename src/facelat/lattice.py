@@ -123,6 +123,21 @@ class FiniteLattice:
         return [x for x, row in enumerate(self.up)
                 if x != t and row == 1 << x | 1 << t]
 
+    def meet_irreducibles(self) -> list[int]:
+        """Elements with exactly one upper cover, and the top.
+
+        Every element is the meet of these above it (Ganter & Wille 1999,
+        ch. 1): an element with two or more upper covers is their meet.  An
+        upper cover of x is an element of its strict up-set whose down-set
+        meets that up-set in itself alone."""
+        out = []
+        for x, row in enumerate(self.up):
+            above = row ^ 1 << x
+            covers = sum(1 for j in _bits(above) if self.down[j] & above == 1 << j)
+            if covers == 1 or x == self.top:
+                out.append(x)
+        return out
+
     def covers(self, i: int, j: int) -> bool:
         """True when j covers i (i < j with nothing strictly between)."""
         return i != j and self.up[i] & self.down[j] == 1 << i | 1 << j

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import Callable
 
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
@@ -495,13 +496,30 @@ def _build_normal_lattice(p: Polytope) -> FiniteLattice:
         c = normal_cone(p, f)
         cones[(c.rays, c.lineality)] = ConeElement(c)
     elements = sorted(cones.values(), key=lambda e: (e.dim, e.key))
-    return build_lattice(elements, lambda a, b: cone_subset(a.cone, b.cone))
+    return build_lattice(elements, _cone_order(elements))
 
 
-def cone_subset(a: PolyCone, b: PolyCone) -> bool:
-    if a.cone_dim > b.cone_dim:
-        return False
-    return all(b.contains(g) for g in a.generators())
+def _cone_order(elements: list[ConeElement]
+                ) -> Callable[[ConeElement, ConeElement], bool]:
+    """The inclusion order of the elements' cones, read off generator masks.
+
+    The distinct generators of all the cones (rays, and both signs of each
+    lineality basis vector) are numbered; each cone gets `gens`, the mask of
+    its own generators, and `holds`, the mask of the generators it contains,
+    from one `contains` test per cone and generator.  A cone is the positive
+    hull of its generators, so A lies in B exactly when B holds every
+    generator of A: gens[A] & ~holds[B] == 0.  This is exact for any cones
+    and reads nothing of the fan they come from.
+    """
+    ids: dict[IVec, int] = {}
+    for el in elements:
+        for g in el.cone.generators():
+            ids.setdefault(g, len(ids))
+    gens, holds = {}, {}  # by identity: build_lattice passes these very elements
+    for el in elements:
+        gens[id(el)] = sum(1 << ids[g] for g in el.cone.generators())
+        holds[id(el)] = sum(1 << i for g, i in ids.items() if el.cone.contains(g))
+    return lambda a, b: not gens[id(a)] & ~holds[id(b)]
 
 
 def touching_cone_lattice(p: Polytope) -> FiniteLattice:
@@ -515,7 +533,7 @@ def _build_touching_lattice(p: Polytope) -> FiniteLattice:
         for face in cone_faces(el.cone):
             cones[(face.rays, face.lineality)] = ConeElement(face)
     elements = sorted(cones.values(), key=lambda e: (e.dim, e.key))
-    return build_lattice(elements, lambda a, b: cone_subset(a.cone, b.cone))
+    return build_lattice(elements, _cone_order(elements))
 
 
 def touching_cone_at(p: Polytope, u: Vec) -> PolyCone:

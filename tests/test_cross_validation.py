@@ -10,6 +10,7 @@ dual give, and every cone and lift served from a body's tables must equal
 one computed without them.
 """
 
+import dataclasses
 import gc
 import weakref
 from fractions import Fraction as F
@@ -27,7 +28,8 @@ from facelat.exactgeom import (PolyCone, cone_faces, dot, dual_cone,
                                project_onto, simplex_max, span_basis,
                                subspace_cone, unit, vadd, vec, vneg, vscale,
                                vsub, zero)
-from facelat.lattice import lattice_map, verify_isomorphism
+from facelat.lattice import (NotALattice, build_lattice, lattice_map,
+                             verify_isomorphism)
 from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
                             normal_cone_at, polar_planar)
@@ -663,3 +665,125 @@ def test_projection_record_holds_the_subspace_memos():
     assert rec.v_cone == subspace_cone(rec.basis, 3)
     assert rec.perp_cone == subspace_cone([unit(3, 2)], 3)
     assert set(p._projections.values()) == {rec}
+
+
+# ---------------------------------------------------------------------------
+# the meets suite on (element, meet-irreducible) pairs
+# ---------------------------------------------------------------------------
+
+MEETS_IDS = ("meets.normal_infimum_is_intersection", "meets.intersection_is_face")
+
+
+def all_pairs_meets(p, nl):
+    """The two meets verdicts as the all-pairs loop gave them before the
+    irreducible pairs: every unordered pair of the lattice intersected."""
+    whole = eg.full_space(p.ambient_dim)
+    ok_meet = ok_face = True
+    for i, a in enumerate(nl.elements):
+        for j in range(i, len(nl.elements)):
+            b = nl.elements[j]
+            inter = eg.intersect_cones(a.cone, b.cone)
+            if inter != nl.elements[nl.meet([i, j])].cone:
+                ok_meet = False
+            if any(c != whole and not inter.is_face_of(c) for c in (a.cone, b.cone)):
+                ok_face = False
+    return {MEETS_IDS[0]: "pass" if ok_meet else "fail",
+            MEETS_IDS[1]: "pass" if ok_face else "fail"}
+
+
+def meets_verdicts(p, nl=None):
+    """The meets suite's two verdicts on p, run on the lattice nl in place of
+    p's normal-cone lattice when one is given."""
+    if nl is not None:
+        p.__dict__["_normal_lattice"] = nl
+    out = []
+    checks._meets_polytope(p, out, {}, None)
+    return {v.check_id: v.status for v in out if v.check_id in MEETS_IDS}
+
+
+def without_relation(nl, i, j):
+    """nl with the cover relation i < j removed, or None when what is left
+    is no lattice.  Removing a cover keeps the order transitive."""
+    index = {id(e): k for k, e in enumerate(nl.elements)}
+    try:
+        return build_lattice(nl.elements, lambda a, b: nl.le(index[id(a)], index[id(b)])
+                             and (index[id(a)], index[id(b)]) != (i, j))
+    except NotALattice:
+        return None
+
+
+def with_swapped_cones(nl, i, j):
+    """nl with the cones of elements i and j exchanged, the rows kept."""
+    els = list(nl.elements)
+    els[i], els[j] = els[j], els[i]
+    return dataclasses.replace(nl, elements=tuple(els))
+
+
+def wrong_relation(nl):
+    """nl with its first cover relation removed whose removal leaves a
+    lattice, or None: in the normal fans of 3D and 4D bodies none does."""
+    return next(filter(None, (without_relation(nl, i, j) for i, j in nl.hasse_edges())),
+                None)
+
+
+def swapped_neighbours(nl):
+    """nl with the cones of its first two neighbouring coatoms (two with a
+    common lower cover) exchanged."""
+    a, b = next((a, b) for a, b in combinations(nl.coatoms(), 2)
+                if any(nl.covers(c, a) and nl.covers(c, b) for c in range(len(nl))))
+    return with_swapped_cones(nl, a, b)
+
+
+POLYTOPE_FIXTURES = [name for name in bodyio.list_fixtures()
+                     if isinstance(bodyio.load_fixture(name), Polytope)]
+
+
+def test_meets_on_irreducible_pairs_equal_all_pairs_on_fixtures():
+    for name in POLYTOPE_FIXTURES:
+        p = bodyio.load_fixture(name)
+        want = all_pairs_meets(p, normal_cone_lattice(p))
+        assert meets_verdicts(p) == want == dict.fromkeys(MEETS_IDS, "pass"), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(tabled_bodies | st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: points(d, rational_coord)), st.integers(min_value=0))
+def test_meets_on_irreducible_pairs_equal_all_pairs(raw, pick):
+    """The same verdicts as the all-pairs loop, on the normal-cone lattice
+    and on copies with a cover relation removed or two cones exchanged."""
+    p = build_polytope(raw)
+    nl = normal_cone_lattice(p)
+    n = len(nl)
+    edges = nl.hasse_edges()
+    i = pick % n
+    lattices = [nl, with_swapped_cones(nl, i, (i + 1 + pick // n % n) % n)]
+    if edges:
+        lattices.append(without_relation(nl, *edges[pick % len(edges)]))
+    for lat in filter(None, lattices):
+        assert meets_verdicts(p, lat) == all_pairs_meets(p, lat)
+
+
+def test_meets_fails_on_planted_defects():
+    """A wrong order relation (on the square: in 3D and 4D no single one
+    leaves a lattice) and two neighbouring cones exchanged each fail the
+    infimum verdict, through both loops."""
+    square = bodyio.load_fixture("square")
+    defects = [(square, wrong_relation(normal_cone_lattice(square)))]
+    for name in ("square", "cube", "cross4"):
+        p = bodyio.load_fixture(name)
+        defects.append((p, swapped_neighbours(normal_cone_lattice(p))))
+    for p, lat in defects:
+        assert all_pairs_meets(p, lat)[MEETS_IDS[0]] == "fail"
+        assert meets_verdicts(p, lat)[MEETS_IDS[0]] == "fail"
+
+
+def test_cube_meets_intersects_at_most_189_pairs(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return eg.intersect_cones(a, b)
+
+    monkeypatch.setattr(checks, "intersect_cones", counting)
+    assert checks.run_suite(bodyio.load_fixture("cube"), "cube", "meets").passed
+    assert 0 < len(calls) <= 189

@@ -18,19 +18,22 @@ from math import gcd, lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from facelat import exactgeom as eg
 from facelat import polytope as pt
 from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
-                               _eliminate, _scaled, cone_from_hrep,
+                               _double_description, _eliminate, _idot,
+                               _ikernel, _iprimitive, _scaled, cone_from_hrep,
                                dot, double_description, dual_cone,
                                intersect_cones, intersection_closure, is_zero,
                                kernel_basis, orth_complement, pos_hull,
                                primitive, project_onto, rank, solve_linear,
-                               span_basis, subspace_intersection, unit, vadd,
-                               vec, vneg, vscale, vsub, zero)
+                               span_basis, subspace_cone, subspace_intersection,
+                               unit, vadd, vec, vneg, vscale, vsub, zero)
 from facelat.lattice import build_lattice
-from facelat.polytope import (Facet, Polytope, _vertex_enumerate,
-                              exposed_face_lattice, extreme_points,
-                              lift_point_set, touching_cone_lattice)
+from facelat.polytope import (ConeElement, Facet, Polytope, _cone_order,
+                              _vertex_enumerate, exposed_face_lattice,
+                              extreme_points, lift_point_set,
+                              normal_cone_lattice, touching_cone_lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,51 @@ def ref_fraction_double_description(eq_rows, ineq_rows, dim):
                 for (r, z), v in zip(rays, vals) if v <= 0] + new
     out = [primitive([idot(r, col) for col in zip(*basis)]) for r, _ in rays]
     return tuple(sorted(out)), lin
+
+
+def ref_integer_double_description(eqs, ineqs, dim):
+    """The integer core as it was before W got a plain kernel basis: W's
+    basis brought to canonical form by a second elimination, and the rows
+    mapped onto it even when W is the whole space."""
+    lin = _ikernel([*eqs, *ineqs], dim)
+    basis = _ikernel([*eqs, *lin], dim)
+    w = len(basis)
+    if w == 0:
+        return (), lin
+    rows = [[_idot(a, b) for b in basis] for a in ineqs]
+    start = _eliminate([list(col) for col in zip(*rows)], reduced=False)
+    inv = [rows[i] + [int(j == k) for k in range(w)] for j, i in enumerate(start)]
+    _eliminate(inv, reduced=True)
+    scale = lcm(*(row[k] for k, row in enumerate(inv)))
+    rays = [([-row[w + j] * (scale // row[k]) for k, row in enumerate(inv)],
+             sum(1 << k for k in start if k != i)) for j, i in enumerate(start)]
+    for i, a in enumerate(rows):
+        if i in start:
+            continue
+        vals = [_idot(a, r) for r, _ in rays]
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        new = []
+        for p, q in product(pos, neg):
+            common = rays[p][1] & rays[q][1]
+            if common.bit_count() < w - 2 or any(z & common == common for k, (_, z)
+                                                 in enumerate(rays) if k not in (p, q)):
+                continue
+            r = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
+            g = gcd(*r)
+            new.append(([x // g for x in r], common | 1 << i))
+        rays = [(r, (z | 1 << i) if v == 0 else z)
+                for (r, z), v in zip(rays, vals) if v <= 0] + new
+    out = [_iprimitive([_idot(r, col) for col in zip(*basis)]) for r, _ in rays]
+    return tuple(sorted(out)), lin
+
+
+def cone_subset(a, b):
+    """The cone order the generator masks replaced: every generator of a
+    tested against b's H-representation, after a dimension test."""
+    if a.cone_dim > b.cone_dim:
+        return False
+    return all(b.contains(g) for g in a.generators())
 
 
 def ref_vertex_enumerate(equalities, inequalities, dim):
@@ -465,6 +513,88 @@ def test_double_description_equals_fraction_era_core(system):
     assert double_description(eqs, ineqs, dim, table) == want
     assert double_description(eqs, ineqs, dim, table) == want
     assert list(table.conversions.values()) == [got]
+
+
+@st.composite
+def integer_systems(draw):
+    """Integer rows in 1-4D for the core: with no equations and a pointed
+    cone (W the whole space), or with equations or a lineality space; zero,
+    repeated and opposite rows mixed in."""
+    dim = draw(dims)
+    row = st.tuples(*[small] * dim)
+    pointed = draw(st.booleans())
+    eqs = [] if pointed else draw(st.lists(row, max_size=1))
+    ineqs = draw(st.lists(row, min_size=dim if pointed else 0, max_size=6))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "neg"]), max_size=2)):
+        if kind == "zero":
+            ineqs.append((0,) * dim)
+        elif ineqs:
+            a = ineqs[draw(st.integers(0, len(ineqs) - 1))]
+            ineqs.append(a if kind == "dup" else tuple(-x for x in a))
+    lin = _ikernel([*eqs, *ineqs], dim)
+    assume(pointed == (not eqs and not lin))
+    return tuple(eqs), tuple(ineqs), dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_integer_core_equals_canonical_basis_core(system):
+    """Any basis of W gives the same rays, and so does W's identity basis:
+    the core equals its form with a canonical W basis on every path."""
+    eqs, ineqs, dim = system
+    assert _double_description(eqs, ineqs, dim) == ref_integer_double_description(
+        eqs, ineqs, dim)
+
+
+def test_integer_core_on_degenerate_and_empty_systems():
+    x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    for eqs, ineqs, dim in [
+            ((), (), 3),                          # the whole space
+            ((), ((0, 0, 0),), 3),                # a zero row only
+            ((x, y, z), (), 3),                   # equations alone: the zero cone
+            ((x, y), ((0, 0, -1),), 3),           # a ray along an axis
+            ((), ((-1,),), 1),                    # a half-line
+            ((), ((1,), (-1,)), 1),               # an implicit equation
+            ((), ((-1, 0), (0, -1)), 2),          # a quadrant, W the whole space
+            ((), ((-1, 0), (0, -1), (-1, -1), (-1, -1)), 2),  # repeated rows
+            ((), ((1, 1), (-1, -1), (-1, 0)), 2),  # an implicit equation in 2D
+            ((), ((0, 0, -1),), 3),               # a half-space: lineality
+            ((x,), (y, (0, -1, 0)), 3)]:          # a line
+        assert _double_description(eqs, ineqs, dim) == ref_integer_double_description(
+            eqs, ineqs, dim), (eqs, ineqs)
+
+
+@st.composite
+def cone_families(draw):
+    """Random cones of one dimension 1-4, with the zero cone, the whole
+    space, a lineality space and cones of equal span (a cone and its
+    negative) among them."""
+    dim = draw(dims)
+    cones = [PolyCone(dim, (), ()), eg.full_space(dim)]
+    for _ in range(draw(st.integers(1, 4))):
+        gens = draw(vectors(dim))
+        cones += [pos_hull(gens, dim), pos_hull([vneg(g) for g in gens], dim),
+                  subspace_cone(gens, dim)]
+    return [ConeElement(c) for c in draw(st.permutations(cones))]
+
+
+def order_rows(elements, leq):
+    return [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_families())
+def test_generator_masks_order_cones_like_cone_subset(elements):
+    assert order_rows(elements, _cone_order(elements)) == order_rows(
+        elements, lambda a, b: cone_subset(a.cone, b.cone))
+
+
+@settings(max_examples=25, deadline=None)
+@given(point_sets())
+def test_normal_and_touching_rows_equal_cone_subset_rows(p):
+    for lat in (normal_cone_lattice(p), touching_cone_lattice(p)):
+        ref = build_lattice(lat.elements, lambda a, b: cone_subset(a.cone, b.cone))
+        assert (lat.down, lat.up) == (ref.down, ref.up)
 
 
 def test_infeasible_and_unbounded_systems_have_no_vertices():

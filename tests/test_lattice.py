@@ -427,3 +427,30 @@ def test_rows_match_order_matrix_reference(poset, data):
         assert (rep.injective, rep.surjective, rep.order_preserved,
                 rep.inverse_order_preserved, rep.failures) == ref_verify(
                     ref, ref, f, direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 4), min_size=1, max_size=4),
+                min_size=1, max_size=6))
+def test_meet_irreducibles_generate_every_element(family):
+    """The irreducibles read off the rows are the elements with exactly one
+    upper cover (counted with `covers`), plus the top, and every element is
+    the meet of those above it."""
+    lat = build_lattice(sorted(_closed(family), key=lambda s: (len(s), sorted(s))),
+                        lambda x, y: x <= y)
+    n = len(lat)
+    irreducible = lat.meet_irreducibles()
+    assert irreducible == [x for x in range(n) if x == lat.top
+                           or sum(lat.covers(x, y) for y in range(n)) == 1]
+    for x in range(n):
+        assert lat.meet([m for m in irreducible if lat.le(x, m)]) == x
+
+
+def test_meet_irreducibles_of_small_lattices():
+    # in the powerset of {a, b, c} the irreducibles are the three coatoms
+    lat = powerset_lattice("abc")
+    assert [lat.elements[i] for i in lat.meet_irreducibles()] == [
+        frozenset("ab"), frozenset("ac"), frozenset("bc"), frozenset("abc")]
+    # in a chain every element is
+    chain = build_lattice([0, 1, 2], lambda x, y: x <= y)
+    assert chain.meet_irreducibles() == [0, 1, 2]
