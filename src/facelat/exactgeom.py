@@ -1,20 +1,23 @@
 """Exact rational linear algebra and polyhedral-cone primitives (ambient dim <= 4).
 
-Two kinds of vector cross this module's boundary.  Points, directions,
-solutions and support values are `fractions.Fraction`s (`Vec`), and so is
-every result of the public kernel helpers (`rref`, `span_basis`,
-`kernel_basis`, `solve_linear`, `simplex_max`, `dot`, `primitive`, ...).
-Canonical vectors are tuples of Python `int`s (`IVec`): the rays, lineality
-and facet normals of a cone, its span and perp bases, and the facet normals
-of a polytope.  `Fraction(n) == n`, `hash(Fraction(n)) == hash(n)` and both
-print alike, so keys, order and labels do not depend on the type.
+Two kinds of vector cross this module's boundary.  Points, solutions and
+support values are `fractions.Fraction`s (`Vec`), and so is every result of
+the public kernel helpers (`rref`, `span_basis`, `kernel_basis`,
+`solve_linear`, `simplex_max`, `dot`, `primitive`, ...).  Canonical vectors
+are tuples of Python `int`s (`IVec`): the rays, lineality and facet normals
+of a cone, its span and perp bases, the facet normals of a polytope, and
+every direction the planar layer builds.  `Fraction(n) == n`,
+`hash(Fraction(n)) == hash(n)` and both print alike, so keys, order and
+labels do not depend on the type, and every predicate accepts either.
 
 The arithmetic inside runs on Python integers: elimination is fraction-free
 (each row scaled to integers, rows combined as p*row_i - f*row_r and divided
 by their gcd, Bareiss-style), the simplex keeps an integer tableau, `dot` and
 `primitive` work on numerators over a common denominator, the cone predicates
 read a sign off an integer dot product, and the 2D predicates
-`orient2`/`dot2_sign` return a sign read off integer products.  There is no
+`orient2`/`dot2_sign` return a sign read off integer products: of the
+coordinates themselves when all four are ints, of numerators and
+denominators otherwise.  There is no
 floating point anywhere.  Cones are kept in a canonical V-representation
 (extreme rays modulo lineality, primitive integer scaling, sorted), so record
 equality coincides with geometric equality.  Every conversion between an
@@ -93,7 +96,8 @@ def _dot_rational(a: Vec, b: Vec) -> Fraction:
 
 
 def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
+    # an int or a Fraction is false exactly when it is 0; ints test in C
+    return not any(a)
 
 
 def zero(dim: int) -> Vec:
@@ -108,13 +112,16 @@ def orient2(a: Vec, b: Vec) -> int:
     """Sign of the 2D cross product a0*b1 - a1*b0: 1 when b lies
     counterclockwise of a, -1 clockwise, 0 when they are parallel.
 
-    Both products are brought over the positive denominator
-    a0.d*a1.d*b0.d*b1.d, so the sign is read off integers and no Fraction
-    is built."""
+    On four ints the product is formed directly.  Otherwise both products
+    are brought over the positive denominator a0.d*a1.d*b0.d*b1.d, so the
+    sign is read off integers and no Fraction is built."""
     a0, a1 = a
     b0, b1 = b
-    c = (a0.numerator * b1.numerator * a1.denominator * b0.denominator
-         - a1.numerator * b0.numerator * a0.denominator * b1.denominator)
+    if type(a0) is type(a1) is type(b0) is type(b1) is int:
+        c = a0 * b1 - a1 * b0
+    else:
+        c = (a0.numerator * b1.numerator * a1.denominator * b0.denominator
+             - a1.numerator * b0.numerator * a0.denominator * b1.denominator)
     return (c > 0) - (c < 0)
 
 
@@ -122,8 +129,11 @@ def dot2_sign(a: Vec, b: Vec) -> int:
     """Sign of the 2D dot product, decided in integers like `orient2`."""
     a0, a1 = a
     b0, b1 = b
-    c = (a0.numerator * b0.numerator * a1.denominator * b1.denominator
-         + a1.numerator * b1.numerator * a0.denominator * b0.denominator)
+    if type(a0) is type(a1) is type(b0) is type(b1) is int:
+        c = a0 * b0 + a1 * b1
+    else:
+        c = (a0.numerator * b0.numerator * a1.denominator * b1.denominator
+             + a1.numerator * b1.numerator * a0.denominator * b0.denominator)
     return (c > 0) - (c < 0)
 
 
@@ -297,11 +307,6 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
 def orth_complement(basis: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
     """Canonical basis of the orthogonal complement of span(basis) in R^dim."""
     return kernel_basis(list(basis), dim)
-
-
-def subspace_intersection(b1: Sequence[Vec], b2: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    cons = list(orth_complement(b1, dim)) + list(orth_complement(b2, dim))
-    return kernel_basis(cons, dim)
 
 
 def project_onto(basis: Sequence[Vec], x: Vec) -> Vec:
@@ -628,10 +633,11 @@ class PolyCone:
     # The predicates scale x once to integers (a positive multiple, so every
     # sign is kept) and read each sign off an integer dot product.
 
-    def _ints(self, x: Vec) -> list[int]:
+    def _ints(self, x: Vec) -> Sequence[int]:
         if len(x) != self.dim:
             raise DimensionMismatch("point and cone dimensions differ")
-        return _scaled(x)
+        # an int vector, such as a generator of a cone, is used as it is
+        return x if _INT.issuperset(map(type, x)) else _scaled(x)
 
     def _in_span(self, xs: Sequence[int]) -> bool:
         return not any(_idot(m, xs) for m in self.span_perp)

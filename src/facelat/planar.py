@@ -7,9 +7,18 @@ where non-exposed faces and touching cones that are not normal cones occur.
 All decisions reduce to sign tests of rational cross/dot products or to exact
 comparisons of values q + s*sqrt(m) with rational q, s, m, so arcs only need
 rational centers and squared radii, with endpoints satisfying the circle
-equation exactly.  Each decision is an integer sign test on numerators and
-denominators (integers alone when the inputs are integers): no Fraction is
-built for a sign, and the per-body memos are keyed by those integers.
+equation exactly.
+
+Every direction this module builds is a primitive vector of Python ints: the
+compass samples, segment normals, arc radials and the boundary rays of every
+`Cone2`, and so the direction of each arc-point face.  Points, squared radii
+and support, gauge and `QuadVal` values stay `Fraction`s.  Each decision is
+an integer sign test, on the coordinates themselves when both vectors are
+int pairs and on numerators and denominators otherwise: no Fraction is built
+for a sign.  The public functions accept `Fraction` directions as well; since
+`Fraction(n) == n` with the same hash and the same printed form, keys,
+labels and reports do not depend on which was passed, and the support memo
+keys a direction by its integer numerators and denominators.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ from math import gcd, isqrt, lcm
 from .errors import (HypothesisFailed, InvariantViolation, NotAFace,
                      OriginNotInterior, PointNotInBody, UndefinedTouchingCone,
                      UnsupportedArcCenter, ZeroDirection)
-from .exactgeom import (Vec, dot, dot2_sign, is_zero, orient2, perp2, primitive,
-                        vadd, vneg, vscale, vsub)
+from .exactgeom import (IVec, Vec, _iprimitive, _scaled, dot, dot2_sign,
+                        is_zero, orient2, perp2, vadd, vneg, vscale, vsub)
 from .lattice import FiniteLattice, build_lattice
 
 
@@ -98,19 +107,20 @@ def sqrt_exact(x: Fraction) -> Fraction | None:
 
 
 def _exact_key(v: Vec) -> tuple[int, int, int, int]:
-    """Hashable integer form of an exact 2D point or direction: equal keys
-    exactly when the vectors are equal, and no Fraction hash is computed."""
+    """Hashable integer form of an exact 2D point or direction, of ints or
+    Fractions: equal keys exactly when the vectors are equal, and no
+    Fraction hash is computed."""
     x, y = v
     return x.numerator, y.numerator, x.denominator, y.denominator
 
 
-def _primitive2(v: Vec) -> Vec:
-    """`primitive(v)`, but v itself when it is already primitive."""
+def _primitive2(v: Vec) -> IVec:
+    """The primitive int direction of a nonzero 2D vector: v itself when it
+    is already a primitive int pair."""
     x, y = v
-    if (type(x) is type(y) is Fraction and x.denominator == y.denominator == 1
-            and gcd(x.numerator, y.numerator) == 1):
-        return v
-    return primitive(v)
+    if type(x) is type(y) is int:
+        return v if gcd(x, y) == 1 else _iprimitive(v)
+    return _iprimitive(_scaled(v))
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +132,14 @@ class Cone2(_Weakrefable):
     """Canonical 2D convex cone: zero, ray, sector (< pi) or plane.
 
     Sectors store their boundary directions in counterclockwise order, rays
-    their primitive direction.  These are all the normal and touching cones
-    of a `PlanarBody`, which is bounded and two-dimensional.
+    their primitive direction, both as int pairs.  These are all the normal
+    and touching cones of a `PlanarBody`, which is bounded and
+    two-dimensional.
     """
 
     kind: str
-    d1: Vec | None = None
-    d2: Vec | None = None
+    d1: IVec | None = None
+    d2: IVec | None = None
 
     @staticmethod
     def zero() -> "Cone2":
@@ -191,24 +202,23 @@ class Cone2(_Weakrefable):
             return is_zero(u)
         return not is_zero(u)
 
-    def ri_vector(self) -> Vec | None:
+    def ri_vector(self) -> IVec | None:
         if self.kind == "zero":
             return None
         if self.kind == "ray":
             return self.d1
         if self.kind == "plane":
-            return (Fraction(1), Fraction(0))
+            return (1, 0)
         return vadd(self.d1, self.d2)
 
-    def generators(self) -> list[Vec]:
+    def generators(self) -> list[IVec]:
         if self.kind == "zero":
             return []
         if self.kind == "ray":
             return [self.d1]
         if self.kind == "sector":
             return [self.d1, self.d2]
-        return [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)),
-                (Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1))]
+        return [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
     def subset_of(self, other: "Cone2") -> bool:
         return all(other.contains(g) for g in self.generators())
@@ -247,12 +257,12 @@ class Segment:
         return vsub(self.end, self.start)
 
     @cached_property
-    def outward_normal(self) -> Vec:
+    def outward_normal(self) -> IVec:
         # boundary runs counterclockwise, so the outward side is to the right
         d = self.direction
-        return primitive((d[1], -d[0]))
+        return _primitive2((d[1], -d[0]))
 
-    def normal_at(self, p: Vec) -> Vec:
+    def normal_at(self, p: Vec) -> IVec:
         return self.outward_normal
 
 
@@ -269,16 +279,16 @@ class Arc:
     def kind(self) -> str:
         return "arc"
 
-    def normal_at(self, p: Vec) -> Vec:
-        return primitive(vsub(p, self.center))
+    def normal_at(self, p: Vec) -> IVec:
+        return _primitive2(vsub(p, self.center))
 
     @cached_property
-    def start_radial(self) -> Vec:
-        return primitive(vsub(self.start, self.center))
+    def start_radial(self) -> IVec:
+        return _primitive2(vsub(self.start, self.center))
 
     @cached_property
-    def end_radial(self) -> Vec:
-        return primitive(vsub(self.end, self.center))
+    def end_radial(self) -> IVec:
+        return _primitive2(vsub(self.end, self.center))
 
     @cached_property
     def _minor(self) -> bool:
@@ -315,12 +325,12 @@ class Arc:
             return False
         return self.wedge_contains(r, strict=strict)
 
-    def interior_direction(self) -> Vec:
+    def interior_direction(self) -> IVec:
         """A primitive direction strictly inside the radial wedge."""
         u, w = self.start_radial, self.end_radial
         for cand in (vadd(u, w), vneg(vadd(u, w)), perp2(u), vneg(perp2(u))):
             if not is_zero(cand) and self.wedge_contains(cand, strict=True):
-                return primitive(cand)
+                return _primitive2(cand)
         raise ValueError("degenerate arc")
 
     def rational_points(self, count: int = 2) -> list[Vec]:
@@ -409,7 +419,7 @@ class PlanarBody:
     def junction_present(self, j: int) -> bool:
         return self.vertex_closed[j % self.n]
 
-    def junction_normals(self, j: int) -> tuple[Vec, Vec]:
+    def junction_normals(self, j: int) -> tuple[IVec, IVec]:
         p = self.junction(j)
         return (self.features[(j - 1) % self.n].normal_at(p),
                 self.features[j % self.n].normal_at(p))
@@ -522,7 +532,7 @@ class FaceDescriptor(_Weakrefable):
     tag: str  # empty | vertex | edge | arcpoint | whole
     feature: int | None = None
     point: Vec | None = None
-    direction: Vec | None = None
+    direction: IVec | None = None
 
     def __eq__(self, other):
         return isinstance(other, FaceDescriptor) and self.key == other.key
@@ -648,11 +658,15 @@ def _support(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
 
     The junction values are rational, so they are ranked as integers: u
     times the lcm e of its denominators against the junctions over their
-    common denominator d.  Only the arc candidates are `QuadVal`s."""
-    ux, uy = u
-    e = lcm(ux.denominator, uy.denominator)
-    un = ux.numerator * (e // ux.denominator)
-    vn = uy.numerator * (e // uy.denominator)
+    common denominator d.  An int u is its own scaled form, e = 1.  Only
+    the arc candidates are `QuadVal`s."""
+    un, vn = u
+    if type(un) is type(vn) is int:
+        e = 1
+    else:
+        e = lcm(un.denominator, vn.denominator)
+        un = un.numerator * (e // un.denominator)
+        vn = vn.numerator * (e // vn.denominator)
     d, grid = body._junction_grid
     vals = [un * x + vn * y for x, y in grid]
     top = max(vals)
@@ -1099,9 +1113,9 @@ def sample_boundary_points(body: PlanarBody, per_arc: int = 2) -> list[Vec]:
     return out
 
 
-def compass_directions(count: int = 360) -> list[Vec]:
-    """2*(count//2) deterministic primitive rational directions around the
-    whole circle.
+def compass_directions(count: int = 360) -> list[IVec]:
+    """2*(count//2) deterministic primitive int directions around the whole
+    circle.
 
     For t = s/half with s = -half, -half+2, ..., so that t runs over [-1, 1),
     the direction (1 - t^2, 2t) is (half^2 - s^2, 2*s*half) up to a positive
@@ -1110,10 +1124,10 @@ def compass_directions(count: int = 360) -> list[Vec]:
     repeats, both axes appear and every open quadrant is sampled.
     """
     half = count // 2
-    out: list[Vec] = []
+    out: list[IVec] = []
     for s in range(-half, half, 2):
         x, y = half * half - s * s, 2 * s * half
         g = gcd(x, y)
         x, y = x // g, y // g
-        out += [(Fraction(x), Fraction(y)), (Fraction(-x), Fraction(-y))]
+        out += [(x, y), (-x, -y)]
     return out

@@ -15,11 +15,13 @@ from fractions import Fraction as F
 from itertools import combinations, product
 from math import gcd, lcm
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facelat import exactgeom as eg
 from facelat import polytope as pt
+from facelat.errors import DimensionMismatch
 from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
                                _double_description, _eliminate, _idot,
                                _ikernel, _iprimitive, _scaled, cone_from_hrep,
@@ -27,8 +29,8 @@ from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
                                intersect_cones, intersection_closure, is_zero,
                                kernel_basis, orth_complement, pos_hull,
                                primitive, project_onto, rank, solve_linear,
-                               span_basis, subspace_cone, subspace_intersection,
-                               unit, vadd, vec, vneg, vscale, vsub, zero)
+                               span_basis, subspace_cone, unit, vadd, vec,
+                               vneg, vscale, vsub, zero)
 from facelat.lattice import build_lattice
 from facelat.polytope import (ConeElement, Facet, Polytope, _cone_order,
                               _vertex_enumerate, exposed_face_lattice,
@@ -39,6 +41,13 @@ from facelat.polytope import (ConeElement, Facet, Polytope, _cone_order,
 # ---------------------------------------------------------------------------
 # the replaced routines
 # ---------------------------------------------------------------------------
+
+def subspace_intersection(b1, b2, dim):
+    """Canonical basis of span(b1) ∩ span(b2): the kernel of both
+    orthogonal complements."""
+    cons = list(orth_complement(b1, dim)) + list(orth_complement(b2, dim))
+    return kernel_basis(cons, dim)
+
 
 def ref_cone_facet_normals(gens, span):
     w = len(span)
@@ -595,6 +604,30 @@ def test_normal_and_touching_rows_equal_cone_subset_rows(p):
     for lat in (normal_cone_lattice(p), touching_cone_lattice(p)):
         ref = build_lattice(lat.elements, lambda a, b: cone_subset(a.cone, b.cone))
         assert (lat.down, lat.up) == (ref.down, ref.up)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cones, st.data())
+def test_cone_predicates_read_int_vectors_as_they_are(k, data):
+    """`contains`/`ri_contains` use an int vector as it is and scale any
+    other row to integers first; both routes give the same answers on the
+    cone's generators, its ri vector and random vectors, as ints, as
+    Fractions, mixed, and as positive rational multiples."""
+    xs = k.generators() + [data.draw(st.tuples(*[small] * k.dim))]
+    if k.ri_vector() is not None:
+        xs.append(k.ri_vector())
+    for x in xs:
+        assert k._ints(x) is x
+        as_fractions = tuple(map(F, x))
+        want = (k.contains(as_fractions), k.ri_contains(as_fractions))
+        assert want == (k.contains(x), k.ri_contains(x)), (k, x)
+        for y in ((as_fractions[0],) + x[1:], vscale(F(2, 3), x)):
+            assert (k.contains(y), k.ri_contains(y)) == want, (k, y)
+    for wrong in ((0,) * (k.dim + 1), vec(*[1] * (k.dim + 1))):
+        with pytest.raises(DimensionMismatch):
+            k.contains(wrong)
+        with pytest.raises(DimensionMismatch):
+            k.ri_contains(wrong)
 
 
 def test_infeasible_and_unbounded_systems_have_no_vertices():

@@ -525,7 +525,7 @@ def _fraction_compass(count):
 def test_integer_compass_equals_fraction_compass(count):
     dirs = compass_directions(count)
     assert dirs == _fraction_compass(count)
-    assert all(type(x) is F for d in dirs for x in d)
+    assert all(type(x) is int for d in dirs for x in d)
 
 
 @pytest.mark.parametrize("count", [8, 72, 120, 360])

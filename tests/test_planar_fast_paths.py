@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from facelat import bodyio, checks, planar
 from facelat.errors import InvariantViolation, NotAFace
-from facelat.exactgeom import is_zero, primitive, vadd, vneg, vscale, vsub
+from facelat.exactgeom import (dot2_sign, is_zero, orient2, primitive, vadd,
+                               vneg, vscale, vsub)
 from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
                             Segment, quad_compare, sqrt_exact)
 
@@ -131,7 +132,7 @@ def _ref_support(body, u):
         t = sqrt_exact(f.radius_sq / _dot(u, u))
         point = vadd(f.center, vscale(t, u)) if t is not None else None
         return best, FaceDescriptor("arcpoint", feature=i, point=point,
-                                    direction=primitive(u))
+                                    direction=tuple(map(int, primitive(u))))
     junctions = [j for _, j in attainers]
     if len(junctions) == 1:
         return best, FaceDescriptor.vertex(body.junction(junctions[0]))
@@ -143,11 +144,12 @@ def _ref_support(body, u):
 
 
 def _exact(answer):
-    """Everything a support answer carries, with the types of its numbers."""
+    """Everything a support answer carries, with the types of its numbers:
+    the values and the point are Fractions, the direction ints."""
     h, f = answer
-    numbers = (h.q, h.s, h.m) + (f.point or ()) + (f.direction or ())
     return (h, f.tag, f.feature, f.point, f.direction,
-            tuple(type(x) for x in numbers))
+            tuple(type(x) for x in (h.q, h.s, h.m) + (f.point or ())),
+            tuple(type(x) for x in f.direction or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +383,81 @@ def test_cell_keyed_touching_counts_equal_all_cones_scan(name):
         tuple(cs), inv.arc_families, (), inv.non_exposed))
     rep = planar.partition_check_planar(body, dirs + [u])
     assert not rep.passed and rep.details
+
+
+# ---------------------------------------------------------------------------
+# int directions against the same directions as Fractions
+# ---------------------------------------------------------------------------
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _as_fractions(v):
+    return tuple(map(F, v))
+
+
+def _variants(v):
+    """v as it is, as Fractions and with one coordinate of each type."""
+    f = _as_fractions(v)
+    return [v, f, (v[0], f[1]), (f[0], v[1])]
+
+
+big = st.integers(-10**12, 10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(big, big), st.tuples(big, big), st.integers(-3, 3), rational)
+def test_int_sign_predicates_equal_fraction_signs(a, b, k, r):
+    """`orient2`, `dot2_sign` and `is_zero` on int, Fraction and mixed
+    pairs give the signs of the Fraction formulas, also against parallel
+    (k*a), perpendicular, zero and non-integral partners."""
+    partners = [b, (k * a[0], k * a[1]), (-a[1], a[0]), (0, 0), (r * b[0], b[1])]
+    for p, q in [(a, w) for w in partners] + [(w, a) for w in partners]:
+        fp, fq = _as_fractions(p), _as_fractions(q)
+        cross, inner = _sign(_cross(fp, fq)), _sign(_dot(fp, fq))
+        for x in _variants(p):
+            assert is_zero(x) == (fp == (0, 0)), x
+            for y in _variants(q):
+                assert orient2(x, y) == cross, (x, y)
+                assert dot2_sign(x, y) == inner, (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonzero, nonzero, positive, positive)
+def test_cones_from_rational_multiples_equal_int_primitive_cones(a, b, s, t):
+    """`Cone2.ray` and `Cone2.sector` of positive rational multiples equal
+    the cones built from the int primitive forms (the Fraction `primitive`
+    read as ints), and every direction they hand out is an int pair."""
+    pa, pb = (tuple(map(int, primitive(v))) for v in (a, b))
+    ray = Cone2.ray(pa)
+    for v in (a, vscale(s, a), vscale(t, pa), pa, (3 * pa[0], 3 * pa[1])):
+        c = Cone2.ray(v)
+        assert c == ray and c.key == ray.key and c.label() == ray.label()
+        assert all(type(x) is int for x in c.d1)
+    if _cross(a, b) == 0 and _dot(a, b) < 0:
+        with pytest.raises(ValueError):
+            Cone2.sector(vscale(s, a), vscale(t, b))
+        return
+    sector = Cone2.sector(pa, pb)
+    for v, w in ((a, b), (vscale(s, a), vscale(t, b)), (vscale(t, b), vscale(s, a)),
+                 (pa, vscale(t, b)), (pb, (2 * pa[0], 2 * pa[1]))):
+        c = Cone2.sector(v, w)
+        assert c == sector and c.key == sector.key, (v, w)
+        assert all(type(x) is int for d in c.generators() + [c.ri_vector()] for x in d)
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+@settings(max_examples=25, deadline=None)
+@given(u=st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(any),
+       int_first=st.booleans())
+def test_int_and_fraction_directions_share_one_support_entry(name, u, int_first):
+    """`support_value` of (x, y) and of (F(x), F(y)) is one memo entry,
+    whichever comes first, and equals the all-QuadVal reference."""
+    body = bodyio.load_fixture(name)  # a fresh, empty memo
+    fu = _as_fractions(u)
+    first, second = (u, fu) if int_first else (fu, u)
+    answer = planar.support_value(body, first)
+    assert planar.support_value(body, second) is answer
+    assert len(body._support_memo) == 1
+    assert _exact(answer) == _exact(_ref_support(body, fu))
