@@ -12,10 +12,11 @@ equation exactly.
 Every direction this module builds is a primitive vector of Python ints: the
 compass samples, segment normals, arc radials and the boundary rays of every
 `Cone2`, and so the direction of each arc-point face.  Points, squared radii
-and support, gauge and `QuadVal` values stay `Fraction`s.  Each decision is
-an integer sign test, on the coordinates themselves when both vectors are
-int pairs and on numerators and denominators otherwise: no Fraction is built
-for a sign.  The public functions accept `Fraction` directions as well; since
+and support, gauge and `QuadVal` values stay `Fraction`s, built only when
+asked for.  Each decision is an integer sign test, on the coordinates
+themselves when both vectors are int pairs and on numerators and denominators
+otherwise, and the support and gauge maxima are ranked on integers: no
+Fraction is built for a sign.  The public functions accept `Fraction` directions as well; since
 `Fraction(n) == n` with the same hash and the same printed form, keys,
 labels and reports do not depend on which was passed, and the support memo
 keys a direction by its integer numerators and denominators.
@@ -32,7 +33,8 @@ from .errors import (HypothesisFailed, InvariantViolation, NotAFace,
                      OriginNotInterior, PointNotInBody, UndefinedTouchingCone,
                      UnsupportedArcCenter, ZeroDirection)
 from .exactgeom import (IVec, Vec, _iprimitive, _scaled, dot, dot2_sign,
-                        is_zero, orient2, perp2, vadd, vneg, vscale, vsub)
+                        is_zero, orient2, perp2, point_grid, vadd, vneg, vscale,
+                        vsub)
 from .lattice import FiniteLattice, build_lattice
 
 
@@ -55,7 +57,7 @@ class QuadVal(_Weakrefable):
     m: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.s < 0 or self.m < 0:
+        if self.s.numerator < 0 or self.m.numerator < 0:
             raise ValueError("QuadVal stores the radical part with s, m >= 0")
 
 
@@ -77,6 +79,11 @@ def quad_compare(a: QuadVal, b: QuadVal) -> int:
          * (scale // dd))
     big = a.s.numerator ** 2 * a.m.numerator * (scale // ad) * scale
     small = b.s.numerator ** 2 * b.m.numerator * (scale // bd) * scale
+    return _root_sign(d, big, small)
+
+
+def _root_sign(d: int, big: int, small: int) -> int:
+    """The sign of d + sqrt(big) - sqrt(small), for integers big, small >= 0."""
     flip = 1
     if big < small:
         d, big, small, flip = -d, small, big, -1
@@ -93,17 +100,6 @@ def quad_compare(a: QuadVal, b: QuadVal) -> int:
         return -flip
     c = p * p - 4 * big * small
     return flip * ((c > 0) - (c < 0))
-
-
-def sqrt_exact(x: Fraction) -> Fraction | None:
-    """Rational square root of x, or None when x is not a perfect square."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
 
 
 def _exact_key(v: Vec) -> tuple[int, int, int, int]:
@@ -315,9 +311,17 @@ class Arc:
 
     def radial_point(self, u: Vec) -> Vec | None:
         """The point center + t*u (t > 0) of the arc's circle, or None when
-        it is irrational."""
-        t = sqrt_exact(self.radius_sq / dot(u, u))
-        return vadd(self.center, vscale(t, u)) if t is not None else None
+        it is irrational.  It is center + r*(p, q) for (p, q) the primitive
+        int form of u and r^2 = a/(b*(p^2 + q^2)) with radius_sq = a/b: r is
+        rational when both parts of that fraction in lowest terms are squares."""
+        p, q = _primitive2(u)
+        num, den = self.radius_sq.numerator, self.radius_sq.denominator * (p * p + q * q)
+        g = gcd(num, den)
+        rn, rd = isqrt(num // g), isqrt(den // g)
+        if rn * rn * g != num or rd * rd * g != den:
+            return None
+        return tuple(Fraction(c.numerator * rd + rn * t * c.denominator, c.denominator * rd)
+                     for c, t in zip(self.center, (p, q)))
 
     def point_on(self, x: Vec, strict: bool = False) -> bool:
         r = vsub(x, self.center)
@@ -439,8 +443,9 @@ class PlanarBody:
         return tuple(cones)
 
     @cached_property
-    def _support_memo(self) -> dict[tuple[int, ...], tuple[QuadVal, FaceDescriptor]]:
-        """`_exact_key` of a direction -> `support_value` answer."""
+    def _support_memo(self) -> dict[tuple[int, ...], FaceDescriptor | tuple]:
+        """`_exact_key` of a direction -> the face of the closure it exposes,
+        replaced by the `support_value` answer once the value is asked for."""
         return {}
 
     @cached_property
@@ -457,12 +462,18 @@ class PlanarBody:
         return _build_inventory(self)
 
     @cached_property
-    def _junction_grid(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def _junction_grid(self) -> tuple[int, tuple[IVec, ...]]:
         """(d, points): junction j is points[j]/d, over one common d."""
-        d = lcm(*(x.denominator for p in self.junctions for x in p))
-        return d, tuple((x.numerator * (d // x.denominator),
-                         y.numerator * (d // y.denominator))
-                        for x, y in self.junctions)
+        return point_grid(self.junctions)
+
+    @cached_property
+    def _arc_grid(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """(D, arcs): one (i, cx, cy, n) per arc feature i, its center
+        (cx, cy)/D and its radius_sq n/D, over one common D."""
+        idx = [i for i, f in enumerate(self.features) if isinstance(f, Arc)]
+        big, rows = point_grid((*self.features[i].center, self.features[i].radius_sq)
+                               for i in idx)
+        return big, tuple((i, *row) for i, row in zip(idx, rows))
 
     def is_closed(self) -> bool:
         return all(self.feature_closed) and all(self.vertex_closed)
@@ -642,66 +653,80 @@ def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
 
 def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     """Support value over the closure and the exposed face of the closure."""
-    if is_zero(u):
-        raise ZeroDirection("support direction must be nonzero")
+    found = _support_entry(body, u)
+    if type(found) is not tuple:
+        found = body._support_memo[_exact_key(u)] = (_face_value(body, u, found), found)
+    return found
+
+
+def _support_entry(body: PlanarBody, u: Vec) -> FaceDescriptor | tuple:
+    """The memo entry of u: the face of the closure that u exposes, filled
+    by `_support` on a miss, or the `support_value` answer."""
     memo = body._support_memo
     key = _exact_key(u)
     found = memo.get(key)
     if found is None:
+        if is_zero(u):
+            raise ZeroDirection("support direction must be nonzero")
         found = memo[key] = _support(body, u)
     return found
 
 
-def _support(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
-    """`support_value` computed afresh: a maximum over every junction and
-    every arc whose radial wedge holds u.
+def _face_value(body: PlanarBody, u: Vec, face: FaceDescriptor) -> QuadVal:
+    """The support value in direction u, read off the face u exposes: an
+    arc point's u.c + sqrt(radius_sq*u.u), else u.p for a junction p."""
+    if face.tag == "arcpoint":
+        f = body.features[face.feature]
+        return QuadVal(dot(u, f.center), _ONE, f.radius_sq * dot(u, u))
+    return QuadVal(dot(u, face.point or body.features[face.feature].start))
 
-    The junction values are rational, so they are ranked as integers: u
-    times the lcm e of its denominators against the junctions over their
-    common denominator d.  An int u is its own scaled form, e = 1.  Only
-    the arc candidates are `QuadVal`s."""
-    un, vn = u
-    if type(un) is type(vn) is int:
-        e = 1
-    else:
-        e = lcm(un.denominator, vn.denominator)
-        un = un.numerator * (e // un.denominator)
-        vn = vn.numerator * (e // vn.denominator)
+
+def _support(body: PlanarBody, u: Vec) -> FaceDescriptor:
+    """The face of the closure that u exposes, computed afresh: a maximum
+    over every junction and every arc whose radial wedge holds u, decided on
+    integers.
+
+    With u = (un, vn)/e, the junctions over their common denominator d and
+    the arc grid over D, each candidate times e*d*D^2 is P + sqrt(R) for
+    integers: P = top*D^2 and R = 0 for the junction maximum top/(e*d),
+    P = (un*cx + vn*cy)*d*D and R = n*(un^2 + vn^2)*D^3*d^2 for an arc."""
+    un, vn = _scaled(u)
     d, grid = body._junction_grid
     vals = [un * x + vn * y for x, y in grid]
     top = max(vals)
-    best = QuadVal(Fraction(top, e * d))
-    attainers = [("junction", j) for j, v in enumerate(vals) if v == top]
-    for i, f in enumerate(body.features):
-        if isinstance(f, Arc) and f.wedge_contains(u, strict=True):
-            val = QuadVal(dot(u, f.center), _ONE, f.radius_sq * dot(u, u))
-            c = quad_compare(val, best)
+    big, arcs = body._arc_grid
+    norm = un * un + vn * vn
+    best, p0, r0, tied = None, top * big * big, 0, False
+    for i, cx, cy, n in arcs:
+        if body.features[i].wedge_contains(u, strict=True):
+            p, r = (un * cx + vn * cy) * d * big, n * norm * big * (big * d) ** 2
+            c = _root_sign(p - p0, r, r0)
             if c > 0:
-                best, attainers = val, [("arc", i)]
+                best, p0, r0, tied = i, p, r, False
             elif c == 0:
-                attainers.append(("arc", i))
-    arcs = [a for a in attainers if a[0] == "arc"]
-    if arcs:
-        if len(attainers) != 1:
-            raise InvariantViolation("strictly convex arcs admit no support ties")
-        i = arcs[0][1]
-        return best, FaceDescriptor.arc_point(
-            i, u, body.features[i].radial_point(u))
-    junctions = [j for _, j in attainers]
+                tied = True
+    if tied:
+        raise InvariantViolation("strictly convex arcs admit no support ties")
+    if best is not None:
+        p = _primitive2(u)
+        return FaceDescriptor.arc_point(best, p, body.features[best].radial_point(p))
+    junctions = [j for j, v in enumerate(vals) if v == top]
     if len(junctions) == 1:
-        return best, FaceDescriptor.vertex(body.junction(junctions[0]))
+        return FaceDescriptor.vertex(body.junction(junctions[0]))
     if len(junctions) != 2:
         raise InvariantViolation("at most one segment can attain the support")
     pts = {body.junction(j) for j in junctions}
     for i, f in enumerate(body.features):
         if isinstance(f, Segment) and {f.start, f.end} == pts:
-            return best, FaceDescriptor.edge(i)
+            return FaceDescriptor.edge(i)
     raise InvariantViolation("two support junctions must bound a segment feature")
 
 
 def exposed_face(body: PlanarBody, u: Vec) -> FaceDescriptor:
     """Exposed face of the body by u; Empty when the supremum is not attained."""
-    _, closure_face = support_value(body, u)
+    closure_face = _support_entry(body, u)
+    if type(closure_face) is tuple:  # the value was asked for too
+        closure_face = closure_face[1]
     if closure_face.tag == "vertex":
         j = _junction_index(body, closure_face.point)
         return closure_face if body.junction_present(j) else FaceDescriptor.empty()
@@ -1026,27 +1051,36 @@ def polar_planar(body: PlanarBody) -> PlanarBody:
 
 
 def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
-    """Exact gauge inf{t > 0 : u/t in body} of a closed body with 0 interior."""
+    """Exact gauge inf{t > 0 : u/t in body} of a closed body with 0 interior.
+
+    The candidates, n.u/n.p for each segment (outward normal n, start p)
+    facing u and |u|/r for each arc whose wedge holds u, are positive, so they
+    rank by their squares, on integers; only the largest (the first of
+    equals) becomes a `QuadVal`."""
     if is_zero(u):
         raise ZeroDirection("gauge direction must be nonzero")
-    best: QuadVal | None = None
+    un, vn = _scaled(u)
+    best = None
     for f in body.features:
         if isinstance(f, Segment):
-            n = f.outward_normal
-            num = dot(n, u)
+            a, b = f.outward_normal
+            num = a * un + b * vn
             if num <= 0:
                 continue
-            val = QuadVal(num / dot(n, f.start))
+            x, y, w = _scaled((*f.start, 1))  # the start is (x, y)/w
+            sq = ((num * w) ** 2, (a * x + b * y) ** 2)
+        elif f.wedge_contains(vsub(u, f.center) if any(f.center) else u):
+            sq = ((un * un + vn * vn) * f.radius_sq.denominator, f.radius_sq.numerator)
         else:
-            d = vsub(u, f.center)  # centers are 0 for supported bodies
-            if not f.wedge_contains(d):
-                continue
-            val = QuadVal(Fraction(0), _ONE, dot(u, u) / f.radius_sq)
-        if best is None or quad_compare(val, best) > 0:
-            best = val
+            continue
+        if best is None or sq[0] * most[1] > most[0] * sq[1]:
+            best, most = f, sq
     if best is None:
         raise InvariantViolation("a bounded body bounds every ray")
-    return best
+    if isinstance(best, Segment):
+        n = best.outward_normal
+        return QuadVal(dot(n, u) / dot(n, best.start))
+    return QuadVal(Fraction(0), _ONE, dot(u, u) / best.radius_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ Every number reachable from the polytope layer's outputs (the four lattices,
 the facets, the polar, support values, normal cones at points and the lifts)
 must be an `int` or a `Fraction`.  The canonical vectors (a cone's rays,
 lineality, facet normals, span and perp bases, every facet normal and the
-body's `lin_perp`) must in addition be exactly `int`.  The last tests parse
-the exact modules and reject a true division whose numerator is an int
-literal: once an operand can be an int, `1 / x` is float division.
+body's `lin_perp`) must in addition be exactly `int`.  The same holds for the
+planar layer's outputs (support and gauge values, face points, polar bodies
+and cone inventories), whose directions (cone rays, face directions, segment
+normals and arc radials) must be `int` pairs.  The last tests parse the
+exact modules and reject a true division whose numerator is an int literal:
+once an operand can be an int, `1 / x` is float division.
 """
 
 import ast
@@ -18,8 +21,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from facelat import bodyio
+from facelat import planar as pl
 from facelat import polytope as pt
-from facelat.errors import OriginNotInterior
+from facelat.errors import OriginNotInterior, UnsupportedArcCenter
 from facelat.exactgeom import PolyCone, unit, vec
 from facelat.lattice import FiniteLattice
 from facelat.polytope import ConeElement, Facet, PolyFace, Polytope
@@ -30,8 +34,9 @@ EXACT_MODULES = ("exactgeom.py", "polytope.py", "lattice.py", "checks.py",
 
 
 def numbers(value, cones: list, seen: set):
-    """Every number reachable from value; the cones met on the way are
-    appended to `cones`, each once."""
+    """Every number reachable from value; the cones met on the way, and the
+    planar objects that carry directions, are appended to `cones`, each
+    polytope cone once."""
     if type(value) in (int, F, float, complex, bool):
         yield value
     elif value is None or isinstance(value, str):
@@ -65,6 +70,23 @@ def numbers(value, cones: list, seen: set):
         yield from numbers(value.elements, cones, seen)
     elif isinstance(value, Polytope):
         yield from numbers(value.vertices, cones, seen)
+    elif isinstance(value, pl.QuadVal):
+        yield from numbers((value.q, value.s, value.m), cones, seen)
+    elif isinstance(value, (pl.Cone2, pl.FaceDescriptor, pl.Segment, pl.Arc)):
+        cones.append(value)
+        yield from numbers(planar_directions(value), cones, seen)
+        if isinstance(value, pl.FaceDescriptor):
+            yield from numbers((value.feature, value.point), cones, seen)
+        elif isinstance(value, pl.Segment):
+            yield from numbers((value.start, value.end), cones, seen)
+        elif isinstance(value, pl.Arc):
+            yield from numbers((value.center, value.radius_sq, value.start, value.end),
+                               cones, seen)
+    elif isinstance(value, pl.PlanarBody):
+        yield from numbers(value.features, cones, seen)
+    elif isinstance(value, pl.ConeInventory):
+        yield from numbers((value.proper_normal, value.arc_families,
+                            value.extra_touching, value.non_exposed), cones, seen)
     else:
         raise TypeError(f"the walk does not know {type(value).__name__}")
 
@@ -137,6 +159,75 @@ def test_polar_of_thirds_is_exact():
     p = Polytope((vec(third, 0), vec(0, third), vec(-third, -third)))
     assert pt.polar(p).vertices == (vec(-6, 3), vec(3, -6), vec(3, 3))
     assert_exact(p)
+
+
+# ---------------------------------------------------------------------------
+# planar outputs
+# ---------------------------------------------------------------------------
+
+def planar_directions(value) -> list:
+    """The directions a planar object carries."""
+    if isinstance(value, pl.Cone2):
+        return [d for d in (value.d1, value.d2) if d is not None]
+    if isinstance(value, pl.FaceDescriptor):
+        return [value.direction] if value.direction is not None else []
+    if isinstance(value, pl.Segment):
+        return [value.outward_normal]
+    return [value.start_radial, value.end_radial, value.interior_direction()]
+
+
+def planar_outputs(b: pl.PlanarBody) -> list:
+    """The exact outputs of the planar layer on b, over the compass and a few
+    Fraction directions."""
+    directions = pl.compass_directions(72) + [(F(i - 2, 3), F(3 - i, 2)) for i in range(5)]
+    out = [pl.cone_inventory(b), pl.special_faces(b)]
+    out += [pl.support_value(b, u) for u in directions]
+    out += [pl.exposed_face(b, u) for u in directions]
+    out += [pl.face_at(b, x) for x in pl.sample_boundary_points(b)]
+    try:
+        q = pl.polar_planar(b)
+    except (OriginNotInterior, UnsupportedArcCenter):
+        return out
+    out += [q, pl.cone_inventory(q), pl.special_faces(q)]
+    out += [pl.gauge_value(b, u) for u in directions]
+    out += [pl.support_value(q, u) for u in directions]
+    return out
+
+
+PLANAR = [name for name in bodyio.list_fixtures()
+          if isinstance(bodyio.load_fixture(name), pl.PlanarBody)]
+
+
+@pytest.mark.parametrize("name", PLANAR)
+def test_planar_fixture_outputs_are_exact(name):
+    holders: list = []
+    found = list(numbers(planar_outputs(bodyio.load_fixture(name)), holders, set()))
+    bad = {type(x).__name__ for x in found if type(x) not in (int, F)}
+    assert found and not bad, f"non-exact numbers of type {bad}"
+    directions = [d for h in holders for d in planar_directions(h)]
+    assert directions
+    assert all(len(d) == 2 and type(x) is int for d in directions for x in d)
+
+
+@pytest.mark.parametrize("planted", ["radial_point", "gauge_value", "support_value"])
+def test_planar_walk_finds_a_planted_float(monkeypatch, planted):
+    """The walk reaches the arc points and the gauge and support values: a
+    float planted in any of them is found."""
+    if planted == "radial_point":
+        real = pl.Arc.radial_point
+        monkeypatch.setattr(pl.Arc, "radial_point", lambda self, u: (
+            None if (p := real(self, u)) is None else tuple(map(float, p))))
+    else:
+        real = getattr(pl, planted)
+
+        def floating(b, u):
+            answer = real(b, u)
+            h = answer if planted == "gauge_value" else answer[0]
+            h = pl.QuadVal(float(h.q), h.s, h.m)
+            return h if planted == "gauge_value" else (h, answer[1])
+        monkeypatch.setattr(pl, planted, floating)
+    found = numbers(planar_outputs(bodyio.load_fixture("unit_disk")), [], set())
+    assert float in set(map(type, found))
 
 
 # ---------------------------------------------------------------------------

@@ -475,7 +475,8 @@ def _exact(answer):
 def test_memoised_support_equals_fresh_support(name, u, scale):
     body = PLANAR_BODIES[name]
     for v in (u, (scale * u[0], scale * u[1])):
-        fresh = planar._support(body, v)
+        face = planar._support(body, v)
+        fresh = planar._face_value(body, v, face), face
         assert _exact(support_value(body, v)) == _exact(fresh)
         assert _exact(support_value(body, v)) == _exact(fresh)  # a memo hit
         assert body._support_memo[planar._exact_key(v)] is support_value(body, v)
@@ -564,7 +565,7 @@ def test_planar_caches_die_with_the_body():
     memo, cones, inv = body._support_memo, body._junction_cones, body._inventory
     assert memo and cones
     # dicts and tuples take no weak references; the objects they alone hold do
-    h, f = next(iter(memo.values()))
+    h, f = next(e for e in memo.values() if type(e) is tuple)
     refs = [weakref.ref(x) for x in (body, h, f, cones[0], inv)]
     del body, memo, cones, inv, h, f
     gc.collect()

@@ -3,22 +3,27 @@ replaced.
 
 Each `_ref_*` function below is a copy of the earlier code, written on
 Fraction values: the cross and dot products are formed as numbers and then
-compared with 0, and the support oracle ranks every candidate, junctions
-included, as a `QuadVal` with the Fraction `quad_compare`.
+compared with 0, the support oracle ranks every candidate, junctions
+included, as a `QuadVal` with the Fraction `quad_compare`, the radial point
+is a Fraction square root and the gauge a maximum of `QuadVal`s.
 """
 
+from collections import Counter
 from fractions import Fraction as F
+
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelat import bodyio, checks, planar
-from facelat.errors import InvariantViolation, NotAFace
-from facelat.exactgeom import (dot2_sign, is_zero, orient2, primitive, vadd,
-                               vneg, vscale, vsub)
+from facelat.errors import (InvariantViolation, NotAFace, OriginNotInterior,
+                            UnsupportedArcCenter, ZeroDirection)
+from facelat.exactgeom import (dot, dot2_sign, is_zero, orient2, primitive,
+                               vadd, vneg, vscale, vsub)
 from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
-                            Segment, quad_compare, sqrt_exact)
+                            Segment, quad_compare)
 
 PLANAR = {name: body for name in bodyio.list_fixtures()
           if isinstance(body := bodyio.load_fixture(name), PlanarBody)}
@@ -106,6 +111,45 @@ def _ref_quad_compare(a, b):
     return -_ref_quad_compare(b, a)
 
 
+def sqrt_exact(x):
+    """Rational square root of x, or None when x is not a perfect square."""
+    if x < 0:
+        return None
+    n, d = x.numerator, x.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return F(rn, rd)
+    return None
+
+
+def _ref_radial_point(arc, u):
+    t = sqrt_exact(arc.radius_sq / dot(u, u))
+    return vadd(arc.center, vscale(t, u)) if t is not None else None
+
+
+def _ref_gauge_value(body, u):
+    if is_zero(u):
+        raise ZeroDirection("gauge direction must be nonzero")
+    best = None
+    for f in body.features:
+        if isinstance(f, Segment):
+            n = f.outward_normal
+            num = dot(n, u)
+            if num <= 0:
+                continue
+            val = QuadVal(num / dot(n, f.start))
+        else:
+            d = vsub(u, f.center)  # centers are 0 for supported bodies
+            if not f.wedge_contains(d):
+                continue
+            val = QuadVal(F(0), F(1), dot(u, u) / f.radius_sq)
+        if best is None or quad_compare(val, best) > 0:
+            best = val
+    if best is None:
+        raise InvariantViolation("a bounded body bounds every ray")
+    return best
+
+
 def _ref_support(body, u):
     best, attainers = None, []
     for j in range(body.n):
@@ -152,6 +196,12 @@ def _exact(answer):
             tuple(type(x) for x in f.direction or ()))
 
 
+def _fresh(body, u):
+    """The (value, face) answer from a face computed afresh by `_support`."""
+    face = planar._support(body, u)
+    return planar._face_value(body, u, face), face
+
+
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
@@ -178,30 +228,38 @@ def cones(draw):
 
 
 @st.composite
-def arcs(draw):
-    """Arcs on a circle of rational radius through rational points (the
-    rational parametrisation, t = None giving the point at angle pi):
-    minor ones, major ones and ones of exactly pi."""
-    center = draw(vector)
+def arcs(draw, centers=None, kinds=("minor", "major", "pi")):
+    """Arcs through rational points of the circle of squared radius
+    r^2*(a^2 + b^2) around a rational center, which is not a square for
+    (a, b) = (1, 1), (2, 1) or (3, 1): the point center + r*(a, b) turned by
+    rational rotations (the rational parametrisation, t = None giving the
+    turn by pi).  Minor ones, major ones and ones of exactly pi."""
+    center = draw(vector if centers is None else centers)
     r = draw(positive)
+    a, b = draw(st.sampled_from([(1, 0), (1, 1), (2, 1), (3, 1)]))
     params = st.one_of(st.none(), st.builds(F, st.integers(-9, 9),
                                             st.integers(1, 4)))
 
     def point(t):
         x, y = (F(-1), F(0)) if t is None else ((1 - t * t) / (1 + t * t),
                                                 2 * t / (1 + t * t))
-        return (center[0] + r * x, center[1] + r * y)
+        return (center[0] + r * (a * x - b * y), center[1] + r * (a * y + b * x))
 
     s = draw(params)
     start = point(s)
-    kind = draw(st.sampled_from(["minor", "major", "pi"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "pi":
         end = vsub(vscale(2, center), start)
     else:
         end = point(draw(params.filter(lambda e: e != s)))
         if (_cross(vsub(start, center), vsub(end, center)) > 0) != (kind == "minor"):
             start, end = end, start
-    return Arc(center, r * r, start, end)
+    return Arc(center, r * r * (a * a + b * b), start, end)
+
+
+def chord_body(arc):
+    """The closed body of one arc and the chord back to its start."""
+    return PlanarBody((arc, Segment(arc.end, arc.start)), (True, True), (True, True))
 
 
 def _probes(gens, u, t):
@@ -282,14 +340,14 @@ def test_quad_compare_matches_fraction_reference(a, b, k):
 def test_support_matches_all_quadval_maximum(name, u, t):
     body = PLANAR[name]
     for v in (u, vscale(t, u), vscale(t + 7, u)):
-        assert _exact(planar._support(body, v)) == _exact(_ref_support(body, v))
+        assert _exact(_fresh(body, v)) == _exact(_ref_support(body, v))
 
 
 @pytest.mark.parametrize("name", sorted(PLANAR))
 def test_support_matches_all_quadval_maximum_on_compass(name):
     body = PLANAR[name]
     for u in planar.compass_directions(72):
-        assert _exact(planar._support(body, u)) == _exact(_ref_support(body, u))
+        assert _exact(_fresh(body, u)) == _exact(_ref_support(body, u))
 
 
 def _scan(body, point):
@@ -313,14 +371,20 @@ def test_junction_index_matches_linear_scan(name, j, offset):
 
 
 def test_support_compares_each_arc_candidate_at_most_once(monkeypatch):
-    """Junction values are ranked as integers, so within `_support` only arc
-    candidates (arcs whose wedge strictly holds u) reach `quad_compare`."""
-    calls, candidates, inside = [0], [0], [False]
-    compare, support = planar.quad_compare, planar._support
+    """Junction values are ranked as integers, and so is each arc candidate
+    (an arc whose wedge strictly holds u): within `_support` every arc
+    candidate makes one `_root_sign` call against the best value so far,
+    and nothing reaches `quad_compare` or builds a `QuadVal`."""
+    calls, candidates, inside = Counter(), [0], [False]
+    support = planar._support
 
-    def counting_compare(a, b):
-        calls[0] += inside[0]
-        return compare(a, b)
+    def counting(name):
+        original = getattr(planar, name)
+
+        def wrapper(*args):
+            calls[name] += inside[0]
+            return original(*args)
+        monkeypatch.setattr(planar, name, wrapper)
 
     def counting_support(body, u):
         candidates[0] += sum(isinstance(f, Arc) and f.wedge_contains(u, strict=True)
@@ -331,12 +395,208 @@ def test_support_compares_each_arc_candidate_at_most_once(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(planar, "quad_compare", counting_compare)
+    for name in ("quad_compare", "_root_sign", "QuadVal"):
+        counting(name)
     monkeypatch.setattr(planar, "_support", counting_support)
     assert len(PLANAR) == 10
     for name in sorted(PLANAR):
         assert checks.run_suite(bodyio.load_fixture(name), name, "all").passed, name
-    assert 0 < calls[0] <= candidates[0]
+    assert calls["quad_compare"] == calls["QuadVal"] == 0
+    assert 0 < calls["_root_sign"] == candidates[0]
+
+
+# ---------------------------------------------------------------------------
+# the integer support, radial point and gauge against the Fraction references
+# ---------------------------------------------------------------------------
+
+int_direction = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any)
+
+
+def _directions(w, v, t, k):
+    """An int direction as ints, as Fractions and times k, and a Fraction
+    direction, each also times the positive rational t."""
+    return [w, _as_fractions(w), (k * w[0], k * w[1]), vscale(t, w), v, vscale(t, v)]
+
+
+def _boundary_directions(body):
+    """Every segment normal and arc end radial with its negation, and a
+    direction inside each arc: where junctions tie and wedges end."""
+    out = []
+    for f in body.features:
+        if isinstance(f, Segment):
+            out.append(f.outward_normal)
+        else:
+            out += [f.start_radial, f.end_radial, f.interior_direction()]
+    return out + [vneg(d) for d in out]
+
+
+def _typed(numbers):
+    return numbers, tuple(type(x) for x in numbers or ())
+
+
+def _assert_integer_routes(body, dirs, gauge):
+    """`_support`, every arc's `radial_point` and (when the body is a gauge
+    body) `gauge_value` give the references' values, faces and points, with
+    the same number types."""
+    for u in dirs:
+        assert _exact(_fresh(body, u)) == _exact(_ref_support(body, u)), u
+        for f in body.features:
+            if isinstance(f, Arc):
+                assert _typed(f.radial_point(u)) == _typed(_ref_radial_point(f, u)), (f, u)
+        if gauge:
+            h, want = planar.gauge_value(body, u), _ref_gauge_value(body, u)
+            assert _typed((h.q, h.s, h.m)) == _typed((want.q, want.s, want.m)), u
+
+
+def _polar_or_none(body):
+    try:
+        return planar.polar_planar(body)
+    except (OriginNotInterior, UnsupportedArcCenter):
+        return None
+
+
+GAUGED = sorted(name for name, body in PLANAR.items() if _polar_or_none(body))
+
+
+def test_gauge_fixtures_are_drawn():
+    assert GAUGED == ["square_planar", "truncated_disk_closed", "unit_disk"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(PLANAR)), int_direction, nonzero, positive,
+       st.integers(2, 5))
+def test_integer_routes_match_references_on_fixtures(name, w, v, t, k):
+    """On every planar fixture, and on the polar of each gauge body, the
+    integer routes equal the references for int, Fraction and positively
+    scaled directions."""
+    body = PLANAR[name]
+    polar = _polar_or_none(body)
+    dirs = _directions(w, v, t, k)
+    _assert_integer_routes(body, dirs, gauge=polar is not None)
+    if polar is not None:
+        _assert_integer_routes(polar, dirs, gauge=True)
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_integer_routes_match_references_on_compass_and_boundary(name):
+    body = PLANAR[name]
+    polar = _polar_or_none(body)
+    dirs = planar.compass_directions(72) + _boundary_directions(body)
+    _assert_integer_routes(body, dirs, gauge=polar is not None)
+    if polar is not None:
+        _assert_integer_routes(polar, dirs + _boundary_directions(polar), gauge=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arcs(), int_direction, nonzero, positive, st.integers(2, 5))
+def test_integer_routes_match_references_on_chord_bodies(arc, w, v, t, k):
+    """One arc (off-origin center, square or non-square radius_sq) and the
+    chord back: its edge, both junctions and the arc's points."""
+    body = chord_body(arc)
+    dirs = _directions(w, v, t, k) + _boundary_directions(body)
+    _assert_integer_routes(body, dirs, gauge=False)
+
+
+major_about_origin = arcs(centers=st.just((F(0), F(0))), kinds=("major",)).filter(
+    lambda a: _cross(a.start_radial, a.end_radial) < 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(major_about_origin, int_direction, nonzero, positive, st.integers(2, 5))
+def test_integer_gauge_matches_reference_on_chord_bodies(arc, w, v, t, k):
+    """A major arc about the origin and its chord hold the origin inside, so
+    they and their polars are gauge bodies."""
+    body = chord_body(arc)
+    polar = planar.polar_planar(body)
+    dirs = _directions(w, v, t, k)
+    _assert_integer_routes(body, dirs + _boundary_directions(body), gauge=True)
+    _assert_integer_routes(polar, dirs + _boundary_directions(polar), gauge=True)
+
+
+def test_support_raises_when_an_arc_ties_the_maximum():
+    """A boundary that no `PlanarBody` accepts (it is built unchecked): the
+    upper half of the unit circle with a junction at its top point (0, 1).
+    Direction (0, 1) then finds the arc's value 1 equal to the junction
+    maximum, which the integer route, like the reference, reports."""
+    o, east, west, top = (F(0), F(0)), (F(1), F(0)), (F(-1), F(0)), (F(0), F(1))
+    body = object.__new__(PlanarBody)
+    for field, value in (("features", (Arc(o, F(1), east, west), Segment(west, top),
+                                       Segment(top, east))),
+                         ("feature_closed", (True,) * 3), ("vertex_closed", (True,) * 3)):
+        object.__setattr__(body, field, value)
+    for u in ((0, 1), (F(0), F(2))):
+        for route in (planar._support, _ref_support):
+            with pytest.raises(InvariantViolation, match="ties"):
+                route(body, u)
+    assert _exact(_fresh(body, (1, 3))) == _exact(_ref_support(body, (1, 3)))
+
+
+def test_exposed_face_builds_no_quadval(monkeypatch):
+    """Faces are read off the support record: a compass sweep of
+    `exposed_face` and `touching_cone` on the unit disk builds no
+    `QuadVal`; `support_value` then builds one per direction, once."""
+    built = [0]
+    real = planar.QuadVal
+
+    def counting(*args):
+        built[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(planar, "QuadVal", counting)
+    body = bodyio.load_fixture("unit_disk")
+    dirs = planar.compass_directions(360)
+    for u in dirs:
+        planar.exposed_face(body, u)
+        planar.touching_cone(body, u)
+    assert built[0] == 0 and len(body._support_memo) >= 360
+    for _ in range(2):
+        for u in dirs:
+            planar.support_value(body, u)
+        assert built[0] == 360
+
+
+def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
+    """A planted defect: `_support`'s integer comparison of each arc
+    candidate with the best value so far returns the opposite sign.  Arcs
+    then lose to the junctions, and the cross-checks that read the support
+    oracle stop passing: on the unit disk, support of the polar against the
+    gauge (which stops at (0, -1), where the two junctions tie, and differs
+    wherever it gets through), and on the stadium the antitone and sharp
+    suites."""
+    disk, stadium = bodyio.load_fixture("unit_disk"), bodyio.load_fixture("stadium")
+    for body, name, suite in ((disk, "unit_disk", "polar"), (stadium, "stadium", "antitone"),
+                              (stadium, "stadium", "sharp")):
+        assert checks.run_suite(bodyio.load_fixture(name), name, suite).passed
+    root_sign, support, inside = planar._root_sign, planar._support, [False]
+
+    def flipped(*args):
+        c = root_sign(*args)
+        return -c if inside[0] else c
+
+    def flagged(body, u):
+        inside[0] = True
+        try:
+            return support(body, u)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(planar, "_root_sign", flipped)
+    monkeypatch.setattr(planar, "_support", flagged)
+    with pytest.raises(InvariantViolation):
+        checks.run_suite(disk, "unit_disk", "polar")
+    polar, agree = planar.polar_planar(disk), []
+    for u in planar.compass_directions(120):
+        try:
+            h, _ = planar.support_value(polar, u)
+        except InvariantViolation:
+            continue
+        agree.append(quad_compare(h, planar.gauge_value(disk, u)) == 0)
+    assert len(agree) == 118 and sum(agree) == 2
+    verdicts = {v.check_id: v.status
+                for v in checks.run_suite(stadium, "stadium", "antitone").verdicts}
+    assert verdicts["antitone.pointwise_duality"] == "fail"
+    with pytest.raises(ValueError):
+        checks.run_suite(bodyio.load_fixture("stadium"), "stadium", "sharp")
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +710,23 @@ def test_cones_from_rational_multiples_equal_int_primitive_cones(a, b, s, t):
 @pytest.mark.parametrize("name", sorted(PLANAR))
 @settings(max_examples=25, deadline=None)
 @given(u=st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(any),
-       int_first=st.booleans())
-def test_int_and_fraction_directions_share_one_support_entry(name, u, int_first):
+       int_first=st.booleans(), face_first=st.booleans())
+def test_int_and_fraction_directions_share_one_support_entry(name, u, int_first,
+                                                             face_first):
     """`support_value` of (x, y) and of (F(x), F(y)) is one memo entry,
-    whichever comes first, and equals the all-QuadVal reference."""
+    whichever comes first, and equals the all-QuadVal reference.  An
+    `exposed_face` query first stores the face alone; the value is built
+    on the first `support_value` request."""
     body = bodyio.load_fixture(name)  # a fresh, empty memo
     fu = _as_fractions(u)
     first, second = (u, fu) if int_first else (fu, u)
+    face = None
+    if face_first:
+        planar.exposed_face(body, second)
+        (face,) = body._support_memo.values()
+        assert type(face) is FaceDescriptor
     answer = planar.support_value(body, first)
     assert planar.support_value(body, second) is answer
-    assert len(body._support_memo) == 1
+    assert list(body._support_memo.values()) == [answer]
+    assert face is None or answer[1] is face
     assert _exact(answer) == _exact(_ref_support(body, fu))
