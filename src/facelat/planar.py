@@ -16,10 +16,11 @@ and support, gauge and `QuadVal` values stay `Fraction`s, built only when
 asked for.  Each decision is an integer sign test, on the coordinates
 themselves when both vectors are int pairs and on numerators and denominators
 otherwise, and the support and gauge maxima are ranked on integers: no
-Fraction is built for a sign.  The public functions accept `Fraction` directions as well; since
-`Fraction(n) == n` with the same hash and the same printed form, keys,
-labels and reports do not depend on which was passed, and the support memo
-keys a direction by its integer numerators and denominators.
+Fraction is built for a sign.  The public functions accept `Fraction`
+directions as well; since `Fraction(n) == n` with the same hash and the same
+printed form, keys, labels and reports do not depend on which was passed,
+and the support memo keys a direction by its integer numerators and
+denominators.
 """
 
 from __future__ import annotations
@@ -315,13 +316,14 @@ class Arc:
         int form of u and r^2 = a/(b*(p^2 + q^2)) with radius_sq = a/b: r is
         rational when both parts of that fraction in lowest terms are squares."""
         p, q = _primitive2(u)
-        num, den = self.radius_sq.numerator, self.radius_sq.denominator * (p * p + q * q)
+        r = self.radius_sq
+        num, den = r.numerator, r.denominator * (p * p + q * q)
         g = gcd(num, den)
         rn, rd = isqrt(num // g), isqrt(den // g)
         if rn * rn * g != num or rd * rd * g != den:
             return None
-        return tuple(Fraction(c.numerator * rd + rn * t * c.denominator, c.denominator * rd)
-                     for c, t in zip(self.center, (p, q)))
+        return tuple(Fraction(c.numerator * rd + rn * t * c.denominator,
+                              c.denominator * rd) for c, t in zip(self.center, (p, q)))
 
     def point_on(self, x: Vec, strict: bool = False) -> bool:
         r = vsub(x, self.center)
@@ -1070,6 +1072,7 @@ def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
             x, y, w = _scaled((*f.start, 1))  # the start is (x, y)/w
             sq = ((num * w) ** 2, (a * x + b * y) ** 2)
         elif f.wedge_contains(vsub(u, f.center) if any(f.center) else u):
+            # centers are 0 for supported bodies
             sq = ((un * un + vn * vn) * f.radius_sq.denominator, f.radius_sq.numerator)
         else:
             continue

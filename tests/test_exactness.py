@@ -179,7 +179,8 @@ def planar_directions(value) -> list:
 def planar_outputs(b: pl.PlanarBody) -> list:
     """The exact outputs of the planar layer on b, over the compass and a few
     Fraction directions."""
-    directions = pl.compass_directions(72) + [(F(i - 2, 3), F(3 - i, 2)) for i in range(5)]
+    directions = pl.compass_directions(72)
+    directions += [(F(i - 2, 3), F(3 - i, 2)) for i in range(5)]
     out = [pl.cone_inventory(b), pl.special_faces(b)]
     out += [pl.support_value(b, u) for u in directions]
     out += [pl.exposed_face(b, u) for u in directions]

@@ -10,7 +10,6 @@ is a Fraction square root and the gauge a maximum of `QuadVal`s.
 
 from collections import Counter
 from fractions import Fraction as F
-
 from math import isqrt
 
 import pytest
@@ -442,7 +441,8 @@ def _assert_integer_routes(body, dirs, gauge):
         assert _exact(_fresh(body, u)) == _exact(_ref_support(body, u)), u
         for f in body.features:
             if isinstance(f, Arc):
-                assert _typed(f.radial_point(u)) == _typed(_ref_radial_point(f, u)), (f, u)
+                want = _ref_radial_point(f, u)
+                assert _typed(f.radial_point(u)) == _typed(want), (f, u)
         if gauge:
             h, want = planar.gauge_value(body, u), _ref_gauge_value(body, u)
             assert _typed((h.q, h.s, h.m)) == _typed((want.q, want.s, want.m)), u
@@ -520,9 +520,9 @@ def test_support_raises_when_an_arc_ties_the_maximum():
     maximum, which the integer route, like the reference, reports."""
     o, east, west, top = (F(0), F(0)), (F(1), F(0)), (F(-1), F(0)), (F(0), F(1))
     body = object.__new__(PlanarBody)
-    for field, value in (("features", (Arc(o, F(1), east, west), Segment(west, top),
-                                       Segment(top, east))),
-                         ("feature_closed", (True,) * 3), ("vertex_closed", (True,) * 3)):
+    features = (Arc(o, F(1), east, west), Segment(west, top), Segment(top, east))
+    for field, value in (("features", features), ("feature_closed", (True,) * 3),
+                         ("vertex_closed", (True,) * 3)):
         object.__setattr__(body, field, value)
     for u in ((0, 1), (F(0), F(2))):
         for route in (planar._support, _ref_support):
@@ -564,8 +564,7 @@ def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
     wherever it gets through), and on the stadium the antitone and sharp
     suites."""
     disk, stadium = bodyio.load_fixture("unit_disk"), bodyio.load_fixture("stadium")
-    for body, name, suite in ((disk, "unit_disk", "polar"), (stadium, "stadium", "antitone"),
-                              (stadium, "stadium", "sharp")):
+    for name, suite in (("unit_disk", "polar"), ("stadium", "antitone"), ("stadium", "sharp")):
         assert checks.run_suite(bodyio.load_fixture(name), name, suite).passed
     root_sign, support, inside = planar._root_sign, planar._support, [False]
 
