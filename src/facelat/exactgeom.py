@@ -22,8 +22,10 @@ floating point anywhere.  Cones are kept in a canonical V-representation
 (extreme rays modulo lineality, primitive integer scaling, sorted), so record
 equality coincides with geometric equality.  Every conversion between an
 H- and a V-description, of cones here and of polytopes in `polytope`, goes
-through one integer double-description core, `double_description`, on top of
-one integer kernel, `_ikernel`; the faces of cones and polytopes come from
+through one integer double-description loop, `_insert_rows`, started from a
+simplicial cone (`double_description`, on top of one integer kernel,
+`_ikernel`) or from a pointed cone already known (`_seeded_description`,
+from a `Seed`); the faces of cones and polytopes come from
 one `intersection_closure`.  A `ConeTable`, owned by a body and passed in by
 the caller, interns canonical cones and memoises the core's conversions;
 without one, nothing is cached beyond the properties of each `PolyCone`
@@ -37,8 +39,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Sequence
+from operator import countOf, mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 
@@ -597,6 +599,16 @@ class PolyCone:
         return _cone_facet_normals(gens, self.span, self.table)
 
     @cached_property
+    def seed(self) -> "Seed":
+        """This cone as a start for the double description (`Seed`); only
+        a pointed cone is one."""
+        if self.lineality:
+            raise ValueError("a cone with a lineality space is no seed")
+        normals = self.facet_normals
+        return Seed(tuple((r, sum(1 << j for j, n in enumerate(normals) if not _idot(n, r)))
+                          for r in self.rays), self.cone_dim, len(normals))
+
+    @cached_property
     def dual(self) -> "PolyCone":
         """The polar dual {u : u.x <= 0 on the cone}."""
         return dual_cone(self)
@@ -681,7 +693,8 @@ class ConeTable:
     (dim, rays, lineality) to its single `PolyCone`, bound to this table, so
     the facet normals, faces, span and dual cached on it are computed once
     per cone and the cones they build are interned here too.  `conversions`
-    memoises `double_description` by its integer input rows.  A `Polytope`
+    memoises `double_description` by its integer input rows, and
+    `intersections` memoises `intersect_cones` by its two cones.  A `Polytope`
     owns one table and shares it with the bodies derived from it, so the
     table lives exactly as long as that family; no table is process-global.
     """
@@ -689,6 +702,7 @@ class ConeTable:
     cones: dict[tuple, PolyCone] = field(default_factory=dict)
     conversions: dict[tuple, tuple[tuple[IVec, ...], tuple[IVec, ...]]] = field(
         default_factory=dict)
+    intersections: dict[tuple[PolyCone, PolyCone], PolyCone] = field(default_factory=dict)
 
 
 def _cone(table: ConeTable | None, dim: int, rays: tuple[IVec, ...],
@@ -724,16 +738,14 @@ def double_description(eq_rows: Sequence[Vec], ineq_rows: Sequence[Vec], dim: in
 def _double_description(eqs: tuple[tuple[int, ...], ...],
                         ineqs: tuple[tuple[int, ...], ...], dim: int
                         ) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-    """`double_description` on integer rows, computed.
+    """`double_description` on integer rows, computed from nothing.
 
     The lineality space is the kernel of all rows; in W = ker(eqs) cap
     lineality-perp the cone is pointed.  Its extreme rays, in integer
     coordinates along a basis of W, come from the incremental double
     description method (Fukuda & Prodon 1996): start from the simplicial cone
-    of w = dim W independent rows, add the other rows one at a time, and
-    combine each pair of rays the new row separates if they are adjacent,
-    that is, if no third ray vanishes on every processed row both vanish on
-    (zero sets are int bitmasks).
+    of w = dim W independent rows and add the other rows one at a time
+    (`_insert_rows`).
 
     The lineality output is canonical; W needs only some basis, since the
     extreme rays, mapped back to R^dim and made primitive, do not depend on
@@ -759,26 +771,69 @@ def _double_description(eqs: tuple[tuple[int, ...], ...],
     scale = lcm(*(row[k] for k, row in enumerate(inv)))
     rays = [([-row[w + j] * (scale // row[k]) for k, row in enumerate(inv)],
              sum(1 << k for k in start if k != i)) for j, i in enumerate(start)]
-    for i, a in enumerate(rows):
-        if i in start:
-            continue
+    skip = set(start)
+    rays = _insert_rows(rays, [(i, a) for i, a in enumerate(rows) if i not in skip], w)
+    if basis is not None:
+        rays = [([_idot(r, col) for col in zip(*basis)], z) for r, z in rays]
+    return tuple(sorted(_iprimitive(r) for r, _ in rays)), lin
+
+
+class Seed(NamedTuple):
+    """A pointed cone the double description can start from, instead of a
+    simplicial cone: its extreme rays, each with its zero set over the
+    cone's facet rows (bit j set when the ray lies on row j), and the
+    cone's own dimension.  Its span-perp rows vanish on every ray, so they
+    carry no bit."""
+
+    rays: tuple[tuple[IVec, int], ...]
+    dim: int
+    rows: int  # the facet rows the zero sets cover; added rows take later bits
+
+
+def _seeded_description(seed: Seed, eqs: Sequence[Sequence[int]],
+                        ineqs: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
+    """Canonical rays of {x in the seed cone : e.x = 0, a.x <= 0} for integer
+    rows: only these rows are added to the seed's rays (`_insert_rows`).  A
+    cut of a pointed cone is pointed, so there is no lineality space."""
+    bit = seed.rows
+    rays = _insert_rows(list(seed.rays), enumerate(eqs, bit), seed.dim, equality=True)
+    rays = _insert_rows(rays, enumerate(ineqs, bit + len(eqs)), seed.dim)
+    return tuple(sorted(_iprimitive(r) for r, _ in rays))
+
+
+def _insert_rows(rays: list, rows: Iterable[tuple[int, Sequence[int]]], w: int,
+                 equality: bool = False) -> list:
+    """The step of the incremental double description method, for each
+    (bit, row) in turn: the rays, (vector, zero set) pairs of a pointed cone
+    of dimension at most w, are cut by row.x <= 0, or by row.x = 0 with
+    `equality`, which keeps only the rays on the row.
+
+    The rays the row keeps stay; each pair it separates (one ray positive,
+    one negative) gives a new ray on the row if the two are adjacent, that
+    is, if no third ray vanishes on every row both vanish on (the zero sets
+    are int bitmasks over the rows processed so far, whose count must reach
+    w - 2 first).
+    """
+    for i, a in rows:
         vals = [_idot(a, r) for r, _ in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
         neg = [k for k, v in enumerate(vals) if v < 0]
+        zs = [z for _, z in rays]
         new = []
         for p, q in product(pos, neg):
-            common = rays[p][1] & rays[q][1]
-            if common.bit_count() < w - 2 or any(z & common == common for k, (_, z)
-                                                 in enumerate(rays) if k not in (p, q)):
+            common = zs[p] & zs[q]
+            # p and q themselves are two of the rays vanishing on `common`
+            if common.bit_count() < w - 2 or countOf(map(common.__and__, zs), common) > 2:
                 continue  # not adjacent
             r = [vals[p] * y - vals[q] * x for x, y in zip(rays[p][0], rays[q][0])]
             g = gcd(*r)
             new.append(([x // g for x in r], common | 1 << i))
-        rays = [(r, (z | 1 << i) if v == 0 else z)
-                for (r, z), v in zip(rays, vals) if v <= 0] + new
-    if basis is not None:
-        rays = [([_idot(r, col) for col in zip(*basis)], z) for r, z in rays]
-    return tuple(sorted(_iprimitive(r) for r, _ in rays)), lin
+        if equality:
+            rays = [(r, z | 1 << i) for (r, z), v in zip(rays, vals) if v == 0] + new
+        else:
+            rays = [(r, (z | 1 << i) if v == 0 else z)
+                    for (r, z), v in zip(rays, vals) if v <= 0] + new
+    return rays
 
 
 def _idot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -814,26 +869,59 @@ def pos_hull(generators: Iterable[Vec], dim: int | None = None,
     """Canonical positive hull; pos() of the empty set is the zero cone.
 
     Each generator is scaled to integers first (a positive multiple, so the
-    cone is the same).  The facet normals computed on the way are the
-    result's own (they depend only on the cone), so they seed its
-    `facet_normals`."""
-    gens = [g for g in map(_scaled, generators) if any(g)]
+    cone is the same).  One conversion finds the facet normals (they seed
+    the result's `facet_normals`), and the canonical form is read off the
+    facets each generator lies on.  A generator on every facet lies in the
+    lineality space, and those generators span it.  Any other generator g is
+    extreme modulo that space iff every generator h off it that lies on
+    every facet g lies on (h is in the smallest face holding g) is parallel
+    to g modulo that space.  The rays are the components of the extreme
+    generators orthogonal to the lineality space.
+    """
+    gens = list(map(_scaled, generators))
     if dim is None:
         if not gens:
             raise ValueError("ambient dimension required for an empty generator list")
         dim = len(gens[0])
+    _check_dims(gens, dim)
+    gens = [g for g in gens if any(g)]
     if not gens:
         return _cone(table, dim, (), ())
-    span = _ispan(gens)
-    normals = _cone_facet_normals(gens, span, table)
-    k = cone_from_hrep(span, normals, dim, table)
+    normals = _cone_facet_normals(gens, _ispan(gens), table)
+    full = (1 << len(normals)) - 1
+    masks = [sum(1 << j for j, n in enumerate(normals) if not _idot(n, g)) for g in gens]
+    lin = _ispan([g for g, m in zip(gens, masks) if m == full])
+    orth: list[list[int]] = []
+    for b in lin:
+        orth.append(_reject(b, orth))
+    dirs = [(_iprimitive(_reject(g, orth)), m) for g, m in zip(gens, masks) if m != full]
+    rays = {r for r, m in dirs if all(s == r for s, n in dirs if n & m == m)}
+    k = _cone(table, dim, tuple(sorted(rays)), lin)
     k.__dict__.setdefault("facet_normals", normals)
     return k
+
+
+def _reject(v: Sequence[int], orth: Sequence[Sequence[int]]) -> list[int]:
+    """A positive multiple of the component of the integer vector v
+    orthogonal to the mutually orthogonal integer vectors orth."""
+    v = list(v)
+    for o in orth:
+        t = _idot(o, v)
+        if t:
+            s = _idot(o, o)
+            v = [s * x - t * y for x, y in zip(v, o)]
+    return v
+
+
+def _check_dims(vectors: Iterable[Sequence], dim: int):
+    if any(len(v) != dim for v in vectors):
+        raise DimensionMismatch("vector and cone dimensions differ")
 
 
 def cone_from_hrep(span: Sequence[Vec], normals: Sequence[Vec], dim: int,
                    table: ConeTable | None = None) -> PolyCone:
     """Cone {x in span(span) : n.x <= 0 for all n}, canonicalized."""
+    _check_dims((*span, *normals), dim)
     return _cone(table, dim, *double_description(
         _perp(span, dim), normals, dim, table))
 
@@ -849,21 +937,37 @@ def cone_faces(k: PolyCone) -> list[PolyCone]:
 
 
 def intersect_cones(a: PolyCone, b: PolyCone) -> PolyCone:
-    """Exact intersection of two cones, in the table of either."""
+    """Exact intersection of two cones, in the table of either and memoised
+    there.  When one of them is pointed the double description starts from
+    its rays (`PolyCone.seed`) and adds only the other's span-perp and facet
+    rows; otherwise it starts from nothing, on the rows of both."""
     if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
+        raise DimensionMismatch("cone dimensions differ")
     table = a.table or b.table
-    return _cone(table, a.dim, *double_description(
-        a.span_perp + b.span_perp, a.facet_normals + b.facet_normals, a.dim, table))
+    memo = {} if table is None else table.intersections
+    out = memo.get((a, b))
+    if out is None:
+        seed, other = (b, a) if a.lineality else (a, b)
+        if seed.lineality:
+            rays, lin = double_description(a.span_perp + b.span_perp,
+                                           a.facet_normals + b.facet_normals, a.dim, table)
+        else:
+            rays, lin = _seeded_description(seed.seed, other.span_perp,
+                                            other.facet_normals), ()
+        out = memo[a, b] = _cone(table, a.dim, rays, lin)
+    return out
 
 
 def minkowski_sum_cone(a: PolyCone, b: PolyCone) -> PolyCone:
+    if a.dim != b.dim:
+        raise DimensionMismatch("cone dimensions differ")
     return pos_hull(a.generators() + b.generators(), a.dim, a.table or b.table)
 
 
 def subspace_cone(basis: Sequence[Vec], dim: int,
                   table: ConeTable | None = None) -> PolyCone:
     """The subspace span(basis) as a canonical cone: no rays, lineality = span."""
+    _check_dims(basis, dim)
     return _cone(table, dim, (), _ispan([_scaled(v) for v in basis]))
 
 

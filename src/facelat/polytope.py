@@ -140,6 +140,17 @@ class Polytope:
     def facets(self) -> tuple[Facet, ...]:
         return _enumerate_facets(*self._vertex_grid, self.lin_perp, self.cone_table)
 
+    @cached_property
+    def _vertex_cone(self) -> eg.Seed:
+        """The homogenised body pos{(v, 1)} as a start for the double
+        description: a ray (grid vertex, d) per vertex, on the row of each
+        facet through the vertex.  Every vertex is extreme, so these are its
+        extreme rays, and the facets are its facets within its span."""
+        d, grid = self._vertex_grid
+        return eg.Seed(tuple((v + (d,), sum(1 << j for j, f in enumerate(self.facets)
+                                            if i in f.vertex_set))
+                             for i, v in enumerate(grid)), self.dim + 1, len(self.facets))
+
     # Lattices, the polar, the projections (each with its lifts) and normal
     # cones are memoized on the body itself, so each lives exactly as long as
     # the body it was built from.  The cone table is shared with the bodies
@@ -844,30 +855,43 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
 
     The system is p's own, plus conv(pts) pulled back through V: its facets,
     and the slab equalities on V cap D_perp, D the direction space of
-    conv(pts), all read off the points' integer grid."""
+    conv(pts), all read off the points' integer grid.  p's own rows are
+    those of its homogenised vertex cone, so the enumeration starts from
+    that cone and adds the pulled-back rows only."""
     d = p.ambient_dim
     den, grid = eg.point_grid(pts)
     dirs = [[a - b for a, b in zip(g, grid[0])] for g in grid[1:]]
-    equalities = [(m, dot(m, p.vertices[0])) for m in p.lin_perp]
-    inequalities = [(fc.normal, fc.offset) for fc in p.facets]
     slab = eg._ikernel([*eg._perp(basis, d), *dirs], d)
-    equalities += [(m, dot(m, pts[0])) for m in slab]
+    equalities = [(m, dot(m, pts[0])) for m in slab]
     facets = _enumerate_facets(den, grid, eg._ikernel(dirs, d), p.cone_table)
-    inequalities += [(fc.normal, fc.offset) for fc in facets]
-    return _vertex_enumerate(equalities, inequalities, d)
+    inequalities = [(fc.normal, fc.offset) for fc in facets]
+    return _vertex_enumerate(equalities, inequalities, d, p._vertex_cone)
 
 
-def _vertex_enumerate(equalities, inequalities, dim) -> tuple[Vec, ...]:
+def _vertex_enumerate(equalities, inequalities, dim,
+                      seed: eg.Seed | None = None) -> tuple[Vec, ...]:
     """Vertices of {x : e.x = c for (e, c) in equalities, n.x <= c for (n, c) in
     inequalities}: the rays (x, t) with t > 0 of its homogenisation, a cone
-    with the extra row t >= 0.  A polyhedron with a lineality space has none."""
-    eqs = [tuple(e) + (-c,) for e, c in equalities]
-    ineqs = [tuple(n) + (-c,) for n, c in inequalities]
-    ineqs.append((0,) * dim + (-1,))
-    rays, lin = eg.double_description(eqs, ineqs, dim + 1)
-    if lin:
-        return ()
-    return tuple(sorted(vscale(Fraction(1, r[-1]), r[:-1]) for r in rays if r[-1] > 0))
+    with the extra row t >= 0.  A polyhedron with a lineality space has none.
+
+    With a `seed`, the homogenisation of a polytope in R^dim, the system is
+    that polytope cut by the rows: the enumeration starts from the seed's
+    rays, all with t > 0, and adds the rows alone."""
+    eqs = [eg._scaled((*e, -c)) for e, c in equalities]
+    ineqs = [eg._scaled((*n, -c)) for n, c in inequalities]
+    if seed is not None:
+        rays = eg._seeded_description(seed, eqs, ineqs)
+    else:
+        ineqs.append((0,) * dim + (-1,))
+        rays, lin = eg.double_description(eqs, ineqs, dim + 1)
+        if lin:
+            return ()
+        rays = [r for r in rays if r[-1] > 0]
+    # sorted on the integer points over one common denominator, the order
+    # of the rational points themselves
+    den = lcm(*(r[-1] for r in rays))
+    rays = sorted(rays, key=lambda r: [x * (den // r[-1]) for x in r[:-1]])
+    return tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays)
 
 
 @dataclass(frozen=True)

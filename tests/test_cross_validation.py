@@ -786,3 +786,39 @@ def test_cube_meets_intersects_at_most_189_pairs(monkeypatch):
     monkeypatch.setattr(checks, "intersect_cones", counting)
     assert checks.run_suite(bodyio.load_fixture("cube"), "cube", "meets").passed
     assert 0 < len(calls) <= 189
+
+
+def test_seeded_intersection_skipping_a_row_fails_meets(monkeypatch):
+    """A seeded intersection that leaves out the last row it adds fails the
+    infimum verdict: the seed does not make the check vacuous."""
+    cube = bodyio.load_fixture("cube")
+    assert meets_verdicts(cube)[MEETS_IDS[0]] == "pass"
+    core = eg._seeded_description
+
+    def skipping(seed, eqs, ineqs):
+        if ineqs:
+            return core(seed, eqs, ineqs[:-1])
+        return core(seed, eqs[:-1], ineqs)
+
+    monkeypatch.setattr(eg, "_seeded_description", skipping)
+    assert meets_verdicts(bodyio.load_fixture("cube"))[MEETS_IDS[0]] == "fail"
+
+
+def test_seeded_lift_dropping_a_slab_equality_fails_lift(monkeypatch):
+    """A seeded lift enumeration that drops a slab equality fails the lift
+    isomorphism verdict."""
+    enumerate_ = pt._vertex_enumerate
+
+    def lift_verdict():
+        out = []
+        checks._lift_polytope(bodyio.load_fixture("cube"), out, {}, None)
+        return next(v.status for v in out if v.check_id == "lift.lattice_isomorphisms")
+
+    assert lift_verdict() == "pass"
+
+    def dropping(eqs, ineqs, dim, seed=None):
+        assert seed is not None
+        return enumerate_(eqs[:-1], ineqs, dim, seed)
+
+    monkeypatch.setattr(pt, "_vertex_enumerate", dropping)
+    assert lift_verdict() == "fail"

@@ -24,7 +24,8 @@ from facelat import polytope as pt
 from facelat.errors import DimensionMismatch
 from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
                                _double_description, _eliminate, _idot,
-                               _ikernel, _iprimitive, _scaled, cone_from_hrep,
+                               _ikernel, _iprimitive, _scaled,
+                               _seeded_description, cone_from_hrep,
                                dot, double_description, dual_cone,
                                intersect_cones, intersection_closure, is_zero,
                                kernel_basis, orth_complement, pos_hull,
@@ -302,6 +303,13 @@ def ref_vertex_enumerate(equalities, inequalities, dim):
     return tuple(sorted(out))
 
 
+def body_rows(p):
+    """The rows of p's own system, which a lift's seed, the homogenised
+    vertex cone of p, stands for."""
+    return ([(m, dot(m, p.vertices[0])) for m in p.lin_perp],
+            [(fc.normal, fc.offset) for fc in p.facets])
+
+
 def ref_lift_system(p, basis, pts):
     """The system a lift solved when it built the projected face as a body
     from the extreme points of pts."""
@@ -448,15 +456,17 @@ def test_vertex_enumeration_equals_subset_route(system):
 @settings(max_examples=30, deadline=None)
 @given(point_sets(), st.lists(st.tuples(small, small, small, small), min_size=1, max_size=2))
 def test_lift_systems_equal_subset_route(p, raw_basis):
-    """The systems lift_point_set solves, and each made infeasible by a
-    contradictory pair of rows."""
+    """The systems lift_point_set solves, from the body's vertex cone and
+    from nothing, and each made infeasible by a contradictory pair of rows,
+    against the subset route on the whole system."""
     basis = [vec(*b[:p.ambient_dim]) for b in raw_basis]
     assume(any(not is_zero(b) for b in basis))
     systems = []
 
-    def record(*system):
-        systems.append(system)
-        return _vertex_enumerate(*system)
+    def record(eqs, ineqs, dim, seed=None):
+        assert seed is p._vertex_cone
+        systems.append((eqs, ineqs, dim))
+        return _vertex_enumerate(eqs, ineqs, dim, seed)
 
     pt._vertex_enumerate = record
     try:
@@ -465,11 +475,16 @@ def test_lift_systems_equal_subset_route(p, raw_basis):
     finally:
         pt._vertex_enumerate = _vertex_enumerate
     assert systems
+    body_eqs, body_ineqs = body_rows(p)
     for eqs, ineqs, dim in systems:
-        assert _vertex_enumerate(eqs, ineqs, dim) == ref_vertex_enumerate(eqs, ineqs, dim)
+        whole = (body_eqs + eqs, body_ineqs + ineqs, dim)
+        want = ref_vertex_enumerate(*whole)
+        assert _vertex_enumerate(eqs, ineqs, dim, p._vertex_cone) == want
+        assert _vertex_enumerate(*whole) == want
         u = unit(dim, 0)
         bad = ineqs + [(u, F(-1)), (vneg(u), F(-1))]  # x_0 <= -1 and x_0 >= 1
-        assert _vertex_enumerate(eqs, bad, dim) == ref_vertex_enumerate(eqs, bad, dim) == ()
+        assert (_vertex_enumerate(eqs, bad, dim, p._vertex_cone)
+                == ref_vertex_enumerate(body_eqs + eqs, body_ineqs + bad, dim) == ())
 
 
 @settings(max_examples=30, deadline=None)
@@ -477,15 +492,18 @@ def test_lift_systems_equal_subset_route(p, raw_basis):
 def test_lift_systems_equal_extreme_point_route(p, raw_basis):
     """A lift system read off all projected points of a face, extreme or
     not, has the rows of the one read off a body built from the extreme
-    points alone, in the same order."""
+    points alone, in the same order, the body's own rows standing first
+    (they are the rows of the lift's seed)."""
     basis = [vec(*b[:p.ambient_dim]) for b in raw_basis]
     assume(any(not is_zero(b) for b in basis))
     canon = span_basis(basis)
     systems = []
+    body_eqs, body_ineqs = body_rows(p)
 
-    def record(*system):
-        systems.append(system)
-        return _vertex_enumerate(*system)
+    def record(eqs, ineqs, dim, seed=None):
+        assert seed is p._vertex_cone
+        systems.append((body_eqs + eqs, body_ineqs + ineqs, dim))
+        return _vertex_enumerate(eqs, ineqs, dim, seed)
 
     pt._vertex_enumerate = record
     try:
@@ -665,6 +683,105 @@ def test_double_description_named_cones():
                vec(-1, -2, -1), vec(1, -2, -1)]
     rays, lin = double_description([], hexagon, 3)
     assert len(rays) == 6 and lin == ()
+
+
+def both_starts(a, b):
+    """a cap b from every start: `intersect_cones` (seeded when a or b is
+    pointed), the seeded core from each pointed one, and the core from
+    nothing on the rows of both; all must agree."""
+    unseeded = double_description(a.span_perp + b.span_perp,
+                                  a.facet_normals + b.facet_normals, a.dim)
+    got = intersect_cones(a, b)
+    assert (got.rays, got.lineality) == unseeded, (a, b)
+    for seed, other in ((a, b), (b, a)):
+        if not seed.lineality:
+            assert (_seeded_description(seed.seed, other.span_perp, other.facet_normals),
+                    ()) == unseeded, (seed, other)
+    return got
+
+
+def test_seeded_intersections_named_cones():
+    x, y, z = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)
+    octant = pos_hull([x, y, z], 3)
+    # a seed cut by a subspace: the cube's vertex normal cone and the
+    # non-pointed v_cone of the cylinder check
+    plane = subspace_cone([x, y], 3)
+    assert both_starts(octant, plane) == both_starts(plane, octant) == pos_hull([x, y], 3)
+    assert both_starts(octant, subspace_cone([vec(1, -1, 0)], 3)) == PolyCone(3, (), ())
+    # lower-dimensional seeds: a quadrant against a full-dimensional wedge,
+    # a half-space and a plane through one of its rays
+    quadrant = pos_hull([x, y], 3)
+    wedge = pos_hull([vec(1, 2, 0), vec(2, 1, 0), z], 3)
+    assert both_starts(quadrant, wedge) == pos_hull([vec(1, 2, 0), vec(2, 1, 0)], 3)
+    diagonal = vec(1, 1, 0)
+    below = pos_hull([diagonal, vneg(diagonal), z, vneg(z), vec(1, -1, 0)], 3)  # y <= x
+    assert both_starts(quadrant, below) == pos_hull([x, vec(1, 1, 0)], 3)
+    assert both_starts(quadrant, subspace_cone([x, z], 3)) == pos_hull([x], 3)
+    # A inside B, and A = B
+    inner = pos_hull([x, vec(1, 1, 0), vec(1, 1, 1)], 3)
+    assert both_starts(inner, octant) == both_starts(octant, inner) == inner
+    assert both_starts(octant, octant) == octant
+    assert both_starts(plane, plane) == plane
+    # cones that meet only at 0
+    zero = PolyCone(3, (), ())
+    assert both_starts(octant, pos_hull([vneg(x), vneg(y), vneg(z)], 3)) == zero
+    assert both_starts(pos_hull([x], 3), pos_hull([y], 3)) == zero
+    assert both_starts(quadrant, pos_hull([vec(-1, -1, 1), vec(-1, -1, -1)], 3)) == zero
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones of one dimension 1-4, each the positive hull of random
+    vectors, of the same vectors with the last coordinate cleared (lower
+    dimensional in 2-4D), of the vectors and their negatives (a subspace),
+    or of the vectors and one line (not pointed)."""
+    dim = draw(dims)
+    out = []
+    for _ in range(2):
+        gens = draw(vectors(dim))
+        kind = draw(st.sampled_from(["cone", "flat", "subspace", "line"]))
+        if kind == "flat":
+            gens = [g[:-1] + (F(0),) for g in gens]
+        elif kind == "subspace":
+            gens += [vneg(g) for g in gens]
+        elif kind == "line":
+            u = vec(*draw(st.tuples(*[small] * dim)))
+            gens += [u, vneg(u)]
+        out.append(pos_hull(gens, dim))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_pairs())
+def test_seeded_conversions_equal_unseeded(pair):
+    """Seeded and unseeded intersections give the same canonical cone, and
+    pos_hull's rays, read off its facets, equal cone_from_hrep's."""
+    a, b = pair
+    both_starts(a, b)
+    for k in (a, b):
+        assert k == cone_from_hrep(k.span, k.facet_normals, k.dim)
+
+
+@st.composite
+def seeded_systems(draw):
+    """A body, and rows cutting it: equalities and inequalities through
+    points of the body's vertex grid or off it."""
+    p = draw(point_sets())
+    dim = p.ambient_dim
+    row = st.tuples(st.tuples(*[small] * dim).map(lambda r: vec(*r)), small.map(F))
+    return p, draw(st.lists(row, max_size=2)), draw(st.lists(row, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_systems())
+def test_seeded_vertex_enumeration_equals_unseeded(system):
+    """Rows added to the body's homogenised vertex cone give the vertices
+    of the whole system enumerated from nothing."""
+    p, eqs, ineqs = system
+    body_eqs, body_ineqs = body_rows(p)
+    d = p.ambient_dim
+    assert (_vertex_enumerate(eqs, ineqs, d, p._vertex_cone)
+            == _vertex_enumerate(body_eqs + eqs, body_ineqs + ineqs, d))
 
 
 def test_intersection_closure_on_sets_and_bitmasks():

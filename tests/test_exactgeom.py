@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelat import exactgeom as eg
+from facelat.errors import DimensionMismatch
 from facelat.exactgeom import (aff_hull, cone_faces, cone_from_hrep, dot,
                                dot2_sign, dual_cone, full_space,
                                hull_weight_support, intersect_cones,
-                               kernel_basis, orient2, orth_complement,
+                               kernel_basis, minkowski_sum_cone, orient2,
+                               orth_complement,
                                pos_hull, primitive, project_onto, rank,
                                ri_contains, rref, simplex_max, solve_linear,
                                span_basis, subspace_cone, vec, zero_cone)
@@ -90,7 +92,6 @@ def test_cross_section_spans_faces():
 
 
 def test_ri_membership():
-    from facelat.errors import DimensionMismatch
     quadrant = pos_hull([vec(1, 0), vec(0, 1)])
     assert ri_contains(quadrant, vec(1, 1))
     assert not ri_contains(quadrant, vec(1, 0))
@@ -137,6 +138,20 @@ def test_dual_cone():
     assert dual_cone(full_space(2)) == zero_cone(2)
     line = subspace_cone([vec(1, 0)], 2)
     assert dual_cone(line) == subspace_cone([vec(0, 1)], 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pos_hull([(1, 0), (1, 0, 0)]),
+    lambda: minkowski_sum_cone(pos_hull([(1, 0)]), pos_hull([(1, 0, 0)])),
+    lambda: subspace_cone([(1, 0)], 3),
+    lambda: pos_hull([(1, 0), (0, 1)], 3),
+    lambda: cone_from_hrep([(1, 0, 0)], [(1, 0)], 3),
+    lambda: intersect_cones(pos_hull([(1, 0)]), pos_hull([(1, 0, 0)])),
+], ids=["pos_hull_mixed", "minkowski_sum", "subspace_cone", "pos_hull_dim",
+        "cone_from_hrep", "intersect_cones"])
+def test_cone_constructors_reject_mismatched_dimensions(build):
+    with pytest.raises(DimensionMismatch):
+        build()
 
 
 def test_cone_from_hrep_quadrant():
