@@ -600,8 +600,7 @@ class PolyCone:
 
     @cached_property
     def seed(self) -> "Seed":
-        """This cone as a start for the double description (`Seed`); only
-        a pointed cone is one."""
+        """This cone, if pointed, as a start for the double description."""
         if self.lineality:
             raise ValueError("a cone with a lineality space is no seed")
         normals = self.facet_normals
@@ -779,22 +778,19 @@ def _double_description(eqs: tuple[tuple[int, ...], ...],
 
 
 class Seed(NamedTuple):
-    """A pointed cone the double description can start from, instead of a
-    simplicial cone: its extreme rays, each with its zero set over the
-    cone's facet rows (bit j set when the ray lies on row j), and the
-    cone's own dimension.  Its span-perp rows vanish on every ray, so they
-    carry no bit."""
+    """A pointed cone to start the double description from: its extreme rays
+    with their zero sets over its facet rows (its span-perp rows vanish on
+    every ray and carry no bit), its dimension and its facet row count."""
 
     rays: tuple[tuple[IVec, int], ...]
     dim: int
-    rows: int  # the facet rows the zero sets cover; added rows take later bits
+    rows: int
 
 
 def _seeded_description(seed: Seed, eqs: Sequence[Sequence[int]],
                         ineqs: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
-    """Canonical rays of {x in the seed cone : e.x = 0, a.x <= 0} for integer
-    rows: only these rows are added to the seed's rays (`_insert_rows`).  A
-    cut of a pointed cone is pointed, so there is no lineality space."""
+    """Canonical rays of {x in the seed cone : e.x = 0, a.x <= 0}, integer
+    rows, which alone are added; a cut of a pointed cone has no lineality."""
     bit = seed.rows
     rays = _insert_rows(list(seed.rays), enumerate(eqs, bit), seed.dim, equality=True)
     rays = _insert_rows(rays, enumerate(ineqs, bit + len(eqs)), seed.dim)
@@ -803,17 +799,11 @@ def _seeded_description(seed: Seed, eqs: Sequence[Sequence[int]],
 
 def _insert_rows(rays: list, rows: Iterable[tuple[int, Sequence[int]]], w: int,
                  equality: bool = False) -> list:
-    """The step of the incremental double description method, for each
-    (bit, row) in turn: the rays, (vector, zero set) pairs of a pointed cone
-    of dimension at most w, are cut by row.x <= 0, or by row.x = 0 with
-    `equality`, which keeps only the rays on the row.
-
-    The rays the row keeps stay; each pair it separates (one ray positive,
-    one negative) gives a new ray on the row if the two are adjacent, that
-    is, if no third ray vanishes on every row both vanish on (the zero sets
-    are int bitmasks over the rows processed so far, whose count must reach
-    w - 2 first).
-    """
+    """Cut the rays of a pointed cone of dimension at most w, (vector, zero
+    set) pairs, by each (bit, row) in turn: by row.x <= 0, or by row.x = 0
+    with `equality`.  Each pair the row separates gives a new ray on it if
+    the two are adjacent: no third ray vanishes on every row both vanish on
+    (zero sets are int bitmasks over the rows so far, at least w - 2 bits)."""
     for i, a in rows:
         vals = [_idot(a, r) for r, _ in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
@@ -858,8 +848,9 @@ def intersection_closure(top, sets) -> set:
 
 def _cone_facet_normals(gens: Sequence[Vec], span: Sequence[Vec],
                         table: ConeTable | None = None) -> tuple[IVec, ...]:
-    """Facet normals of pos(gens) inside its span: the extreme rays of the
-    dual {u in span : g.u <= 0 for all g}, which is pointed there."""
+    """Facet normals of pos(gens) inside its span, given by any spanning
+    set: the extreme rays of the dual {u in span : g.u <= 0 for all g},
+    which is pointed there."""
     dim = len(gens[0])
     return double_description(_perp(span, dim), gens, dim, table)[0]
 
@@ -868,16 +859,13 @@ def pos_hull(generators: Iterable[Vec], dim: int | None = None,
              table: ConeTable | None = None) -> PolyCone:
     """Canonical positive hull; pos() of the empty set is the zero cone.
 
-    Each generator is scaled to integers first (a positive multiple, so the
-    cone is the same).  One conversion finds the facet normals (they seed
-    the result's `facet_normals`), and the canonical form is read off the
-    facets each generator lies on.  A generator on every facet lies in the
-    lineality space, and those generators span it.  Any other generator g is
-    extreme modulo that space iff every generator h off it that lies on
-    every facet g lies on (h is in the smallest face holding g) is parallel
-    to g modulo that space.  The rays are the components of the extreme
-    generators orthogonal to the lineality space.
-    """
+    Generators are scaled to integers (a positive multiple, so the cone is
+    the same).  One conversion finds the facet normals, which seed the
+    result's `facet_normals`; the rest is read off the facets each generator
+    lies on.  Those on every facet span the lineality space L; any other g
+    is extreme modulo L iff each other such h on all of g's facets (so in
+    the smallest face holding g) is parallel to g modulo L.  The rays are
+    the extreme generators' components orthogonal to L."""
     gens = list(map(_scaled, generators))
     if dim is None:
         if not gens:
@@ -887,7 +875,8 @@ def pos_hull(generators: Iterable[Vec], dim: int | None = None,
     gens = [g for g in gens if any(g)]
     if not gens:
         return _cone(table, dim, (), ())
-    normals = _cone_facet_normals(gens, _ispan(gens), table)
+    # the generators span the span: only its perp is used
+    normals = _cone_facet_normals(gens, gens, table)
     full = (1 << len(normals)) - 1
     masks = [sum(1 << j for j, n in enumerate(normals) if not _idot(n, g)) for g in gens]
     lin = _ispan([g for g, m in zip(gens, masks) if m == full])
@@ -937,10 +926,9 @@ def cone_faces(k: PolyCone) -> list[PolyCone]:
 
 
 def intersect_cones(a: PolyCone, b: PolyCone) -> PolyCone:
-    """Exact intersection of two cones, in the table of either and memoised
-    there.  When one of them is pointed the double description starts from
-    its rays (`PolyCone.seed`) and adds only the other's span-perp and facet
-    rows; otherwise it starts from nothing, on the rows of both."""
+    """Exact intersection of two cones, memoised in the table of either: the
+    other's span-perp and facet rows added to a pointed one's `seed`, or,
+    when neither is pointed, the rows of both converted from nothing."""
     if a.dim != b.dim:
         raise DimensionMismatch("cone dimensions differ")
     table = a.table or b.table

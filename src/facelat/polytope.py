@@ -459,7 +459,8 @@ def is_face(p: Polytope, f: PolyFace) -> bool:
 # ---------------------------------------------------------------------------
 
 def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
-    """N(C, x) as the exact dual of the cone of feasible directions at x."""
+    """N(C, x) as the exact dual of the cone of feasible directions at x:
+    {u : u.(v - x) <= 0 for every vertex v}, one conversion of those rows."""
     key = tuple(x)
     cone = p._point_normal_cones.get(key)
     if cone is None:
@@ -467,7 +468,9 @@ def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
         e, xs = _int_point(key, p.ambient_dim)
         d, grid = p._vertex_grid
         diffs = [[a * e - b * d for a, b in zip(v, xs)] for v in grid]
-        cone = p._point_normal_cones[key] = pos_hull(diffs, p.ambient_dim, p.cone_table).dual
+        dim, table = p.ambient_dim, p.cone_table
+        cone = p._point_normal_cones[key] = eg._cone(
+            table, dim, *eg.double_description((), diffs, dim, table))
     return cone
 
 
