@@ -875,7 +875,7 @@ def pos_hull(generators: Iterable[Vec], dim: int | None = None,
     gens = [g for g in gens if any(g)]
     if not gens:
         return _cone(table, dim, (), ())
-    # the generators span the span: only its perp is used
+    # any spanning set of the span will do: only its perp is used
     normals = _cone_facet_normals(gens, gens, table)
     full = (1 << len(normals)) - 1
     masks = [sum(1 << j for j, n in enumerate(normals) if not _idot(n, g)) for g in gens]
