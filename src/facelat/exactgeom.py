@@ -483,7 +483,10 @@ def _hull_system(points: Sequence[Vec], x: Vec) -> tuple[list[list[int]], list[i
 
 
 def in_conv_hull(points: Sequence[Vec], x: Vec) -> bool:
-    """Exact membership x in conv(points), by LP feasibility."""
+    """Exact membership x in conv(points), by LP feasibility; conv of no
+    points is empty."""
+    if not points:
+        return False
     rows, rhs = _hull_system(points, x)
     status, _, _ = simplex_max([0] * len(points), rows, rhs)
     return status == "optimal"
@@ -494,8 +497,10 @@ def in_ri_conv_hull(points: Sequence[Vec], x: Vec) -> bool:
 
     Uses the characterization of the relative interior of a finitely generated
     hull as the strictly positive convex combinations: maximizes the least
-    admissible weight via one LP.
+    admissible weight via one LP.  conv of no points is empty.
     """
+    if not points:
+        return False
     rows, rhs = _hull_system(points, x)
     status, val, _ = _least_weight(rows, rhs, range(len(points)))
     return status == "optimal" and val > 0
@@ -521,7 +526,7 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
     averaged points).  The LPs are `hull_carrier`'s, on the integer grid of
     the points and x.
     """
-    return hull_carrier(*_hull_system(points, x), known)
+    return hull_carrier(*_hull_system(points, x), known) if points else set()
 
 
 def hull_carrier(rows: list[list[int]], rhs: list[int],
@@ -608,11 +613,6 @@ class PolyCone:
                           for r in self.rays), self.cone_dim, len(normals))
 
     @cached_property
-    def dual(self) -> "PolyCone":
-        """The polar dual {u : u.x <= 0 on the cone}."""
-        return dual_cone(self)
-
-    @cached_property
     def faces(self) -> tuple["PolyCone", ...]:
         """All nonempty faces, including the cone itself and its lineality space.
 
@@ -690,10 +690,9 @@ class ConeTable:
 
     Hash-consing (Filliatre & Conchon 2006): `cones` maps each canonical key
     (dim, rays, lineality) to its single `PolyCone`, bound to this table, so
-    the facet normals, faces, span and dual cached on it are computed once
-    per cone and the cones they build are interned here too.  `conversions`
-    memoises `double_description` by its integer input rows, and
-    `intersections` memoises `intersect_cones` by its two cones.  A `Polytope`
+    the facet normals, faces and span cached on it are computed once per
+    cone and the cones they build are interned here too.  `conversions`
+    memoises `double_description` by its integer input rows.  A `Polytope`
     owns one table and shares it with the bodies derived from it, so the
     table lives exactly as long as that family; no table is process-global.
     """
@@ -701,7 +700,6 @@ class ConeTable:
     cones: dict[tuple, PolyCone] = field(default_factory=dict)
     conversions: dict[tuple, tuple[tuple[IVec, ...], tuple[IVec, ...]]] = field(
         default_factory=dict)
-    intersections: dict[tuple[PolyCone, PolyCone], PolyCone] = field(default_factory=dict)
 
 
 def _cone(table: ConeTable | None, dim: int, rays: tuple[IVec, ...],
@@ -926,24 +924,18 @@ def cone_faces(k: PolyCone) -> list[PolyCone]:
 
 
 def intersect_cones(a: PolyCone, b: PolyCone) -> PolyCone:
-    """Exact intersection of two cones, memoised in the table of either: the
-    other's span-perp and facet rows added to a pointed one's `seed`, or,
-    when neither is pointed, the rows of both converted from nothing."""
+    """Exact intersection of two cones, in the table of either: the other's
+    span-perp and facet rows added to a pointed one's `seed`, or, when
+    neither is pointed, the rows of both converted from nothing."""
     if a.dim != b.dim:
         raise DimensionMismatch("cone dimensions differ")
     table = a.table or b.table
-    memo = {} if table is None else table.intersections
-    out = memo.get((a, b))
-    if out is None:
-        seed, other = (b, a) if a.lineality else (a, b)
-        if seed.lineality:
-            rays, lin = double_description(a.span_perp + b.span_perp,
-                                           a.facet_normals + b.facet_normals, a.dim, table)
-        else:
-            rays, lin = _seeded_description(seed.seed, other.span_perp,
-                                            other.facet_normals), ()
-        out = memo[a, b] = _cone(table, a.dim, rays, lin)
-    return out
+    seed, other = (b, a) if a.lineality else (a, b)
+    if seed.lineality:
+        return _cone(table, a.dim, *double_description(
+            a.span_perp + b.span_perp, a.facet_normals + b.facet_normals, a.dim, table))
+    return _cone(table, a.dim, _seeded_description(seed.seed, other.span_perp,
+                                                   other.facet_normals), ())
 
 
 def minkowski_sum_cone(a: PolyCone, b: PolyCone) -> PolyCone:
@@ -974,10 +966,7 @@ def ri_contains(shape, x: Vec) -> bool:
         if shape.dim != len(x):
             raise DimensionMismatch("point and cone dimensions differ")
         return shape.ri_contains(x)
-    points = [tuple(Fraction(c) for c in p) for p in shape]
-    if points and len(points[0]) != len(x):
-        raise DimensionMismatch("point and hull dimensions differ")
-    return in_ri_conv_hull(points, x)
+    return in_ri_conv_hull([tuple(Fraction(c) for c in p) for p in shape], x)
 
 
 def cone_hyperplanes(cones: Iterable[PolyCone]) -> tuple[IVec, ...]:

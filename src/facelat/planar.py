@@ -30,9 +30,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
-from .errors import (HypothesisFailed, InvariantViolation, NotAFace,
-                     OriginNotInterior, PointNotInBody, UndefinedTouchingCone,
-                     UnsupportedArcCenter, ZeroDirection)
+from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
+                     NotAFace, OriginNotInterior, PointNotInBody,
+                     UndefinedTouchingCone, UnsupportedArcCenter, ZeroDirection)
 from .exactgeom import (IVec, Vec, _iprimitive, _scaled, dot, dot2_sign,
                         is_zero, orient2, perp2, point_grid, vadd, vneg, vscale,
                         vsub)
@@ -107,7 +107,10 @@ def _exact_key(v: Vec) -> tuple[int, int, int, int]:
     """Hashable integer form of an exact 2D point or direction, of ints or
     Fractions: equal keys exactly when the vectors are equal, and no
     Fraction hash is computed."""
-    x, y = v
+    try:
+        x, y = v
+    except ValueError:
+        raise DimensionMismatch(f"{v} is not a planar vector") from None
     return x.numerator, y.numerator, x.denominator, y.denominator
 
 
@@ -445,9 +448,8 @@ class PlanarBody:
         return tuple(cones)
 
     @cached_property
-    def _support_memo(self) -> dict[tuple[int, ...], FaceDescriptor | tuple]:
-        """`_exact_key` of a direction -> the face of the closure it exposes,
-        replaced by the `support_value` answer once the value is asked for."""
+    def _support_memo(self) -> dict[tuple[int, ...], FaceDescriptor]:
+        """`_exact_key` of a direction -> the face of the closure it exposes."""
         return {}
 
     @cached_property
@@ -655,15 +657,12 @@ def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
 
 def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     """Support value over the closure and the exposed face of the closure."""
-    found = _support_entry(body, u)
-    if type(found) is not tuple:
-        found = body._support_memo[_exact_key(u)] = (_face_value(body, u, found), found)
-    return found
+    face = _support_entry(body, u)
+    return _face_value(body, u, face), face
 
 
-def _support_entry(body: PlanarBody, u: Vec) -> FaceDescriptor | tuple:
-    """The memo entry of u: the face of the closure that u exposes, filled
-    by `_support` on a miss, or the `support_value` answer."""
+def _support_entry(body: PlanarBody, u: Vec) -> FaceDescriptor:
+    """The face of the closure that u exposes, memoised; `_support` on a miss."""
     memo = body._support_memo
     key = _exact_key(u)
     found = memo.get(key)
@@ -727,8 +726,6 @@ def _support(body: PlanarBody, u: Vec) -> FaceDescriptor:
 def exposed_face(body: PlanarBody, u: Vec) -> FaceDescriptor:
     """Exposed face of the body by u; Empty when the supremum is not attained."""
     closure_face = _support_entry(body, u)
-    if type(closure_face) is tuple:  # the value was asked for too
-        closure_face = closure_face[1]
     if closure_face.tag == "vertex":
         j = _junction_index(body, closure_face.point)
         return closure_face if body.junction_present(j) else FaceDescriptor.empty()
@@ -1061,6 +1058,8 @@ def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
     equals) becomes a `QuadVal`."""
     if is_zero(u):
         raise ZeroDirection("gauge direction must be nonzero")
+    if len(u) != 2:
+        raise DimensionMismatch(f"{u} is not a planar vector")
     un, vn = _scaled(u)
     best = None
     for f in body.features:

@@ -26,7 +26,8 @@ from .exactgeom import (AffineSubspace, ConeTable, IVec, PolyCone, Vec,
                         in_ri_conv_hull, intersect_cones, is_zero,
                         minkowski_sum_cone, pos_hull, project_onto,
                         span_basis, subspace_cone, vadd, vneg, vscale, zero)
-from .lattice import FiniteLattice, build_lattice, lattice_map, verify_isomorphism
+from .lattice import (FiniteLattice, _bits, build_lattice, lattice_map,
+                      verify_isomorphism)
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,8 @@ class Polytope:
 
     @cached_property
     def _projections(self) -> dict[tuple[IVec, ...], Projection]:
-        """Subspace basis scaled to integers, as given or canonical -> the
-        subspace's `Projection`, one record per subspace (`projection`)."""
+        """Canonical subspace basis scaled to integers -> the subspace's
+        `Projection` (`projection`)."""
         return {}
 
     @cached_property
@@ -240,7 +241,7 @@ class Polytope:
             return PolyFace((), -1, normal)
         dim = self._face_dims.get(idx)
         if dim is None:
-            dim = self._face_dims[idx] = aff_hull([self.vertices[i] for i in idx]).dim
+            dim = self._face_dims[idx] = _grid_dim(self._vertex_grid[1], idx)
         return PolyFace(idx, dim, normal)
 
     def face_points(self, f: PolyFace) -> list[Vec]:
@@ -380,9 +381,8 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
     todo: list[int] = []
 
     def add(face: int):
-        idx = _bit_indices(face)
-        dims[face] = _grid_rank([[a - b for a, b in zip(grid[i], grid[idx[0]])]
-                                 for i in idx[1:]])
+        idx = tuple(_bits(face))
+        dims[face] = _grid_dim(grid, idx)
         for i in idx:  # (size, face), smallest first, for the search for G
             insort(containing[i], (len(idx), face))
         todo.append(face)
@@ -411,7 +411,7 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
                 add(carrier)
     faces = [p.make_face(frozenset())]
     for face, dim in dims.items():
-        idx = tuple(_bit_indices(face))
+        idx = tuple(_bits(face))
         p._face_dims.setdefault(idx, dim)
         faces.append(p.make_face(idx))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
@@ -423,27 +423,19 @@ def _carrier_in_face(grid: tuple[IVec, ...], rows: list[list[int]], g: int,
     """The carrier of the centroid of the vertices `key`, solved over the
     vertices of a face g that contains them (bitmasks over the vertex grid;
     rows = `eg.hull_rows(grid)`)."""
-    cols = _bit_indices(g)
-    idx = _bit_indices(key)
+    cols = list(_bits(g))
+    idx = list(_bits(key))
     rhs = [sum(c) for c in zip(*(grid[i] for i in idx))] + [len(idx)]
     support = eg.hull_carrier([[row[j] for j in cols] for row in rows], rhs,
                               [k for k, j in enumerate(cols) if key >> j & 1])
     return sum(1 << cols[k] for k in support)
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """The positions of the set bits of mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _grid_rank(rows: list[list[int]]) -> int:
-    """The rank of integer rows, by fraction-free elimination."""
-    return len(eg._eliminate(rows, reduced=False))
+def _grid_dim(grid: tuple[IVec, ...], idx: tuple[int, ...]) -> int:
+    """The dimension of the affine hull of the grid points idx: the rank of
+    their integer differences, by fraction-free elimination."""
+    return len(eg._eliminate([[a - b for a, b in zip(grid[i], grid[idx[0]])]
+                              for i in idx[1:]], reduced=False))
 
 
 def is_face(p: Polytope, f: PolyFace) -> bool:
@@ -460,7 +452,11 @@ def is_face(p: Polytope, f: PolyFace) -> bool:
 
 def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
     """N(C, x) as the exact dual of the cone of feasible directions at x:
-    {u : u.(v - x) <= 0 for every vertex v}, one conversion of those rows."""
+    {u : u.(v - x) <= 0 for every vertex v}, one conversion of those rows.
+
+    x is in C iff no u has u.(v - x) < 0 for every v (Gordan's theorem).
+    The sum of the cone's rays is such a u if any is, so a point off C is
+    told from the rays of the conversion itself."""
     key = tuple(x)
     cone = p._point_normal_cones.get(key)
     if cone is None:
@@ -469,8 +465,11 @@ def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
         d, grid = p._vertex_grid
         diffs = [[a * e - b * d for a, b in zip(v, xs)] for v in grid]
         dim, table = p.ambient_dim, p.cone_table
-        cone = p._point_normal_cones[key] = eg._cone(
-            table, dim, *eg.double_description((), diffs, dim, table))
+        rays, lin = eg.double_description((), diffs, dim, table)
+        u = [sum(c) for c in zip(*rays)]
+        if all(eg._idot(u, a) < 0 for a in diffs):
+            raise PointNotInBody(f"{x} is not in the polytope")
+        cone = p._point_normal_cones[key] = eg._cone(table, dim, rays, lin)
     return cone
 
 
@@ -817,22 +816,19 @@ class Projection:
 
 
 def projection(p: Polytope, v_basis: list[Vec]) -> Projection:
-    """The record of span(v_basis) on p.
-
-    Solved once per subspace and found again by the basis as given, scaled
-    to integers (a positive multiple of each row spans the same space), so
-    a repeated basis is neither canonicalised again nor hashed as Fractions.
-    """
-    given = tuple(tuple(eg._scaled(b)) for b in v_basis)
-    out = p._projections.get(given)
+    """The record of span(v_basis) on p, solved once per subspace and keyed
+    by its canonical basis scaled to integers.  A basis already canonical,
+    as the check suites pass it, finds its record with no elimination."""
+    out = p._projections.get(tuple(tuple(eg._scaled(b)) for b in v_basis))
     if out is None:
+        if any(len(b) != p.ambient_dim for b in v_basis):
+            raise DimensionMismatch("basis and polytope dimensions differ")
         basis = span_basis(v_basis)
         key = tuple(tuple(eg._scaled(b)) for b in basis)
         out = p._projections.get(key)
         if out is None:
             out = p._projections[key] = Projection(
                 p, basis, tuple(project_onto(basis, x) for x in p.vertices), {}, {}, {})
-        p._projections[given] = out
     return out
 
 

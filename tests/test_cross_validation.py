@@ -213,9 +213,27 @@ def test_carrier_inside_a_face_equals_carrier_over_all_points(case):
     mask = lambda indices: sum(1 << i for i in indices)
     assert pt._carrier_in_face(grid, eg.hull_rows(grid), mask(g.vertex_indices),
                                mask(key)) == mask(want)
-    diffs = [[a - b for a, b in zip(grid[i], grid[key[0]])] for i in key[1:]]
-    if pt._grid_rank(diffs) == g.dim:
+    if pt._grid_dim(grid, tuple(key)) == g.dim:
         assert want == g.vset
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda d: st.tuples(
+    points(d, rational_coord if d < 4 else small),
+    st.lists(st.integers(0, 5), min_size=1))))
+def test_grid_face_dimension_equals_affine_hull(case):
+    """A face's dimension is the integer rank of the differences of its
+    points on the vertex grid (`_grid_dim`, which `make_face` uses).  On
+    random subsets of random rational 1-4D point sets, and on every face of
+    their hull, it equals the Fraction route it replaced, `aff_hull(...).dim`."""
+    raw, picks = case
+    pts = [vec(*x) for x in raw]
+    _, grid = eg.point_grid(pts)
+    idx = tuple(sorted({i % len(pts) for i in picks}))
+    assert pt._grid_dim(grid, idx) == eg.aff_hull([pts[i] for i in idx]).dim
+    p = build_polytope(raw)
+    for f in exposed_face_lattice(p).elements[1:]:
+        assert f.dim == eg.aff_hull(p.face_points(f)).dim
 
 
 def count_lps(build):

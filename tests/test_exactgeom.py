@@ -176,6 +176,16 @@ def test_hull_weight_support_identifies_carrier_faces():
     assert hull_weight_support(sq, vec(2, 0)) == set()
 
 
+@pytest.mark.parametrize("x", [vec(0, 0), vec(1, 2), vec(F(1, 3))])
+def test_hull_helpers_on_no_points(x):
+    """conv of no points is empty: nothing is in it or in its relative
+    interior, and no index carries weight."""
+    assert eg.in_conv_hull([], x) is False
+    assert eg.in_ri_conv_hull([], x) is False
+    assert ri_contains([], x) is False
+    assert hull_weight_support([], x) == set()
+
+
 def test_ri_membership_solves_the_first_carrier_lp(monkeypatch):
     """in_ri_conv_hull solves the least-weight LP of hull_weight_support's
     first round with nothing known: the same rows, objective and rhs."""

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelat import bodyio, checks, planar
-from facelat.errors import (HypothesisFailed, NotAFace, PointNotInBody,
-                            UndefinedTouchingCone, UnsupportedArcCenter,
-                            ZeroDirection)
+from facelat.errors import (DimensionMismatch, HypothesisFailed, NotAFace,
+                            PointNotInBody, UndefinedTouchingCone,
+                            UnsupportedArcCenter, ZeroDirection)
 from facelat.exactgeom import is_zero, pos_hull, primitive, vec
 from facelat.lattice import build_lattice, lattice_map, verify_isomorphism
 from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
@@ -24,7 +24,7 @@ from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
                             special_face_lattice, special_faces,
                             sup_exposed_planar, support_value, touching_cone,
                             touching_not_normal)
-from facelat.polytope import Polytope, normal_cone
+from facelat.polytope import Polytope, cylinder_normal_check, normal_cone
 
 
 def fixture(name):
@@ -479,7 +479,10 @@ def test_memoised_support_equals_fresh_support(name, u, scale):
         fresh = planar._face_value(body, v, face), face
         assert _exact(support_value(body, v)) == _exact(fresh)
         assert _exact(support_value(body, v)) == _exact(fresh)  # a memo hit
-        assert body._support_memo[planar._exact_key(v)] is support_value(body, v)
+        # the memo holds the face alone, and every answer hands it out
+        entry = body._support_memo[planar._exact_key(v)]
+        assert type(entry) is FaceDescriptor
+        assert support_value(body, v)[1] is entry
         _, f = fresh
         if f.tag == "arcpoint":
             assert f.direction == primitive(v)
@@ -487,6 +490,22 @@ def test_memoised_support_equals_fresh_support(name, u, scale):
     (h1, f1), (h2, f2) = support_value(body, u), support_value(body, v)
     assert f1 == f2
     assert quad_compare(QuadVal(scale * h1.q, scale * h1.s, h1.m), h2) == 0
+
+
+@pytest.mark.parametrize("query", [
+    lambda: support_value(fixture("unit_disk"), (1, 0, 0)),
+    lambda: exposed_face(fixture("unit_disk"), (1, 0, 0)),
+    lambda: touching_cone(fixture("unit_disk"), (1, 0, 0)),
+    lambda: gauge_value(fixture("unit_disk"), (1, 0, 0)),
+    lambda: face_at(fixture("unit_disk"), (1,)),
+    lambda: cylinder_normal_check(fixture("square"), [(1, 0, 0)], (0, 0)),
+], ids=["support_value", "exposed_face", "touching_cone", "gauge_value",
+        "face_at", "cylinder_normal_check"])
+def test_wrong_dimension_raises_dimension_mismatch(query):
+    """A vector of the wrong length is a `GeometryError` the command line
+    reports as bad input, not a bare `ValueError` from unpacking or `zip`."""
+    with pytest.raises(DimensionMismatch):
+        query()
 
 
 def test_support_memo_rejects_zero_and_stores_no_error():
@@ -564,10 +583,12 @@ def test_planar_caches_die_with_the_body():
     checks.run_suite(body, "quarter_disk", "all")
     memo, cones, inv = body._support_memo, body._junction_cones, body._inventory
     assert memo and cones
+    # the support memo holds faces alone: no support value outlives its call
+    assert all(type(f) is FaceDescriptor for f in memo.values())
     # dicts and tuples take no weak references; the objects they alone hold do
-    h, f = next(e for e in memo.values() if type(e) is tuple)
-    refs = [weakref.ref(x) for x in (body, h, f, cones[0], inv)]
-    del body, memo, cones, inv, h, f
+    f = next(iter(memo.values()))
+    refs = [weakref.ref(x) for x in (body, f, cones[0], inv)]
+    del body, memo, cones, inv, f
     gc.collect()
     assert all(r() is None for r in refs)
 

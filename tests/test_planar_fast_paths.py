@@ -532,27 +532,35 @@ def test_support_raises_when_an_arc_ties_the_maximum():
 
 
 def test_exposed_face_builds_no_quadval(monkeypatch):
-    """Faces are read off the support record: a compass sweep of
+    """Faces are read off the support memo: a compass sweep of
     `exposed_face` and `touching_cone` on the unit disk builds no
-    `QuadVal`; `support_value` then builds one per direction, once."""
-    built = [0]
-    real = planar.QuadVal
+    `QuadVal`; `support_value` then builds one per call, off the faces
+    already memoised, and computes no face afresh."""
+    built, computed = [0], [0]
+    real, core = planar.QuadVal, planar._support
 
     def counting(*args):
         built[0] += 1
         return real(*args)
 
+    def counting_support(body, u):
+        computed[0] += 1
+        return core(body, u)
+
     monkeypatch.setattr(planar, "QuadVal", counting)
+    monkeypatch.setattr(planar, "_support", counting_support)
     body = bodyio.load_fixture("unit_disk")
     dirs = planar.compass_directions(360)
     for u in dirs:
         planar.exposed_face(body, u)
         planar.touching_cone(body, u)
     assert built[0] == 0 and len(body._support_memo) >= 360
-    for _ in range(2):
+    faces, calls = dict(body._support_memo), computed[0]
+    for rounds in (1, 2):
         for u in dirs:
             planar.support_value(body, u)
-        assert built[0] == 360
+        assert built[0] == 360 * rounds
+    assert computed[0] == calls and body._support_memo == faces
 
 
 def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
@@ -712,10 +720,10 @@ def test_cones_from_rational_multiples_equal_int_primitive_cones(a, b, s, t):
        int_first=st.booleans(), face_first=st.booleans())
 def test_int_and_fraction_directions_share_one_support_entry(name, u, int_first,
                                                              face_first):
-    """`support_value` of (x, y) and of (F(x), F(y)) is one memo entry,
-    whichever comes first, and equals the all-QuadVal reference.  An
-    `exposed_face` query first stores the face alone; the value is built
-    on the first `support_value` request."""
+    """`support_value` of (x, y) and of (F(x), F(y)) is one memo entry, a
+    face, whichever form comes first and whether `exposed_face` or
+    `support_value` asks first.  Every answer hands out that face, with a
+    value equal to a fresh `_face_value` and to the all-QuadVal reference."""
     body = bodyio.load_fixture(name)  # a fresh, empty memo
     fu = _as_fractions(u)
     first, second = (u, fu) if int_first else (fu, u)
@@ -723,9 +731,12 @@ def test_int_and_fraction_directions_share_one_support_entry(name, u, int_first,
     if face_first:
         planar.exposed_face(body, second)
         (face,) = body._support_memo.values()
-        assert type(face) is FaceDescriptor
     answer = planar.support_value(body, first)
-    assert planar.support_value(body, second) is answer
-    assert list(body._support_memo.values()) == [answer]
-    assert face is None or answer[1] is face
-    assert _exact(answer) == _exact(_ref_support(body, fu))
+    again = planar.support_value(body, second)
+    (entry,) = body._support_memo.values()
+    assert type(entry) is FaceDescriptor
+    assert answer[1] is entry and again[1] is entry
+    assert face is None or entry is face
+    for v, got in ((first, answer), (second, again)):
+        assert _exact(got) == _exact(_fresh(body, v))
+    assert _exact(answer) == _exact(again) == _exact(_ref_support(body, fu))

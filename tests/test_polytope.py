@@ -333,6 +333,28 @@ def test_sharp_relations():
         is_sharp_exposed(sq, vec(5, 5))
 
 
+def test_normal_cone_at_point_rejects_points_off_the_body():
+    """N(C, x) is defined for x in C only: off the body, or off its affine
+    hull, it raises as `face_of_point` does, every time it is asked; on a
+    grid around each body it answers exactly where `contains` holds."""
+    sq = square()
+    edge = Polytope((vec(0, 0, 0), vec(1, 1, 0)))
+    for p, x in ((sq, vec(5, 5)), (sq, vec(F(3, 2), 0)),
+                 (edge, vec(F(1, 2), F(1, 2), 1)), (edge, vec(2, 2, 0))):
+        for _ in range(2):
+            with pytest.raises(PointNotInBody):
+                normal_cone_at_point(p, x)
+    steps = [F(k, 2) for k in range(-3, 4)]
+    for p in (sq, cube(), edge):
+        for x in product(steps, repeat=p.ambient_dim):
+            try:
+                normal_cone_at_point(p, x)
+                found = True
+            except PointNotInBody:
+                found = False
+            assert found == p.contains(x), x
+
+
 def test_atom_decompositions():
     c = cube()
     corner = c.face_of_point(vec(1, 1, 1))
