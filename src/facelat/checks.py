@@ -17,8 +17,8 @@ from . import planar as pl
 from . import polytope as pt
 from .errors import HypothesisFailed, OriginNotInterior, UnsupportedArcCenter
 from .exactgeom import (cone_faces, cone_hyperplanes, dot, full_space,
-                        in_ri_conv_hull, intersect_cones, is_zero, sign_vector,
-                        subspace_cone, unit, vadd)
+                        held_generators, in_ri_conv_hull, intersect_cones,
+                        is_zero, sign_vector, subspace_cone, unit, vadd)
 from .lattice import build_lattice, lattice_map, verify_isomorphism
 from .planar import PlanarBody, compass_directions, quad_compare
 from .polytope import ConeElement, Polytope
@@ -458,8 +458,8 @@ def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
            "special exposed faces and their normal cones are not in bijection")
         return
     src = pl.special_face_lattice(b, exposed_only=True)
-    tgt = build_lattice(sorted(cones.values(), key=lambda c: (c.dim, str(c.key))),
-                        lambda a, c: a.subset_of(c))
+    ordered = sorted(cones.values(), key=lambda c: (c.dim, str(c.key)))
+    tgt = build_lattice(ordered, held_generators(ordered))
     rep = verify_isomorphism(lattice_map(
         src, tgt, lambda f: pl.normal_cone_at(b, f), "antitone"))
     _v(out, "antitone.special_iso", rep.passed,
@@ -653,7 +653,11 @@ def run_suite(body, fixture_name: str, suite: str) -> CheckReport:
 
     Each suite gets `compass`, `compass_directions` memoised for this call
     only, so a list of sample directions is built at most once per run and
-    shared by the suites that use it."""
+    shared by the suites that use it.  A known suite that does not fit the
+    body's kind is reported as a skip; an unknown name raises ValueError."""
+    if suite != "all" and suite not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {suite!r}; the suites are 'all', "
+                         + ", ".join(map(repr, SUITE_NAMES)))
     suites = SUITE_NAMES if suite == "all" else (suite,)
     report = CheckReport(suite, fixture_name)
     table = _POLY if isinstance(body, Polytope) else _PLANAR

@@ -982,6 +982,16 @@ def cone_hyperplanes(cones: Iterable[PolyCone]) -> tuple[IVec, ...]:
     return tuple(out)
 
 
+def held_generators(cones: Sequence) -> list[int]:
+    """Inclusion masks of cones (`PolyCone`s or planar `Cone2`s): bit g is set
+    when the cone contains generator g of the family.  A cone is the positive
+    hull of its own generators, so A lies in B exactly when mask A is a
+    subset of mask B, for any cones and whatever fan they come from."""
+    gens = list(dict.fromkeys(g for c in cones for g in c.generators()))
+    return [sum(1 << i for i, g in enumerate(gens) if c.contains(g))
+            for c in cones]
+
+
 def sign_vector(hyperplanes: Sequence[IVec], x: Vec) -> tuple[int, ...]:
     """The sign of h.x for each integer normal h: the cell of their
     arrangement that holds x."""

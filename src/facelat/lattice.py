@@ -11,7 +11,8 @@ of down-sets, and that family is closed under intersection (Ganter & Wille,
 *Formal Concept Analysis*, 1999, ch. 1): the meet of a set of elements is
 the element whose down-set is the AND of theirs, and the join is the dual
 on up-sets.  Every query reads the rows, and set bits are visited in
-ascending order, so every list comes out in row-major index order.
+ascending order, so every list comes out in row-major index order.  The
+order arrives as inclusion of one int mask per element (`build_lattice`).
 """
 
 from __future__ import annotations
@@ -175,37 +176,40 @@ class FiniteLattice:
         return "\n".join(lines)
 
 
-def build_lattice(elements: Sequence, leq: Callable) -> FiniteLattice:
-    """Build and verify a finite complete lattice from elements and an order predicate.
+def build_lattice(elements: Sequence, masks: Sequence[int]) -> FiniteLattice:
+    """Build and verify the lattice of elements ordered by inclusion of their
+    masks: element i lies below element j when masks[i] is a bitwise subset
+    of masks[j].  Any finite order is one, by its down-set masks.
 
-    Raises DuplicateElement when two elements share a canonical descriptor and
-    NotALattice when the order axioms fail or some pair lacks a meet or join.
-    The predicate is called once per ordered pair, row by row.
+    Raises DuplicateElement when two elements share a canonical descriptor
+    and NotALattice when two masks are equal or some pair lacks a meet or
+    join; inclusion is reflexive and transitive by itself.
     """
     elements = tuple(elements)
     if not elements:
         raise NotALattice("empty element list")
+    n = len(elements)
+    if len(masks) != n or min(masks) < 0:
+        raise ValueError("one nonnegative mask per element is needed")
     keys = [element_key(e) for e in elements]
     if len(set(keys)) != len(keys):
         raise DuplicateElement("elements share a canonical descriptor")
-    n = len(elements)
-    up = [0] * n
-    down = [0] * n
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            if leq(x, y):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    if any(not row >> i & 1 for i, row in enumerate(up)):
-        raise NotALattice("order is not reflexive")
-    if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
+    if len(set(masks)) != n:
         raise NotALattice("order is not antisymmetric")
-    for row in up:
-        reach = row
-        for j in _bits(row):
-            reach |= up[j]
-        if reach != row:
-            raise NotALattice("order is not transitive")
+    everything = (1 << n) - 1
+    # the up-set of i: the AND, over the bits of masks[i], of the elements
+    # whose masks hold that bit; the down-sets are its transpose
+    holders: dict[int, int] = {}
+    for j, m in enumerate(masks):
+        for b in _bits(m):
+            holders[b] = holders.get(b, 0) | 1 << j
+    up = [everything] * n
+    down = [0] * n
+    for i, m in enumerate(masks):
+        for b in _bits(m):
+            up[i] &= holders[b]
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
     by_down = {r: i for i, r in enumerate(down)}
     by_up = {r: i for i, r in enumerate(up)}
     for i in range(n):
@@ -216,7 +220,6 @@ def build_lattice(elements: Sequence, leq: Callable) -> FiniteLattice:
             if up[i] & up[j] not in by_up:
                 raise NotALattice(
                     f"pair ({keys[i]!r}, {keys[j]!r}) has no supremum")
-    everything = (1 << n) - 1
     return FiniteLattice(elements, by_up[everything], by_down[everything],
                          tuple(down), tuple(up))
 

@@ -220,9 +220,6 @@ class Cone2(_Weakrefable):
             return [self.d1, self.d2]
         return [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
-    def subset_of(self, other: "Cone2") -> bool:
-        return all(other.contains(g) for g in self.generators())
-
     def faces(self) -> list["Cone2"]:
         """All nonempty faces of this cone."""
         if self.kind in ("zero", "plane"):
@@ -1111,22 +1108,25 @@ def special_faces(body: PlanarBody, exposed_only: bool = False
     return out
 
 
-def _face_leq(body: PlanarBody, a: FaceDescriptor, b: FaceDescriptor) -> bool:
-    if a.key == b.key or a.tag == "empty" or b.tag == "whole":
-        return True
-    if b.tag == "empty" or a.tag == "whole":
-        return False
-    if a.tag == "vertex" and b.tag == "edge":
-        f = body.features[b.feature]
-        return a.point in (f.start, f.end)
-    return False
-
-
 def special_face_lattice(body: PlanarBody, exposed_only: bool = False) -> FiniteLattice:
-    """Finite lattice over the special faces (never the full arc-body lattice)."""
+    """Finite lattice over the special faces (never the full arc-body lattice),
+    ordered by masks: junction j is bit j and feature i is bit n + i; an edge
+    also holds its two end junctions, the whole body every bit."""
     faces = special_faces(body, exposed_only=exposed_only)
     faces.sort(key=lambda f: (f.dim, str(f.key)))
-    return build_lattice(faces, lambda a, b: _face_leq(body, a, b))
+    n = body.n
+    masks = []
+    for f in faces:
+        if f.tag == "vertex":
+            masks.append(1 << body.junctions.index(f.point))
+        elif f.tag == "edge":
+            i = f.feature
+            masks.append(1 << n + i | 1 << i | 1 << (i + 1) % n)
+        elif f.tag == "arcpoint":
+            masks.append(1 << n + f.feature)
+        else:
+            masks.append((1 << 2 * n) - 1 if f.tag == "whole" else 0)
+    return build_lattice(faces, masks)
 
 
 # ---------------------------------------------------------------------------

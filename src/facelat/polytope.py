@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable
+from typing import Iterable
 
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
@@ -341,8 +341,15 @@ def _build_exposed_lattice(p: Polytope) -> FiniteLattice:
         active = [f.normal for f in facets if vset <= f.vertex_set]
         witness = [sum(c) for c in zip(*active)]
         faces.append(p.make_face(vset, eg._iprimitive(witness)))
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    return build_lattice(faces, lambda a, b: a.vset <= b.vset)
+    return _vertex_set_lattice(faces)
+
+
+def _vertex_set_lattice(faces: Iterable[PolyFace]) -> FiniteLattice:
+    """Faces ordered by inclusion of their vertex sets, listed by dimension
+    and then by vertices."""
+    faces = sorted(faces, key=lambda f: (f.dim, f.vertex_indices))
+    return build_lattice(faces, [sum(1 << i for i in f.vertex_indices)
+                                 for f in faces])
 
 
 def face_lattice(p: Polytope) -> FiniteLattice:
@@ -414,8 +421,7 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
         idx = tuple(_bits(face))
         p._face_dims.setdefault(idx, dim)
         faces.append(p.make_face(idx))
-    faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    return build_lattice(faces, lambda a, b: a.vset <= b.vset)
+    return _vertex_set_lattice(faces)
 
 
 def _carrier_in_face(grid: tuple[IVec, ...], rows: list[list[int]], g: int,
@@ -504,35 +510,14 @@ def normal_cone_lattice(p: Polytope) -> FiniteLattice:
 
 
 def _build_normal_lattice(p: Polytope) -> FiniteLattice:
-    cones = {}
-    for f in exposed_face_lattice(p).elements:
-        c = normal_cone(p, f)
-        cones[(c.rays, c.lineality)] = ConeElement(c)
-    elements = sorted(cones.values(), key=lambda e: (e.dim, e.key))
-    return build_lattice(elements, _cone_order(elements))
+    return _cone_lattice({normal_cone(p, f) for f in exposed_face_lattice(p).elements})
 
 
-def _cone_order(elements: list[ConeElement]
-                ) -> Callable[[ConeElement, ConeElement], bool]:
-    """The inclusion order of the elements' cones, read off generator masks.
-
-    The distinct generators of all the cones (rays, and both signs of each
-    lineality basis vector) are numbered; each cone gets `gens`, the mask of
-    its own generators, and `holds`, the mask of the generators it contains,
-    from one `contains` test per cone and generator.  A cone is the positive
-    hull of its generators, so A lies in B exactly when B holds every
-    generator of A: gens[A] & ~holds[B] == 0.  This is exact for any cones
-    and reads nothing of the fan they come from.
-    """
-    ids: dict[IVec, int] = {}
-    for el in elements:
-        for g in el.cone.generators():
-            ids.setdefault(g, len(ids))
-    gens, holds = {}, {}  # by identity: build_lattice passes these very elements
-    for el in elements:
-        gens[id(el)] = sum(1 << ids[g] for g in el.cone.generators())
-        holds[id(el)] = sum(1 << i for g, i in ids.items() if el.cone.contains(g))
-    return lambda a, b: not gens[id(a)] & ~holds[id(b)]
+def _cone_lattice(cones: set[PolyCone]) -> FiniteLattice:
+    """Cones ordered by inclusion (`eg.held_generators`), listed by dimension
+    and then by key."""
+    elements = sorted(map(ConeElement, cones), key=lambda e: (e.dim, e.key))
+    return build_lattice(elements, eg.held_generators([e.cone for e in elements]))
 
 
 def touching_cone_lattice(p: Polytope) -> FiniteLattice:
@@ -541,12 +526,8 @@ def touching_cone_lattice(p: Polytope) -> FiniteLattice:
 
 
 def _build_touching_lattice(p: Polytope) -> FiniteLattice:
-    cones = {}
-    for el in normal_cone_lattice(p).elements:
-        for face in cone_faces(el.cone):
-            cones[(face.rays, face.lineality)] = ConeElement(face)
-    elements = sorted(cones.values(), key=lambda e: (e.dim, e.key))
-    return build_lattice(elements, _cone_order(elements))
+    return _cone_lattice({face for el in normal_cone_lattice(p).elements
+                          for face in cone_faces(el.cone)})
 
 
 def touching_cone_at(p: Polytope, u: Vec) -> PolyCone:
@@ -922,8 +903,7 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
         for f in src.elements:
             lf = proj.lift_face(f)
             faces[lf.key] = lf
-        elements = sorted(faces.values(), key=lambda f: (f.dim, f.vertex_indices))
-        return build_lattice(elements, lambda a, b: a.vset <= b.vset)
+        return _vertex_set_lattice(faces.values())
 
     lifted_f = build_lifted(face_lattice(q))
     lifted_perp = build_lifted(exposed_face_lattice(q))

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import facelat
+from facelat import bodyio, checks
 from facelat.cli import main
 
 
@@ -94,6 +97,20 @@ def test_check_skips_are_exit_neutral(capsys):
     doc = json.loads(out)
     statuses = {v["id"]: v["status"] for v in doc["verdicts"]}
     assert statuses["2d.smoothness"] == "skip"
+
+
+def test_run_suite_rejects_unknown_suite_names():
+    cube = bodyio.load_fixture("cube")
+    with pytest.raises(ValueError, match="unknown suite 'partiton'") as exc:
+        checks.run_suite(cube, "cube", "partiton")
+    assert all(repr(s) in str(exc.value) for s in ("all", *checks.SUITE_NAMES))
+    # a known suite that does not fit the body's kind is still a skip
+    for body, suite in ((cube, "2d"), (bodyio.load_fixture("lens"), "meets"),
+                        (bodyio.load_fixture("lens"), "lift")):
+        rep = checks.run_suite(body, "b", suite)
+        assert [(v.check_id, v.status) for v in rep.verdicts] == [
+            (f"{suite}.applicable", "skip")]
+        assert rep.passed
 
 
 def test_check_open_triangle_apex_coatoms_reported(capsys):

@@ -721,11 +721,13 @@ def meets_verdicts(p, nl=None):
 
 def without_relation(nl, i, j):
     """nl with the cover relation i < j removed, or None when what is left
-    is no lattice.  Removing a cover keeps the order transitive."""
-    index = {id(e): k for k, e in enumerate(nl.elements)}
+    is no lattice.  The down-set rows are inclusion masks of nl's order; as
+    nothing lies strictly between i and j, dropping bit i from j's row
+    removes that relation alone."""
+    masks = list(nl.down)
+    masks[j] &= ~(1 << i)
     try:
-        return build_lattice(nl.elements, lambda a, b: nl.le(index[id(a)], index[id(b)])
-                             and (index[id(a)], index[id(b)]) != (i, j))
+        return build_lattice(nl.elements, masks)
     except NotALattice:
         return None
 

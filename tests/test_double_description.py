@@ -8,10 +8,12 @@ subset of inequalities for vertices, and all 2^F facet subsets for the faces
 of a cone and the exposed faces of a polytope.  Random 1-4D inputs must give
 identical records, keys and order through both routes.  The double-description
 core itself is also compared with its Fraction-era form, which returned
-Fraction vectors.
+Fraction vectors.  The inclusion masks that order every lattice are compared
+with the order predicates they replaced.
 """
 
 from fractions import Fraction as F
+from collections import Counter
 from itertools import combinations, product
 from math import gcd, lcm
 
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from facelat import bodyio, checks, planar
 from facelat import exactgeom as eg
 from facelat import polytope as pt
 from facelat.errors import DimensionMismatch
@@ -26,14 +29,16 @@ from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
                                _double_description, _eliminate, _idot,
                                _ikernel, _iprimitive, _scaled,
                                _seeded_description, cone_from_hrep,
-                               dot, double_description, dual_cone,
-                               intersect_cones, intersection_closure, is_zero,
-                               kernel_basis, orth_complement, pos_hull,
-                               primitive, project_onto, rank, solve_linear,
-                               span_basis, subspace_cone, unit, vadd, vec,
-                               vneg, vscale, vsub, zero)
+                               dot, dot2_sign, double_description, dual_cone,
+                               held_generators, intersect_cones,
+                               intersection_closure, is_zero, kernel_basis,
+                               orient2, orth_complement, pos_hull, primitive,
+                               project_onto, rank, solve_linear, span_basis,
+                               subspace_cone, unit, vadd, vec, vneg, vscale,
+                               vsub, zero)
 from facelat.lattice import build_lattice
-from facelat.polytope import (ConeElement, Facet, Polytope, _cone_order,
+from facelat.planar import Cone2, FaceDescriptor, special_face_lattice
+from facelat.polytope import (ConeElement, Facet, PolyFace, Polytope,
                               _vertex_enumerate, exposed_face_lattice,
                               extreme_points, lift_point_set,
                               normal_cone_lattice, touching_cone_lattice)
@@ -199,7 +204,7 @@ def ref_exposed_lattice(p, facets):
                 witness = vadd(witness, f.normal)
         faces.append(p.make_face(vset, primitive(witness)))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
-    return build_lattice(faces, lambda a, b: a.vset <= b.vset)
+    return build_lattice(faces, [sum(1 << i for i in f.vertex_indices) for f in faces])
 
 
 def ref_fraction_double_description(eq_rows, ineq_rows, dim):
@@ -285,6 +290,23 @@ def cone_subset(a, b):
     if a.cone_dim > b.cone_dim:
         return False
     return all(b.contains(g) for g in a.generators())
+
+
+def cone2_subset(a, b):
+    """The planar cone order the generator masks replaced (`Cone2.subset_of`)."""
+    return all(b.contains(g) for g in a.generators())
+
+
+def special_face_leq(body, a, b):
+    """The special-face order the junction and feature masks replaced."""
+    if a.key == b.key or a.tag == "empty" or b.tag == "whole":
+        return True
+    if b.tag == "empty" or a.tag == "whole":
+        return False
+    if a.tag == "vertex" and b.tag == "edge":
+        f = body.features[b.feature]
+        return a.point in (f.start, f.end)
+    return False
 
 
 def ref_vertex_enumerate(equalities, inequalities, dim):
@@ -595,33 +617,103 @@ def test_integer_core_on_degenerate_and_empty_systems():
 def cone_families(draw):
     """Random cones of one dimension 1-4, with the zero cone, the whole
     space, a lineality space and cones of equal span (a cone and its
-    negative) among them."""
+    negative) among them, and the ray through the sum of a cone's first two
+    generators, which may lie on a face of that cone."""
     dim = draw(dims)
     cones = [PolyCone(dim, (), ()), eg.full_space(dim)]
     for _ in range(draw(st.integers(1, 4))):
         gens = draw(vectors(dim))
-        cones += [pos_hull(gens, dim), pos_hull([vneg(g) for g in gens], dim),
-                  subspace_cone(gens, dim)]
+        k = pos_hull(gens, dim)
+        cones += [k, pos_hull([vneg(g) for g in gens], dim), subspace_cone(gens, dim),
+                  pos_hull([vadd(*k.generators()[:2])] if k.cone_dim > 1 else [], dim)]
     return [ConeElement(c) for c in draw(st.permutations(cones))]
 
 
 def order_rows(elements, leq):
-    return [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+    """The down-set and up-set rows of the order leq, from one predicate call
+    per ordered pair: the reference for the rows of `build_lattice`."""
+    up = [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+    down = [sum(1 << i for i, row in enumerate(up) if row >> j & 1)
+            for j in range(len(up))]
+    return tuple(down), tuple(up)
+
+
+def mask_leq(a, b):
+    return not a & ~b
 
 
 @settings(max_examples=150, deadline=None)
 @given(cone_families())
 def test_generator_masks_order_cones_like_cone_subset(elements):
-    assert order_rows(elements, _cone_order(elements)) == order_rows(
+    masks = held_generators([e.cone for e in elements])
+    assert order_rows(masks, mask_leq) == order_rows(
         elements, lambda a, b: cone_subset(a.cone, b.cone))
+
+
+@st.composite
+def cone2_families(draw):
+    """Random planar cones: the zero cone, the plane, and rays and sectors
+    on a few shared directions, opposite ones among them."""
+    dirs = draw(st.lists(st.tuples(small, small).filter(any), min_size=1, max_size=5))
+    dirs += [(-x, -y) for x, y in draw(st.lists(st.sampled_from(dirs), max_size=2))]
+    cones = [Cone2.zero(), Cone2.plane(), *map(Cone2.ray, dirs)]
+    for a, b in combinations(dirs, 2):
+        if orient2(a, b) or dot2_sign(a, b) > 0:  # else they span no sector
+            cones.append(Cone2.sector(a, b))
+    return draw(st.permutations(list(dict.fromkeys(cones))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone2_families())
+def test_generator_masks_order_planar_cones_like_subset_of(cones):
+    assert order_rows(held_generators(cones), mask_leq) == order_rows(
+        cones, cone2_subset)
 
 
 @settings(max_examples=25, deadline=None)
 @given(point_sets())
 def test_normal_and_touching_rows_equal_cone_subset_rows(p):
     for lat in (normal_cone_lattice(p), touching_cone_lattice(p)):
-        ref = build_lattice(lat.elements, lambda a, b: cone_subset(a.cone, b.cone))
-        assert (lat.down, lat.up) == (ref.down, ref.up)
+        assert (lat.down, lat.up) == order_rows(
+            lat.elements, lambda a, b: cone_subset(a.cone, b.cone))
+
+
+@pytest.mark.parametrize("name", bodyio.list_fixtures())
+def test_every_fixture_lattice_has_the_predicate_rows(name, monkeypatch):
+    """Every lattice built for a fixture has the rows of the order predicate
+    its masks replaced: the four lattices of a polytope, the lattices the
+    lift suite builds for each projection and its lifts, both special-face
+    lattices of a planar body and the cone lattice of its antitone suite."""
+    built = []
+
+    def recording(elements, masks):
+        built.append(build_lattice(elements, masks))
+        return built[-1]
+
+    for module in (checks, pt, planar):
+        monkeypatch.setattr(module, "build_lattice", recording)
+    body = bodyio.load_fixture(name)
+    if isinstance(body, Polytope):
+        for lattice in (pt.face_lattice, exposed_face_lattice, normal_cone_lattice,
+                        touching_cone_lattice):
+            lattice(body)
+        checks.run_suite(body, name, "lift")
+    else:
+        special_face_lattice(body)
+        special_face_lattice(body, exposed_only=True)
+        checks.run_suite(body, name, "antitone")
+    by_type = {PolyFace: lambda a, b: a.vset <= b.vset,
+               ConeElement: lambda a, b: cone_subset(a.cone, b.cone),
+               Cone2: cone2_subset,
+               FaceDescriptor: lambda a, b: special_face_leq(body, a, b)}
+    kinds = Counter(type(lat.elements[0]) for lat in built)
+    if isinstance(body, Polytope):
+        assert kinds[PolyFace] >= 6 and kinds[ConeElement] >= 2  # lifts among them
+    else:
+        assert kinds == {FaceDescriptor: 3, Cone2: 1}
+    for lat in built:
+        assert (lat.down, lat.up) == order_rows(
+            lat.elements, by_type[type(lat.elements[0])])
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,7 +12,7 @@ from facelat import bodyio, checks, planar
 from facelat.errors import (DimensionMismatch, HypothesisFailed, NotAFace,
                             PointNotInBody, UndefinedTouchingCone,
                             UnsupportedArcCenter, ZeroDirection)
-from facelat.exactgeom import is_zero, pos_hull, primitive, vec
+from facelat.exactgeom import held_generators, is_zero, pos_hull, primitive, vec
 from facelat.lattice import build_lattice, lattice_map, verify_isomorphism
 from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
                             Segment, check_2d_nonexposed_rule,
@@ -271,8 +271,8 @@ def test_special_lattices_stadium():
             return self.cone.label()
 
     dedup = {k: CEfull(normal_cone_at(st, fs[0])) for k, fs in cones.items()}
-    tgt_full = build_lattice(sorted(dedup.values(), key=lambda e: str(e.key)),
-                             lambda a, b: a.cone.subset_of(b.cone))
+    ordered = sorted(dedup.values(), key=lambda e: str(e.key))
+    tgt_full = build_lattice(ordered, held_generators([e.cone for e in ordered]))
     rep_full = verify_isomorphism(lattice_map(
         full, tgt_full, lambda f: CEfull(normal_cone_at(st, f)), "antitone"))
     assert not rep_full.injective
@@ -298,9 +298,8 @@ def test_special_lattices_stadium():
         def dim(self):
             return self.cone.dim
 
-    tgt = build_lattice(sorted((CE(c) for c in cone_elems.values()),
-                               key=lambda e: str(e.key)),
-                        lambda a, b: a.cone.subset_of(b.cone))
+    ordered = sorted((CE(c) for c in cone_elems.values()), key=lambda e: str(e.key))
+    tgt = build_lattice(ordered, held_generators([e.cone for e in ordered]))
     rep = verify_isomorphism(lattice_map(
         exp, tgt, lambda f: CE(normal_cone_at(st, f)), "antitone"))
     assert rep.passed, rep.failures
