@@ -96,9 +96,7 @@ def cmd_polar(args) -> int:
 def cmd_check(args) -> int:
     name, body = bodyio.resolve_body(args.file)
     report = checks.run_suite(body, name, args.suite)
-    doc = report.as_dict()
-    doc["seed"] = args.seed
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(report.as_dict(), indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -157,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--suite", default="all",
                    choices=["all", *checks.SUITE_NAMES])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_check)
 
