@@ -150,11 +150,11 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "each proper exposed face is recovered as the exposed face of every "
        "sampled relative-interior vector of its normal cone")
     ok = True
+    supports = [(f.normal, *pt.support(p, f.normal)) for f in p.facets]
     for x in p.vertices:
-        for f in p.facets:
-            u = f.normal
-            a = dot(u, x) == pt.support(p, u)[0]
-            b = x in (p.vertices[i] for i in pt.support(p, u)[1].vertex_indices)
+        for u, h, face in supports:
+            a = dot(u, x) == h
+            b = x in (p.vertices[i] for i in face.vertex_indices)
             c = pt.normal_cone_at_point(p, x).contains(u)
             if not (a == b == c):
                 ok = False

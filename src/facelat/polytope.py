@@ -22,7 +22,7 @@ from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
 from . import exactgeom as eg
 from .exactgeom import (AffineSubspace, ConeTable, IVec, PolyCone, Vec,
-                        aff_hull, cone_faces, dot, full_space, in_conv_hull,
+                        aff_hull, cone_faces, full_space, in_conv_hull,
                         in_ri_conv_hull, intersect_cones, is_zero,
                         minkowski_sum_cone, pos_hull, project_onto,
                         span_basis, subspace_cone, vadd, vneg, vscale, zero)
@@ -152,6 +152,12 @@ class Polytope:
                                             if i in f.vertex_set))
                              for i, v in enumerate(grid)), self.dim + 1, len(self.facets))
 
+    @cached_property
+    def _vertex_rays(self) -> tuple[IVec, ...]:
+        """Vertex i as the primitive ray of (grid vertex, d), read off
+        `_vertex_cone`: the form in which `lift_point_set` returns a vertex."""
+        return tuple(eg._iprimitive(r) for r, _ in self._vertex_cone.rays)
+
     # Lattices, the polar, the projections (each with its lifts) and normal
     # cones are memoized on the body itself, so each lives exactly as long as
     # the body it was built from.  The cone table is shared with the bodies
@@ -260,17 +266,20 @@ class Polytope:
                      for c in zip(*(grid[i] for i in indices)))
 
     def ri_samples(self, f: PolyFace, count: int = 3) -> list[Vec]:
-        """A few distinct relative-interior points (positive-weight mixes)."""
-        pts = self.face_points(f)
+        """A few distinct relative-interior points (positive-weight mixes),
+        summed on the vertex grid like `_centroid`."""
+        idx = f.vertex_indices
+        if not idx:
+            raise NotAFace("the empty face has no relative-interior point")
+        d, grid = self._vertex_grid
+        columns = list(zip(*(grid[i] for i in idx)))
         out = []
         for s in range(count):
-            weights = [Fraction(1 + ((i + s) % len(pts)), 1) for i in range(len(pts))]
-            total = sum(weights)
-            acc = zero(self.ambient_dim)
-            for w, p in zip(weights, pts):
-                acc = vadd(acc, vscale(w / total, p))
-            if acc not in out:
-                out.append(acc)
+            weights = [1 + (i + s) % len(idx) for i in range(len(idx))]
+            den = d * sum(weights)
+            x = tuple(Fraction(eg._idot(weights, c), den) for c in columns)
+            if x not in out:
+                out.append(x)
         return out
 
 
@@ -721,7 +730,7 @@ class Projection:
     basis: tuple[Vec, ...]
     points: tuple[Vec, ...]
     lifted_faces: dict[tuple[int, ...], PolyFace]
-    lifted_point_sets: dict[frozenset[Vec], tuple[Vec, ...]]
+    lifted_point_sets: dict[frozenset[Vec], tuple[IVec, ...]]
     sums: dict[PolyCone, PolyCone]
 
     @cached_property
@@ -770,8 +779,9 @@ class Projection:
             lifted = PolyFace(lifted.vertex_indices, lifted.dim, f.exposing_normal)
         return lifted
 
-    def lift_point_set(self, f: PolyFace) -> tuple[Vec, ...]:
-        """Vertices of (conv(f) + V_perp) cap C for a face f of the body C."""
+    def lift_point_set(self, f: PolyFace) -> tuple[IVec, ...]:
+        """Vertices of (conv(f) + V_perp) cap C for a face f of the body C,
+        each vertex x as its primitive integer ray (x*t, t), t > 0; sorted."""
         if not f.vertex_indices:
             return ()
         pts = [self.points[i] for i in f.vertex_indices]
@@ -823,55 +833,34 @@ def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
     return projection(p, v_basis).lift_face(f)
 
 
-def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[Vec, ...]:
-    """Vertices of (conv(f) + V_perp) cap p, by vertex enumeration
-    (`Projection.lift_point_set`)."""
+def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[IVec, ...]:
+    """Vertices of (conv(f) + V_perp) cap p as primitive rays (x*t, t), t > 0,
+    by vertex enumeration (`Projection.lift_point_set`)."""
     return projection(p, v_basis).lift_point_set(f)
 
 
-def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple[Vec, ...]:
+def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple[IVec, ...]:
     """`lift_point_set` computed: pts are the projections onto V = span(basis)
     of the face's vertices, extreme or not.
 
     The system is p's own, plus conv(pts) pulled back through V: its facets,
     and the slab equalities on V cap D_perp, D the direction space of
-    conv(pts), all read off the points' integer grid.  p's own rows are
-    those of its homogenised vertex cone, so the enumeration starts from
-    that cone and adds the pulled-back rows only."""
+    conv(pts), all read off the points' integer grid, pts[i] = grid[i]/den.
+    Homogenised on (x*t, t), the slab m.x = m.grid[0]/den is the row
+    (den*m, -m.grid[0]) and a facet n.x <= a/b the row (b*n, -a).  p's own
+    rows are those of its homogenised vertex cone, so the enumeration
+    starts from that cone and adds these rows only; its canonical rays,
+    all with t > 0, are the lift's vertices."""
     d = p.ambient_dim
     den, grid = eg.point_grid(pts)
-    dirs = [[a - b for a, b in zip(g, grid[0])] for g in grid[1:]]
+    g0 = grid[0]
+    dirs = [[a - b for a, b in zip(g, g0)] for g in grid[1:]]
     slab = eg._ikernel([*eg._perp(basis, d), *dirs], d)
-    equalities = [(m, dot(m, pts[0])) for m in slab]
+    eqs = [(*(den * x for x in m), -eg._idot(m, g0)) for m in slab]
     facets = _enumerate_facets(den, grid, eg._ikernel(dirs, d), p.cone_table)
-    inequalities = [(fc.normal, fc.offset) for fc in facets]
-    return _vertex_enumerate(equalities, inequalities, d, p._vertex_cone)
-
-
-def _vertex_enumerate(equalities, inequalities, dim,
-                      seed: eg.Seed | None = None) -> tuple[Vec, ...]:
-    """Vertices of {x : e.x = c for (e, c) in equalities, n.x <= c for (n, c) in
-    inequalities}: the rays (x, t) with t > 0 of its homogenisation, a cone
-    with the extra row t >= 0.  A polyhedron with a lineality space has none.
-
-    With a `seed`, the homogenisation of a polytope in R^dim, the system is
-    that polytope cut by the rows: the enumeration starts from the seed's
-    rays, all with t > 0, and adds the rows alone."""
-    eqs = [eg._scaled((*e, -c)) for e, c in equalities]
-    ineqs = [eg._scaled((*n, -c)) for n, c in inequalities]
-    if seed is not None:
-        rays = eg._seeded_description(seed, eqs, ineqs)
-    else:
-        ineqs.append((0,) * dim + (-1,))
-        rays, lin = eg.double_description(eqs, ineqs, dim + 1)
-        if lin:
-            return ()
-        rays = [r for r in rays if r[-1] > 0]
-    # sorted on the integer points over one common denominator, the order
-    # of the rational points themselves
-    den = lcm(*(r[-1] for r in rays))
-    rays = sorted(rays, key=lambda r: [x * (den // r[-1]) for x in r[:-1]])
-    return tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays)
+    ineqs = [(*(fc.offset.denominator * x for x in fc.normal), -fc.offset.numerator)
+             for fc in facets]
+    return eg._seeded_description(p._vertex_cone, eqs, ineqs)
 
 
 @dataclass(frozen=True)
@@ -937,13 +926,13 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
         if not f.vertex_indices:
             fixed = True
         else:
-            # lifts are sorted tuples of distinct points
-            lifted_pts = proj.lift_point_set(f)
-            fixed = lifted_pts == tuple(sorted(p.face_points(f)))
+            # lifts are sorted tuples of distinct rays
+            lifted = proj.lift_point_set(f)
+            fixed = lifted == tuple(sorted(p._vertex_rays[i] for i in f.vertex_indices))
             if u_basis != basis:
-                canonical_pts = (u_proj.lift_point_set(f) if u_proj
-                                 else tuple(sorted(p.vertices)))
-                if lifted_pts != canonical_pts:
+                canonical = (u_proj.lift_point_set(f) if u_proj
+                             else tuple(sorted(p._vertex_rays)))
+                if lifted != canonical:
                     canon_failures.append(
                         f"canonical-subspace lift differs on {f.label()}")
         if in_lattice != fixed:

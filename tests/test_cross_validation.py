@@ -429,6 +429,33 @@ def test_table_cones_equal_untabled_cones(raw):
             assert_same_cone(pos_hull(pts, d, q.cone_table), pos_hull(pts, d))
 
 
+def ref_ri_samples(p, f, count=3):
+    """`Polytope.ri_samples` as it was summed before the vertex grid: each
+    positive-weight mix as a sum of Fraction vectors."""
+    pts = p.face_points(f)
+    out = []
+    for s in range(count):
+        weights = [F(1 + (i + s) % len(pts)) for i in range(len(pts))]
+        total = sum(weights)
+        acc = zero(p.ambient_dim)
+        for w, x in zip(weights, pts):
+            acc = vadd(acc, vscale(w / total, x))
+        if acc not in out:
+            out.append(acc)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: points(d, rational_coord if d < 4 else small)))
+def test_ri_samples_equal_fraction_mixes(raw):
+    """The same sample points, in the same order, on random rational hulls."""
+    p = build_polytope(raw)
+    for f in face_lattice(p).elements:
+        if f.vertex_indices:
+            assert p.ri_samples(f) == ref_ri_samples(p, f)
+
+
 @settings(max_examples=10, deadline=None)
 @given(tabled_bodies)
 @example([(0, 0, 1), (1, 0, 0), (0, 1, 0)])  # vertex 0 projects to 0 on e1 and e2
@@ -827,18 +854,23 @@ def test_seeded_intersection_skipping_a_row_fails_meets(monkeypatch):
 def test_seeded_lift_dropping_a_slab_equality_fails_lift(monkeypatch):
     """A seeded lift enumeration that drops a slab equality fails the lift
     isomorphism verdict."""
-    enumerate_ = pt._vertex_enumerate
+    core = eg._seeded_description
 
-    def lift_verdict():
+    def lift_verdict(cube):
         out = []
-        checks._lift_polytope(bodyio.load_fixture("cube"), out, {}, None)
+        checks._lift_polytope(cube, out, {}, None)
         return next(v.status for v in out if v.check_id == "lift.lattice_isomorphisms")
 
-    assert lift_verdict() == "pass"
+    assert lift_verdict(bodyio.load_fixture("cube")) == "pass"
+    cube = bodyio.load_fixture("cube")
+    dropped = []
 
-    def dropping(eqs, ineqs, dim, seed=None):
-        assert seed is not None
-        return enumerate_(eqs[:-1], ineqs, dim, seed)
+    def dropping(seed, eqs, ineqs):
+        if seed is cube._vertex_cone and eqs:
+            dropped.append(eqs[-1])
+            eqs = eqs[:-1]
+        return core(seed, eqs, ineqs)
 
-    monkeypatch.setattr(pt, "_vertex_enumerate", dropping)
-    assert lift_verdict() == "fail"
+    monkeypatch.setattr(eg, "_seeded_description", dropping)
+    assert lift_verdict(cube) == "fail"
+    assert dropped

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from facelat import bodyio, checks, planar
@@ -39,9 +39,9 @@ from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
 from facelat.lattice import build_lattice
 from facelat.planar import Cone2, FaceDescriptor, special_face_lattice
 from facelat.polytope import (ConeElement, Facet, PolyFace, Polytope,
-                              _vertex_enumerate, exposed_face_lattice,
-                              extreme_points, lift_point_set,
-                              normal_cone_lattice, touching_cone_lattice)
+                              exposed_face_lattice, extreme_points,
+                              lift_point_set, normal_cone_lattice,
+                              touching_cone_lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +332,45 @@ def body_rows(p):
             [(fc.normal, fc.offset) for fc in p.facets])
 
 
+def homogenised(rows):
+    """Rows (n, c) of n.x = c or n.x <= c as the integer rows (n, -c),
+    scaled, of the same system on the rays (x*t, t)."""
+    return [tuple(_scaled((*n, -c))) for n, c in rows]
+
+
+def dehomogenised(rows):
+    """Integer rows (n, b) on the rays (x*t, t) as the rows (n, -b) on x."""
+    return [(vec(*r[:-1]), F(-r[-1])) for r in rows]
+
+
+def as_rays(points):
+    """Points x as the sorted primitive rays (x*t, t), t > 0, the form the
+    seeded vertex enumeration returns."""
+    return tuple(sorted(_iprimitive(_scaled((*x, 1))) for x in points))
+
+
 def ref_lift_system(p, basis, pts):
-    """The system a lift solved when it built the projected face as a body
-    from the extreme points of pts."""
+    """The rows a lift added to p's own when it built the projected face
+    as a body from the extreme points of pts, homogenised."""
     sub = Polytope(tuple(extreme_points(pts)))
-    d = p.ambient_dim
-    eqs = [(m, dot(m, p.vertices[0])) for m in p.lin_perp]
-    ineqs = [(fc.normal, fc.offset) for fc in p.facets]
-    eqs += [(m, dot(m, pts[0])) for m in subspace_intersection(basis, sub.lin_perp, d)]
-    ineqs += [(fc.normal, fc.offset) for fc in sub.facets]
-    return eqs, ineqs, d
+    eqs = [(m, dot(m, pts[0]))
+           for m in subspace_intersection(basis, sub.lin_perp, p.ambient_dim)]
+    ineqs = [(fc.normal, fc.offset) for fc in sub.facets]
+    return ([_iprimitive(r) for r in homogenised(eqs)],
+            [_iprimitive(r) for r in homogenised(ineqs)])
+
+
+def recording_lifts(p, systems):
+    """`eg._seeded_description`, appending the rows of each call seeded with
+    p's vertex cone, a lift system on p, to `systems`."""
+    core = _seeded_description
+
+    def record(seed, eqs, ineqs):
+        if seed is p._vertex_cone:
+            systems.append((eqs, ineqs))
+        return core(seed, eqs, ineqs)
+
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +431,6 @@ def point_sets(draw):
     return Polytope(tuple(pts))
 
 
-@st.composite
-def linear_systems(draw):
-    """Random {e.x = c, n.x <= c} systems in 1-4D, bounded by a box or not,
-    with contradictory rows so that some are infeasible."""
-    dim = draw(st.integers(min_value=1, max_value=4))
-    row = st.tuples(st.tuples(*[small] * dim).map(lambda r: vec(*r)),
-                    small.map(F))
-    eqs = draw(st.lists(row, max_size=2))
-    ineqs = draw(st.lists(row, max_size=4))
-    if draw(st.booleans()):
-        for i in range(dim):
-            ineqs += [(unit(dim, i), F(2)), (vneg(unit(dim, i)), F(2))]
-    if ineqs and draw(st.booleans()):  # n.x <= c and -n.x <= -c - 1
-        n, c = ineqs[0]
-        ineqs.append((vneg(n), -c - 1))
-    return eqs, ineqs, dim
-
-
 # ---------------------------------------------------------------------------
 # old route vs new route
 # ---------------------------------------------------------------------------
@@ -469,73 +480,65 @@ def test_facets_and_exposed_lattice_equal_subset_route(p):
             == [(f.key, f.dim, f.exposing_normal) for f in old.elements])
 
 
-@settings(max_examples=150, deadline=None)
-@given(linear_systems())
-def test_vertex_enumeration_equals_subset_route(system):
-    assert _vertex_enumerate(*system) == ref_vertex_enumerate(*system)
-
-
 @settings(max_examples=30, deadline=None)
 @given(point_sets(), st.lists(st.tuples(small, small, small, small), min_size=1, max_size=2))
 def test_lift_systems_equal_subset_route(p, raw_basis):
-    """The systems lift_point_set solves, from the body's vertex cone and
-    from nothing, and each made infeasible by a contradictory pair of rows,
-    against the subset route on the whole system."""
+    """The systems lift_point_set solves, from the body's vertex cone, and
+    each made infeasible by a contradictory pair of rows, against the subset
+    route on the whole system, its vertices as rays."""
     basis = [vec(*b[:p.ambient_dim]) for b in raw_basis]
     assume(any(not is_zero(b) for b in basis))
     systems = []
-
-    def record(eqs, ineqs, dim, seed=None):
-        assert seed is p._vertex_cone
-        systems.append((eqs, ineqs, dim))
-        return _vertex_enumerate(eqs, ineqs, dim, seed)
-
-    pt._vertex_enumerate = record
+    eg._seeded_description = recording_lifts(p, systems)
     try:
-        for f in exposed_face_lattice(p).elements:
-            lift_point_set(p, basis, f)
+        lifts = [lift_point_set(p, basis, f) for f in exposed_face_lattice(p).elements
+                 if f.vertex_indices]
     finally:
-        pt._vertex_enumerate = _vertex_enumerate
+        eg._seeded_description = _seeded_description
     assert systems
+    assert all(r[-1] > 0 for rays in lifts for r in rays)
     body_eqs, body_ineqs = body_rows(p)
-    for eqs, ineqs, dim in systems:
-        whole = (body_eqs + eqs, body_ineqs + ineqs, dim)
-        want = ref_vertex_enumerate(*whole)
-        assert _vertex_enumerate(eqs, ineqs, dim, p._vertex_cone) == want
-        assert _vertex_enumerate(*whole) == want
-        u = unit(dim, 0)
-        bad = ineqs + [(u, F(-1)), (vneg(u), F(-1))]  # x_0 <= -1 and x_0 >= 1
-        assert (_vertex_enumerate(eqs, bad, dim, p._vertex_cone)
-                == ref_vertex_enumerate(body_eqs + eqs, body_ineqs + bad, dim) == ())
+    dim = p.ambient_dim
+    for eqs, ineqs in systems:
+        want = as_rays(ref_vertex_enumerate(body_eqs + dehomogenised(eqs),
+                                            body_ineqs + dehomogenised(ineqs), dim))
+        assert _seeded_description(p._vertex_cone, eqs, ineqs) == want
+        u = (1,) + (0,) * (dim - 1)
+        # x_0 <= -1 and x_0 >= 1
+        bad = [*ineqs, (*u, 1), (*(-c for c in u), 1)]
+        assert (_seeded_description(p._vertex_cone, eqs, bad)
+                == ref_vertex_enumerate(body_eqs + dehomogenised(eqs),
+                                        body_ineqs + dehomogenised(bad), dim) == ())
+
+
+# a rational body: the projected facets have offsets 1/2 and 1/3
+RATIONAL_TRIANGLE = Polytope((vec(0, 0), vec(F(1, 2), 0), vec(0, F(1, 3))))
 
 
 @settings(max_examples=30, deadline=None)
 @given(point_sets(), st.lists(st.tuples(small, small, small, small), min_size=1, max_size=2))
+@example(RATIONAL_TRIANGLE, [(1, 1, 0, 0)])
+@example(RATIONAL_TRIANGLE, [(0, 1, 0, 0)])
 def test_lift_systems_equal_extreme_point_route(p, raw_basis):
     """A lift system read off all projected points of a face, extreme or
-    not, has the rows of the one read off a body built from the extreme
-    points alone, in the same order, the body's own rows standing first
-    (they are the rows of the lift's seed)."""
+    not, adds to the body's vertex cone (the body's own rows) the rows of
+    the one read off a body built from the extreme points alone, in the
+    same order, each up to a positive factor."""
     basis = [vec(*b[:p.ambient_dim]) for b in raw_basis]
     assume(any(not is_zero(b) for b in basis))
     canon = span_basis(basis)
     systems = []
-    body_eqs, body_ineqs = body_rows(p)
-
-    def record(eqs, ineqs, dim, seed=None):
-        assert seed is p._vertex_cone
-        systems.append((body_eqs + eqs, body_ineqs + ineqs, dim))
-        return _vertex_enumerate(eqs, ineqs, dim, seed)
-
-    pt._vertex_enumerate = record
+    eg._seeded_description = recording_lifts(p, systems)
     try:
         for f in exposed_face_lattice(p).elements:
             if f.vertex_indices:
                 pts = [project_onto(canon, x) for x in p.face_points(f)]
                 pt._lift_vertices(p, canon, pts)
-                assert systems.pop() == ref_lift_system(p, canon, pts)
+                eqs, ineqs = systems.pop()
+                assert ([_iprimitive(r) for r in eqs], [_iprimitive(r) for r in ineqs]
+                        ) == ref_lift_system(p, canon, pts)
     finally:
-        pt._vertex_enumerate = _vertex_enumerate
+        eg._seeded_description = _seeded_description
 
 
 @st.composite
@@ -740,18 +743,20 @@ def test_cone_predicates_read_int_vectors_as_they_are(k, data):
             k.ri_contains(wrong)
 
 
-def test_infeasible_and_unbounded_systems_have_no_vertices():
+def test_seeded_cuts_missing_the_body_have_no_vertices():
+    """Rows that leave nothing of the body give no rays, as on the subset
+    route; a row through an edge leaves its two vertices."""
     x, y = vec(1, 0), vec(0, 1)
-    box = [(x, F(1)), (vneg(x), F(1)), (y, F(1)), (vneg(y), F(1))]
-    # the slab equality y = 3 misses the box
-    assert _vertex_enumerate([(y, F(3))], box, 2) == ()
-    assert ref_vertex_enumerate([(y, F(3))], box, 2) == ()
-    # x <= -1 and x >= 1
-    assert _vertex_enumerate([], [(x, F(-1)), (vneg(x), F(-1))], 2) == ()
-    # a strip has a lineality space and no vertex
-    assert _vertex_enumerate([], [(y, F(1)), (vneg(y), F(1))], 2) == ()
-    # a quadrant has one
-    assert _vertex_enumerate([], [(vneg(x), F(0)), (vneg(y), F(0))], 2) == (vec(0, 0),)
+    square = Polytope((vec(-1, -1), vec(1, -1), vec(-1, 1), vec(1, 1)))
+    body_eqs, body_ineqs = body_rows(square)
+    for eqs, ineqs in (([(y, F(3))], []),  # the slab y = 3 misses the square
+                       ([], [(x, F(-1)), (vneg(x), F(-1))]),  # x <= -1, x >= 1
+                       ([(y, F(1))], [(x, F(-2))])):  # x <= -2 on the top edge
+        assert _seeded_description(square._vertex_cone, homogenised(eqs),
+                                   homogenised(ineqs)) == ()
+        assert ref_vertex_enumerate(body_eqs + eqs, body_ineqs + ineqs, 2) == ()
+    assert (_seeded_description(square._vertex_cone, homogenised([(y, F(1))]), [])
+            == as_rays([vec(-1, 1), vec(1, 1)]) == square._vertex_rays[2:])
 
 
 def test_double_description_named_cones():
@@ -866,14 +871,17 @@ def seeded_systems(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(seeded_systems())
+@example((RATIONAL_TRIANGLE, [], [(vec(1, 1), F(1, 3))]))
 def test_seeded_vertex_enumeration_equals_unseeded(system):
-    """Rows added to the body's homogenised vertex cone give the vertices
-    of the whole system enumerated from nothing."""
+    """Rows added to the body's homogenised vertex cone give, as rays, the
+    vertices of the whole system enumerated from nothing by the subset
+    route."""
     p, eqs, ineqs = system
     body_eqs, body_ineqs = body_rows(p)
-    d = p.ambient_dim
-    assert (_vertex_enumerate(eqs, ineqs, d, p._vertex_cone)
-            == _vertex_enumerate(body_eqs + eqs, body_ineqs + ineqs, d))
+    got = _seeded_description(p._vertex_cone, homogenised(eqs), homogenised(ineqs))
+    assert got == as_rays(ref_vertex_enumerate(body_eqs + eqs, body_ineqs + ineqs,
+                                               p.ambient_dim))
+    assert all(r[-1] > 0 for r in got)
 
 
 def test_intersection_closure_on_sets_and_bitmasks():

@@ -1,10 +1,11 @@
 """No float reaches an exact output, and canonical vectors are ints.
 
 Every number reachable from the polytope layer's outputs (the four lattices,
-the facets, the polar, support values, normal cones at points and the lifts)
-must be an `int` or a `Fraction`.  The canonical vectors (a cone's rays,
-lineality, facet normals, span and perp bases, every facet normal and the
-body's `lin_perp`) must in addition be exactly `int`.  The same holds for the
+the facets, the polar, support values, normal cones at points and the lifted
+face lattices) must be an `int` or a `Fraction`.  The canonical vectors (a
+cone's rays, lineality, facet normals, span and perp bases, every facet
+normal, the body's `lin_perp` and the rays of every lifted point set) must in
+addition be exactly `int`.  The same holds for the
 planar layer's outputs (support and gauge values, face points, polar bodies
 and cone inventories), whose directions (cone rays, face directions, segment
 normals and arc radials) must be `int` pairs.  The last tests parse the
@@ -112,7 +113,6 @@ def outputs(p: Polytope) -> list:
         basis = [unit(d, i)]
         lifted_f, lifted_perp, _ = pt.lifted_face_lattices(p, basis)
         out += [lifted_f, lifted_perp]
-        out += [pt.lift_point_set(p, basis, f) for f in pt.face_lattice(p).elements]
     return out
 
 
@@ -124,6 +124,10 @@ def assert_exact(p: Polytope):
     assert not bad, f"non-exact numbers of type {bad}"
     assert cones
     canonical = [f.normal for f in p.facets] + list(p.lin_perp)
+    for i in range(p.ambient_dim):
+        basis = [unit(p.ambient_dim, i)]
+        for f in pt.face_lattice(p).elements:
+            canonical += pt.lift_point_set(p, basis, f)
     for k in cones:
         canonical += [*k.rays, *k.lineality, *k.facet_normals, *k.span, *k.span_perp]
     assert all(type(x) is int for v in canonical for x in v)

@@ -230,6 +230,17 @@ def test_project_polytope():
     assert set(project_polytope(sq, [vec(1, 0), vec(0, 1)]).vertices) == set(sq.vertices)
 
 
+def test_empty_face_has_no_relative_interior_points():
+    """The empty face has no relative-interior point to return; before the
+    vertex grid, `ri_samples` returned the origin for it."""
+    tri = triangle()
+    empty = tri.make_face(frozenset())
+    with pytest.raises(NotAFace):
+        tri.ri_point(empty)
+    with pytest.raises(NotAFace):
+        tri.ri_samples(empty)
+
+
 def test_lift_face_examples():
     tri = triangle()
     q = project_polytope(tri, [vec(1, 0)])
@@ -260,6 +271,20 @@ def test_lifted_lattices_square_and_full_space():
     assert rep.passed and len(lifted) == 4
     lifted_full, _, rep2 = lifted_face_lattices(triangle(), [vec(1, 0), vec(0, 1)])
     assert rep2.passed and len(lifted_full) == len(face_lattice(triangle()))
+
+
+def test_lifts_on_a_rational_body():
+    """A body off the integer lattice, where a vertex's ray (grid vertex, d)
+    is not primitive, lifts like its integer multiple."""
+    small = Polytope((vec(0, 0), vec(F(1, 2), 0), vec(0, F(1, 3))))
+    big = Polytope((vec(0, 0), vec(3, 0), vec(0, 2)))  # six times small
+    assert small._vertex_rays == ((0, 0, 1), (1, 0, 2), (0, 1, 3))
+    for basis in ([vec(1, 0)], [vec(1, 1)], [vec(1, 0), vec(0, 1)]):
+        got, _, rep = lifted_face_lattices(small, basis)
+        want, _, _ = lifted_face_lattices(big, basis)
+        assert rep.passed, rep.details
+        assert [f.key for f in got.elements] == [f.key for f in want.elements]
+    assert checks.run_suite(small, "small", "lift").passed
 
 
 def test_canonical_subspace_lift_on_a_tilted_triangle():
