@@ -34,7 +34,7 @@ from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
                                intersection_closure, is_zero, kernel_basis,
                                orient2, orth_complement, pos_hull, primitive,
                                project_onto, rank, solve_linear, span_basis,
-                               subspace_cone, unit, vadd, vec, vneg, vscale,
+                               subspace_cone, vadd, vec, vneg, vscale,
                                vsub, zero)
 from facelat.lattice import build_lattice
 from facelat.planar import Cone2, FaceDescriptor, special_face_lattice
@@ -503,9 +503,8 @@ def test_lift_systems_equal_subset_route(p, raw_basis):
         want = as_rays(ref_vertex_enumerate(body_eqs + dehomogenised(eqs),
                                             body_ineqs + dehomogenised(ineqs), dim))
         assert _seeded_description(p._vertex_cone, eqs, ineqs) == want
-        u = (1,) + (0,) * (dim - 1)
-        # x_0 <= -1 and x_0 >= 1
-        bad = [*ineqs, (*u, 1), (*(-c for c in u), 1)]
+        zeros = (0,) * (dim - 1)
+        bad = [*ineqs, (1, *zeros, 1), (-1, *zeros, 1)]  # x_0 <= -1 and x_0 >= 1
         assert (_seeded_description(p._vertex_cone, eqs, bad)
                 == ref_vertex_enumerate(body_eqs + dehomogenised(eqs),
                                         body_ineqs + dehomogenised(bad), dim) == ())
