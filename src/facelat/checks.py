@@ -10,15 +10,15 @@ exit-code neutral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Iterator
+from functools import cache, cached_property
 
+from . import exactgeom as eg
 from . import planar as pl
 from . import polytope as pt
 from .errors import HypothesisFailed, OriginNotInterior, UnsupportedArcCenter
-from .exactgeom import (cone_faces, cone_hyperplanes, dot, full_space,
-                        held_generators, in_ri_conv_hull, intersect_cones,
-                        is_zero, sign_vector, subspace_cone, unit, vadd)
+from .exactgeom import (cone_faces, dot, full_space, held_generators,
+                        in_ri_conv_hull, intersect_cones, is_zero,
+                        subspace_cone, unit, vadd)
 from .lattice import build_lattice, lattice_map, verify_isomorphism
 from .planar import PlanarBody, compass_directions, quad_compare
 from .polytope import ConeElement, Polytope
@@ -70,11 +70,8 @@ def _skip(out: list[Verdict], check_id: str, detail: str):
 
 def _sample_directions(p: Polytope) -> list:
     """Deterministic nonzero rational directions adapted to the polytope."""
-    dirs = []
-    for f in p.facets:
-        dirs.append(f.normal)
-    lat = pt.exposed_face_lattice(p)
-    for face in lat.elements:
+    dirs = [f.normal for f in p.facets]
+    for face in pt.exposed_face_lattice(p).elements:
         if face.vertex_indices and len(face.vertex_indices) < len(p.vertices):
             v = pt.normal_cone(p, face).ri_vector()
             if v is not None and not is_zero(v):
@@ -84,19 +81,14 @@ def _sample_directions(p: Polytope) -> list:
             s = vadd(a, b)
             if not is_zero(s):
                 dirs.append(s)
-    seen, out = set(), []
-    for d in dirs:
-        if d not in seen:
-            seen.add(d)
-            out.append(d)
-    return out
+    return list(dict.fromkeys(dirs))
 
 
 # ---------------------------------------------------------------------------
 # suites on polytopes
 # ---------------------------------------------------------------------------
 
-def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
+def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     if len(p.vertices) == 1:
         _skip(out, "antitone.iso", "excluded by hypothesis: the body is a single "
               "point, where the exposed-face/normal-cone correspondence degenerates")
@@ -175,7 +167,7 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "iff it equals the orthogonal complement of the body's direction space")
 
 
-def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
+def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     """Both meet claims, checked on the pairs (A, M) with M meet-irreducible
     or the top, which prove them for every pair.
 
@@ -225,35 +217,39 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "in the relative interior of the directions' hull")
 
 
-def _ri_counts(cones: list, dirs) -> Iterator[int]:
+def _ri_counts(cones: list, dirs) -> list[int]:
     """For each direction, how many of the cones hold it in their relative
-    interior.
-
-    That depends only on the signs of h.u over the cones' span-perp and
-    facet normals, so all directions in one cell of that hyperplane
-    arrangement meet the same cones: the first direction of a cell is
-    tested against every cone, and the later ones reuse its count.  No
-    normal-fan query picks a cone, so an overlap or a gap still shows.
-    """
-    hyperplanes = cone_hyperplanes(cones)
-    by_cell: dict[tuple[int, ...], int] = {}
+    interior.  Cones with one span share its span-perp rows, so a direction
+    is tested against those rows once per span, and against the facet rows
+    only of the cones whose span holds it.  No normal-fan query picks a
+    cone, so an overlap or a gap still shows."""
+    groups: dict[tuple, list] = {}
+    for c in cones:
+        groups.setdefault(c.span_perp, []).append(c.facet_normals)
+    out = []
     for u in dirs:
-        cell = sign_vector(hyperplanes, u)
-        n = by_cell.get(cell)
-        if n is None:
-            n = by_cell[cell] = sum(1 for c in cones if c.ri_contains(u))
-        yield n
+        xs = eg._scaled(u)
+        n = 0
+        for perp, members in groups.items():
+            for m in perp:
+                if eg._idot(m, xs):
+                    break
+            else:
+                for rows in members:
+                    for f in rows:
+                        if eg._idot(f, xs) >= 0:
+                            break
+                    else:
+                        n += 1
+        out.append(n)
+    return out
 
 
-def _touching_cones_partition(p: Polytope, dirs) -> bool:
-    """Each direction lies in the relative interior of exactly one touching
-    cone other than the whole space."""
-    whole = full_space(p.ambient_dim)
-    proper = [el.cone for el in pt.touching_cone_lattice(p).elements if el.cone != whole]
-    return all(n == 1 for n in _ri_counts(proper, dirs))
+_SINGLE_POINT = ("excluded by hypothesis: the body is a single point, whose "
+                 "only touching cone is the whole space")
 
 
-def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
+def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     nl = pt.normal_cone_lattice(p)
     tl = pt.touching_cone_lattice(p)
     counts["touching_cones"] = len(tl)
@@ -269,13 +265,15 @@ def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
                 ok = False
     _v(out, "touching.closed_under_faces", ok,
        "nonempty faces of touching cones are touching cones")
-    dirs = compass(72) if p.ambient_dim == 2 else _sample_directions(p)
-    _v(out, "touching.partition_of_directions", _touching_cones_partition(p, dirs),
+    if len(p.vertices) == 1:
+        _skip(out, "touching.partition_of_directions", _SINGLE_POINT)
+        return
+    _v(out, "touching.partition_of_directions", run.partition[1],
        "each sampled nonzero direction lies in the relative interior of "
        "exactly one touching cone other than the whole space")
 
 
-def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
+def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     d = p.ambient_dim
     subspaces = [[unit(d, i)] for i in range(d)]
     if d >= 3:
@@ -328,12 +326,9 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "have all touching cones normal")
 
 
-def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
-    ok = True
-    for u in _sample_directions(p):
-        if not pt.is_sharp_normal(p, u):
-            ok = False
-    _v(out, "sharp.normal_directions", ok,
+def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
+    _v(out, "sharp.normal_directions",
+       all(pt.is_sharp_normal(p, u) for u in run.directions),
        "every sampled nonzero direction is sharp normal (touching cones of a "
        "polytope are all normal)")
     ok = True
@@ -350,7 +345,7 @@ def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "all exposed)")
 
 
-def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
+def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     fl = pt.exposed_face_lattice(p)
     nl = pt.normal_cone_lattice(p)
     lin_perp_dim = len(p.lin_perp)
@@ -396,7 +391,7 @@ def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "most dim(F)+1 extreme-point atoms")
 
 
-def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
+def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     try:
         q = pt.polar(p)
     except OriginNotInterior as e:
@@ -430,13 +425,12 @@ def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
        "the biconjugate of a face is its smallest exposed superface")
 
 
-def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
-    if p.ambient_dim != 2:
-        dirs = _sample_directions(p)
-    else:
-        dirs = compass(360)
-    counts["partition_directions"] = len(dirs)
-    _v(out, "partition.unique_touching_cone", _touching_cones_partition(p, dirs),
+def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
+    if len(p.vertices) == 1:
+        _skip(out, "partition.unique_touching_cone", _SINGLE_POINT)
+        return
+    counts["partition_directions"], ok = run.partition
+    _v(out, "partition.unique_touching_cone", ok,
        "sampled nonzero directions lie in the relative interior of exactly "
        "one touching cone other than the whole space")
 
@@ -445,7 +439,7 @@ def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, compass):
 # suites on planar bodies
 # ---------------------------------------------------------------------------
 
-def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
+def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     faces = pl.special_faces(b, exposed_only=True)
     cones = {}
     for f in faces:
@@ -481,7 +475,7 @@ def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
        "directions of their normal cone")
 
 
-def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
+def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     inv = pl.cone_inventory(b)
     counts["proper_normal_cones"] = inv.proper_normal_count
     counts["proper_touching_cones"] = inv.proper_touching_count
@@ -509,9 +503,9 @@ def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
        "the same face")
 
 
-def _sharp_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
+def _sharp_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     ok = True
-    for u in compass(120):
+    for u in run.compass(120):
         f = pl.exposed_face(b, u)
         if f.tag == "empty":
             continue
@@ -525,7 +519,7 @@ def _sharp_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
        "normal cone")
 
 
-def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
+def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     for f in pl.special_faces(b, exposed_only=True):
         if f.tag in ("empty", "whole"):
             continue
@@ -544,7 +538,7 @@ def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
                   f"coatoms; {rep.note}")
 
 
-def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, compass):
+def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, run):
     try:
         q = pl.polar_planar(b)
     except (OriginNotInterior, UnsupportedArcCenter) as e:
@@ -555,7 +549,7 @@ def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, compass
             == {(f.kind, f.start, f.end) for f in b.features})
     _v(out, "polar.involution", same, "the polar of the polar body is the body")
     worst_ok = True
-    for u in compass(120):
+    for u in run.compass(120):
         h, _ = pl.support_value(q, u)
         g = pl.gauge_value(b, u)
         if quad_compare(h, g) != 0:
@@ -586,12 +580,12 @@ def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, compass
        "representatives)")
 
 
-def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
+def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     if not b.is_closed():
         _skip(out, "partition.unique_touching_cone",
               "partition of directions requires a closed bounded body")
         return
-    dirs = compass(360)
+    dirs = run.compass(360)
     rep = pl.partition_check_planar(b, dirs)
     counts["partition_directions"] = len(dirs)
     _v(out, "partition.unique_touching_cone", rep.passed,
@@ -599,7 +593,7 @@ def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
        "of exactly one touching cone; " + ("; ".join(rep.details[:4]) or "verified"))
 
 
-def _2d_planar(b: PlanarBody, out: list[Verdict], counts: dict, compass):
+def _2d_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     ne = pl.non_exposed_faces(b)
     counts["non_exposed_faces"] = len(ne)
     out.append(Verdict("2d.non_exposed_inventory", "pass",
@@ -648,13 +642,38 @@ _PLANAR = {
 }
 
 
+class _Run:
+    """What the suites of one `run_suite` call share, each built at most
+    once: `compass_directions` memoised by count, a polytope's sample
+    directions, and its partition count, which both partition verdicts read."""
+
+    def __init__(self, body):
+        self.body = body
+        self.compass = cache(compass_directions)
+
+    @cached_property
+    def directions(self) -> list:
+        return _sample_directions(self.body)
+
+    @cached_property
+    def partition(self) -> tuple[int, bool]:
+        """How many directions are sampled, and whether each lies in the relative
+        interior of exactly one touching cone other than the whole space."""
+        p = self.body
+        dirs = self.compass(360) if p.ambient_dim == 2 else self.directions
+        whole = full_space(p.ambient_dim)
+        proper = [el.cone for el in pt.touching_cone_lattice(p).elements
+                  if el.cone != whole]
+        return len(dirs), all(n == 1 for n in _ri_counts(proper, dirs))
+
+
 def run_suite(body, fixture_name: str, suite: str) -> CheckReport:
     """Run one named suite (or 'all') on a parsed body.
 
-    Each suite gets `compass`, `compass_directions` memoised for this call
-    only, so a list of sample directions is built at most once per run and
-    shared by the suites that use it.  A known suite that does not fit the
-    body's kind is reported as a skip; an unknown name raises ValueError."""
+    Each suite gets a `_Run` for this call only, so sample directions and
+    the partition count are built at most once per run and shared by the
+    suites that use them.  A known suite that does not fit the body's kind
+    is reported as a skip; an unknown name raises ValueError."""
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; the suites are 'all', "
                          + ", ".join(map(repr, SUITE_NAMES)))
@@ -662,12 +681,12 @@ def run_suite(body, fixture_name: str, suite: str) -> CheckReport:
     report = CheckReport(suite, fixture_name)
     table = _POLY if isinstance(body, Polytope) else _PLANAR
     kind = "polytope" if isinstance(body, Polytope) else "planar"
-    compass = cache(compass_directions)
+    run = _Run(body)
     for s in suites:
         fn = table.get(s)
         if fn is None:
             _skip(report.verdicts, f"{s}.applicable",
                   f"suite '{s}' does not apply to {kind} bodies")
             continue
-        fn(body, report.verdicts, report.counts, compass)
+        fn(body, report.verdicts, report.counts, run)
     return report

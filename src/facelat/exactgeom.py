@@ -969,19 +969,6 @@ def ri_contains(shape, x: Vec) -> bool:
     return in_ri_conv_hull([tuple(Fraction(c) for c in p) for p in shape], x)
 
 
-def cone_hyperplanes(cones: Iterable[PolyCone]) -> tuple[IVec, ...]:
-    """The hyperplanes the cones' predicates test: every span-perp and facet
-    normal, primitive with its first nonzero entry positive, once each.
-    Whether x lies in one of the cones, or in its relative interior, depends
-    only on the signs of h.x over them (`sign_vector`)."""
-    out: dict[IVec, None] = {}
-    for c in cones:
-        for n in (*c.span_perp, *c.facet_normals):
-            h = _iprimitive(n)
-            out[h if next(filter(None, h)) > 0 else tuple(-a for a in h)] = None
-    return tuple(out)
-
-
 def held_generators(cones: Sequence) -> list[int]:
     """Inclusion masks of cones (`PolyCone`s or planar `Cone2`s): bit g is set
     when the cone contains generator g of the family.  A cone is the positive
@@ -991,11 +978,3 @@ def held_generators(cones: Sequence) -> list[int]:
     return [sum(1 << i for i, g in enumerate(gens) if c.contains(g))
             for c in cones]
 
-
-def sign_vector(hyperplanes: Sequence[IVec], x: Vec) -> tuple[int, ...]:
-    """The sign of h.x for each integer normal h: the cell of their
-    arrangement that holds x."""
-    xs = _scaled(x)
-    if hyperplanes and len(xs) != len(hyperplanes[0]):
-        raise DimensionMismatch("point and hyperplane dimensions differ")
-    return tuple((s > 0) - (s < 0) for s in (_idot(h, xs) for h in hyperplanes))

@@ -557,13 +557,14 @@ def test_compass_covers_every_quadrant_and_axis(count):
     assert set(quadrants.values()) == {count // 4 - 1}
 
 
-@pytest.mark.parametrize("name, counts", [("square", [72, 360]),
+@pytest.mark.parametrize("name, counts", [("square", [360]),
                                           ("unit_disk", [120, 360]),
                                           ("triangle_open_side", [120])])
 def test_compass_lists_are_built_once_per_run(monkeypatch, name, counts):
     """`run_suite` builds each compass list once and hands it to every suite
-    that samples it: the 2D polytope's touching and partition suites, the
-    planar sharp, polar and partition suites."""
+    that samples it: the 2D polytope's partition count, which its touching
+    and partition suites share, and the planar sharp, polar and partition
+    suites."""
     built = []
 
     def counting(count=360):

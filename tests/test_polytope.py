@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 from facelat import checks
 from facelat import exactgeom as eg
 from facelat import lattice as lattice_module
+from facelat import polytope as pt
 from facelat.errors import (GeometryError, InvariantViolation, NotAFace,
                             OriginNotInterior, PointNotInBody, ZeroDirection)
 from facelat.exactgeom import (full_space, intersect_cones, minkowski_sum_cone,
@@ -453,3 +455,68 @@ def test_route_labels_in_antitone_details():
     rep = checks.run_suite(simplex4, "simplex4", "antitone")
     assert "LP carrier-oracle face_lattice" in _detail(rep, "antitone.all_faces_exposed")
     assert all(v.status == "pass" for v in rep.verdicts)
+
+
+PARTITION_VERDICTS = ("touching.partition_of_directions",
+                      "partition.unique_touching_cone")
+
+
+def _status(report, check_id):
+    return next(v.status for v in report.verdicts if v.check_id == check_id)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_partition_verdicts_skip_a_single_point(dim):
+    """A point's only touching cone is the whole space, so no direction lies
+    in a proper one: both partition verdicts are excluded by hypothesis, in
+    2D too, where every compass direction would count 0."""
+    point = Polytope((vec(*range(1, dim + 1)),))
+    rep = checks.run_suite(point, "point", "all")
+    assert rep.passed
+    for check_id in PARTITION_VERDICTS:
+        assert _status(rep, check_id) == "skip"
+        assert "single point" in _detail(rep, check_id)
+
+
+def _duplicated_full_cone(p, elements):
+    whole = full_space(p.ambient_dim)
+    return elements + (next(e for e in elements
+                            if e.cone.cone_dim == p.ambient_dim and e.cone != whole),)
+
+
+def _dropped_ray(p, elements):
+    ray = next(e for e in elements if e.cone.cone_dim == 1)
+    return tuple(e for e in elements if e is not ray)
+
+
+@pytest.mark.parametrize("body", [cube, square])
+@pytest.mark.parametrize("plant", [_duplicated_full_cone, _dropped_ray])
+def test_planted_touching_cone_defects_fail_both_partition_verdicts(
+        monkeypatch, body, plant):
+    """An overlapping cone and a missing cone each fail both verdicts that
+    read the run's one partition count."""
+    p = body()
+    real = touching_cone_lattice(p)
+    planted = dataclasses.replace(real, elements=plant(p, real.elements))
+    assert len(planted) != len(real)
+    monkeypatch.setattr(pt, "touching_cone_lattice", lambda q: planted)
+    rep = checks.run_suite(p, "planted", "all")
+    for check_id in PARTITION_VERDICTS:
+        assert _status(rep, check_id) == "fail"
+
+
+def test_partition_counted_once_per_run(monkeypatch):
+    """One run builds the sample directions once, for the sharp, touching
+    and partition suites, and counts the partition once for both verdicts."""
+    calls = []
+
+    def counting(name):
+        fn = getattr(checks, name)
+        return lambda *a: calls.append(name) or fn(*a)
+
+    for name in ("_sample_directions", "_ri_counts"):
+        monkeypatch.setattr(checks, name, counting(name))
+    for _ in range(2):  # once per call, not once per process
+        calls.clear()
+        assert checks.run_suite(cube(), "cube", "all").passed
+        assert sorted(calls) == ["_ri_counts", "_sample_directions"]
