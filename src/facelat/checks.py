@@ -550,9 +550,7 @@ def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, run):
     _v(out, "polar.involution", same, "the polar of the polar body is the body")
     worst_ok = True
     for u in run.compass(120):
-        h, _ = pl.support_value(q, u)
-        g = pl.gauge_value(b, u)
-        if quad_compare(h, g) != 0:
+        if pl.form_compare(pl.support_form(q, u), pl.gauge_form(b, u)) != 0:
             worst_ok = False
     _v(out, "polar.support_equals_gauge", worst_ok,
        "the support function of the polar equals the gauge of the body, "

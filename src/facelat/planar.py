@@ -11,16 +11,18 @@ equation exactly.
 
 Every direction this module builds is a primitive vector of Python ints: the
 compass samples, segment normals, arc radials and the boundary rays of every
-`Cone2`, and so the direction of each arc-point face.  Points, squared radii
-and support, gauge and `QuadVal` values stay `Fraction`s, built only when
-asked for.  Each decision is an integer sign test, on the coordinates
-themselves when both vectors are int pairs and on numerators and denominators
-otherwise, and the support and gauge maxima are ranked on integers: no
-Fraction is built for a sign.  The public functions accept `Fraction`
-directions as well; since `Fraction(n) == n` with the same hash and the same
-printed form, keys, labels and reports do not depend on which was passed,
-and the support memo keys a direction by its integer numerators and
-denominators.
+`Cone2`, and so the direction of each arc-point face.  Points and squared
+radii stay `Fraction`s.  Support and gauge values are integer `Form`s
+(P, R, E), the number (P + sqrt(R))/E: `support_form` and `gauge_form`
+compute them, `form_compare` orders them, and `support_value` and
+`gauge_value` turn one into a `QuadVal` of `Fraction`s only at the end.
+Each decision is an integer sign test, on the coordinates themselves when
+both vectors are int pairs and on numerators and denominators otherwise,
+and the support and gauge maxima are ranked on integers: no Fraction is
+built for a sign.  The public functions accept `Fraction` directions as
+well; since `Fraction(n) == n` with the same hash and the same printed form,
+keys, labels and reports do not depend on which was passed, and the support
+memo keys a direction by its integer numerators and denominators.
 """
 
 from __future__ import annotations
@@ -83,6 +85,25 @@ def quad_compare(a: QuadVal, b: QuadVal) -> int:
     return _root_sign(d, big, small)
 
 
+Form = tuple[int, int, int]
+"""(P, R, E): the exact number (P + sqrt(R))/E, for integers R >= 0, E > 0."""
+
+
+def _quad(form: Form) -> QuadVal:
+    """The `QuadVal` of a `Form`: P/E, plus 1*sqrt(R/E^2) when R > 0."""
+    p, r, e = form
+    if r:
+        return QuadVal(Fraction(p, e), _ONE, Fraction(r, e * e))
+    return QuadVal(Fraction(p, e))
+
+
+def form_compare(a: Form, b: Form) -> int:
+    """Exact three-way comparison of two `Form`s: times ae*be > 0, the sign
+    of (ap*be - bp*ae) + sqrt(ar*be^2) - sqrt(br*ae^2)."""
+    (ap, ar, ae), (bp, br, be) = a, b
+    return _root_sign(ap * be - bp * ae, ar * be * be, br * ae * ae)
+
+
 def _root_sign(d: int, big: int, small: int) -> int:
     """The sign of d + sqrt(big) - sqrt(small), for integers big, small >= 0."""
     flip = 1
@@ -112,6 +133,14 @@ def _exact_key(v: Vec) -> tuple[int, int, int, int]:
     except ValueError:
         raise DimensionMismatch(f"{v} is not a planar vector") from None
     return x.numerator, y.numerator, x.denominator, y.denominator
+
+
+def _scaled_direction(u: Vec) -> tuple[int, int, int]:
+    """(un, vn, e) with u = (un, vn)/e, e the lcm of u's denominators (1 for
+    an int pair)."""
+    xn, yn, xd, yd = _exact_key(u)
+    e = xd if xd == yd else lcm(xd, yd)
+    return xn * (e // xd), yn * (e // yd), e
 
 
 def _primitive2(v: Vec) -> IVec:
@@ -476,6 +505,12 @@ class PlanarBody:
                                for i in idx)
         return big, tuple((i, *row) for i, row in zip(idx, rows))
 
+    @cached_property
+    def _gauge_rows(self) -> tuple[tuple[Arc | None, int, int, int], ...]:
+        """The gauge's integer rows, built once the origin is checked
+        interior and every arc centered at it (`_build_gauge_rows`)."""
+        return _build_gauge_rows(self)
+
     def is_closed(self) -> bool:
         return all(self.feature_closed) and all(self.vertex_closed)
 
@@ -655,7 +690,13 @@ def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
 def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     """Support value over the closure and the exposed face of the closure."""
     face = _support_entry(body, u)
-    return _face_value(body, u, face), face
+    return _quad(support_form(body, u)), face
+
+
+def support_form(body: PlanarBody, u: Vec) -> Form:
+    """The support value over the closure in direction u, as an integer
+    `Form`; builds no face, no point and no Fraction."""
+    return _support_scan(body, u)[3]
 
 
 def _support_entry(body: PlanarBody, u: Vec) -> FaceDescriptor:
@@ -664,31 +705,24 @@ def _support_entry(body: PlanarBody, u: Vec) -> FaceDescriptor:
     key = _exact_key(u)
     found = memo.get(key)
     if found is None:
-        if is_zero(u):
-            raise ZeroDirection("support direction must be nonzero")
         found = memo[key] = _support(body, u)
     return found
 
 
-def _face_value(body: PlanarBody, u: Vec, face: FaceDescriptor) -> QuadVal:
-    """The support value in direction u, read off the face u exposes: an
-    arc point's u.c + sqrt(radius_sq*u.u), else u.p for a junction p."""
-    if face.tag == "arcpoint":
-        f = body.features[face.feature]
-        return QuadVal(dot(u, f.center), _ONE, f.radius_sq * dot(u, u))
-    return QuadVal(dot(u, face.point or body.features[face.feature].start))
-
-
-def _support(body: PlanarBody, u: Vec) -> FaceDescriptor:
-    """The face of the closure that u exposes, computed afresh: a maximum
-    over every junction and every arc whose radial wedge holds u, decided on
-    integers.
+def _support_scan(body: PlanarBody, u: Vec
+                  ) -> tuple[int | None, list[int], int, Form]:
+    """The support maximum over every junction and every arc whose radial
+    wedge holds u, decided on integers: (the winning arc feature or None,
+    the junction values, their maximum, the support value as a `Form`).
 
     With u = (un, vn)/e, the junctions over their common denominator d and
     the arc grid over D, each candidate times e*d*D^2 is P + sqrt(R) for
     integers: P = top*D^2 and R = 0 for the junction maximum top/(e*d),
-    P = (un*cx + vn*cy)*d*D and R = n*(un^2 + vn^2)*D^3*d^2 for an arc."""
-    un, vn = _scaled(u)
+    P = (un*cx + vn*cy)*d*D and R = n*(un^2 + vn^2)*D^3*d^2 for an arc.
+    A tie with an arc raises `InvariantViolation`."""
+    un, vn, e = _scaled_direction(u)
+    if not (un or vn):
+        raise ZeroDirection("support direction must be nonzero")
     d, grid = body._junction_grid
     vals = [un * x + vn * y for x, y in grid]
     top = max(vals)
@@ -705,6 +739,13 @@ def _support(body: PlanarBody, u: Vec) -> FaceDescriptor:
                 tied = True
     if tied:
         raise InvariantViolation("strictly convex arcs admit no support ties")
+    return best, vals, top, (p0, r0, e * d * big * big)
+
+
+def _support(body: PlanarBody, u: Vec) -> FaceDescriptor:
+    """The face of the closure that u exposes, computed afresh from
+    `_support_scan`'s maximum."""
+    best, vals, top, _ = _support_scan(body, u)
     if best is not None:
         p = _primitive2(u)
         return FaceDescriptor.arc_point(best, p, body.features[best].radial_point(p))
@@ -1007,6 +1048,16 @@ def _touching_counts(cones: list[Cone2], arcs: list[Arc], directions: list[Vec])
 # polarity
 # ---------------------------------------------------------------------------
 
+def _require_gauge_body(body: PlanarBody) -> None:
+    """Raise unless the origin is interior to the body's closure and every
+    arc is centered at it: the bodies whose gauge and polar are computed."""
+    if body.locate((0, 0)) != "interior":
+        raise OriginNotInterior("the origin must be an interior point")
+    for f in body.features:
+        if isinstance(f, Arc) and not is_zero(f.center):
+            raise UnsupportedArcCenter("arcs must be centered at the origin")
+
+
 def polar_planar(body: PlanarBody) -> PlanarBody:
     """Polar body of a closed planar body with the origin interior.
 
@@ -1015,11 +1066,7 @@ def polar_planar(body: PlanarBody) -> PlanarBody:
     """
     if not body.is_closed():
         raise OriginNotInterior("polar bodies are defined for closed bodies")
-    if body.locate((Fraction(0), Fraction(0))) != "interior":
-        raise OriginNotInterior("the origin must be an interior point")
-    for f in body.features:
-        if isinstance(f, Arc) and not is_zero(f.center):
-            raise UnsupportedArcCenter("arcs must be centered at the origin")
+    _require_gauge_body(body)
 
     def anchors(f: Feature) -> tuple[Vec, Vec]:
         if isinstance(f, Segment):
@@ -1046,40 +1093,61 @@ def polar_planar(body: PlanarBody) -> PlanarBody:
     return PlanarBody(tuple(features), (True,) * m, (True,) * m)
 
 
-def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
-    """Exact gauge inf{t > 0 : u/t in body} of a closed body with 0 interior.
-
-    The candidates, n.u/n.p for each segment (outward normal n, start p)
-    facing u and |u|/r for each arc whose wedge holds u, are positive, so they
-    rank by their squares, on integers; only the largest (the first of
-    equals) becomes a `QuadVal`."""
-    if is_zero(u):
-        raise ZeroDirection("gauge direction must be nonzero")
-    if len(u) != 2:
-        raise DimensionMismatch(f"{u} is not a planar vector")
-    un, vn = _scaled(u)
-    best = None
+def _build_gauge_rows(body: PlanarBody) -> tuple[tuple[Arc | None, int, int, int], ...]:
+    """One integer row per feature, in order, for `gauge_form`: (None, a, b,
+    k) for a segment on the line a*x + b*y = k, k > 0; (arc, c*k, 0, k) for
+    an arc of squared radius k/c in lowest terms."""
+    _require_gauge_body(body)
+    rows = []
     for f in body.features:
         if isinstance(f, Segment):
             a, b = f.outward_normal
-            num = a * un + b * vn
-            if num <= 0:
-                continue
             x, y, w = _scaled((*f.start, 1))  # the start is (x, y)/w
-            sq = ((num * w) ** 2, (a * x + b * y) ** 2)
-        elif f.wedge_contains(vsub(u, f.center) if any(f.center) else u):
-            # centers are 0 for supported bodies
-            sq = ((un * un + vn * vn) * f.radius_sq.denominator, f.radius_sq.numerator)
+            a, b, k = a * w, b * w, a * x + b * y
+            g = gcd(a, b, k)
+            rows.append((None, a // g, b // g, k // g))
+        else:
+            k, c = f.radius_sq.numerator, f.radius_sq.denominator
+            rows.append((f, c * k, 0, k))
+    return tuple(rows)
+
+
+def gauge_form(body: PlanarBody, u: Vec) -> Form:
+    """The gauge inf{t > 0 : u/t in body} as an integer `Form`, for a body
+    whose closure holds the origin in its interior and whose arcs are
+    centered there; otherwise `OriginNotInterior` or `UnsupportedArcCenter`.
+
+    With u = (un, vn)/e, the candidates times e are (a*un + b*vn)/k for each
+    segment row (None, a, b, k) facing u, and sqrt(m*(un^2 + vn^2))/k for
+    each arc row (arc, m, 0, k) whose wedge holds u: |u|/r for r^2 = k/c,
+    m = c*k.  They are positive, so they rank by their squares, on integers;
+    the largest (the first of equals) is the gauge."""
+    if is_zero(u):
+        raise ZeroDirection("gauge direction must be nonzero")
+    un, vn, e = _scaled_direction(u)
+    norm = un * un + vn * vn
+    best = None
+    for arc, a, b, k in body._gauge_rows:
+        if arc is None:
+            p, r = a * un + b * vn, 0
+            if p <= 0:
+                continue
+        elif arc.wedge_contains(u):
+            p, r = 0, a * norm
         else:
             continue
-        if best is None or sq[0] * most[1] > most[0] * sq[1]:
-            best, most = f, sq
+        sq, kk = p * p + r, k * k  # the candidate squared is sq/kk: p or r is 0
+        if best is None or sq * best_kk > best_sq * kk:
+            best, best_sq, best_kk = (p, r, k), sq, kk
     if best is None:
         raise InvariantViolation("a bounded body bounds every ray")
-    if isinstance(best, Segment):
-        n = best.outward_normal
-        return QuadVal(dot(n, u) / dot(n, best.start))
-    return QuadVal(Fraction(0), _ONE, dot(u, u) / best.radius_sq)
+    p, r, k = best
+    return p, r, k * e
+
+
+def gauge_value(body: PlanarBody, u: Vec) -> QuadVal:
+    """Exact gauge inf{t > 0 : u/t in body}: `gauge_form` as a `QuadVal`."""
+    return _quad(gauge_form(body, u))
 
 
 # ---------------------------------------------------------------------------

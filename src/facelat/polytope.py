@@ -139,7 +139,9 @@ class Polytope:
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
-        return _enumerate_facets(*self._vertex_grid, self.lin_perp, self.cone_table)
+        d, grid = self._vertex_grid
+        return tuple(Facet(n, Fraction(c, d), frozenset(i for i, t in enumerate(values) if t == c))
+                     for n, c, values in _facet_rows(d, grid, self.lin_perp, self.cone_table))
 
     @cached_property
     def _vertex_cone(self) -> eg.Seed:
@@ -292,10 +294,12 @@ def _int_point(x: Vec, dim: int) -> tuple[int, list[int]]:
     return e, [c.numerator * (e // c.denominator) for c in x]
 
 
-def _enumerate_facets(den: int, grid: tuple[IVec, ...], lin_perp: tuple[IVec, ...],
-                      table: ConeTable) -> tuple[Facet, ...]:
-    """Facets of conv(grid[i]/den), lin_perp the orthogonal complement of
-    the direction space of its affine hull, from the homogenised cone
+def _facet_rows(den: int, grid: tuple[IVec, ...], lin_perp: tuple[IVec, ...],
+                table: ConeTable) -> list[tuple[IVec, int, list[int]]]:
+    """Facets of conv(grid[i]/den) as integer rows (n, c, values), sorted by
+    n: the facet is n.x <= c/den, n primitive, and values[i] = n.grid[i],
+    with maximum c.  lin_perp is the orthogonal complement of the direction
+    space of the affine hull.  They come from the homogenised cone
     {(n, c) : n in the direction space, n.v <= c for every point v}: each of
     its rays (n, c) with n != 0 is an outer facet normal n with offset
     c = max n.v, and nothing else is.  A point that is not a vertex only
@@ -304,16 +308,14 @@ def _enumerate_facets(den: int, grid: tuple[IVec, ...], lin_perp: tuple[IVec, ..
     eqs = [m + (0,) for m in lin_perp]
     ineqs = [v + (-den,) for v in grid]
     rays, _ = eg.double_description(eqs, ineqs, d + 1, table)
-    facets = []
+    rows = []
     for r in rays:
         if not any(r[:d]):
             continue  # the ray (0, 1) of a point
         n = eg._iprimitive(r[:d])
         values = [eg._idot(n, v) for v in grid]
-        c = max(values)
-        facets.append(Facet(n, Fraction(c, den),
-                            frozenset(i for i, t in enumerate(values) if t == c)))
-    return tuple(sorted(facets, key=lambda f: f.normal))
+        rows.append((n, max(values), values))
+    return sorted(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +849,7 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     and the slab equalities on V cap D_perp, D the direction space of
     conv(pts), all read off the points' integer grid, pts[i] = grid[i]/den.
     Homogenised on (x*t, t), the slab m.x = m.grid[0]/den is the row
-    (den*m, -m.grid[0]) and a facet n.x <= a/b the row (b*n, -a).  p's own
+    (den*m, -m.grid[0]) and a facet row n.x <= c/den the row (den*n, -c).  p's own
     rows are those of its homogenised vertex cone, so the enumeration
     starts from that cone and adds these rows only; its canonical rays,
     all with t > 0, are the lift's vertices."""
@@ -857,9 +859,8 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     dirs = [[a - b for a, b in zip(g, g0)] for g in grid[1:]]
     slab = eg._ikernel([*eg._perp(basis, d), *dirs], d)
     eqs = [(*(den * x for x in m), -eg._idot(m, g0)) for m in slab]
-    facets = _enumerate_facets(den, grid, eg._ikernel(dirs, d), p.cone_table)
-    ineqs = [(*(fc.offset.denominator * x for x in fc.normal), -fc.offset.numerator)
-             for fc in facets]
+    ineqs = [(*(den * x for x in n), -c)
+             for n, c, _ in _facet_rows(den, grid, eg._ikernel(dirs, d), p.cone_table)]
     return eg._seeded_description(p._vertex_cone, eqs, ineqs)
 
 

@@ -475,7 +475,7 @@ def test_memoised_support_equals_fresh_support(name, u, scale):
     body = PLANAR_BODIES[name]
     for v in (u, (scale * u[0], scale * u[1])):
         face = planar._support(body, v)
-        fresh = planar._face_value(body, v, face), face
+        fresh = planar._quad(planar.support_form(body, v)), face
         assert _exact(support_value(body, v)) == _exact(fresh)
         assert _exact(support_value(body, v)) == _exact(fresh)  # a memo hit
         # the memo holds the face alone, and every answer hands it out
@@ -594,8 +594,8 @@ def test_planar_caches_die_with_the_body():
 
 
 def test_planar_support_values_are_memoised(monkeypatch):
-    """The ten planar fixtures' suites ask for 3,804 support values on
-    1,621 distinct (body, direction) pairs: at most half may be computed."""
+    """The ten planar fixtures' suites ask for 3,444 closure faces on 1,263
+    distinct (body, direction) pairs: at most half may be computed."""
     computed = []
     core = planar._support
 
@@ -606,7 +606,7 @@ def test_planar_support_values_are_memoised(monkeypatch):
     monkeypatch.setattr(planar, "_support", counting)
     for name in PLANAR_FIXTURES:
         assert checks.run_suite(bodyio.load_fixture(name), name, "all").passed, name
-    assert 0 < len(computed) <= 1902
+    assert 0 < len(computed) <= 1722
 
 
 # ---------------------------------------------------------------------------

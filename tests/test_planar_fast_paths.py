@@ -196,9 +196,9 @@ def _exact(answer):
 
 
 def _fresh(body, u):
-    """The (value, face) answer from a face computed afresh by `_support`."""
-    face = planar._support(body, u)
-    return planar._face_value(body, u, face), face
+    """The (value, face) answer computed afresh: the value from the integer
+    `support_form`, the face from `_support`."""
+    return planar._quad(planar.support_form(body, u)), planar._support(body, u)
 
 
 # ---------------------------------------------------------------------------
@@ -564,17 +564,19 @@ def test_exposed_face_builds_no_quadval(monkeypatch):
 
 
 def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
-    """A planted defect: `_support`'s integer comparison of each arc
-    candidate with the best value so far returns the opposite sign.  Arcs
-    then lose to the junctions, and the cross-checks that read the support
-    oracle stop passing: on the unit disk, support of the polar against the
-    gauge (which stops at (0, -1), where the two junctions tie, and differs
-    wherever it gets through), and on the stadium the antitone and sharp
+    """A planted defect: the support maximum's integer comparison of each arc
+    candidate with the best value so far returns the opposite sign, in the
+    one loop (`_support_scan`) that both the face and the support form read.
+    Arcs then lose to the junctions, and the cross-checks that read the
+    support oracle stop passing: on the unit disk, support of the polar
+    against the gauge (the forms agree at 2 of 120 directions; the faces
+    stop at (0, -1), where the two junctions tie, and the values differ
+    wherever they get through), and on the stadium the antitone and sharp
     suites."""
     disk, stadium = bodyio.load_fixture("unit_disk"), bodyio.load_fixture("stadium")
     for name, suite in (("unit_disk", "polar"), ("stadium", "antitone"), ("stadium", "sharp")):
         assert checks.run_suite(bodyio.load_fixture(name), name, suite).passed
-    root_sign, support, inside = planar._root_sign, planar._support, [False]
+    root_sign, scan, inside = planar._root_sign, planar._support_scan, [False]
 
     def flipped(*args):
         c = root_sign(*args)
@@ -583,16 +585,21 @@ def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
     def flagged(body, u):
         inside[0] = True
         try:
-            return support(body, u)
+            return scan(body, u)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(planar, "_root_sign", flipped)
-    monkeypatch.setattr(planar, "_support", flagged)
-    with pytest.raises(InvariantViolation):
-        checks.run_suite(disk, "unit_disk", "polar")
+    monkeypatch.setattr(planar, "_support_scan", flagged)
+    verdicts = {v.check_id: v.status
+                for v in checks.run_suite(disk, "unit_disk", "polar").verdicts}
+    assert verdicts["polar.support_equals_gauge"] == "fail"
     polar, agree = planar.polar_planar(disk), []
-    for u in planar.compass_directions(120):
+    dirs = planar.compass_directions(120)
+    forms = [planar.form_compare(planar.support_form(polar, u), planar.gauge_form(disk, u))
+             for u in dirs]
+    assert len(forms) == 120 and forms.count(0) == 2
+    for u in dirs:
         try:
             h, _ = planar.support_value(polar, u)
         except InvariantViolation:
@@ -604,6 +611,172 @@ def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
     assert verdicts["antitone.pointwise_duality"] == "fail"
     with pytest.raises(ValueError):
         checks.run_suite(bodyio.load_fixture("stadium"), "stadium", "sharp")
+
+
+# ---------------------------------------------------------------------------
+# support and gauge forms (P + sqrt(R))/E against the Fraction references
+# ---------------------------------------------------------------------------
+
+forms = st.tuples(st.integers(-30, 30),
+                  st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 12).map(lambda x: x * x)),
+                  st.integers(1, 12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(forms, forms, st.integers(1, 5))
+def test_form_compare_matches_fraction_reference(a, b, k):
+    """`form_compare` is the order of the values: it equals the Fraction
+    reference on their `QuadVal`s, and a form scaled by k (P and E by k, R
+    by k^2) ties with itself."""
+    scaled = (a[0] * k, a[1] * k * k, a[2] * k)
+    for x, y in ((a, b), (b, a), (a, a), (a, scaled), (scaled, b)):
+        assert planar.form_compare(x, y) == _ref_quad_compare(planar._quad(x), planar._quad(y))
+    assert planar._quad(scaled) == planar._quad(a)
+
+
+def _assert_forms(body, dirs, gauge):
+    """The support form, and on a gauge body the gauge form, of each
+    direction: E > 0, R >= 0, and the value is the reference's `QuadVal`,
+    number types and radical part included."""
+    for u in dirs:
+        refs = [(planar.support_form, _ref_support(body, u)[0])]
+        if gauge:
+            refs.append((planar.gauge_form, _ref_gauge_value(body, u)))
+        for route, want in refs:
+            p, r, e = form = route(body, u)
+            assert all(type(x) is int for x in form) and e > 0 and r >= 0, (u, form)
+            h = planar._quad(form)
+            assert _typed((h.q, h.s, h.m)) == _typed((want.q, want.s, want.m)), (u, route)
+
+
+def _gauge_body(body):
+    try:
+        body._gauge_rows
+    except (OriginNotInterior, UnsupportedArcCenter):
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(PLANAR)), nonzero, positive)
+def test_forms_match_references_on_fixtures(name, u, t):
+    """On every planar fixture, on the polar of each polar body, for u, t*u
+    and (t + 7)*u."""
+    body = PLANAR[name]
+    dirs = [u, vscale(t, u), vscale(t + 7, u)]
+    _assert_forms(body, dirs, gauge=_gauge_body(body))
+    if (polar := _polar_or_none(body)) is not None:
+        _assert_forms(polar, dirs, gauge=True)
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_forms_match_references_on_compass(name):
+    """The polar suite's 120 compass directions and the boundary rays."""
+    body = PLANAR[name]
+    dirs = planar.compass_directions(120) + _boundary_directions(body)
+    _assert_forms(body, dirs, gauge=_gauge_body(body))
+    if (polar := _polar_or_none(body)) is not None:
+        _assert_forms(polar, dirs + _boundary_directions(polar), gauge=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(arcs(centers=st.just((F(0), F(0)))), nonzero, positive)
+def test_forms_match_references_on_origin_chord_bodies(arc, u, t):
+    """An arc about the origin and its chord: every such body has a support
+    form; the major ones hold the origin inside and so have a gauge form,
+    as does their polar, while the gauge of the others is refused."""
+    body = chord_body(arc)
+    dirs = [u, vscale(t, u), vscale(t + 7, u)] + _boundary_directions(body)
+    major = _cross(arc.start_radial, arc.end_radial) < 0
+    _assert_forms(body, dirs, gauge=major)
+    if major:
+        polar = planar.polar_planar(body)
+        _assert_forms(polar, dirs + _boundary_directions(polar), gauge=True)
+    else:
+        with pytest.raises(OriginNotInterior):
+            planar.gauge_form(body, u)
+
+
+# the error each fixture's gauge raises: arcs off the origin, or the origin
+# on the boundary; the non-closed truncated_disk_open keeps its gauge
+GAUGE_REFUSED = {"lens": UnsupportedArcCenter, "stadium": UnsupportedArcCenter,
+                 "quarter_disk": OriginNotInterior,
+                 "triangle_minus_vertex": OriginNotInterior,
+                 "triangle_open_side": OriginNotInterior,
+                 "triangle_open_side_apex": OriginNotInterior}
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_gauge_value_is_the_reference_or_refused(name):
+    """Each `gauge_value` equals the reference or raises the error
+    `polar_planar` raises for the same precondition; before, the stadium's
+    gauge at (4, -3) read 5 (the true gauge is 25/8) and at (1, 0) raised
+    `InvariantViolation`, the lens's read 1 at (1, 0) (true: 5/2), and the
+    bodies with the origin on the boundary divided by zero."""
+    body = bodyio.load_fixture(name)
+    dirs = (planar.compass_directions(120) + _boundary_directions(body)
+            + [(4, -3), (1, 0), (0, 1), (F(1, 3), F(-2, 5))])
+    refused = GAUGE_REFUSED.get(name)
+    for u in dirs:
+        if refused is None:
+            h, want = planar.gauge_value(body, u), _ref_gauge_value(body, u)
+            assert _typed((h.q, h.s, h.m)) == _typed((want.q, want.s, want.m)), u
+        else:
+            with pytest.raises(refused):
+                planar.gauge_value(body, u)
+    if refused is not None and body.is_closed():
+        with pytest.raises(refused):
+            planar.polar_planar(body)
+
+
+def test_gauge_checks_its_body_once(monkeypatch):
+    """The origin and the arc centers are checked once per body, not once
+    per direction."""
+    calls, real = [0], planar._require_gauge_body
+
+    def counting(body):
+        calls[0] += 1
+        return real(body)
+
+    monkeypatch.setattr(planar, "_require_gauge_body", counting)
+    body = bodyio.load_fixture("truncated_disk_closed")
+    for u in planar.compass_directions(120):
+        planar.gauge_form(body, u)
+        planar.gauge_value(body, u)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("name", GAUGED)
+def test_a_wrong_gauge_form_fails_support_equals_gauge(monkeypatch, name):
+    """A planted defect: the gauge form's P off by one."""
+    def verdict():
+        report = checks.run_suite(bodyio.load_fixture(name), name, "polar")
+        return {v.check_id: v.status for v in report.verdicts}["polar.support_equals_gauge"]
+
+    assert verdict() == "pass"
+    real = planar.gauge_form
+    monkeypatch.setattr(planar, "gauge_form",
+                        lambda body, u: (lambda p, r, e: (p + 1, r, e))(*real(body, u)))
+    assert verdict() == "fail"
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR))
+def test_a_wrong_support_form_fails_pointwise_duality(monkeypatch, name):
+    """A planted defect: the support form's P off by one, which
+    `support_value` reads.  The antitone suite's pointwise duality fails on
+    every fixture, and on the polar bodies so does support = gauge."""
+    def verdicts(suite):
+        report = checks.run_suite(bodyio.load_fixture(name), name, suite)
+        return {v.check_id: v.status for v in report.verdicts}
+
+    polar = name in GAUGED
+    assert verdicts("antitone")["antitone.pointwise_duality"] == "pass"
+    real = planar.support_form
+    monkeypatch.setattr(planar, "support_form",
+                        lambda body, u: (lambda p, r, e: (p + 1, r, e))(*real(body, u)))
+    assert verdicts("antitone")["antitone.pointwise_duality"] == "fail"
+    if polar:
+        assert verdicts("polar")["polar.support_equals_gauge"] == "fail"
 
 
 # ---------------------------------------------------------------------------
