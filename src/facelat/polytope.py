@@ -140,8 +140,9 @@ class Polytope:
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
         d, grid = self._vertex_grid
+        rows = _facet_rows(d, grid, self.lin_perp, self.cone_table)
         return tuple(Facet(n, Fraction(c, d), frozenset(i for i, t in enumerate(values) if t == c))
-                     for n, c, values in _facet_rows(d, grid, self.lin_perp, self.cone_table))
+                     for n, c, values in rows)
 
     @cached_property
     def _vertex_cone(self) -> eg.Seed:
@@ -849,10 +850,10 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     and the slab equalities on V cap D_perp, D the direction space of
     conv(pts), all read off the points' integer grid, pts[i] = grid[i]/den.
     Homogenised on (x*t, t), the slab m.x = m.grid[0]/den is the row
-    (den*m, -m.grid[0]) and a facet row n.x <= c/den the row (den*n, -c).  p's own
-    rows are those of its homogenised vertex cone, so the enumeration
-    starts from that cone and adds these rows only; its canonical rays,
-    all with t > 0, are the lift's vertices."""
+    (den*m, -m.grid[0]) and a facet n.x <= c/den (`_facet_rows`) the row
+    (den*n, -c).  p's own rows are those of its homogenised vertex cone, so
+    the enumeration starts from that cone and adds these rows only; its
+    canonical rays, all with t > 0, are the lift's vertices."""
     d = p.ambient_dim
     den, grid = eg.point_grid(pts)
     g0 = grid[0]

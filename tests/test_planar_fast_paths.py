@@ -617,9 +617,8 @@ def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
 # support and gauge forms (P + sqrt(R))/E against the Fraction references
 # ---------------------------------------------------------------------------
 
-forms = st.tuples(st.integers(-30, 30),
-                  st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 12).map(lambda x: x * x)),
-                  st.integers(1, 12))
+radicands = st.one_of(st.just(0), st.integers(1, 50), st.integers(1, 12).map(lambda x: x * x))
+forms = st.tuples(st.integers(-30, 30), radicands, st.integers(1, 12))
 
 
 @settings(max_examples=400, deadline=None)
@@ -712,10 +711,10 @@ def test_gauge_value_is_the_reference_or_refused(name):
     `polar_planar` raises for the same precondition; before, the stadium's
     gauge at (4, -3) read 5 (the true gauge is 25/8) and at (1, 0) raised
     `InvariantViolation`, the lens's read 1 at (1, 0) (true: 5/2), and the
-    bodies with the origin on the boundary divided by zero."""
+    bodies with the origin on the boundary divided by zero at (1, -1)."""
     body = bodyio.load_fixture(name)
     dirs = (planar.compass_directions(120) + _boundary_directions(body)
-            + [(4, -3), (1, 0), (0, 1), (F(1, 3), F(-2, 5))])
+            + [(4, -3), (1, 0), (0, 1), (1, -1), (F(1, 3), F(-2, 5))])
     refused = GAUGE_REFUSED.get(name)
     for u in dirs:
         if refused is None:
