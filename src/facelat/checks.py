@@ -9,12 +9,12 @@ exit-code neutral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from . import exactgeom as eg
 from . import planar as pl
 from . import polytope as pt
+from ._records import Record
 from .errors import HypothesisFailed, OriginNotInterior, UnsupportedArcCenter
 from .exactgeom import (cone_faces, dot, full_space, held_generators,
                         in_ri_conv_hull, intersect_cones, is_zero,
@@ -27,19 +27,24 @@ SUITE_NAMES = ("antitone", "meets", "lift", "sharp", "touching", "coatoms",
                "polar", "partition", "2d")
 
 
-@dataclass
-class Verdict:
-    check_id: str
-    status: str  # pass | fail | skip
-    detail: str
+class Verdict(Record):
+    _fields = ("check_id", "status", "detail")
+
+    def __init__(self, check_id: str, status: str, detail: str):
+        self.check_id = check_id
+        self.status = status  # pass | fail | skip
+        self.detail = detail
 
 
-@dataclass
-class CheckReport:
-    suite: str
-    fixture: str
-    verdicts: list[Verdict] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+class CheckReport(Record):
+    _fields = ("suite", "fixture", "verdicts", "counts")
+
+    def __init__(self, suite: str, fixture: str, verdicts: list[Verdict] | None = None,
+                 counts: dict[str, int] | None = None):
+        self.suite = suite
+        self.fixture = fixture
+        self.verdicts = [] if verdicts is None else verdicts
+        self.counts = {} if counts is None else counts
 
     @property
     def passed(self) -> bool:

@@ -34,7 +34,6 @@ instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -42,6 +41,7 @@ from math import gcd, lcm
 from operator import countOf, mul
 from typing import Iterable, NamedTuple, Sequence
 
+from ._records import Frozen, setfield
 from .errors import DimensionMismatch
 
 Vec = tuple[Fraction, ...]  # a point, direction or solution
@@ -324,12 +324,14 @@ def project_onto(basis: Sequence[Vec], x: Vec) -> Vec:
     return out
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
+class AffineSubspace(Frozen):
     """Affine subspace given by a basepoint and a canonical direction basis."""
 
-    basepoint: Vec
-    directions: tuple[Vec, ...]
+    _fields = ("basepoint", "directions")
+
+    def __init__(self, basepoint: Vec, directions: tuple[Vec, ...]):
+        setfield(self, "basepoint", basepoint)
+        setfield(self, "directions", directions)
 
     @property
     def dim(self) -> int:
@@ -568,8 +570,7 @@ def hull_carrier(rows: list[list[int]], rhs: list[int],
 # polyhedral cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyCone:
+class PolyCone(Frozen):
     """Finitely generated convex cone in canonical form.
 
     `rays` are the extreme-ray generators taken in the orthogonal complement
@@ -579,12 +580,16 @@ class PolyCone:
     cones are equal iff their records are equal.
     """
 
-    dim: int
-    rays: tuple[IVec, ...]
-    lineality: tuple[IVec, ...]
-    # the table that interned this cone, if any: the cones and conversions
-    # its cached properties build go through it too
-    table: "ConeTable | None" = field(default=None, compare=False, repr=False)
+    _fields = ("dim", "rays", "lineality")
+
+    def __init__(self, dim: int, rays: tuple[IVec, ...], lineality: tuple[IVec, ...],
+                 table: ConeTable | None = None):
+        setfield(self, "dim", dim)
+        setfield(self, "rays", rays)
+        setfield(self, "lineality", lineality)
+        # the table that interned this cone, if any: the cones and conversions
+        # its cached properties build go through it too; it is not compared
+        setfield(self, "table", table)
 
     @cached_property
     def span(self) -> tuple[IVec, ...]:
@@ -684,7 +689,6 @@ def _fmt_vec(v: Vec) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-@dataclass(eq=False)
 class ConeTable:
     """The canonical cones of one body family and the conversions behind them.
 
@@ -697,9 +701,11 @@ class ConeTable:
     table lives exactly as long as that family; no table is process-global.
     """
 
-    cones: dict[tuple, PolyCone] = field(default_factory=dict)
-    conversions: dict[tuple, tuple[tuple[IVec, ...], tuple[IVec, ...]]] = field(
-        default_factory=dict)
+    def __init__(self, cones: dict[tuple, PolyCone] | None = None,
+                 conversions: dict[tuple, tuple[tuple[IVec, ...], tuple[IVec, ...]]]
+                 | None = None):
+        self.cones = {} if cones is None else cones
+        self.conversions = {} if conversions is None else conversions
 
 
 def _cone(table: ConeTable | None, dim: int, rays: tuple[IVec, ...],

@@ -17,10 +17,11 @@ order arrives as inclusion of one int mask per element (`build_lattice`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
+
+from ._records import Frozen, setfield
 
 
 class LatticeError(Exception):
@@ -61,18 +62,21 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(Frozen):
     """Explicit finite complete lattice, stored as down-set and up-set rows.
 
     Immutable after construction; all query methods are pure.
     """
 
-    elements: tuple
-    bottom: int
-    top: int
-    down: tuple[int, ...]
-    up: tuple[int, ...]
+    _fields = ("elements", "bottom", "top", "down", "up")
+
+    def __init__(self, elements: tuple, bottom: int, top: int,
+                 down: tuple[int, ...], up: tuple[int, ...]):
+        setfield(self, "elements", elements)
+        setfield(self, "bottom", bottom)
+        setfield(self, "top", top)
+        setfield(self, "down", down)
+        setfield(self, "up", up)
 
     @cached_property
     def _by_key(self) -> dict:
@@ -224,14 +228,18 @@ def build_lattice(elements: Sequence, masks: Sequence[int]) -> FiniteLattice:
                          tuple(down), tuple(up))
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(Frozen):
     """Total mapping between two finite lattices, tagged isotone or antitone."""
 
-    source: FiniteLattice
-    target: FiniteLattice
-    mapping: tuple[int, ...]
-    direction: str  # "isotone" | "antitone"
+    _fields = ("source", "target", "mapping", "direction")
+
+    def __init__(self, source: FiniteLattice, target: FiniteLattice,
+                 mapping: tuple[int, ...], direction: str):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "mapping", mapping)
+        setfield(self, "direction", direction)  # "isotone" | "antitone"
+        self.__post_init__()
 
     def __post_init__(self):
         if self.direction not in ("isotone", "antitone"):
@@ -247,13 +255,17 @@ def lattice_map(source: FiniteLattice, target: FiniteLattice,
     return LatticeMap(source, target, mapping, direction)
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
-    injective: bool
-    surjective: bool
-    order_preserved: bool
-    inverse_order_preserved: bool
-    failures: tuple[str, ...]
+class IsomorphismReport(Frozen):
+    _fields = ("injective", "surjective", "order_preserved",
+               "inverse_order_preserved", "failures")
+
+    def __init__(self, injective: bool, surjective: bool, order_preserved: bool,
+                 inverse_order_preserved: bool, failures: tuple[str, ...]):
+        setfield(self, "injective", injective)
+        setfield(self, "surjective", surjective)
+        setfield(self, "order_preserved", order_preserved)
+        setfield(self, "inverse_order_preserved", inverse_order_preserved)
+        setfield(self, "failures", failures)
 
     @property
     def bijective(self) -> bool:

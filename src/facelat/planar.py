@@ -27,11 +27,11 @@ memo keys a direction by its integer numerators and denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
+from ._records import Frozen, setfield
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody,
                      UndefinedTouchingCone, UnsupportedArcCenter, ZeroDirection)
@@ -45,19 +45,17 @@ from .lattice import FiniteLattice, build_lattice
 # exact values of the form q + s*sqrt(m)
 # ---------------------------------------------------------------------------
 
-class _Weakrefable:
-    """Gives the slotted records below the `__weakref__` slot that
-    `dataclass(slots=True)` adds only from Python 3.11 on."""
-    __slots__ = ("__weakref__",)
-
-
-@dataclass(frozen=True, slots=True)
-class QuadVal(_Weakrefable):
+class QuadVal(Frozen):
     """Exact number q + s*sqrt(m) with rational q, m >= 0 and s >= 0."""
 
-    q: Fraction
-    s: Fraction = Fraction(0)
-    m: Fraction = Fraction(0)
+    _fields = ("q", "s", "m")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, q: Fraction, s: Fraction = Fraction(0), m: Fraction = Fraction(0)):
+        setfield(self, "q", q)
+        setfield(self, "s", s)
+        setfield(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.s.numerator < 0 or self.m.numerator < 0:
@@ -156,8 +154,7 @@ def _primitive2(v: Vec) -> IVec:
 # two-dimensional cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Cone2(_Weakrefable):
+class Cone2(Frozen):
     """Canonical 2D convex cone: zero, ray, sector (< pi) or plane.
 
     Sectors store their boundary directions in counterclockwise order, rays
@@ -166,9 +163,13 @@ class Cone2(_Weakrefable):
     two-dimensional.
     """
 
-    kind: str
-    d1: IVec | None = None
-    d2: IVec | None = None
+    _fields = ("kind", "d1", "d2")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, kind: str, d1: IVec | None = None, d2: IVec | None = None):
+        setfield(self, "kind", kind)
+        setfield(self, "d1", d1)
+        setfield(self, "d2", d2)
 
     @staticmethod
     def zero() -> "Cone2":
@@ -221,15 +222,14 @@ class Cone2(_Weakrefable):
         return kind == "plane" or is_zero(u)
 
     def ri_contains(self, u: Vec) -> bool:
-        # u = 0 gives sign 0, which the strict tests of sector and ray reject
+        # u = 0 gives sign 0, which the strict tests of sector and ray reject;
+        # the zero cone and the plane are subspaces, their own relative interiors
         kind = self.kind
         if kind == "sector":
             return orient2(self.d1, u) > 0 and orient2(u, self.d2) > 0
         if kind == "ray":
             return orient2(self.d1, u) == 0 and dot2_sign(self.d1, u) > 0
-        if kind == "zero":
-            return is_zero(u)
-        return not is_zero(u)
+        return kind == "plane" or is_zero(u)
 
     def ri_vector(self) -> IVec | None:
         if self.kind == "zero":
@@ -269,10 +269,12 @@ class Cone2(_Weakrefable):
 # boundary features and bodies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Segment:
-    start: Vec
-    end: Vec
+class Segment(Frozen):
+    _fields = ("start", "end")
+
+    def __init__(self, start: Vec, end: Vec):
+        setfield(self, "start", start)
+        setfield(self, "end", end)
 
     @property
     def kind(self) -> str:
@@ -292,14 +294,16 @@ class Segment:
         return self.outward_normal
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Frozen):
     """Counterclockwise circular arc from start to end around center."""
 
-    center: Vec
-    radius_sq: Fraction
-    start: Vec
-    end: Vec
+    _fields = ("center", "radius_sq", "start", "end")
+
+    def __init__(self, center: Vec, radius_sq: Fraction, start: Vec, end: Vec):
+        setfield(self, "center", center)
+        setfield(self, "radius_sq", radius_sq)
+        setfield(self, "start", start)
+        setfield(self, "end", end)
 
     @property
     def kind(self) -> str:
@@ -389,8 +393,7 @@ class Arc:
 Feature = Segment | Arc
 
 
-@dataclass(frozen=True)
-class PlanarBody:
+class PlanarBody(Frozen):
     """Convex region bounded by a counterclockwise cycle of features.
 
     `feature_closed[i]` records whether the open feature (its relative
@@ -399,9 +402,14 @@ class PlanarBody:
     reduces to: an open segment feature may keep at most one of its endpoints.
     """
 
-    features: tuple[Feature, ...]
-    feature_closed: tuple[bool, ...]
-    vertex_closed: tuple[bool, ...]
+    _fields = ("features", "feature_closed", "vertex_closed")
+
+    def __init__(self, features: tuple[Feature, ...], feature_closed: tuple[bool, ...],
+                 vertex_closed: tuple[bool, ...]):
+        setfield(self, "features", features)
+        setfield(self, "feature_closed", feature_closed)
+        setfield(self, "vertex_closed", vertex_closed)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.features)
@@ -566,8 +574,7 @@ class PlanarBody:
 # face descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False, slots=True)
-class FaceDescriptor(_Weakrefable):
+class FaceDescriptor(Frozen):
     """Symbolic identity of a face of a planar body.
 
     Arc-point faces are keyed by (feature, primitive radial direction); the
@@ -576,10 +583,15 @@ class FaceDescriptor(_Weakrefable):
     descriptors agree whether or not the optional point was computed.
     """
 
-    tag: str  # empty | vertex | edge | arcpoint | whole
-    feature: int | None = None
-    point: Vec | None = None
-    direction: IVec | None = None
+    _fields = ("tag", "feature", "point", "direction")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, tag: str, feature: int | None = None, point: Vec | None = None,
+                 direction: IVec | None = None):
+        setfield(self, "tag", tag)  # empty | vertex | edge | arcpoint | whole
+        setfield(self, "feature", feature)
+        setfield(self, "point", point)
+        setfield(self, "direction", direction)
 
     def __eq__(self, other):
         return isinstance(other, FaceDescriptor) and self.key == other.key
@@ -803,18 +815,21 @@ def sup_exposed_planar(body: PlanarBody, f: FaceDescriptor) -> FaceDescriptor:
 # cone inventory
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeInventory:
+class ConeInventory(Frozen):
     """Finite summary of the normal/touching cone structure of a planar body.
 
     Arc features contribute a one-parameter family of radial rays (all of
     them normal cones); those are recorded per feature, not enumerated.
     """
 
-    proper_normal: tuple[Cone2, ...]
-    arc_families: tuple[int, ...]
-    extra_touching: tuple[Cone2, ...]  # touching cones that are not normal
-    non_exposed: tuple[FaceDescriptor, ...]  # always vertex faces
+    _fields = ("proper_normal", "arc_families", "extra_touching", "non_exposed")
+
+    def __init__(self, proper_normal: tuple[Cone2, ...], arc_families: tuple[int, ...],
+                 extra_touching: tuple[Cone2, ...], non_exposed: tuple[FaceDescriptor, ...]):
+        setfield(self, "proper_normal", proper_normal)
+        setfield(self, "arc_families", arc_families)
+        setfield(self, "extra_touching", extra_touching)  # touching cones that are not normal
+        setfield(self, "non_exposed", non_exposed)  # always vertex faces
 
     @property
     def proper_normal_count(self) -> int:
@@ -892,10 +907,12 @@ def _adjacent_segment_faces(body: PlanarBody, j: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class RuleReport:
-    passed: bool
-    details: tuple[str, ...]
+class RuleReport(Frozen):
+    _fields = ("passed", "details")
+
+    def __init__(self, passed: bool, details: tuple[str, ...]):
+        setfield(self, "passed", passed)
+        setfield(self, "details", details)
 
 
 def check_2d_nonexposed_rule(body: PlanarBody) -> RuleReport:
@@ -943,12 +960,15 @@ def check_2d_smoothness(body: PlanarBody) -> RuleReport:
     return RuleReport(ok, tuple(details))
 
 
-@dataclass(frozen=True)
-class CoatomReport:
-    hypothesis_ok: bool
-    coatoms: tuple[FaceDescriptor, ...]
-    is_intersection_of_coatoms: bool
-    note: str
+class CoatomReport(Frozen):
+    _fields = ("hypothesis_ok", "coatoms", "is_intersection_of_coatoms", "note")
+
+    def __init__(self, hypothesis_ok: bool, coatoms: tuple[FaceDescriptor, ...],
+                 is_intersection_of_coatoms: bool, note: str):
+        setfield(self, "hypothesis_ok", hypothesis_ok)
+        setfield(self, "coatoms", coatoms)
+        setfield(self, "is_intersection_of_coatoms", is_intersection_of_coatoms)
+        setfield(self, "note", note)
 
 
 def _is_coatom(body: PlanarBody, f: FaceDescriptor) -> bool:
@@ -1066,7 +1086,7 @@ def polar_planar(body: PlanarBody) -> PlanarBody:
     """
     if not body.is_closed():
         raise OriginNotInterior("polar bodies are defined for closed bodies")
-    _require_gauge_body(body)
+    body._gauge_rows  # checks the origin and the arc centers, once per body
 
     def anchors(f: Feature) -> tuple[Vec, Vec]:
         if isinstance(f, Segment):

@@ -12,12 +12,12 @@ an actual test, not a tautology, in every dimension.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable
 
+from ._records import Frozen, setfield
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
 from . import exactgeom as eg
@@ -30,27 +30,32 @@ from .lattice import (FiniteLattice, _bits, build_lattice, lattice_map,
                       verify_isomorphism)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(Frozen):
     """Supporting hyperplane <normal, x> = offset with all vertices on <=;
     the normal is a primitive int vector."""
 
-    normal: IVec
-    offset: Fraction
-    vertex_set: frozenset[int]
+    _fields = ("normal", "offset", "vertex_set")
+
+    def __init__(self, normal: IVec, offset: Fraction, vertex_set: frozenset[int]):
+        setfield(self, "normal", normal)
+        setfield(self, "offset", offset)
+        setfield(self, "vertex_set", vertex_set)
 
 
-@dataclass(frozen=True, eq=False)
-class PolyFace:
+class PolyFace(Frozen):
     """A face of a polytope, identified by the vertices it contains.
 
     The optional exposing normal is a witness, not part of the identity:
     faces compare equal by vertex set alone.
     """
 
-    vertex_indices: tuple[int, ...]
-    dim: int
-    exposing_normal: Vec | None = None
+    _fields = ("vertex_indices", "dim", "exposing_normal")
+
+    def __init__(self, vertex_indices: tuple[int, ...], dim: int,
+                 exposing_normal: Vec | None = None):
+        setfield(self, "vertex_indices", vertex_indices)
+        setfield(self, "dim", dim)
+        setfield(self, "exposing_normal", exposing_normal)
 
     def __eq__(self, other):
         return isinstance(other, PolyFace) and self.vertex_indices == other.vertex_indices
@@ -73,11 +78,13 @@ class PolyFace:
         return "{" + " ".join(str(i) for i in self.vertex_indices) + "}"
 
 
-@dataclass(frozen=True)
-class ConeElement:
+class ConeElement(Frozen):
     """Lattice payload wrapping a canonical cone."""
 
-    cone: PolyCone
+    _fields = ("cone",)
+
+    def __init__(self, cone: PolyCone):
+        setfield(self, "cone", cone)
 
     @property
     def key(self):
@@ -91,11 +98,14 @@ class ConeElement:
         return self.cone.label()
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Frozen):
     """Rational V-representation; every listed vertex must be extreme."""
 
-    vertices: tuple[Vec, ...]
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple[Vec, ...]):
+        setfield(self, "vertices", vertices)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.vertices:
@@ -631,14 +641,19 @@ def conjugate_face(p: Polytope, f: PolyFace) -> PolyFace:
     return q.make_face(vset)
 
 
-@dataclass(frozen=True)
-class PosIsoReport:
-    exposed_to_normal_passed: bool
-    faces_to_touching_passed: bool
-    inverse_passed: bool
-    source_size: int
-    target_size: int
-    details: tuple[str, ...]
+class PosIsoReport(Frozen):
+    _fields = ("exposed_to_normal_passed", "faces_to_touching_passed", "inverse_passed",
+               "source_size", "target_size", "details")
+
+    def __init__(self, exposed_to_normal_passed: bool, faces_to_touching_passed: bool,
+                 inverse_passed: bool, source_size: int, target_size: int,
+                 details: tuple[str, ...]):
+        setfield(self, "exposed_to_normal_passed", exposed_to_normal_passed)
+        setfield(self, "faces_to_touching_passed", faces_to_touching_passed)
+        setfield(self, "inverse_passed", inverse_passed)
+        setfield(self, "source_size", source_size)
+        setfield(self, "target_size", target_size)
+        setfield(self, "details", details)
 
     @property
     def passed(self) -> bool:
@@ -715,8 +730,7 @@ def extreme_points(points: list[Vec]) -> list[Vec]:
             if not in_conv_hull(pts[:i] + pts[i + 1:], v)] if len(pts) > 1 else pts
 
 
-@dataclass(frozen=True, eq=False)
-class Projection:
+class Projection(Frozen):
     """What a body derives from one subspace V, built once per canonical
     subspace by `projection` and freed with the body.
 
@@ -727,14 +741,23 @@ class Projection:
     the Minkowski sum with V_perp by N(C, a) cap V.  `vertex_slacks` keeps
     one integer slack row per projected vertex for every lift, and a cylinder
     check at a vertex reads that vertex's projection from `points`.
+    Projections compare by identity.
     """
 
-    body: Polytope
-    basis: tuple[Vec, ...]
-    points: tuple[Vec, ...]
-    lifted_faces: dict[tuple[int, ...], PolyFace]
-    lifted_point_sets: dict[frozenset[Vec], tuple[IVec, ...]]
-    sums: dict[PolyCone, PolyCone]
+    _fields = ("body", "basis", "points", "lifted_faces", "lifted_point_sets", "sums")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, body: Polytope, basis: tuple[Vec, ...], points: tuple[Vec, ...],
+                 lifted_faces: dict[tuple[int, ...], PolyFace],
+                 lifted_point_sets: dict[frozenset[Vec], tuple[IVec, ...]],
+                 sums: dict[PolyCone, PolyCone]):
+        setfield(self, "body", body)
+        setfield(self, "basis", basis)
+        setfield(self, "points", points)
+        setfield(self, "lifted_faces", lifted_faces)
+        setfield(self, "lifted_point_sets", lifted_point_sets)
+        setfield(self, "sums", sums)
 
     @cached_property
     def polytope(self) -> Polytope:
@@ -865,15 +888,23 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     return eg._seeded_description(p._vertex_cone, eqs, ineqs)
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    face_iso_passed: bool
-    exposed_iso_passed: bool
-    meets_are_intersections: bool
-    invariance_passed: bool
-    canonical_subspace_passed: bool
-    canonical_subspace_distinct: bool  # False: a lift was compared with itself
-    details: tuple[str, ...]
+class LiftReport(Frozen):
+    _fields = ("face_iso_passed", "exposed_iso_passed", "meets_are_intersections",
+               "invariance_passed", "canonical_subspace_passed",
+               "canonical_subspace_distinct", "details")
+
+    def __init__(self, face_iso_passed: bool, exposed_iso_passed: bool,
+                 meets_are_intersections: bool, invariance_passed: bool,
+                 canonical_subspace_passed: bool, canonical_subspace_distinct: bool,
+                 details: tuple[str, ...]):
+        setfield(self, "face_iso_passed", face_iso_passed)
+        setfield(self, "exposed_iso_passed", exposed_iso_passed)
+        setfield(self, "meets_are_intersections", meets_are_intersections)
+        setfield(self, "invariance_passed", invariance_passed)
+        setfield(self, "canonical_subspace_passed", canonical_subspace_passed)
+        # False: a lift was compared with itself
+        setfield(self, "canonical_subspace_distinct", canonical_subspace_distinct)
+        setfield(self, "details", details)
 
     @property
     def passed(self) -> bool:
@@ -948,10 +979,12 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
     return lifted_f, lifted_perp, report
 
 
-@dataclass(frozen=True)
-class CylinderNormalReport:
-    projected_cone: PolyCone
-    formula_cone: PolyCone
+class CylinderNormalReport(Frozen):
+    _fields = ("projected_cone", "formula_cone")
+
+    def __init__(self, projected_cone: PolyCone, formula_cone: PolyCone):
+        setfield(self, "projected_cone", projected_cone)
+        setfield(self, "formula_cone", formula_cone)
 
     @property
     def passed(self) -> bool:
@@ -1032,10 +1065,12 @@ def coatom_decomposition(p: Polytope, f: PolyFace) -> list[PolyFace]:
     return [lat.elements[i] for i in subset]
 
 
-@dataclass(frozen=True)
-class MinkowskiAtomReport:
-    atoms: tuple[PolyFace, ...]
-    bound: int
+class MinkowskiAtomReport(Frozen):
+    _fields = ("atoms", "bound")
+
+    def __init__(self, atoms: tuple[PolyFace, ...], bound: int):
+        setfield(self, "atoms", atoms)
+        setfield(self, "bound", bound)
 
     @property
     def passed(self) -> bool:

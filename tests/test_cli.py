@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -161,14 +162,39 @@ def test_statespace_cone_default_tolerance(capsys):
     assert default == explicit
 
 
-def test_cli_import_leaves_numpy_out():
-    # only `statespace` needs numpy; the exact commands must not pay its import
+def _stdlib_imports() -> set[str]:
+    """The absolute imports of facelat's modules, `statespace` aside: the
+    standard modules the exact commands import."""
+    names = set()
+    for path in Path(facelat.__file__).parent.glob("*.py"):
+        if path.name == "statespace.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+    return names - {"__future__"}
+
+
+def _loads(imports, module: str) -> bool:
+    """Does a fresh process that runs these imports load module?"""
     src = str(Path(facelat.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = subprocess.run(
-        [sys.executable, "-c", "import facelat.cli, sys; sys.exit('numpy' in sys.modules)"],
-        env=env).returncode
-    assert code == 0
+    script = "".join(f"import {m}; " for m in sorted(imports))
+    script += f"import sys; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return out.strip() == "True"
+
+
+def test_cli_import_leaves_numpy_out():
+    # only `statespace` needs numpy and dataclasses; the exact commands pay
+    # neither import, unless the standard library they use loads it too
+    stdlib = _stdlib_imports()
+    assert "numpy" not in stdlib and "dataclasses" not in stdlib
+    for module in ("numpy", "dataclasses"):
+        assert not _loads(["facelat.cli"], module) or _loads(stdlib, module), module
 
 
 def test_statespace_bad_angle(capsys):

@@ -10,7 +10,6 @@ dual give, and every cone and lift served from a body's tables must equal
 one computed without them.
 """
 
-import dataclasses
 import gc
 import weakref
 from fractions import Fraction as F
@@ -28,8 +27,8 @@ from facelat.exactgeom import (PolyCone, cone_faces, dot, dual_cone,
                                project_onto, simplex_max, span_basis,
                                subspace_cone, unit, vadd, vec, vneg, vscale,
                                vsub, zero)
-from facelat.lattice import (NotALattice, build_lattice, lattice_map,
-                             verify_isomorphism)
+from facelat.lattice import (FiniteLattice, NotALattice, build_lattice,
+                             lattice_map, verify_isomorphism)
 from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
                             normal_cone_at, polar_planar)
@@ -747,7 +746,7 @@ def with_swapped_cones(nl, i, j):
     """nl with the cones of elements i and j exchanged, the rows kept."""
     els = list(nl.elements)
     els[i], els[j] = els[j], els[i]
-    return dataclasses.replace(nl, elements=tuple(els))
+    return FiniteLattice(tuple(els), nl.bottom, nl.top, nl.down, nl.up)
 
 
 def wrong_relation(nl):

@@ -416,6 +416,27 @@ def test_ambient_independence_of_cones():
         assert c3 == pos_hull(gens, 3)
 
 
+@pytest.mark.parametrize("cone", [Cone2.zero(), Cone2.ray((3, 4)),
+                                  Cone2.sector((1, 0), (0, 1)), Cone2.plane()],
+                         ids=lambda c: c.kind)
+def test_cone2_predicates_agree_with_polycone(cone):
+    """Membership, relative-interior membership and the face holding a
+    direction in its relative interior agree with the cone layer's, at the
+    origin and at compass directions (the plane's relative interior is the
+    plane, 0 included)."""
+    poly = pos_hull(cone.generators(), 2)
+    for u in [(0, 0), *compass_directions(16), *cone.generators()]:
+        assert cone.contains(u) == poly.contains(u), u
+        assert cone.ri_contains(u) == poly.ri_contains(u), u
+        holding = [f for f in poly.faces if f.ri_contains(u)]
+        if cone.contains(u):
+            assert holding == [pos_hull(cone.face_with_in_ri(u).generators(), 2)], u
+        else:
+            assert holding == []
+            with pytest.raises(ValueError):
+                cone.face_with_in_ri(u)
+
+
 def test_pointwise_duality_on_samples():
     """Attaining the support value, membership in the exposed face and the
     direction lying in the point's normal cone are one and the same thing,

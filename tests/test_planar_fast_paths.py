@@ -55,12 +55,12 @@ def _ref_contains(c, u):
 def _ref_ri_contains(c, u):
     if c.kind == "zero":
         return is_zero(u)
+    if c.kind == "plane":  # a subspace: its own relative interior, 0 included
+        return True
     if is_zero(u):
         return False
     if c.kind == "ray":
         return _ref_contains(c, u)
-    if c.kind == "plane":
-        return True
     return _cross(c.d1, u) > 0 and _cross(u, c.d2) > 0
 
 
@@ -743,6 +743,23 @@ def test_gauge_checks_its_body_once(monkeypatch):
         planar.gauge_form(body, u)
         planar.gauge_value(body, u)
     assert calls[0] == 1
+
+
+def test_polar_suite_checks_each_body_once(monkeypatch):
+    """`polar_planar` and the gauge rows share one check of a body: the
+    polar suite checks the body once, and its polar body once."""
+    seen, real = [], planar._require_gauge_body
+
+    def counting(body):
+        seen.append(body)
+        return real(body)
+
+    monkeypatch.setattr(planar, "_require_gauge_body", counting)
+    body = bodyio.load_fixture("square_planar")
+    report = checks.run_suite(body, "square_planar", "polar")
+    assert all(v.status == "pass" for v in report.verdicts)
+    assert sum(b is body for b in seen) == 1
+    assert len({id(b) for b in seen}) == len(seen) == 2
 
 
 @pytest.mark.parametrize("name", GAUGED)

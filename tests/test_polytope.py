@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
@@ -13,7 +12,8 @@ from facelat.errors import (GeometryError, InvariantViolation, NotAFace,
                             OriginNotInterior, PointNotInBody, ZeroDirection)
 from facelat.exactgeom import (full_space, intersect_cones, minkowski_sum_cone,
                                pos_hull, subspace_cone, unit, vec)
-from facelat.lattice import decompose_by_coatoms, lattice_map, verify_isomorphism
+from facelat.lattice import (FiniteLattice, decompose_by_coatoms, lattice_map,
+                             verify_isomorphism)
 from facelat.polytope import (ConeElement, Polytope, atom_decomposition,
                               coatom_decomposition, conjugate_face,
                               cylinder_normal_check, exposed_face_lattice,
@@ -497,7 +497,8 @@ def test_planted_touching_cone_defects_fail_both_partition_verdicts(
     read the run's one partition count."""
     p = body()
     real = touching_cone_lattice(p)
-    planted = dataclasses.replace(real, elements=plant(p, real.elements))
+    planted = FiniteLattice(plant(p, real.elements), real.bottom, real.top,
+                            real.down, real.up)
     assert len(planted) != len(real)
     monkeypatch.setattr(pt, "touching_cone_lattice", lambda q: planted)
     rep = checks.run_suite(p, "planted", "all")
