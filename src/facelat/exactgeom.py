@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import countOf, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from ._records import Frozen, setfield
+from ._records import Frozen, Record, setfield
 from .errors import DimensionMismatch
 
 Vec = tuple[Fraction, ...]  # a point, direction or solution
@@ -689,7 +689,7 @@ def _fmt_vec(v: Vec) -> str:
     return "(" + ",".join(str(x) for x in v) + ")"
 
 
-class ConeTable:
+class ConeTable(Record):
     """The canonical cones of one body family and the conversions behind them.
 
     Hash-consing (Filliatre & Conchon 2006): `cones` maps each canonical key
@@ -699,7 +699,12 @@ class ConeTable:
     memoises `double_description` by its integer input rows.  A `Polytope`
     owns one table and shares it with the bodies derived from it, so the
     table lives exactly as long as that family; no table is process-global.
+    Tables compare by identity.
     """
+
+    _fields = ("cones", "conversions")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, cones: dict[tuple, PolyCone] | None = None,
                  conversions: dict[tuple, tuple[tuple[IVec, ...], tuple[IVec, ...]]]

@@ -133,6 +133,7 @@ def test_default_containers_are_fresh_per_record():
     assert a.verdicts is not b.verdicts and a.counts is not b.counts
     s, t = ConeTable(), ConeTable()
     assert s.cones == {} and s.conversions == {}
+    assert repr(s) == "ConeTable(cones={}, conversions={})"
     assert s.cones is not t.cones and s.conversions is not t.conversions
 
 
@@ -145,3 +146,12 @@ def test_defaults_and_fields_outside_equality():
     assert PolyCone(2, (), (), table) == PolyCone(2, (), ())
     assert hash(PolyCone(2, (), (), table)) == hash(PolyCone(2, (), ()))
     assert repr(PolyCone(2, (), (), table)) == "PolyCone(dim=2, rays=(), lineality=())"
+
+
+@pytest.mark.parametrize("cls", {**VALUE, **IDENTITY, **MUTABLE}, ids=lambda c: c.__name__)
+def test_records_repr_their_fields(cls):
+    record = {**VALUE, **IDENTITY, **MUTABLE}[cls]()
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
+    first = _fields(cls)[0]
+    assert f"{first}={getattr(record, first)!r}" in text
