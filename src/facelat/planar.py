@@ -213,6 +213,8 @@ class Cone2(Frozen):
 
     def contains(self, u: Vec) -> bool:
         # u = 0 gives sign 0 in every test, which the closed kinds accept
+        if len(u) != 2:
+            raise DimensionMismatch(f"{u} is not a planar vector")
         kind = self.kind
         if kind == "sector":
             return orient2(self.d1, u) >= 0 and orient2(u, self.d2) >= 0
@@ -224,6 +226,8 @@ class Cone2(Frozen):
     def ri_contains(self, u: Vec) -> bool:
         # u = 0 gives sign 0, which the strict tests of sector and ray reject;
         # the zero cone and the plane are subspaces, their own relative interiors
+        if len(u) != 2:
+            raise DimensionMismatch(f"{u} is not a planar vector")
         kind = self.kind
         if kind == "sector":
             return orient2(self.d1, u) > 0 and orient2(u, self.d2) > 0
@@ -524,39 +528,33 @@ class PlanarBody(Frozen):
 
     # -- membership --------------------------------------------------------
 
-    def closure_contains(self, x: Vec) -> bool:
-        for f in self.features:
-            if isinstance(f, Segment):
-                n = f.outward_normal
-                if dot(n, x) > dot(n, f.start):
-                    return False
-            else:
-                d = vsub(x, f.center)
-                if f.wedge_contains(d) and dot(d, d) > f.radius_sq:
-                    return False
-                for endpoint in (f.start, f.end):
-                    rad = f.normal_at(endpoint)
-                    if dot2_sign(rad, vsub(x, endpoint)) > 0:
-                        return False
-        return True
-
     def locate(self, x: Vec):
-        """('outside'|'interior'|('junction',j)|('segment',i)|('arc',i))."""
+        """('outside'|'interior'|('junction',j)|('segment',i)|('arc',i)), in one
+        walk: a point in a feature's relative interior breaks no constraint of
+        the closure, so the first broken constraint or holding feature answers."""
         j = self._junction_indices.get(_exact_key(x))
         if j is not None:
             return ("junction", j)
         for i, f in enumerate(self.features):
             if isinstance(f, Segment):
-                d = f.direction
                 rel = vsub(x, f.start)
-                if orient2(d, rel) == 0:
-                    t = dot(rel, d)
-                    if 0 < t < dot(d, d):
-                        return ("segment", i)
+                side = dot2_sign(f.outward_normal, rel)
+                if side > 0:
+                    return "outside"
+                if side == 0 and 0 < dot(rel, f.direction) < dot(f.direction, f.direction):
+                    return ("segment", i)
             else:
-                if f.point_on(x, strict=True):
+                d = vsub(x, f.center)
+                r = dot(d, d)
+                # only a point on or beyond the circle reads the wedge and the
+                # end tangents: the disc lies inside both tangents' half-planes
+                if r == f.radius_sq and f.wedge_contains(d, strict=True):
                     return ("arc", i)
-        return "interior" if self.closure_contains(x) else "outside"
+                if r > f.radius_sq and (f.wedge_contains(d)
+                                        or dot2_sign(f.start_radial, vsub(x, f.start)) > 0
+                                        or dot2_sign(f.end_radial, vsub(x, f.end)) > 0):
+                    return "outside"
+        return "interior"
 
     def contains(self, x: Vec) -> bool:
         loc = self.locate(x)

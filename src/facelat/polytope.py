@@ -155,21 +155,22 @@ class Polytope(Frozen):
                      for n, c, values in rows)
 
     @cached_property
-    def _vertex_cone(self) -> eg.Seed:
-        """The homogenised body pos{(v, 1)} as a start for the double
-        description: a ray (grid vertex, d) per vertex, on the row of each
-        facet through the vertex.  Every vertex is extreme, so these are its
-        extreme rays, and the facets are its facets within its span."""
+    def _vertex_rays(self) -> tuple[IVec, ...]:
+        """Vertex i as the primitive ray of (grid vertex, d): the form in
+        which `lift_point_set` returns a vertex.  Built from the vertices
+        alone, so reading it computes no facets."""
         d, grid = self._vertex_grid
-        return eg.Seed(tuple((v + (d,), sum(1 << j for j, f in enumerate(self.facets)
-                                            if i in f.vertex_set))
-                             for i, v in enumerate(grid)), self.dim + 1, len(self.facets))
+        return tuple(eg._iprimitive(v + (d,)) for v in grid)
 
     @cached_property
-    def _vertex_rays(self) -> tuple[IVec, ...]:
-        """Vertex i as the primitive ray of (grid vertex, d), read off
-        `_vertex_cone`: the form in which `lift_point_set` returns a vertex."""
-        return tuple(eg._iprimitive(r) for r, _ in self._vertex_cone.rays)
+    def _vertex_cone(self) -> eg.Seed:
+        """The homogenised body pos{(v, 1)} as a start for the double
+        description: the ray `_vertex_rays[i]` per vertex, on the row of each
+        facet through the vertex.  Every vertex is extreme, so these are its
+        extreme rays, and the facets are its facets within its span."""
+        facets = self.facets
+        return eg.Seed(tuple((r, sum(1 << j for j, f in enumerate(facets) if i in f.vertex_set))
+                             for i, r in enumerate(self._vertex_rays)), self.dim + 1, len(facets))
 
     # Lattices, the polar, the projections (each with its lifts) and normal
     # cones are memoized on the body itself, so each lives exactly as long as
@@ -466,14 +467,6 @@ def _grid_dim(grid: tuple[IVec, ...], idx: tuple[int, ...]) -> int:
                               for i in idx[1:]], reduced=False))
 
 
-def is_face(p: Polytope, f: PolyFace) -> bool:
-    try:
-        face_lattice(p).index_of(f.key)
-        return True
-    except KeyError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # normal and touching cones
 # ---------------------------------------------------------------------------
@@ -574,7 +567,7 @@ def sup_exposed(p: Polytope, f: PolyFace) -> PolyFace:
     indices = [i for i, e in enumerate(lat.elements) if f.vset <= e.vset]
     result = lat.elements[lat.meet(indices)]
     top = frozenset(range(len(p.vertices)))
-    if f.vset and f.vset != top and is_face(p, f):
+    if f.vset and f.vset != top and f.key in face_lattice(p)._by_key:
         v = normal_cone(p, f).ri_vector()
         if v is not None:
             _, alt = support(p, v)
@@ -629,7 +622,6 @@ def polar(p: Polytope) -> Polytope:
 
 def conjugate_face(p: Polytope, f: PolyFace) -> PolyFace:
     """Conjugate face of f inside the polar polytope."""
-    _require_origin_interior(p)
     q = polar(p)
     if not f.vertex_indices:
         return q.make_face(frozenset(range(len(q.vertices))))
@@ -798,7 +790,7 @@ class Projection(Frozen):
             vset = frozenset(i for i, s in enumerate(self.vertex_slacks)
                              if all(s[k] == 0 for k in active))
             lifted = p.make_face(vset, f.exposing_normal)
-            if not is_face(p, lifted):
+            if lifted.key not in face_lattice(p)._by_key:
                 raise NotAFace("lift did not produce a face")
             self.lifted_faces[f.key] = lifted
         if lifted.exposing_normal != f.exposing_normal:

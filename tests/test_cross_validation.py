@@ -7,15 +7,18 @@ must give the same cones through the planar machinery and the polytope
 machinery.  The directly built canonical cones (subspaces, faces of a cone,
 active-facet normal cones) must equal what `pos_hull` and the definitional
 dual give, and every cone and lift served from a body's tables must equal
-one computed without them.
+one computed without them.  Every polytope lattice must be Eulerian, and
+every check report must be invariant under symmetries and rescaling.
 """
 
 import gc
+import random
 import weakref
 from fractions import Fraction as F
 from functools import cmp_to_key
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +30,7 @@ from facelat.exactgeom import (PolyCone, cone_faces, dot, dual_cone,
                                project_onto, simplex_max, span_basis,
                                subspace_cone, unit, vadd, vec, vneg, vscale,
                                vsub, zero)
-from facelat.lattice import (FiniteLattice, NotALattice, build_lattice,
+from facelat.lattice import (FiniteLattice, NotALattice, _bits, build_lattice,
                              lattice_map, verify_isomorphism)
 from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
@@ -857,3 +860,124 @@ def test_seeded_lift_dropping_a_slab_equality_fails_lift(monkeypatch):
     monkeypatch.setattr(eg, "_seeded_description", dropping)
     assert lift_verdict(cube) == "fail"
     assert dropped
+
+
+# ---------------------------------------------------------------------------
+# Euler-Poincare guards: every polytope lattice is Eulerian
+# ---------------------------------------------------------------------------
+
+def non_eulerian_intervals(lat):
+    """The intervals [G, F], G < F, of the lattice that do not hold as many
+    elements of even rank as of odd rank (Euler-Poincare; Ziegler,
+    *Lectures on Polytopes*, ch. 8), as index pairs.  The rank is the height
+    above the bottom, not the dimension: in the normal and touching lattices
+    the whole space shares dimension d with the cones of the vertices."""
+    height = [0] * len(lat)
+    for x in sorted(range(len(lat)), key=lambda i: lat.down[i].bit_count()):
+        height[x] = 1 + max((height[y] for y in _bits(lat.down[x] ^ 1 << x)), default=-1)
+    even = sum(1 << x for x, h in enumerate(height) if h % 2 == 0)
+    return [(g, f) for g, up in enumerate(lat.up) for f in _bits(up ^ 1 << g)
+            if 2 * (up & lat.down[f] & even).bit_count() != (up & lat.down[f]).bit_count()]
+
+
+def assert_eulerian(p):
+    for build in (face_lattice, exposed_face_lattice, normal_cone_lattice,
+                  touching_cone_lattice):
+        assert non_eulerian_intervals(build(p)) == [], build.__name__
+
+
+def centred(p):
+    """p translated by its vertex centroid, which is interior when p is
+    full-dimensional: the polar then has vertices over mixed denominators."""
+    c = [sum(col) / len(p.vertices) for col in zip(*p.vertices)]
+    return Polytope(tuple(vsub(v, c) for v in p.vertices))
+
+
+POLYTOPE_FIXTURES = sorted(name for name in bodyio.list_fixtures()
+                           if isinstance(bodyio.load_fixture(name), Polytope))
+
+
+def test_polytope_fixtures_are_drawn():
+    assert POLYTOPE_FIXTURES == ["cell24", "cross4", "cube", "cube4", "segment",
+                                 "simplex4", "square", "triangle"]
+
+
+@pytest.mark.parametrize("name", POLYTOPE_FIXTURES)
+def test_fixture_lattices_are_eulerian(name):
+    assert_eulerian(bodyio.load_fixture(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_dim_points)
+@example([(0, 0, 0), (2, 1, 0), (1, 2, 0)])  # a triangle in 3D
+@example([(0, 0, 0, 0), (1, 2, -1, 1)])  # a segment in 4D
+def test_random_hull_lattices_are_eulerian(raw):
+    """Random hulls in 1-4D, lower-dimensional ones and points included."""
+    assert_eulerian(build_polytope(raw))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(points(2), points(3)))
+@example([(0, 0), (2, 0), (1, 1)])  # the triangle about (1, 1/3)
+def test_random_polar_lattices_are_eulerian(raw):
+    p = build_polytope(raw)
+    assume(p.dim == p.ambient_dim)
+    assert_eulerian(polar(centred(p)))
+
+
+def test_euler_guard_catches_a_defect_both_face_routes_share(monkeypatch):
+    """Both face routes order their faces through `_vertex_set_lattice`.
+    With the square's edge (0, 1) dropped there, the two routes return the
+    same wrong lattice, so comparing them shows nothing; the guard finds its
+    three non-Eulerian intervals, and the check run stops on the segment a
+    projection of the square gives, where the dropped face was the whole."""
+    real = pt._vertex_set_lattice
+    monkeypatch.setattr(pt, "_vertex_set_lattice", lambda faces: real(
+        [f for f in faces if f.vertex_indices != (0, 1)]))
+    square = bodyio.load_fixture("square")
+    lat = face_lattice(square)
+    assert [f.key for f in lat.elements] == [f.key for f in exposed_face_lattice(square).elements]
+    assert len(lat) == 9 and (0, 1) not in lat._by_key
+    assert len(non_eulerian_intervals(lat)) == 3
+    with pytest.raises(NotALattice):
+        checks.run_suite(square, "square", "all")
+
+
+# ---------------------------------------------------------------------------
+# check reports are invariant under symmetries and rescaling
+# ---------------------------------------------------------------------------
+
+def report_signature(p):
+    rep = checks.run_suite(p, "body", "all")
+    return [(v.check_id, v.status) for v in rep.verdicts], rep.counts
+
+
+def signed_permutation(p, rng):
+    """p under a random signed permutation of its coordinates, with its
+    vertices listed in a random order."""
+    d = p.ambient_dim
+    perm = rng.sample(range(d), d)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    verts = [tuple(s * v[k] for s, k in zip(signs, perm)) for v in p.vertices]
+    rng.shuffle(verts)
+    return Polytope(tuple(verts))
+
+
+SYMMETRY_BODIES = {
+    **{name: lambda name=name: bodyio.load_fixture(name)
+       for name in ("cube", "square", "triangle", "segment", "simplex4", "cross4")},
+    "simplex4_polar": lambda: polar(bodyio.load_fixture("simplex4")),
+    "triangle_centred_polar": lambda: polar(centred(bodyio.load_fixture("triangle"))),
+}
+
+
+@pytest.mark.parametrize("seed, name", enumerate(SYMMETRY_BODIES))
+def test_check_reports_are_invariant_under_symmetries_and_scaling(seed, name):
+    """Verdict ids, statuses and counts of `run_suite(..., "all")` do not
+    change under a seeded signed coordinate permutation with a vertex
+    reorder, nor under scaling by 7/3.  Translation is left out: it moves
+    the origin, and with it whether the polar suite applies."""
+    p = SYMMETRY_BODIES[name]()
+    want = report_signature(Polytope(p.vertices))
+    assert report_signature(signed_permutation(p, random.Random(seed))) == want
+    assert report_signature(Polytope(tuple(vscale(F(7, 3), v) for v in p.vertices))) == want

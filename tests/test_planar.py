@@ -437,6 +437,18 @@ def test_cone2_predicates_agree_with_polycone(cone):
                 cone.face_with_in_ri(u)
 
 
+@pytest.mark.parametrize("cone", [Cone2.zero(), Cone2.ray((1, 0)),
+                                  Cone2.sector((1, 0), (0, 1)), Cone2.plane()],
+                         ids=lambda c: c.kind)
+@pytest.mark.parametrize("predicate", ["contains", "ri_contains"])
+@pytest.mark.parametrize("u", [(0,), (1,), (0, 0, 0), (1, 2, 3)], ids=str)
+def test_cone2_predicates_reject_non_planar_vectors(cone, predicate, u):
+    """Every kind refuses a vector of length 1 or 3, zero or not, as
+    `PolyCone` refuses one of the wrong dimension."""
+    with pytest.raises(DimensionMismatch):
+        getattr(cone, predicate)(u)
+
+
 def test_pointwise_duality_on_samples():
     """Attaining the support value, membership in the exposed face and the
     direction lying in the point's normal cone are one and the same thing,
@@ -680,6 +692,22 @@ def _signed_images(body):
                      for f in reversed(feats)]
             fc, vc = fc[::-1], tuple(vc[-k] for k in range(n))
         yield PlanarBody(tuple(feats), fc, vc)
+
+
+def _report_multiset(body):
+    """The verdicts of `run_suite(body, ..., "all")` as a multiset of (id,
+    status), each `coatoms.face[...]` id without its face label, and the
+    counts.  The per-face verdicts follow the feature numbering, which a map
+    that flips orientation reverses, so their order is not compared."""
+    rep = checks.run_suite(body, "body", "all")
+    return Counter((v.check_id.split("[")[0], v.status) for v in rep.verdicts), rep.counts
+
+
+@pytest.mark.parametrize("name", PLANAR_FIXTURES)
+def test_check_reports_are_invariant_under_signed_images(name):
+    want = _report_multiset(PLANAR_BODIES[name])
+    for image in _signed_images(PLANAR_BODIES[name]):
+        assert _report_multiset(image) == want
 
 
 CLOSED_FIXTURES = [name for name in PLANAR_FIXTURES

@@ -186,6 +186,43 @@ def _ref_support(body, u):
     return best, FaceDescriptor.edge(i)
 
 
+def _ref_closure_contains(body, x):
+    for f in body.features:
+        if isinstance(f, Segment):
+            n = f.outward_normal
+            if dot(n, x) > dot(n, f.start):
+                return False
+        else:
+            d = vsub(x, f.center)
+            if f.wedge_contains(d) and dot(d, d) > f.radius_sq:
+                return False
+            for endpoint in (f.start, f.end):
+                rad = f.normal_at(endpoint)
+                if dot2_sign(rad, vsub(x, endpoint)) > 0:
+                    return False
+    return True
+
+
+def _ref_locate(body, x):
+    """The two-walk classification: the features' relative interiors first,
+    then the closure's constraints."""
+    j = body._junction_indices.get(planar._exact_key(x))
+    if j is not None:
+        return ("junction", j)
+    for i, f in enumerate(body.features):
+        if isinstance(f, Segment):
+            d = f.direction
+            rel = vsub(x, f.start)
+            if orient2(d, rel) == 0:
+                t = dot(rel, d)
+                if 0 < t < dot(d, d):
+                    return ("segment", i)
+        else:
+            if f.point_on(x, strict=True):
+                return ("arc", i)
+    return "interior" if _ref_closure_contains(body, x) else "outside"
+
+
 def _exact(answer):
     """Everything a support answer carries, with the types of its numbers:
     the values and the point are Fractions, the direction ints."""
@@ -929,3 +966,65 @@ def test_int_and_fraction_directions_share_one_support_entry(name, u, int_first,
     for v, got in ((first, answer), (second, again)):
         assert _exact(got) == _exact(_fresh(body, v))
     assert _exact(answer) == _exact(again) == _exact(_ref_support(body, fu))
+
+
+# ---------------------------------------------------------------------------
+# one-walk membership against the two-walk reference
+# ---------------------------------------------------------------------------
+
+def _locate_probes(body, x, eps):
+    """x, the origin, every junction, and points on, just inside and just
+    outside each feature (eps > 0 a small step): segment midpoints and the
+    line beyond each end, arc points and their mirror images through the
+    center, off the circle along the radius, and off each arc end along
+    its tangent."""
+    out = [x, (F(0), F(0))]
+    for f in body.features:
+        out.append(f.start)
+        if isinstance(f, Segment):
+            mid = vscale(F(1, 2), vadd(f.start, f.end))
+            step = vscale(eps, f.outward_normal)
+            out += [mid, vadd(mid, step), vsub(mid, step),
+                    vadd(f.end, f.direction), vsub(f.start, f.direction),
+                    vadd(f.end, step), vsub(f.start, step)]
+        else:
+            out.append(f.center)
+            for p in f.rational_points(2) + [f.start, f.end]:
+                r = vsub(p, f.center)
+                tangent = vscale(eps, (-r[1], r[0]))
+                out += [p, vsub(f.center, r), vadd(p, vscale(eps, r)),
+                        vsub(p, vscale(eps, r)), vadd(p, tangent), vsub(p, tangent)]
+    return out
+
+
+def _assert_locate(body, points):
+    for x in points:
+        assert body.locate(x) == _ref_locate(body, x), x
+
+
+small = st.builds(F, st.integers(1, 9), st.integers(20, 200))
+
+
+def test_locate_probes_reach_every_location():
+    """The probes on the fixtures land outside, inside, at junctions and on
+    segments and arcs, so the comparisons below see every answer."""
+    kinds = Counter()
+    for body in PLANAR.values():
+        for x in _locate_probes(body, (F(0), F(0)), F(1, 50)):
+            loc = body.locate(x)
+            kinds[loc if isinstance(loc, str) else loc[0]] += 1
+    assert set(kinds) == {"outside", "interior", "junction", "segment", "arc"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PLANAR)), vector, small)
+def test_locate_matches_two_walk_reference_on_fixtures(name, x, eps):
+    _assert_locate(PLANAR[name], _locate_probes(PLANAR[name], x, eps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arcs(), vector, small)
+def test_locate_matches_two_walk_reference_on_chord_bodies(arc, x, eps):
+    """One arc (minor, major or of pi) and its chord, on probes near both."""
+    body = chord_body(arc)
+    _assert_locate(body, _locate_probes(body, x, eps))

@@ -289,6 +289,20 @@ def test_lifts_on_a_rational_body():
     assert checks.run_suite(small, "small", "lift").passed
 
 
+def test_vertex_rays_are_read_from_the_vertices():
+    """The vertex rays come from the vertex grid alone, so the face route
+    and the lift's comparison never compute the facets through them, and
+    the lift seed starts from the same primitive rays."""
+    small = Polytope((vec(0, 0), vec(F(1, 2), 0), vec(0, F(1, 3))))
+    assert small._vertex_rays == ((0, 0, 1), (1, 0, 2), (0, 1, 3))
+    assert "facets" not in small.__dict__
+    assert tuple(r for r, _ in small._vertex_cone.rays) == small._vertex_rays
+    assert "facets" in small.__dict__
+    fresh = Polytope(small.vertices)
+    face_lattice(fresh)
+    assert "facets" not in fresh.__dict__
+
+
 def test_canonical_subspace_lift_on_a_tilted_triangle():
     # e1 is not in the triangle's direction space span{(1,0,1), (0,1,0)}, so
     # the lift through e1 is compared with the lift through its projection
