@@ -215,7 +215,8 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     for i in range(len(facets)):
         for j in range(i, len(facets)):
             face, witness = pt.exposed_meet(p, [facets[i].normal, facets[j].normal])
-            if face.vertex_indices and witness is None:
+            if face.vertex_indices and (
+                    witness is None or pt.support(p, witness)[1].vset != face.vset):
                 ok = False
     _v(out, "meets.exposed_intersection_witness", ok,
        "a nonempty intersection of exposed faces is exposed by one direction "
@@ -294,9 +295,11 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
         distinct += rep.canonical_subspace_distinct
         q = proj.polytope
         for f in pt.exposed_face_lattice(q).elements:
-            w = f.exposing_normal
-            if w is None:
+            if not f.vertex_indices or len(f.vertex_indices) == len(q.vertices):
                 continue
+            # a direction exposing f in q: the sum of the facet normals at f
+            active = [fc.normal for fc in q.facets if f.vset <= fc.vertex_set]
+            w = tuple(map(sum, zip(*active)))
             if proj.lift_face(f).vset != pt.support(p, w)[1].vset:
                 ok_exp = False
         for v in p.vertices:

@@ -229,12 +229,14 @@ def build_lattice(elements: Sequence, masks: Sequence[int]) -> FiniteLattice:
 
 
 class LatticeMap(Frozen):
-    """Total mapping between two finite lattices, tagged isotone or antitone."""
+    """Mapping between two finite lattices, tagged isotone or antitone: the
+    target index of each source element, or None where its image is not in
+    the target."""
 
     _fields = ("source", "target", "mapping", "direction")
 
     def __init__(self, source: FiniteLattice, target: FiniteLattice,
-                 mapping: tuple[int, ...], direction: str):
+                 mapping: tuple[int | None, ...], direction: str):
         setfield(self, "source", source)
         setfield(self, "target", target)
         setfield(self, "mapping", mapping)
@@ -250,8 +252,11 @@ class LatticeMap(Frozen):
 
 def lattice_map(source: FiniteLattice, target: FiniteLattice,
                 f: Callable, direction: str) -> LatticeMap:
-    """Build a LatticeMap by applying f to payloads and matching target keys."""
-    mapping = tuple(target.index_of(element_key(f(e))) for e in source.elements)
+    """Build a LatticeMap by applying f to payloads and matching target keys;
+    an image outside the target maps to None, which `verify_isomorphism`
+    reports."""
+    by_key = target._by_key
+    mapping = tuple(by_key.get(element_key(f(e))) for e in source.elements)
     return LatticeMap(source, target, mapping, direction)
 
 
@@ -292,10 +297,15 @@ def verify_isomorphism(m: LatticeMap) -> IsomorphismReport:
     """Check bijectivity and order behaviour of a lattice map.
 
     An order-compatible bijection whose inverse is also order compatible is a
-    lattice isomorphism; failures are reported, never raised.
+    lattice isomorphism; failures are reported, never raised.  A map that
+    sends an element outside the target is no map into it: each such element
+    is named, and every property fails.
     """
     src, tgt, f = m.source, m.target, m.mapping
-    failures = []
+    failures = [f"{element_label(src.elements[i])} maps outside the target lattice"
+                for i, t in enumerate(f) if t is None]
+    if failures:
+        return IsomorphismReport(False, False, False, False, tuple(failures))
     injective = len(set(f)) == len(f)
     if not injective:
         seen: dict[int, int] = {}

@@ -63,8 +63,7 @@ def numbers(value, cones: list, seen: set):
     elif isinstance(value, ConeElement):
         yield from numbers(value.cone, cones, seen)
     elif isinstance(value, PolyFace):
-        yield from numbers((value.vertex_indices, value.dim, value.exposing_normal),
-                           cones, seen)
+        yield from numbers((value.vertex_indices, value.dim), cones, seen)
     elif isinstance(value, Facet):
         yield from numbers((value.normal, value.offset, value.vertex_set), cones, seen)
     elif isinstance(value, FiniteLattice):

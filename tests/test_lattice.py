@@ -133,6 +133,16 @@ def test_non_injective_map_reported():
     assert any("not injective" in f for f in rep.failures)
 
 
+def test_map_leaving_the_target_is_reported_not_raised():
+    lat = powerset_lattice()
+    # {a} maps to {a, c}, which the target does not hold
+    leaving = lattice_map(lat, lat, lambda e: e | {"c"} if e == {"a"} else e, "isotone")
+    assert leaving.mapping.count(None) == 1
+    rep = verify_isomorphism(leaving)
+    assert not rep.passed
+    assert rep.failures == (f"{frozenset('a')} maps outside the target lattice",)
+
+
 def test_decompositions():
     lat = powerset_lattice("abc")
     top_f = frozenset("abc")

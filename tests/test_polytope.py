@@ -150,14 +150,21 @@ def test_touching_cone_at():
 
 
 def test_lift_of_exposed_face_is_exposed_face_of_direction():
+    """The direction of a proper face of the projection is the sum of the
+    normals of its facets through it, as `lift.exposed_face_transform`
+    takes it."""
     tri = triangle()
     q = project_polytope(tri, [vec(1, 0)])
+    proper = 0
     for f in exposed_face_lattice(q).elements:
-        if f.exposing_normal is None:
+        if not f.vertex_indices or len(f.vertex_indices) == len(q.vertices):
             continue
+        proper += 1
+        w = tuple(map(sum, zip(*(fc.normal for fc in q.facets if f.vset <= fc.vertex_set))))
         lifted = lift_face(tri, [vec(1, 0)], f)
-        _, direct = support(tri, f.exposing_normal)
+        _, direct = support(tri, w)
         assert lifted.vset == direct.vset
+    assert proper == 2
 
 
 def test_antitone_isomorphism():
@@ -180,6 +187,7 @@ def test_exposed_meet():
     face, witness = exposed_meet(sq, [vec(1, 0), vec(0, 1)])
     assert {sq.vertices[i] for i in face.vertex_indices} == {vec(1, 1)}
     assert witness == vec(1, 1)
+    assert support(sq, witness)[1] == face
     face, witness = exposed_meet(sq, [vec(1, 0), vec(-1, 0)])
     assert face.vertex_indices == () and witness is None
     c = cube()
@@ -436,15 +444,16 @@ def test_dual_coatom_bound_on_normal_lattice():
 def test_minkowski_atom_check():
     sq = square()
     edge = sq.face_of_point(vec(1, 0))
-    rep = minkowski_atom_check(sq, edge)
-    assert rep.passed and len(rep.atoms) == 2
+    atoms = minkowski_atom_check(sq, edge)
+    assert [a.vset for a in atoms] == [{i} for i in edge.vertex_indices]
     vtx = sq.face_of_point(vec(1, 1))
-    rep = minkowski_atom_check(sq, vtx)
-    assert rep.passed and len(rep.atoms) == 1
+    assert minkowski_atom_check(sq, vtx) == [vtx]
     c = cube()
     facet = c.face_of_point(vec(0, 0, 1))
-    rep = minkowski_atom_check(c, facet)
-    assert rep.passed and len(rep.atoms) <= 3
+    atoms = minkowski_atom_check(c, facet)
+    assert len(atoms) <= 3 and all(a.dim == 0 and a.vset <= facet.vset for a in atoms)
+    lat = exposed_face_lattice(c)
+    assert lat.join(lat.index_of(a.key) for a in atoms) == lat.index_of(facet.key)
 
 
 def test_invariant_violation_is_raised_not_asserted(monkeypatch):

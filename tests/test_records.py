@@ -20,8 +20,7 @@ from facelat.lattice import FiniteLattice, IsomorphismReport, LatticeMap
 from facelat.planar import (Arc, CoatomReport, Cone2, ConeInventory, FaceDescriptor,
                             PlanarBody, QuadVal, RuleReport, Segment)
 from facelat.polytope import (ConeElement, CylinderNormalReport, Facet, LiftReport,
-                              MinkowskiAtomReport, PolyFace, Polytope, PosIsoReport,
-                              Projection)
+                              PolyFace, Polytope, PosIsoReport, Projection)
 
 
 def _cone():
@@ -55,7 +54,6 @@ VALUE = {
     PosIsoReport: lambda: PosIsoReport(True, True, True, 2, 2, ()),
     LiftReport: lambda: LiftReport(True, True, True, True, True, True, ()),
     CylinderNormalReport: lambda: CylinderNormalReport(_cone(), _cone()),
-    MinkowskiAtomReport: lambda: MinkowskiAtomReport((PolyFace((0,), 0),), 1),
 }
 IDENTITY = {
     ConeTable: ConeTable,
@@ -140,7 +138,6 @@ def test_default_containers_are_fresh_per_record():
 def test_defaults_and_fields_outside_equality():
     assert QuadVal(F(2)) == QuadVal(F(2), F(0), F(0))
     assert Cone2("plane") == Cone2("plane", None, None)
-    assert PolyFace((0,), 0, vec(1)) == PolyFace((0,), 0)
     # the cone table that interned a cone takes no part in equality or repr
     table = ConeTable()
     assert PolyCone(2, (), (), table) == PolyCone(2, (), ())
