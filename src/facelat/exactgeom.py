@@ -460,28 +460,26 @@ def point_grid(points: Iterable[Sequence[Fraction]]) -> tuple[int, tuple[IVec, .
                     for v in points)
 
 
-# The hull LP on integers.  Point j is grid[j]/d; the point asked about is
-# xs/(d*k) for integers xs and k > 0 (a centroid of k grid points has xs their
-# sum).  Writing mu = k*lambda, x = sum lambda_j grid[j]/d with sum lambda_j = 1
-# becomes `hull_rows(grid) . mu = (*xs, k)`: the rows depend on the points
-# only, and scaling the weights by k > 0 changes no sign, so the support and
-# the sign of every optimum are those of the convex combinations themselves.
+# The hull LP on rays.  Point j is n_j/c_j with its primitive ray
+# r_j = (n_j, c_j), c_j > 0 (`_ray`), and the point asked about is xs/e.  Then
+# x = sum lambda_j n_j/c_j with sum lambda_j = 1 becomes `sum mu_j r_j =
+# (xs, e)` with mu_j = e*lambda_j/c_j: the columns are the rays, and scaling
+# each weight by a positive factor changes no sign, so the support and the
+# sign of every optimum are those of the convex combinations themselves.
 
-def hull_rows(grid: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer rows of the hull LP: one per coordinate of the grid
-    points, then a row of ones."""
-    rows = [list(c) for c in zip(*grid)]
-    rows.append([1] * len(grid))
-    return rows
+def _ray(x: Sequence[Fraction]) -> IVec:
+    """The primitive ray (x*e, e) of a rational point x, e > 0 the lcm of
+    its denominators."""
+    e = lcm(*[c.denominator for c in x])
+    return (*[c.numerator * (e // c.denominator) for c in x], e)
 
 
 def _hull_system(points: Sequence[Vec], x: Vec) -> tuple[list[list[int]], list[int]]:
-    """`hull_rows` and the right-hand side of x in conv(points), over the
-    grid of the points and x together."""
+    """The rows and the right-hand side of x in conv(points): the points'
+    rays as columns, x's ray on the right."""
     if len(x) != len(points[0]):
         raise DimensionMismatch("point and hull dimensions differ")
-    _, grid = point_grid((*points, x))
-    return hull_rows(grid[:-1]), [*grid[-1], 1]
+    return [list(row) for row in zip(*map(_ray, points))], list(_ray(x))
 
 
 def in_conv_hull(points: Sequence[Vec], x: Vec) -> bool:
@@ -511,8 +509,8 @@ def in_ri_conv_hull(points: Sequence[Vec], x: Vec) -> bool:
 def _least_weight(rows: list[list[int]], rhs: list[int],
                   unknown: Sequence[int]) -> tuple[str, Fraction | None, Vec | None]:
     """The least-weight LP: maximize t over the weights with
-    rows . lambda = rhs (`hull_rows`) and lambda_j = mu_j + t on the indices
-    `unknown`; its variables are the weights (mu_j there), then t."""
+    rows . lambda = rhs (the hull LP on rays) and lambda_j = mu_j + t on the
+    indices `unknown`; its variables are the weights (mu_j there), then t."""
     least = [row + [sum(row[j] for j in unknown)] for row in rows]
     return simplex_max([0] * len(rows[0]) + [1], least, rhs)
 
@@ -525,16 +523,17 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
     the face route: for the vertices of a polytope the result is the vertex set
     of the unique face containing x in its relative interior.  `known` names
     indices the caller already knows can be positive (for a centroid, the
-    averaged points).  The LPs are `hull_carrier`'s, on the integer grid of
-    the points and x.
+    averaged points).  The LPs are `hull_carrier`'s, on the rays of the
+    points and x.
     """
     return hull_carrier(*_hull_system(points, x), known) if points else set()
 
 
 def hull_carrier(rows: list[list[int]], rhs: list[int],
                  known: Iterable[int] = ()) -> set[int]:
-    """`hull_weight_support` on the integer hull LP rows . lambda = rhs
-    (`hull_rows`): the columns some feasible lambda >= 0 weights positively.
+    """`hull_weight_support` on the integer hull LP rows . lambda = rhs, the
+    rays of the points as columns: the columns some feasible lambda >= 0
+    weights positively.
 
     The first LP maximizes the least weight on the indices not yet known to
     be positive (lambda_j = mu_j + t there, as in `in_ri_conv_hull`).  If

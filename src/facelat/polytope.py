@@ -14,8 +14,8 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from ._records import Frozen, setfield
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
@@ -127,9 +127,13 @@ class Polytope(Frozen):
         return eg._perp(self.affine.directions, self.ambient_dim)
 
     @cached_property
-    def _vertex_grid(self) -> tuple[int, tuple[IVec, ...]]:
-        """(d, points): vertex i is points[i]/d, over one common d."""
-        return eg.point_grid(self.vertices)
+    def _vertex_rays(self) -> tuple[IVec, ...]:
+        """Vertex i = n/c as its primitive ray (n, c), c > 0, the one integer
+        form of a vertex: the vertices are the rays of the homogenised body,
+        and x lies in it exactly when (x, 1) is a positive combination of
+        the rays.  The form in which `lift_point_set` returns a vertex;
+        built from the vertices alone, so reading it computes no facets."""
+        return tuple(map(eg._ray, self.vertices))
 
     @cached_property
     def _vertex_index(self) -> dict[Vec, int]:
@@ -137,18 +141,13 @@ class Polytope(Frozen):
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
-        d, grid = self._vertex_grid
-        rows = _facet_rows(d, grid, self.lin_perp, self.cone_table)
-        return tuple(Facet(n, Fraction(c, d), frozenset(i for i, t in enumerate(values) if t == c))
-                     for n, c, values in rows)
-
-    @cached_property
-    def _vertex_rays(self) -> tuple[IVec, ...]:
-        """Vertex i as the primitive ray of (grid vertex, d): the form in
-        which `lift_point_set` returns a vertex.  Built from the vertices
-        alone, so reading it computes no facets."""
-        d, grid = self._vertex_grid
-        return tuple(eg._iprimitive(v + (d,)) for v in grid)
+        rays = self._vertex_rays
+        out = []
+        for *m, c in _facet_rows(rays, self.lin_perp, self.cone_table):
+            g = gcd(*m)
+            vset = frozenset(j for j, v in enumerate(rays) if eg._idot(m, v) == c * v[-1])
+            out.append(Facet(tuple(a // g for a in m), Fraction(c, g), vset))
+        return tuple(sorted(out, key=lambda f: f.normal))
 
     @cached_property
     def _vertex_cone(self) -> eg.Seed:
@@ -220,10 +219,10 @@ class Polytope(Frozen):
 
     def _slacks(self, x: Vec) -> list[int] | None:
         """For each facet an integer with the sign of n.x - offset, or None
-        when x is off the affine hull; computed on the vertex grid."""
+        when x is off the affine hull; computed in integers."""
         e, xs = _int_point(x, self.ambient_dim)
-        d, grid = self._vertex_grid
-        if any(eg._idot(m, xs) * d != eg._idot(m, grid[0]) * e for m in self.lin_perp):
+        r = self._vertex_rays[0]
+        if any(eg._idot(m, xs) * r[-1] != eg._idot(m, r) * e for m in self.lin_perp):
             return None
         return [eg._idot(f.normal, xs) * f.offset.denominator - f.offset.numerator * e
                 for f in self.facets]
@@ -249,7 +248,7 @@ class Polytope(Frozen):
             return PolyFace((), -1)
         dim = self._face_dims.get(idx)
         if dim is None:
-            dim = self._face_dims[idx] = _grid_dim(self._vertex_grid[1], idx)
+            dim = self._face_dims[idx] = _hull_dim(self._vertex_rays, idx)
         return PolyFace(idx, dim)
 
     def face_points(self, f: PolyFace) -> list[Vec]:
@@ -262,24 +261,28 @@ class Polytope(Frozen):
         return self._centroid(f.vertex_indices)
 
     def _centroid(self, indices) -> Vec:
-        """The mean of the given vertices, summed on the vertex grid."""
-        d, grid = self._vertex_grid
-        return tuple(Fraction(sum(c), d * len(indices))
-                     for c in zip(*(grid[i] for i in indices)))
+        """The mean of the given vertices (`_mix`)."""
+        return self._mix(indices, [1] * len(indices))
+
+    def _mix(self, indices, weights: list[int]) -> Vec:
+        """sum w_j v_j / sum w_j over the given vertices, for positive
+        integer weights, summed in integers over the lcm of their rays'
+        c_j."""
+        rays = [self._vertex_rays[i] for i in indices]
+        *columns, cs = zip(*rays)
+        den = lcm(*cs)
+        scaled = [w * (den // c) for w, c in zip(weights, cs)]
+        den *= sum(weights)
+        return tuple(Fraction(eg._idot(scaled, col), den) for col in columns)
 
     def ri_samples(self, f: PolyFace, count: int = 3) -> list[Vec]:
-        """A few distinct relative-interior points (positive-weight mixes),
-        summed on the vertex grid like `_centroid`."""
+        """A few distinct relative-interior points (positive-weight mixes)."""
         idx = f.vertex_indices
         if not idx:
             raise NotAFace("the empty face has no relative-interior point")
-        d, grid = self._vertex_grid
-        columns = list(zip(*(grid[i] for i in idx)))
         out = []
         for s in range(count):
-            weights = [1 + (i + s) % len(idx) for i in range(len(idx))]
-            den = d * sum(weights)
-            x = tuple(Fraction(eg._idot(weights, c), den) for c in columns)
+            x = self._mix(idx, [1 + (i + s) % len(idx) for i in range(len(idx))])
             if x not in out:
                 out.append(x)
         return out
@@ -290,32 +293,25 @@ def _int_point(x: Vec, dim: int) -> tuple[int, list[int]]:
     direction of R^dim."""
     if len(x) != dim:
         raise DimensionMismatch("point and polytope dimensions differ")
-    e = lcm(*(c.denominator for c in x))
-    return e, [c.numerator * (e // c.denominator) for c in x]
+    *xs, e = eg._ray(x)
+    return e, xs
 
 
-def _facet_rows(den: int, grid: tuple[IVec, ...], lin_perp: tuple[IVec, ...],
-                table: ConeTable) -> list[tuple[IVec, int, list[int]]]:
-    """Facets of conv(grid[i]/den) as integer rows (n, c, values), sorted by
-    n: the facet is n.x <= c/den, n primitive, and values[i] = n.grid[i],
-    with maximum c.  lin_perp is the orthogonal complement of the direction
-    space of the affine hull.  They come from the homogenised cone
-    {(n, c) : n in the direction space, n.v <= c for every point v}: each of
-    its rays (n, c) with n != 0 is an outer facet normal n with offset
-    c = max n.v, and nothing else is.  A point that is not a vertex only
-    adds a redundant row, so the facets are those of the vertices alone."""
-    d = len(grid[0])
+def _facet_rows(rays: Sequence[IVec], lin_perp: Sequence[IVec],
+                table: ConeTable) -> list[IVec]:
+    """Facets of the hull of the points n_j/c_j, rays[j] = (n_j, c_j), as
+    the integer rays (n, c) of the facets n.x <= c.  lin_perp is the
+    orthogonal complement of the direction space of the affine hull.  They
+    are the rays of the homogenised cone {(n, c) : n in the direction space,
+    n.n_j <= c*c_j for every j}: each ray (n, c) with n != 0 is an outer
+    facet normal n with offset c = max n.v, and nothing else is.  A point
+    that is not a vertex only adds a redundant row, so the facets are those
+    of the vertices alone."""
+    d = len(rays[0]) - 1
     eqs = [m + (0,) for m in lin_perp]
-    ineqs = [v + (-den,) for v in grid]
-    rays, _ = eg.double_description(eqs, ineqs, d + 1, table)
-    rows = []
-    for r in rays:
-        if not any(r[:d]):
-            continue  # the ray (0, 1) of a point
-        n = eg._iprimitive(r[:d])
-        values = [eg._idot(n, v) for v in grid]
-        rows.append((n, max(values), values))
-    return sorted(rows)
+    ineqs = [r[:d] + (-r[d],) for r in rays]
+    out, _ = eg.double_description(eqs, ineqs, d + 1, table)
+    return [r for r in out if any(r[:d])]  # not the ray (0, 1) of a point
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +323,15 @@ def support(p: Polytope, u: Vec) -> tuple[Fraction, PolyFace]:
     if is_zero(u):
         raise ZeroDirection("support direction must be nonzero")
     e, us = _int_point(u, p.ambient_dim)
-    d, grid = p._vertex_grid
-    values = [eg._idot(us, v) for v in grid]
-    h = max(values)
-    vset = frozenset(i for i, val in enumerate(values) if val == h)
-    return Fraction(h, e * d), p.make_face(vset)
+    # u.v_j = a/c for the ray (n_j, c) of vertex j, a = us.n_j: the maximum
+    # h/k by cross-multiplication
+    values = [(eg._idot(us, r), r[-1]) for r in p._vertex_rays]
+    h, k = values[0]
+    for a, c in values:
+        if a * k > h * c:
+            h, k = a, c
+    vset = frozenset(j for j, (a, c) in enumerate(values) if a * k == h * c)
+    return Fraction(h, e * k), p.make_face(vset)
 
 
 def exposed_face_lattice(p: Polytope) -> FiniteLattice:
@@ -370,19 +370,18 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
     """The carrier closure, each carrier solved inside a face already found.
 
     A face of a face is a face, so the carrier of K = F + {v} is the carrier
-    of K in any face G containing K: the LP (`eg.hull_carrier` on the body's
-    integer `hull_rows`) runs over the vertices of the smallest face G found
-    so far that contains K.  The body itself counts as found from the start,
-    so G always exists, and every G is a carrier of this route, never a facet.
-    No LP is needed when dim G = dim F + 1: aff(F) meets the body only in
-    F, so v lies off aff(F), K spans aff(G), and the centroid of K lies in
-    ri G.  Nor is one needed when K contains a key already solved to G: the
+    of K in any face G containing K: the LP (`eg.hull_carrier` with the
+    vertex rays as columns) runs over the vertices of the smallest face G
+    found so far that contains K.  The body itself counts as found from the
+    start, so G always exists, and every G is a carrier of this route, never
+    a facet.  No LP is needed when dim G = dim F + 1: aff(F) meets the body
+    only in F, so v lies off aff(F), K spans aff(G), and the centroid of K
+    lies in ri G.  Nor is one needed when K contains a key already solved to G: the
     carrier grows with the key, and K lies in G.  Face dimensions are integer
-    ranks on the vertex grid.
+    ranks of the vertex rays.
     """
     n = len(p.vertices)
-    _, grid = p._vertex_grid
-    rows = eg.hull_rows(grid)
+    rays = p._vertex_rays
     dims: dict[int, int] = {}  # found face (vertex bitmask) -> its dimension
     containing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     carriers: dict[int, int] = {}  # key bitmask -> its carrier's
@@ -391,7 +390,7 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
 
     def add(face: int):
         idx = tuple(_bits(face))
-        dims[face] = _grid_dim(grid, idx)
+        dims[face] = _hull_dim(rays, idx)
         for i in idx:  # (size, face), smallest first, for the search for G
             insort(containing[i], (len(idx), face))
         todo.append(face)
@@ -413,7 +412,7 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
                         k | key == key for k in spanning.get(g, ())):
                     carrier = g
                 else:
-                    carrier = _carrier_in_face(grid, rows, g, key)
+                    carrier = _carrier_in_face(rays, g, key)
                     spanning.setdefault(carrier, []).append(key)
                 carriers[key] = carrier
             if carrier not in dims:
@@ -426,24 +425,21 @@ def _build_face_lattice(p: Polytope) -> FiniteLattice:
     return _vertex_set_lattice(faces)
 
 
-def _carrier_in_face(grid: tuple[IVec, ...], rows: list[list[int]], g: int,
-                     key: int) -> int:
-    """The carrier of the centroid of the vertices `key`, solved over the
-    vertices of a face g that contains them (bitmasks over the vertex grid;
-    rows = `eg.hull_rows(grid)`)."""
+def _carrier_in_face(rays: tuple[IVec, ...], g: int, key: int) -> int:
+    """The smallest face containing the vertices `key`, solved over the
+    vertices of a face g that contains them (bitmasks over the vertices):
+    the carrier of sum_{j in key} rays[j], a point of ri conv(key)."""
     cols = list(_bits(g))
-    idx = list(_bits(key))
-    rhs = [sum(c) for c in zip(*(grid[i] for i in idx))] + [len(idx)]
-    support = eg.hull_carrier([[row[j] for j in cols] for row in rows], rhs,
+    rhs = [sum(c) for c in zip(*(rays[j] for j in _bits(key)))]
+    support = eg.hull_carrier([list(row) for row in zip(*(rays[j] for j in cols))], rhs,
                               [k for k, j in enumerate(cols) if key >> j & 1])
     return sum(1 << cols[k] for k in support)
 
 
-def _grid_dim(grid: tuple[IVec, ...], idx: tuple[int, ...]) -> int:
-    """The dimension of the affine hull of the grid points idx: the rank of
-    their integer differences, by fraction-free elimination."""
-    return len(eg._eliminate([[a - b for a, b in zip(grid[i], grid[idx[0]])]
-                              for i in idx[1:]], reduced=False))
+def _hull_dim(rays: tuple[IVec, ...], idx: tuple[int, ...]) -> int:
+    """The dimension of the hull of the vertices idx: the rank of their
+    rays, less one, by fraction-free elimination."""
+    return len(eg._eliminate([rays[i] for i in idx], reduced=False)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +456,9 @@ def normal_cone_at_point(p: Polytope, x: Vec) -> PolyCone:
     key = tuple(x)
     cone = p._point_normal_cones.get(key)
     if cone is None:
-        # v - x for each vertex v, times d*e: on the vertex grid, in integers
+        # v - x for each vertex v = n/c, times c*e: in integers
         e, xs = _int_point(key, p.ambient_dim)
-        d, grid = p._vertex_grid
-        diffs = [[a * e - b * d for a, b in zip(v, xs)] for v in grid]
+        diffs = [[a * e - b * r[-1] for a, b in zip(r, xs)] for r in p._vertex_rays]
         dim, table = p.ambient_dim, p.cone_table
         rays, lin = eg.double_description((), diffs, dim, table)
         u = [sum(c) for c in zip(*rays)]
@@ -595,11 +590,10 @@ def conjugate_face(p: Polytope, f: PolyFace) -> PolyFace:
     q = polar(p)
     if not f.vertex_indices:
         return q.make_face(frozenset(range(len(q.vertices))))
-    # w.y == 1 on the two vertex grids, in integers
-    dp, ys = p._vertex_grid
-    dq, ws = q._vertex_grid
-    vset = frozenset(j for j, w in enumerate(ws)
-                     if all(eg._idot(w, ys[i]) == dp * dq for i in f.vertex_indices))
+    # w.y == 1 on the rays (n_w, c_w) and (n_y, c_y): n_w.n_y == c_w*c_y
+    ys = [p._vertex_rays[i] for i in f.vertex_indices]
+    vset = frozenset(j for j, w in enumerate(q._vertex_rays)
+                     if all(eg._idot(w[:-1], y) == w[-1] * y[-1] for y in ys))
     return q.make_face(vset)
 
 
@@ -735,7 +729,9 @@ class Projection(Frozen):
 
     def lift_face(self, f: PolyFace) -> PolyFace:
         """The face of the body whose projection is the face f of the
-        projection."""
+        projection: the vertices over every facet of the projection that
+        contains f.  That the result is a face of the body is a claim
+        `lifted_face_lattices` checks, not this function."""
         p = self.body
         if not f.vertex_indices:
             return p.make_face(frozenset())
@@ -751,10 +747,7 @@ class Projection(Frozen):
             active = [k for k, fc in enumerate(q.facets) if f.vset <= fc.vertex_set]
             vset = frozenset(i for i, s in enumerate(self.vertex_slacks)
                              if all(s[k] == 0 for k in active))
-            lifted = p.make_face(vset)
-            if lifted.key not in face_lattice(p)._by_key:
-                raise NotAFace("lift did not produce a face")
-            self.lifted_faces[f.key] = lifted
+            lifted = self.lifted_faces[f.key] = p.make_face(vset)
         return lifted
 
     def lift_point_set(self, f: PolyFace) -> tuple[IVec, ...]:
@@ -823,20 +816,19 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
 
     The system is p's own, plus conv(pts) pulled back through V: its facets,
     and the slab equalities on V cap D_perp, D the direction space of
-    conv(pts), all read off the points' integer grid, pts[i] = grid[i]/den.
-    Homogenised on (x*t, t), the slab m.x = m.grid[0]/den is the row
-    (den*m, -m.grid[0]) and a facet n.x <= c/den (`_facet_rows`) the row
-    (den*n, -c).  p's own rows are those of its homogenised vertex cone, so
-    the enumeration starts from that cone and adds these rows only; its
-    canonical rays, all with t > 0, are the lift's vertices."""
+    conv(pts), all read off the points' rays, pts[j] = n_j/c_j.  Homogenised
+    on (x*t, t), the slabs are the rows (m, s) with m in V that vanish on
+    every ray (n_j, c_j): the kernel of the rays with the rows (b, 0),
+    b in V_perp.  A facet n.x <= c (`_facet_rows`) is the row (n, -c).  p's
+    own rows are those of its homogenised vertex cone, so the enumeration
+    starts from that cone and adds these rows only; its canonical rays, all
+    with t > 0, are the lift's vertices."""
     d = p.ambient_dim
-    den, grid = eg.point_grid(pts)
-    g0 = grid[0]
-    dirs = [[a - b for a, b in zip(g, g0)] for g in grid[1:]]
-    slab = eg._ikernel([*eg._perp(basis, d), *dirs], d)
-    eqs = [(*(den * x for x in m), -eg._idot(m, g0)) for m in slab]
-    ineqs = [(*(den * x for x in n), -c)
-             for n, c, _ in _facet_rows(den, grid, eg._ikernel(dirs, d), p.cone_table)]
+    rays = [eg._ray(x) for x in pts]
+    eqs = eg._ikernel([*rays, *(b + (0,) for b in eg._perp(basis, d))], d + 1)
+    # the kernel of the rays is {(m, -m.v) : m in D_perp}
+    lin_perp = [m[:d] for m in eg._ikernel(rays, d + 1)]
+    ineqs = [r[:d] + (-r[d],) for r in _facet_rows(rays, lin_perp, p.cone_table)]
     return eg._seeded_description(p._vertex_cone, eqs, ineqs)
 
 
@@ -871,16 +863,22 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
     proj = projection(p, v_basis)
     q = proj.polytope
     details: list[str] = []
+    body_faces = face_lattice(p)._by_key
 
-    def build_lifted(src: FiniteLattice):
-        faces = {}
+    def build_lifted(src: FiniteLattice) -> tuple[FiniteLattice, bool]:
+        """The lifts of src's faces as a lattice, and whether each is a face
+        of p; each lift that is not is a detail."""
+        faces, ok = {}, True
         for f in src.elements:
             lf = proj.lift_face(f)
+            if lf.key not in body_faces:
+                ok = False
+                details.append(f"the lift {lf.label()} of {f.label()} is not a face")
             faces[lf.key] = lf
-        return _vertex_set_lattice(faces.values())
+        return _vertex_set_lattice(faces.values()), ok
 
-    lifted_f = build_lifted(face_lattice(q))
-    lifted_perp = build_lifted(exposed_face_lattice(q))
+    lifted_f, faces_ok = build_lifted(face_lattice(q))
+    lifted_perp, exposed_ok = build_lifted(exposed_face_lattice(q))
 
     iso1 = verify_isomorphism(lattice_map(
         face_lattice(q), lifted_f, proj.lift_face, "isotone"))
@@ -926,7 +924,8 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
                 f"lift invariance mismatch on face {f.label()}: "
                 f"in lifted lattice {in_lattice}, lift-fixed {fixed}")
     details.extend(canon_failures)
-    report = LiftReport(iso1.passed, iso2.passed, meets_ok, invariance_ok,
+    report = LiftReport(iso1.passed and faces_ok, iso2.passed and exposed_ok,
+                        meets_ok, invariance_ok,
                         not canon_failures, u_basis != basis, tuple(details))
     return lifted_f, lifted_perp, report
 

@@ -211,11 +211,10 @@ def test_carrier_inside_a_face_equals_carrier_over_all_points(case):
     x = p._centroid(key)
     want = hull_weight_support(p.vertices, x)
     assert hull_weight_support(p.vertices, x, known=key) == want
-    _, grid = p._vertex_grid
+    rays = p._vertex_rays
     mask = lambda indices: sum(1 << i for i in indices)
-    assert pt._carrier_in_face(grid, eg.hull_rows(grid), mask(g.vertex_indices),
-                               mask(key)) == mask(want)
-    if pt._grid_dim(grid, tuple(key)) == g.dim:
+    assert pt._carrier_in_face(rays, mask(g.vertex_indices), mask(key)) == mask(want)
+    if pt._hull_dim(rays, tuple(key)) == g.dim:
         assert want == g.vset
 
 
@@ -224,15 +223,15 @@ def test_carrier_inside_a_face_equals_carrier_over_all_points(case):
     points(d, rational_coord if d < 4 else small),
     st.lists(st.integers(0, 5), min_size=1))))
 def test_grid_face_dimension_equals_affine_hull(case):
-    """A face's dimension is the integer rank of the differences of its
-    points on the vertex grid (`_grid_dim`, which `make_face` uses).  On
-    random subsets of random rational 1-4D point sets, and on every face of
-    their hull, it equals the Fraction route it replaced, `aff_hull(...).dim`."""
+    """A face's dimension is the integer rank of its points' rays, less one
+    (`_hull_dim`, which `make_face` uses).  On random subsets of random
+    rational 1-4D point sets, and on every face of their hull, it equals the
+    Fraction route it replaced, `aff_hull(...).dim`."""
     raw, picks = case
     pts = [vec(*x) for x in raw]
-    _, grid = eg.point_grid(pts)
+    rays = tuple(map(eg._ray, pts))
     idx = tuple(sorted({i % len(pts) for i in picks}))
-    assert pt._grid_dim(grid, idx) == eg.aff_hull([pts[i] for i in idx]).dim
+    assert pt._hull_dim(rays, idx) == eg.aff_hull([pts[i] for i in idx]).dim
     p = build_polytope(raw)
     for f in exposed_face_lattice(p).elements[1:]:
         assert f.dim == eg.aff_hull(p.face_points(f)).dim
@@ -979,5 +978,26 @@ def test_check_reports_are_invariant_under_symmetries_and_scaling(seed, name):
     the origin, and with it whether the polar suite applies."""
     p = SYMMETRY_BODIES[name]()
     want = report_signature(Polytope(p.vertices))
+    assert report_signature(signed_permutation(p, random.Random(seed))) == want
+    assert report_signature(Polytope(tuple(vscale(F(7, 3), v) for v in p.vertices))) == want
+
+
+mixed_coord = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=2, max_value=3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[mixed_coord] * d), min_size=d + 1, max_size=d + 2,
+             unique=True),
+    st.integers(min_value=0))))
+def test_check_reports_on_rational_hulls_are_invariant_under_symmetries_and_scaling(case):
+    """The invariance above on drawn 2-3D hulls with mixed denominators,
+    translated by their vertex centroid so that the polar suite runs: its
+    polar body has vertices over other denominators again."""
+    raw, seed = case
+    p = build_polytope(raw)
+    assume(p.dim == p.ambient_dim)
+    p = centred(p)
+    want = report_signature(p)
     assert report_signature(signed_permutation(p, random.Random(seed))) == want
     assert report_signature(Polytope(tuple(vscale(F(7, 3), v) for v in p.vertices))) == want

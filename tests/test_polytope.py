@@ -284,8 +284,8 @@ def test_lifted_lattices_square_and_full_space():
 
 
 def test_lifts_on_a_rational_body():
-    """A body off the integer lattice, where a vertex's ray (grid vertex, d)
-    is not primitive, lifts like its integer multiple."""
+    """A body off the integer lattice, its vertices over different
+    denominators, lifts like its integer multiple."""
     small = Polytope((vec(0, 0), vec(F(1, 2), 0), vec(0, F(1, 3))))
     big = Polytope((vec(0, 0), vec(3, 0), vec(0, 2)))  # six times small
     assert small._vertex_rays == ((0, 0, 1), (1, 0, 2), (0, 1, 3))
@@ -298,7 +298,7 @@ def test_lifts_on_a_rational_body():
 
 
 def test_vertex_rays_are_read_from_the_vertices():
-    """The vertex rays come from the vertex grid alone, so the face route
+    """The vertex rays come from the vertices alone, so the face route
     and the lift's comparison never compute the facets through them, and
     the lift seed starts from the same primitive rays."""
     small = Polytope((vec(0, 0), vec(F(1, 2), 0), vec(0, F(1, 3))))

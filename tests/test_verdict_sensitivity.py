@@ -72,3 +72,28 @@ def test_swapped_lifts_fail_exposed_face_transform(monkeypatch, name):
 
     monkeypatch.setattr(pt.Projection, "lift_face", swapped)
     assert failing(body, name, "all") == {"lift.exposed_face_transform"}
+
+
+def test_a_lift_that_is_not_a_face_fails_lattice_isomorphisms(monkeypatch):
+    """Lifting each endpoint of the square's projection onto the first axis
+    to the diagonal through the first vertex of its edge gives vertex sets
+    that are not faces, though the lifted family {}, {0 2}, {1 3}, all is
+    still a lattice.  The lift reports each as a detail and fails
+    `lift.lattice_isomorphisms`; nothing raises."""
+    square = bodyio.load_fixture("square")
+    real = pt.Projection.lift_face
+
+    def diagonal(self, f):
+        lifted = real(self, f)
+        if self.basis == ((1, 0),) and len(f.vertex_indices) == 1:
+            a = lifted.vertex_indices[0]
+            return self.body.make_face({a, (a + 2) % 4})
+        return lifted
+
+    monkeypatch.setattr(pt.Projection, "lift_face", diagonal)
+    _, _, rep = pt.lifted_face_lattices(square, [(1, 0)])
+    assert not rep.face_iso_passed and not rep.exposed_iso_passed
+    assert "the lift {0 2} of {0} is not a face" in rep.details
+    assert "the lift {1 3} of {1} is not a face" in rep.details
+    assert failing(square, "square", "lift") == {
+        "lift.lattice_isomorphisms", "lift.exposed_face_transform"}
