@@ -10,6 +10,7 @@ exit-code neutral.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import combinations
 
 from . import exactgeom as eg
 from . import planar as pl
@@ -69,6 +70,15 @@ def _v(out: list[Verdict], check_id: str, ok: bool, detail: str):
     out.append(Verdict(check_id, "pass" if ok else "fail", detail))
 
 
+def _failures(out: list[Verdict], check_id: str, claim: str, failures,
+              passed_note: str = "; verified"):
+    """A verdict built from a report's failures: it passes when there are
+    none, and its detail is the claim followed by each failure, or by
+    passed_note when there is none."""
+    _v(out, check_id, not failures,
+       "; ".join((claim, *failures)) if failures else claim + passed_note)
+
+
 def _skip(out: list[Verdict], check_id: str, detail: str):
     out.append(Verdict(check_id, "skip", detail))
 
@@ -110,9 +120,9 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
        "face_lattice vs supporting-hyperplane exposed_face_lattice)")
     rep = verify_isomorphism(lattice_map(
         fl, nl, lambda f: ConeElement(pt.normal_cone(p, f)), "antitone"))
-    _v(out, "antitone.iso", rep.passed,
-       "exposed faces correspond to normal cones by an antitone lattice "
-       "isomorphism; " + ("; ".join(rep.failures) or "verified"))
+    _failures(out, "antitone.iso",
+              "exposed faces correspond to normal cones by an antitone lattice "
+              "isomorphism", rep.failures)
     ok = True
     for f in fl.elements:
         if not f.vertex_indices:
@@ -281,18 +291,18 @@ def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
 
 def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     d = p.ambient_dim
-    subspaces = [[unit(d, i)] for i in range(d)]
+    axes = [(i,) for i in range(d)]
     if d >= 3:
-        subspaces += [[unit(d, i), unit(d, j)]
-                      for i in range(d) for j in range(i + 1, d)]
-    ok_iso = ok_cyl = ok_sharp = ok_cor = ok_exp = True
-    distinct = 0
-    for basis in subspaces:
+        axes += combinations(range(d), 2)
+    ok_cyl = ok_sharp = ok_cor = ok_exp = True
+    failures, distinct = [], 0
+    for ax in axes:
+        basis = [unit(d, i) for i in ax]
         proj = pt.projection(p, basis)
         _, _, rep = pt.lifted_face_lattices(p, proj.basis)
-        if not rep.passed:
-            ok_iso = False
-        distinct += rep.canonical_subspace_distinct
+        span = "span(" + ", ".join(f"e{i + 1}" for i in ax) + ")"
+        failures += (f"{span}: {failure}" for failure in rep.failures)
+        distinct += proj.canonical_subspace != proj.basis
         q = proj.polytope
         for f in pt.exposed_face_lattice(q).elements:
             if not f.vertex_indices or len(f.vertex_indices) == len(q.vertices):
@@ -312,14 +322,14 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
         qt = pt.touching_cone_lattice(q)
         if {e.key for e in qn.elements} != {e.key for e in qt.elements}:
             ok_cor = False
-    _v(out, "lift.lattice_isomorphisms", ok_iso,
-       "lifting is an isotone lattice isomorphism onto the lifted (exposed) "
-       "face lattices, with intersection as infimum, and a face is lifted "
-       "iff it is lift-invariant; the lift only depends on the projection of "
-       "the subspace onto the body's direction space (a real comparison on "
-       f"{distinct} of {len(subspaces)} coordinate subspaces; on the rest the "
-       "subspace lies in the direction space, so a lift is compared with "
-       "itself)")
+    _failures(out, "lift.lattice_isomorphisms",
+              "lifting is an isotone lattice isomorphism onto the lifted (exposed) "
+              "face lattices, with intersection as infimum, and a face is lifted "
+              "iff it is lift-invariant; the lift only depends on the projection of "
+              "the subspace onto the body's direction space (a real comparison on "
+              f"{distinct} of {len(axes)} coordinate subspaces; on the rest the "
+              "subspace lies in the direction space, so a lift is compared with "
+              "itself)", failures, "")
     _v(out, "lift.exposed_face_transform", ok_exp,
        "the lift of the projection's exposed face of a subspace direction is "
        "the body's exposed face of the same direction")
@@ -400,19 +410,18 @@ def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     counts["polar_vertices"] = len(q.vertices)
     _v(out, "polar.involution", set(pt.polar(q).vertices) == set(p.vertices),
        "the polar of the polar body is the body itself")
-    rep = pt.pos_iso_check(p)
-    _v(out, "polar.pos_isomorphisms", rep.passed,
-       "positive hulls map the polar's exposed faces isotonely onto the "
-       "normal cones and its faces onto the touching cones, inverted by "
-       "intersecting with the polar's relative boundary; "
-       + ("; ".join(rep.details) or "verified"))
+    _failures(out, "polar.pos_isomorphisms",
+              "positive hulls map the polar's exposed faces isotonely onto the "
+              "normal cones and its faces onto the touching cones, inverted by "
+              "intersecting with the polar's relative boundary",
+              pt.pos_iso_check(p).failures)
     fl = pt.exposed_face_lattice(p)
     ql = pt.exposed_face_lattice(q)
-    rep2 = verify_isomorphism(lattice_map(
+    rep = verify_isomorphism(lattice_map(
         fl, ql, lambda f: pt.conjugate_face(p, f), "antitone"))
-    _v(out, "polar.conjugate_face_iso", rep2.passed,
-       "taking conjugate faces is an antitone lattice isomorphism onto the "
-       "exposed faces of the polar body")
+    _failures(out, "polar.conjugate_face_iso",
+              "taking conjugate faces is an antitone lattice isomorphism onto the "
+              "exposed faces of the polar body", rep.failures, "")
     ok = True
     pp = pt.polar(q)
     for f in fl.elements:
@@ -456,9 +465,9 @@ def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     tgt = build_lattice(ordered, held_generators(ordered))
     rep = verify_isomorphism(lattice_map(
         src, tgt, lambda f: pl.normal_cone_at(b, f), "antitone"))
-    _v(out, "antitone.special_iso", rep.passed,
-       "special exposed faces correspond to their normal cones by an antitone "
-       "lattice isomorphism; " + ("; ".join(rep.failures) or "verified"))
+    _failures(out, "antitone.special_iso",
+              "special exposed faces correspond to their normal cones by an "
+              "antitone lattice isomorphism", rep.failures)
     ok = True
     for x in pl.sample_boundary_points(b):
         f = pl.face_at(b, x)
@@ -586,9 +595,9 @@ def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     dirs = run.compass(360)
     rep = pl.partition_check_planar(b, dirs)
     counts["partition_directions"] = len(dirs)
-    _v(out, "partition.unique_touching_cone", rep.passed,
-       "each of 360 sampled rational directions lies in the relative interior "
-       "of exactly one touching cone; " + ("; ".join(rep.details[:4]) or "verified"))
+    _failures(out, "partition.unique_touching_cone",
+              "each of 360 sampled rational directions lies in the relative "
+              "interior of exactly one touching cone", rep.failures[:4])
 
 
 def _2d_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
@@ -598,18 +607,17 @@ def _2d_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
                        "non-exposed faces: "
                        + (", ".join(f.label() for f in ne) or "none")))
     try:
-        rep = pl.check_2d_nonexposed_rule(b)
-        _v(out, "2d.nonexposed_rule", rep.passed,
-           "non-exposed faces are exactly the endpoints of a unique "
-           "one-dimensional face; " + ("; ".join(rep.details) or "verified"))
+        _failures(out, "2d.nonexposed_rule",
+                  "non-exposed faces are exactly the endpoints of a unique "
+                  "one-dimensional face", pl.check_2d_nonexposed_rule(b).failures)
     except HypothesisFailed as e:
         _skip(out, "2d.nonexposed_rule", f"hypothesis fails: {e}")
     try:
         rep = pl.check_2d_smoothness(b)
         counts["singular_points"] = len(pl.singular_points(b))
-        _v(out, "2d.smoothness", rep.passed,
-           "every singular boundary point joins two distinct boundary "
-           "segments; " + ("; ".join(rep.details) or "verified"))
+        _failures(out, "2d.smoothness",
+                  "every singular boundary point joins two distinct boundary "
+                  "segments", rep.failures)
     except HypothesisFailed as e:
         _skip(out, "2d.smoothness", f"hypothesis fails: {e}")
 

@@ -260,26 +260,18 @@ def lattice_map(source: FiniteLattice, target: FiniteLattice,
     return LatticeMap(source, target, mapping, direction)
 
 
-class IsomorphismReport(Frozen):
-    _fields = ("injective", "surjective", "order_preserved",
-               "inverse_order_preserved", "failures")
+class Report(Frozen):
+    """The failures of one check, each named in a sentence: the check
+    passed when there are none."""
 
-    def __init__(self, injective: bool, surjective: bool, order_preserved: bool,
-                 inverse_order_preserved: bool, failures: tuple[str, ...]):
-        setfield(self, "injective", injective)
-        setfield(self, "surjective", surjective)
-        setfield(self, "order_preserved", order_preserved)
-        setfield(self, "inverse_order_preserved", inverse_order_preserved)
+    _fields = ("failures",)
+
+    def __init__(self, failures: tuple[str, ...]):
         setfield(self, "failures", failures)
 
     @property
-    def bijective(self) -> bool:
-        return self.injective and self.surjective
-
-    @property
     def passed(self) -> bool:
-        return (self.bijective and self.order_preserved
-                and self.inverse_order_preserved)
+        return not self.failures
 
 
 def _order_violation(src: FiniteLattice, tgt: FiniteLattice, f, isotone: bool):
@@ -293,21 +285,21 @@ def _order_violation(src: FiniteLattice, tgt: FiniteLattice, f, isotone: bool):
     return None
 
 
-def verify_isomorphism(m: LatticeMap) -> IsomorphismReport:
+def verify_isomorphism(m: LatticeMap) -> Report:
     """Check bijectivity and order behaviour of a lattice map.
 
     An order-compatible bijection whose inverse is also order compatible is a
     lattice isomorphism; failures are reported, never raised.  A map that
     sends an element outside the target is no map into it: each such element
-    is named, and every property fails.
+    is named, and nothing else is checked.
     """
     src, tgt, f = m.source, m.target, m.mapping
     failures = [f"{element_label(src.elements[i])} maps outside the target lattice"
                 for i, t in enumerate(f) if t is None]
     if failures:
-        return IsomorphismReport(False, False, False, False, tuple(failures))
-    injective = len(set(f)) == len(f)
-    if not injective:
+        return Report(tuple(failures))
+    images = len(set(f))
+    if images != len(f):
         seen: dict[int, int] = {}
         for i, t in enumerate(f):
             if t in seen:
@@ -317,22 +309,17 @@ def verify_isomorphism(m: LatticeMap) -> IsomorphismReport:
                     f"{element_label(tgt.elements[t])}")
                 break
             seen[t] = i
-    surjective = set(f) == set(range(len(tgt.elements)))
-    if not surjective:
+    if images != len(tgt.elements):
         failures.append("not surjective onto the target lattice")
     isotone = m.direction == "isotone"
     bad = _order_violation(src, tgt, f, isotone)
-    order_ok = bad is None
-    if not order_ok:
+    if bad is not None:
         failures.append(f"order violated at {bad}")
-    inverse_ok = injective and surjective
-    if inverse_ok:
+    if images == len(f) == len(tgt.elements):  # a bijection: test its inverse
         bad = _order_violation(tgt, src, {t: i for i, t in enumerate(f)}, isotone)
         if bad is not None:
-            inverse_ok = False
             failures.append(f"inverse order violated at {bad}")
-    return IsomorphismReport(injective, surjective, order_ok, inverse_ok,
-                             tuple(failures))
+    return Report(tuple(failures))
 
 
 def _first_subset(candidates: list[int], combine: Callable, x: int,

@@ -38,7 +38,7 @@ from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
 from .exactgeom import (IVec, Vec, _iprimitive, _scaled, dot, dot2_sign,
                         is_zero, orient2, perp2, point_grid, vadd, vneg, vscale,
                         vsub)
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice, Report, build_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +698,10 @@ def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
 # ---------------------------------------------------------------------------
 
 def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
-    """Support value over the closure and the exposed face of the closure."""
-    face = _support_entry(body, u)
-    return _quad(support_form(body, u)), face
+    """Support value over the closure and the exposed face of the closure,
+    both read off one `_support_scan`."""
+    scan = _support_scan(body, u)
+    return _quad(scan[3]), _support_entry(body, u, scan)
 
 
 def support_form(body: PlanarBody, u: Vec) -> Form:
@@ -709,13 +710,14 @@ def support_form(body: PlanarBody, u: Vec) -> Form:
     return _support_scan(body, u)[3]
 
 
-def _support_entry(body: PlanarBody, u: Vec) -> FaceDescriptor:
-    """The face of the closure that u exposes, memoised; `_support` on a miss."""
+def _support_entry(body: PlanarBody, u: Vec, scan=None) -> FaceDescriptor:
+    """The face of the closure that u exposes, memoised; on a miss `_support`
+    builds it from scan, which is `_support_scan(body, u)` when not given."""
     memo = body._support_memo
     key = _exact_key(u)
     found = memo.get(key)
     if found is None:
-        found = memo[key] = _support(body, u)
+        found = memo[key] = _support(body, u, scan or _support_scan(body, u))
     return found
 
 
@@ -752,10 +754,10 @@ def _support_scan(body: PlanarBody, u: Vec
     return best, vals, top, (p0, r0, e * d * big * big)
 
 
-def _support(body: PlanarBody, u: Vec) -> FaceDescriptor:
-    """The face of the closure that u exposes, computed afresh from
-    `_support_scan`'s maximum."""
-    best, vals, top, _ = _support_scan(body, u)
+def _support(body: PlanarBody, u: Vec, scan) -> FaceDescriptor:
+    """The face of the closure that u exposes, built from scan, u's
+    `_support_scan`."""
+    best, vals, top, _ = scan
     if best is not None:
         p = _primitive2(u)
         return FaceDescriptor.arc_point(best, p, body.features[best].radial_point(p))
@@ -905,15 +907,7 @@ def _adjacent_segment_faces(body: PlanarBody, j: int) -> list[int]:
     return out
 
 
-class RuleReport(Frozen):
-    _fields = ("passed", "details")
-
-    def __init__(self, passed: bool, details: tuple[str, ...]):
-        setfield(self, "passed", passed)
-        setfield(self, "details", details)
-
-
-def check_2d_nonexposed_rule(body: PlanarBody) -> RuleReport:
+def check_2d_nonexposed_rule(body: PlanarBody) -> Report:
     """Non-exposed faces are exactly the endpoints of a unique 1-dim face.
 
     Valid only when every touching cone is a normal cone; otherwise the
@@ -923,19 +917,17 @@ def check_2d_nonexposed_rule(body: PlanarBody) -> RuleReport:
     if inv.extra_touching:
         raise HypothesisFailed("some touching cone is not a normal cone")
     non_exp = {f.key for f in inv.non_exposed}
-    details = []
-    ok = True
+    failures = []
     for j in range(body.n):
         if not body.junction_present(j):
             continue
         v = FaceDescriptor.vertex(body.junction(j))
         ends_one = len(_adjacent_segment_faces(body, j)) == 1
         if (v.key in non_exp) != ends_one:
-            ok = False
-            details.append(
+            failures.append(
                 f"{v.label()}: non-exposed={v.key in non_exp}, "
                 f"unique 1-dim face endpoint={ends_one}")
-    return RuleReport(ok, tuple(details))
+    return Report(tuple(failures))
 
 
 def singular_points(body: PlanarBody) -> list[Vec]:
@@ -944,18 +936,13 @@ def singular_points(body: PlanarBody) -> list[Vec]:
             if body.junction_present(j) and body.junction_cone(j).kind == "sector"]
 
 
-def check_2d_smoothness(body: PlanarBody) -> RuleReport:
+def check_2d_smoothness(body: PlanarBody) -> Report:
     """Each singular point is the intersection of two boundary segments."""
     if body._inventory.extra_touching:
         raise HypothesisFailed("some touching cone is not a normal cone")
-    details = []
-    ok = True
-    for x in singular_points(body):
-        j = _junction_index(body, x)
-        if len(_adjacent_segment_faces(body, j)) != 2:
-            ok = False
-            details.append(f"singular point {x} does not join two segments")
-    return RuleReport(ok, tuple(details))
+    return Report(tuple(
+        f"singular point {x} does not join two segments" for x in singular_points(body)
+        if len(_adjacent_segment_faces(body, _junction_index(body, x))) != 2))
 
 
 class CoatomReport(Frozen):
@@ -1017,21 +1004,16 @@ def coatom_check_planar(body: PlanarBody, f: FaceDescriptor) -> CoatomReport:
 # partition of directions by touching cones
 # ---------------------------------------------------------------------------
 
-def partition_check_planar(body: PlanarBody, directions: list[Vec]) -> RuleReport:
+def partition_check_planar(body: PlanarBody, directions: list[Vec]) -> Report:
     """Each direction lies in the relative interior of exactly one touching
     cone: the proper cones of the body's inventory and its arc families."""
     if not body.is_closed():
         raise HypothesisFailed("partition check requires a closed bounded body")
     inv = body._inventory
     arcs = [body.features[i] for i in inv.arc_families]
-    details = []
-    ok = True
     counts = _touching_counts([*inv.proper_normal, *inv.extra_touching], arcs, directions)
-    for u, count in zip(directions, counts):
-        if count != 1:
-            ok = False
-            details.append(f"direction {u} lies in {count} touching-cone interiors")
-    return RuleReport(ok, tuple(details))
+    return Report(tuple(f"direction {u} lies in {count} touching-cone interiors"
+                        for u, count in zip(directions, counts) if count != 1))
 
 
 def _touching_counts(cones: list[Cone2], arcs: list[Arc], directions: list[Vec]):

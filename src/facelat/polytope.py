@@ -26,7 +26,7 @@ from .exactgeom import (AffineSubspace, ConeTable, IVec, PolyCone, Vec,
                         in_ri_conv_hull, intersect_cones, is_zero,
                         minkowski_sum_cone, pos_hull, project_onto,
                         span_basis, subspace_cone, vadd, vneg, vscale, zero)
-from .lattice import (FiniteLattice, _bits, build_lattice, lattice_map,
+from .lattice import (FiniteLattice, Report, _bits, build_lattice, lattice_map,
                       verify_isomorphism)
 
 
@@ -597,27 +597,7 @@ def conjugate_face(p: Polytope, f: PolyFace) -> PolyFace:
     return q.make_face(vset)
 
 
-class PosIsoReport(Frozen):
-    _fields = ("exposed_to_normal_passed", "faces_to_touching_passed", "inverse_passed",
-               "source_size", "target_size", "details")
-
-    def __init__(self, exposed_to_normal_passed: bool, faces_to_touching_passed: bool,
-                 inverse_passed: bool, source_size: int, target_size: int,
-                 details: tuple[str, ...]):
-        setfield(self, "exposed_to_normal_passed", exposed_to_normal_passed)
-        setfield(self, "faces_to_touching_passed", faces_to_touching_passed)
-        setfield(self, "inverse_passed", inverse_passed)
-        setfield(self, "source_size", source_size)
-        setfield(self, "target_size", target_size)
-        setfield(self, "details", details)
-
-    @property
-    def passed(self) -> bool:
-        return (self.exposed_to_normal_passed and self.faces_to_touching_passed
-                and self.inverse_passed)
-
-
-def pos_iso_check(p: Polytope) -> PosIsoReport:
+def pos_iso_check(p: Polytope) -> Report:
     """Verify that positive hulls of polar faces give the normal/touching fans.
 
     Checks that F -> pos(F) is an isotone lattice isomorphism from the exposed
@@ -628,7 +608,7 @@ def pos_iso_check(p: Polytope) -> PosIsoReport:
     if len(p.vertices) < 2:
         raise ValueError("needs at least two vertices")
     q = polar(p)
-    details = []
+    failures = []
     hulls: dict[tuple[int, ...], ConeElement] = {}
 
     def pos_of_face(face: PolyFace) -> ConeElement:
@@ -641,16 +621,14 @@ def pos_iso_check(p: Polytope) -> PosIsoReport:
 
     def checked(src, tgt, what):
         rep = verify_isomorphism(lattice_map(src, tgt, pos_of_face, "isotone"))
-        details.extend(f"{what}: {failure}" for failure in rep.failures)
-        return rep.passed
+        failures.extend(f"{what}: {failure}" for failure in rep.failures)
 
     fq = exposed_face_lattice(q)
     nl = normal_cone_lattice(p)
-    ok1 = checked(fq, nl, "exposed faces of the polar vs normal cones")
-    ok2 = checked(face_lattice(q), touching_cone_lattice(p),
-                  "faces of the polar vs touching cones")
+    checked(fq, nl, "exposed faces of the polar vs normal cones")
+    checked(face_lattice(q), touching_cone_lattice(p),
+            "faces of the polar vs touching cones")
 
-    inverse_ok = True
     for el in nl.elements:
         cone = el.cone
         if cone == full_space(p.ambient_dim):
@@ -658,14 +636,10 @@ def pos_iso_check(p: Polytope) -> PosIsoReport:
         vset = frozenset(j for j, w in enumerate(q.vertices) if cone.contains(w))
         back = pos_hull([q.vertices[j] for j in vset], q.ambient_dim, q.cone_table)
         if tuple(sorted(vset)) not in fq._by_key:
-            inverse_ok = False
-            details.append(f"rb(polar) cap {cone.label()} is not an exposed face")
-            continue
-        if back != cone:
-            inverse_ok = False
-            details.append(f"pos(rb(polar) cap N) != N for {cone.label()}")
-    return PosIsoReport(ok1, ok2, inverse_ok,
-                        len(fq.elements), len(nl.elements), tuple(details))
+            failures.append(f"rb(polar) cap {cone.label()} is not an exposed face")
+        elif back != cone:
+            failures.append(f"pos(rb(polar) cap N) != N for {cone.label()}")
+    return Report(tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +685,14 @@ class Projection(Frozen):
     def polytope(self) -> Polytope:
         """The projection of the body onto V."""
         return self.body._derive(tuple(extreme_points(list(self.points))))
+
+    @cached_property
+    def canonical_subspace(self) -> tuple[Vec, ...]:
+        """The canonical basis of U, the projection of V onto the body's
+        direction space, on which the lift depends.  Only where U differs
+        from V does `lifted_face_lattices` compare two lifts."""
+        return span_basis([project_onto(self.body.affine.directions, b)
+                           for b in self.basis])
 
     @cached_property
     def v_cone(self) -> PolyCone:
@@ -832,78 +814,50 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     return eg._seeded_description(p._vertex_cone, eqs, ineqs)
 
 
-class LiftReport(Frozen):
-    _fields = ("face_iso_passed", "exposed_iso_passed", "meets_are_intersections",
-               "invariance_passed", "canonical_subspace_passed",
-               "canonical_subspace_distinct", "details")
-
-    def __init__(self, face_iso_passed: bool, exposed_iso_passed: bool,
-                 meets_are_intersections: bool, invariance_passed: bool,
-                 canonical_subspace_passed: bool, canonical_subspace_distinct: bool,
-                 details: tuple[str, ...]):
-        setfield(self, "face_iso_passed", face_iso_passed)
-        setfield(self, "exposed_iso_passed", exposed_iso_passed)
-        setfield(self, "meets_are_intersections", meets_are_intersections)
-        setfield(self, "invariance_passed", invariance_passed)
-        setfield(self, "canonical_subspace_passed", canonical_subspace_passed)
-        # False: a lift was compared with itself
-        setfield(self, "canonical_subspace_distinct", canonical_subspace_distinct)
-        setfield(self, "details", details)
-
-    @property
-    def passed(self) -> bool:
-        return (self.face_iso_passed and self.exposed_iso_passed
-                and self.meets_are_intersections and self.invariance_passed
-                and self.canonical_subspace_passed)
-
-
 def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
-                         ) -> tuple[FiniteLattice, FiniteLattice, LiftReport]:
-    """Lifted face and exposed-face lattices of a projection, with verification."""
+                         ) -> tuple[FiniteLattice, FiniteLattice, Report]:
+    """Lifted face and exposed-face lattices of a projection, and a report
+    naming each failure of the lift's claims: every lift is a face of p,
+    lifting is an isomorphism onto each lifted lattice whose meets are
+    intersections, a face is lifted iff it is lift-invariant, and the lift
+    through V equals the lift through `Projection.canonical_subspace`."""
     proj = projection(p, v_basis)
     q = proj.polytope
-    details: list[str] = []
+    failures: list[str] = []
     body_faces = face_lattice(p)._by_key
 
-    def build_lifted(src: FiniteLattice) -> tuple[FiniteLattice, bool]:
-        """The lifts of src's faces as a lattice, and whether each is a face
-        of p; each lift that is not is a detail."""
-        faces, ok = {}, True
+    def lift_lattice(src: FiniteLattice, what: str) -> FiniteLattice:
+        """The lifts of src's faces as a lattice; each lift that is not a
+        face of p, and each failure of lifting as an isomorphism onto that
+        lattice, is a failure."""
+        faces = {}
         for f in src.elements:
             lf = proj.lift_face(f)
             if lf.key not in body_faces:
-                ok = False
-                details.append(f"the lift {lf.label()} of {f.label()} is not a face")
+                failures.append(f"{what}: the lift {lf.label()} of {f.label()} "
+                                "is not a face")
             faces[lf.key] = lf
-        return _vertex_set_lattice(faces.values()), ok
+        lat = _vertex_set_lattice(faces.values())
+        rep = verify_isomorphism(lattice_map(src, lat, proj.lift_face, "isotone"))
+        failures.extend(f"{what}: {failure}" for failure in rep.failures)
+        return lat
 
-    lifted_f, faces_ok = build_lifted(face_lattice(q))
-    lifted_perp, exposed_ok = build_lifted(exposed_face_lattice(q))
+    lifted_f = lift_lattice(face_lattice(q), "faces")
+    lifted_perp = lift_lattice(exposed_face_lattice(q), "exposed faces")
 
-    iso1 = verify_isomorphism(lattice_map(
-        face_lattice(q), lifted_f, proj.lift_face, "isotone"))
-    iso2 = verify_isomorphism(lattice_map(
-        exposed_face_lattice(q), lifted_perp, proj.lift_face, "isotone"))
-    details.extend(iso1.failures)
-    details.extend(iso2.failures)
-
-    meets_ok = True
-    for i in range(len(lifted_f.elements)):
-        for j in range(len(lifted_f.elements)):
-            met = lifted_f.elements[lifted_f.meet([i, j])]
-            if met.vset != lifted_f.elements[i].vset & lifted_f.elements[j].vset:
-                meets_ok = False
-                details.append("lifted meet differs from intersection")
+    els = lifted_f.elements
+    bad = next(((a, b) for i, a in enumerate(els) for j, b in enumerate(els)
+                if els[lifted_f.meet([i, j])].vset != a.vset & b.vset), None)
+    if bad:
+        failures.append(f"the lifted meet of {bad[0].label()} and "
+                        f"{bad[1].label()} is not their intersection")
 
     # The lift depends only on the projection U of the subspace onto the
     # body's direction space; when U is the subspace itself there is nothing
     # to compare.
-    basis = proj.basis
-    u_basis = span_basis([project_onto(p.affine.directions, b) for b in basis])
+    basis, u_basis = proj.basis, proj.canonical_subspace
     u_proj = projection(p, u_basis) if u_basis and u_basis != basis else None
     lifted_keys = {f.key for f in lifted_f.elements}
-    canon_failures = []
-    invariance_ok = True
     for f in face_lattice(p).elements:
         in_lattice = f.key in lifted_keys
         if not f.vertex_indices:
@@ -916,18 +870,12 @@ def lifted_face_lattices(p: Polytope, v_basis: list[Vec]
                 canonical = (u_proj.lift_point_set(f) if u_proj
                              else tuple(sorted(p._vertex_rays)))
                 if lifted != canonical:
-                    canon_failures.append(
-                        f"canonical-subspace lift differs on {f.label()}")
+                    failures.append(f"canonical-subspace lift differs on {f.label()}")
         if in_lattice != fixed:
-            invariance_ok = False
-            details.append(
+            failures.append(
                 f"lift invariance mismatch on face {f.label()}: "
                 f"in lifted lattice {in_lattice}, lift-fixed {fixed}")
-    details.extend(canon_failures)
-    report = LiftReport(iso1.passed and faces_ok, iso2.passed and exposed_ok,
-                        meets_ok, invariance_ok,
-                        not canon_failures, u_basis != basis, tuple(details))
-    return lifted_f, lifted_perp, report
+    return lifted_f, lifted_perp, Report(tuple(failures))
 
 
 class CylinderNormalReport(Frozen):

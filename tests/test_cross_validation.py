@@ -967,6 +967,7 @@ SYMMETRY_BODIES = {
        for name in ("cube", "square", "triangle", "segment", "simplex4", "cross4")},
     "simplex4_polar": lambda: polar(bodyio.load_fixture("simplex4")),
     "triangle_centred_polar": lambda: polar(centred(bodyio.load_fixture("triangle"))),
+    "cube4": lambda: bodyio.load_fixture("cube4"),
 }
 
 

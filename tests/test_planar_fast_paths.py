@@ -234,8 +234,9 @@ def _exact(answer):
 
 def _fresh(body, u):
     """The (value, face) answer computed afresh: the value from the integer
-    `support_form`, the face from `_support`."""
-    return planar._quad(planar.support_form(body, u)), planar._support(body, u)
+    `support_form`, the face from `_support` on a scan of its own."""
+    return (planar._quad(planar.support_form(body, u)),
+            planar._support(body, u, planar._support_scan(body, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +409,11 @@ def test_junction_index_matches_linear_scan(name, j, offset):
 
 def test_support_compares_each_arc_candidate_at_most_once(monkeypatch):
     """Junction values are ranked as integers, and so is each arc candidate
-    (an arc whose wedge strictly holds u): within `_support` every arc
+    (an arc whose wedge strictly holds u): within `_support_scan` every arc
     candidate makes one `_root_sign` call against the best value so far,
     and nothing reaches `quad_compare` or builds a `QuadVal`."""
     calls, candidates, inside = Counter(), [0], [False]
-    support = planar._support
+    scan = planar._support_scan
 
     def counting(name):
         original = getattr(planar, name)
@@ -422,18 +423,18 @@ def test_support_compares_each_arc_candidate_at_most_once(monkeypatch):
             return original(*args)
         monkeypatch.setattr(planar, name, wrapper)
 
-    def counting_support(body, u):
+    def counting_scan(body, u):
         candidates[0] += sum(isinstance(f, Arc) and f.wedge_contains(u, strict=True)
                              for f in body.features)
         inside[0] = True
         try:
-            return support(body, u)
+            return scan(body, u)
         finally:
             inside[0] = False
 
     for name in ("quad_compare", "_root_sign", "QuadVal"):
         counting(name)
-    monkeypatch.setattr(planar, "_support", counting_support)
+    monkeypatch.setattr(planar, "_support_scan", counting_scan)
     assert len(PLANAR) == 10
     for name in sorted(PLANAR):
         assert checks.run_suite(bodyio.load_fixture(name), name, "all").passed, name
@@ -562,10 +563,30 @@ def test_support_raises_when_an_arc_ties_the_maximum():
                          ("vertex_closed", (True,) * 3)):
         object.__setattr__(body, field, value)
     for u in ((0, 1), (F(0), F(2))):
-        for route in (planar._support, _ref_support):
+        for route in (planar._support_scan, _ref_support):
             with pytest.raises(InvariantViolation, match="ties"):
                 route(body, u)
     assert _exact(_fresh(body, (1, 3))) == _exact(_ref_support(body, (1, 3)))
+
+
+def test_support_value_scans_the_body_once_per_call(monkeypatch):
+    """`support_value` reads the face and the form off one `_support_scan`:
+    on a memo miss that scan also builds the face, and on a hit it gives
+    the form, so every call scans once.  Both answers equal a fresh
+    computation."""
+    body, scans = bodyio.load_fixture("stadium"), []
+    real = planar._support_scan
+
+    def counting(body, u):
+        scans.append(u)
+        return real(body, u)
+
+    dirs = planar.compass_directions(72)
+    want = [_exact(_fresh(body, u)) for u in dirs]
+    monkeypatch.setattr(planar, "_support_scan", counting)
+    for rounds in (1, 2):  # misses, then hits
+        assert [_exact(planar.support_value(body, u)) for u in dirs] == want
+        assert len(scans) == 72 * rounds and len(body._support_memo) == 72
 
 
 def test_exposed_face_builds_no_quadval(monkeypatch):
@@ -580,9 +601,9 @@ def test_exposed_face_builds_no_quadval(monkeypatch):
         built[0] += 1
         return real(*args)
 
-    def counting_support(body, u):
+    def counting_support(body, u, scan):
         computed[0] += 1
-        return core(body, u)
+        return core(body, u, scan)
 
     monkeypatch.setattr(planar, "QuadVal", counting)
     monkeypatch.setattr(planar, "_support", counting_support)
@@ -815,18 +836,23 @@ def test_a_wrong_gauge_form_fails_support_equals_gauge(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(PLANAR))
 def test_a_wrong_support_form_fails_pointwise_duality(monkeypatch, name):
-    """A planted defect: the support form's P off by one, which
-    `support_value` reads.  The antitone suite's pointwise duality fails on
-    every fixture, and on the polar bodies so does support = gauge."""
+    """A planted defect: the support form's P off by one in `_support_scan`,
+    which `support_value` and `support_form` read.  The antitone suite's
+    pointwise duality fails on every fixture, and on the polar bodies so
+    does support = gauge."""
     def verdicts(suite):
         report = checks.run_suite(bodyio.load_fixture(name), name, suite)
         return {v.check_id: v.status for v in report.verdicts}
 
     polar = name in GAUGED
     assert verdicts("antitone")["antitone.pointwise_duality"] == "pass"
-    real = planar.support_form
-    monkeypatch.setattr(planar, "support_form",
-                        lambda body, u: (lambda p, r, e: (p + 1, r, e))(*real(body, u)))
+    real = planar._support_scan
+
+    def planted(body, u):
+        best, vals, top, (p, r, e) = real(body, u)
+        return best, vals, top, (p + 1, r, e)
+
+    monkeypatch.setattr(planar, "_support_scan", planted)
     assert verdicts("antitone")["antitone.pointwise_duality"] == "fail"
     if polar:
         assert verdicts("polar")["polar.support_equals_gauge"] == "fail"
@@ -870,12 +896,13 @@ def test_cell_keyed_touching_counts_equal_all_cones_scan(name):
         counts = list(planar._touching_counts(cs, fs, probe))
         assert counts == _ref_touching_counts(cs, fs, probe)
         assert counts[-1] == want
-    cs, fs, u, _ = broken[0]
+    cs, fs, u, want = broken[0]
     body = bodyio.load_fixture(name)
     object.__setattr__(body, "_inventory", planar.ConeInventory(
         tuple(cs), inv.arc_families, (), inv.non_exposed))
     rep = planar.partition_check_planar(body, dirs + [u])
-    assert not rep.passed and rep.details
+    assert not rep.passed
+    assert f"direction {u} lies in {want} touching-cone interiors" in rep.failures
 
 
 # ---------------------------------------------------------------------------

@@ -221,12 +221,14 @@ def test_conjugate_faces():
 
 
 def test_pos_iso_check():
-    rep = pos_iso_check(square())
-    assert rep.passed and rep.source_size == rep.target_size == 10
-    rep = pos_iso_check(cube())
-    assert rep.passed and rep.source_size == 28
+    sq, cb = square(), cube()
+    assert pos_iso_check(sq).failures == ()
+    # the lattices compared: the polar's exposed faces and the normal cones
+    assert len(exposed_face_lattice(polar(sq))) == len(normal_cone_lattice(sq)) == 10
+    assert pos_iso_check(cb).failures == ()
+    assert len(exposed_face_lattice(polar(cb))) == 28
     one_dim = Polytope((vec(-1,), vec(1,)))
-    assert pos_iso_check(one_dim).passed
+    assert pos_iso_check(one_dim).failures == ()
 
 
 def test_project_polytope():
@@ -268,7 +270,7 @@ def test_lift_face_examples():
 def test_lifted_lattices_triangle():
     tri = triangle()
     lifted, lifted_perp, rep = lifted_face_lattices(tri, [vec(1, 0)])
-    assert rep.passed, rep.details
+    assert rep.passed, rep.failures
     assert len(lifted) == 4
     keys = {f.key for f in lifted.elements}
     assert (0, 1) not in keys  # the bottom edge never lifts to itself
@@ -292,7 +294,7 @@ def test_lifts_on_a_rational_body():
     for basis in ([vec(1, 0)], [vec(1, 1)], [vec(1, 0), vec(0, 1)]):
         got, _, rep = lifted_face_lattices(small, basis)
         want, _, _ = lifted_face_lattices(big, basis)
-        assert rep.passed, rep.details
+        assert rep.passed, rep.failures
         assert [f.key for f in got.elements] == [f.key for f in want.elements]
     assert checks.run_suite(small, "small", "lift").passed
 
@@ -315,11 +317,13 @@ def test_canonical_subspace_lift_on_a_tilted_triangle():
     # e1 is not in the triangle's direction space span{(1,0,1), (0,1,0)}, so
     # the lift through e1 is compared with the lift through its projection
     tilted = Polytope((vec(0, 0, 0), vec(2, 0, 2), vec(0, 2, 0)))
+    proj = pt.projection(tilted, [unit(3, 0)])
+    assert proj.canonical_subspace != proj.basis
     _, _, rep = lifted_face_lattices(tilted, [unit(3, 0)])
-    assert rep.canonical_subspace_distinct
-    assert rep.canonical_subspace_passed and rep.passed, rep.details
-    _, _, rep = lifted_face_lattices(triangle(), [vec(1, 0)])
-    assert not rep.canonical_subspace_distinct
+    # no "canonical-subspace lift differs on ..." failure, nor any other
+    assert rep.failures == ()
+    proj = pt.projection(triangle(), [vec(1, 0)])
+    assert proj.canonical_subspace == proj.basis
     detail = _detail(checks.run_suite(tilted, "tilted", "lift"),
                      "lift.lattice_isomorphisms")
     assert "a real comparison on 5 of 6 coordinate subspaces" in detail

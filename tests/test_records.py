@@ -16,11 +16,11 @@ import pytest
 from facelat import bodyio
 from facelat.checks import CheckReport, Verdict
 from facelat.exactgeom import AffineSubspace, ConeTable, PolyCone, vec
-from facelat.lattice import FiniteLattice, IsomorphismReport, LatticeMap
+from facelat.lattice import FiniteLattice, LatticeMap, Report
 from facelat.planar import (Arc, CoatomReport, Cone2, ConeInventory, FaceDescriptor,
-                            PlanarBody, QuadVal, RuleReport, Segment)
-from facelat.polytope import (ConeElement, CylinderNormalReport, Facet, LiftReport,
-                              PolyFace, Polytope, PosIsoReport, Projection)
+                            PlanarBody, QuadVal, Segment)
+from facelat.polytope import (ConeElement, CylinderNormalReport, Facet, PolyFace,
+                              Polytope, Projection)
 
 
 def _cone():
@@ -37,7 +37,7 @@ VALUE = {
     PolyCone: _cone,
     FiniteLattice: _lattice,
     LatticeMap: lambda: LatticeMap(_lattice(), _lattice(), (0, 1), "isotone"),
-    IsomorphismReport: lambda: IsomorphismReport(True, True, True, True, ()),
+    Report: lambda: Report(("a failure",)),
     QuadVal: lambda: QuadVal(F(1), F(1), F(2)),
     Cone2: lambda: Cone2("ray", (1, 0)),
     Segment: lambda: Segment(vec(0, 0), vec(1, 0)),
@@ -45,14 +45,11 @@ VALUE = {
     PlanarBody: lambda: bodyio.load_fixture("square_planar"),
     FaceDescriptor: lambda: FaceDescriptor("vertex", point=vec(1, 0)),
     ConeInventory: lambda: ConeInventory((Cone2.zero(),), (1,), (), ()),
-    RuleReport: lambda: RuleReport(True, ("detail",)),
     CoatomReport: lambda: CoatomReport(True, (), True, "note"),
     Facet: lambda: Facet((1, 0), F(1), frozenset({0, 1})),
     PolyFace: lambda: PolyFace((0, 1), 1),
     ConeElement: lambda: ConeElement(_cone()),
     Polytope: lambda: Polytope((vec(0), vec(1))),
-    PosIsoReport: lambda: PosIsoReport(True, True, True, 2, 2, ()),
-    LiftReport: lambda: LiftReport(True, True, True, True, True, True, ()),
     CylinderNormalReport: lambda: CylinderNormalReport(_cone(), _cone()),
 }
 IDENTITY = {

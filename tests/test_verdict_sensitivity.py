@@ -32,10 +32,11 @@ def test_a_dropped_face_fails_the_polar_isomorphisms(monkeypatch):
     status = {v.check_id: v.status for v in report.verdicts}
     assert status == {"polar.involution": "pass", "polar.pos_isomorphisms": "fail",
                       "polar.conjugate_face_iso": "fail", "polar.biconjugate": "pass"}
-    detail = next(v.detail for v in report.verdicts
-                  if v.check_id == "polar.pos_isomorphisms")
+    detail = {v.check_id: v.detail for v in report.verdicts}
     assert ("exposed faces of the polar vs normal cones: {1} maps outside the "
-            "target lattice") in detail
+            "target lattice") in detail["polar.pos_isomorphisms"]
+    assert detail["polar.conjugate_face_iso"].endswith(
+        "; {0} maps outside the target lattice")
 
 
 @pytest.mark.parametrize("name", ["square", "cube", "triangle", "segment"])
@@ -78,8 +79,9 @@ def test_a_lift_that_is_not_a_face_fails_lattice_isomorphisms(monkeypatch):
     """Lifting each endpoint of the square's projection onto the first axis
     to the diagonal through the first vertex of its edge gives vertex sets
     that are not faces, though the lifted family {}, {0 2}, {1 3}, all is
-    still a lattice.  The lift reports each as a detail and fails
-    `lift.lattice_isomorphisms`; nothing raises."""
+    still a lattice.  The lift names each as a failure, in the face and in
+    the exposed-face lattice, and `lift.lattice_isomorphisms` fails with
+    those failures in its detail; nothing raises."""
     square = bodyio.load_fixture("square")
     real = pt.Projection.lift_face
 
@@ -92,8 +94,12 @@ def test_a_lift_that_is_not_a_face_fails_lattice_isomorphisms(monkeypatch):
 
     monkeypatch.setattr(pt.Projection, "lift_face", diagonal)
     _, _, rep = pt.lifted_face_lattices(square, [(1, 0)])
-    assert not rep.face_iso_passed and not rep.exposed_iso_passed
-    assert "the lift {0 2} of {0} is not a face" in rep.details
-    assert "the lift {1 3} of {1} is not a face" in rep.details
-    assert failing(square, "square", "lift") == {
+    for lattice in ("faces", "exposed faces"):
+        assert f"{lattice}: the lift {{0 2}} of {{0}} is not a face" in rep.failures
+        assert f"{lattice}: the lift {{1 3}} of {{1}} is not a face" in rep.failures
+    report = checks.run_suite(square, "square", "lift")
+    assert {v.check_id for v in report.verdicts if v.status == "fail"} == {
         "lift.lattice_isomorphisms", "lift.exposed_face_transform"}
+    detail = next(v.detail for v in report.verdicts
+                  if v.check_id == "lift.lattice_isomorphisms")
+    assert "span(e1): faces: the lift {0 2} of {0} is not a face" in detail
