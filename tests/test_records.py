@@ -16,11 +16,11 @@ import pytest
 from facelat import bodyio
 from facelat.checks import CheckReport, Verdict
 from facelat.exactgeom import AffineSubspace, ConeTable, PolyCone, vec
-from facelat.lattice import FiniteLattice, LatticeMap, Report
+from facelat.lattice import FiniteLattice, LatticeMap, Report, verify_isomorphism
 from facelat.planar import (Arc, CoatomReport, Cone2, ConeInventory, FaceDescriptor,
-                            PlanarBody, QuadVal, Segment)
+                            PlanarBody, QuadVal, Segment, check_2d_nonexposed_rule)
 from facelat.polytope import (ConeElement, CylinderNormalReport, Facet, PolyFace,
-                              Polytope, Projection)
+                              Polytope, Projection, lifted_face_lattices, pos_iso_check)
 
 
 def _cone():
@@ -29,6 +29,10 @@ def _cone():
 
 def _lattice():
     return FiniteLattice(("a", "b"), 0, 1, (0b01, 0b11), (0b11, 0b10))
+
+
+def _square():
+    return Polytope((vec(-1, -1), vec(1, -1), vec(1, 1), vec(-1, 1)))
 
 
 # each entry builds a new record from equal arguments on every call
@@ -63,6 +67,25 @@ MUTABLE = {
                                      {"n": 1}),
 }
 FROZEN = {**VALUE, Projection: IDENTITY[Projection]}
+# the Report as each check returns it, one case per check, named after the
+# check's report: the isomorphism, lift, positive-hull and planar rule checks
+CHECKS = {
+    "IsomorphismReport": lambda: verify_isomorphism(
+        LatticeMap(_lattice(), _lattice(), (1, 0), "isotone")),
+    "LiftReport": lambda: lifted_face_lattices(_square(), [vec(1, 0)])[2],
+    "PosIsoReport": lambda: pos_iso_check(_square()),
+    "RuleReport": lambda: check_2d_nonexposed_rule(bodyio.load_fixture("stadium")),
+}
+
+
+def _cases(*tables, checks=False):
+    """The (class, factory) cases of record tables, each named by its class,
+    and with `checks` the reports of the checks as well."""
+    cases = [pytest.param(cls, make, id=cls.__name__)
+             for table in tables for cls, make in table.items()]
+    if checks:
+        cases += [pytest.param(Report, make, id=name) for name, make in CHECKS.items()]
+    return cases
 
 
 def _fields(cls) -> list[str]:
@@ -70,9 +93,9 @@ def _fields(cls) -> list[str]:
     return list(inspect.signature(cls).parameters)
 
 
-@pytest.mark.parametrize("cls", VALUE, ids=lambda c: c.__name__)
-def test_value_records_compare_and_hash_by_their_fields(cls):
-    a, b = VALUE[cls](), VALUE[cls]()
+@pytest.mark.parametrize(("cls", "make"), _cases(VALUE, checks=True))
+def test_value_records_compare_and_hash_by_their_fields(cls, make):
+    a, b = make(), make()
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
@@ -80,16 +103,16 @@ def test_value_records_compare_and_hash_by_their_fields(cls):
     assert a != object()
 
 
-@pytest.mark.parametrize("cls", IDENTITY, ids=lambda c: c.__name__)
-def test_identity_records_compare_by_identity(cls):
-    a, b = IDENTITY[cls](), IDENTITY[cls]()
+@pytest.mark.parametrize(("cls", "make"), _cases(IDENTITY))
+def test_identity_records_compare_by_identity(cls, make):
+    a, b = make(), make()
     assert a == a and a != b
     assert len({a, b, a}) == 2
 
 
-@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
-def test_frozen_records_refuse_assignment_and_deletion(cls):
-    record = FROZEN[cls]()
+@pytest.mark.parametrize(("cls", "make"), _cases(FROZEN, checks=True))
+def test_frozen_records_refuse_assignment_and_deletion(cls, make):
+    record = make()
     for name in _fields(cls):
         value = getattr(record, name)
         with pytest.raises(AttributeError):
@@ -101,9 +124,9 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
         record.not_a_field = 1
 
 
-@pytest.mark.parametrize("cls", VALUE, ids=lambda c: c.__name__)
-def test_value_records_copy_and_pickle(cls):
-    record = VALUE[cls]()
+@pytest.mark.parametrize(("cls", "make"), _cases(VALUE, checks=True))
+def test_value_records_copy_and_pickle(cls, make):
+    record = make()
     for twin in (copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
         assert twin == record and hash(twin) == hash(record)
@@ -111,9 +134,9 @@ def test_value_records_copy_and_pickle(cls):
             setattr(twin, _fields(cls)[0], None)
 
 
-@pytest.mark.parametrize("cls", MUTABLE, ids=lambda c: c.__name__)
-def test_check_reports_are_mutable_and_unhashable(cls):
-    a, b = MUTABLE[cls](), MUTABLE[cls]()
+@pytest.mark.parametrize(("cls", "make"), _cases(MUTABLE))
+def test_check_reports_are_mutable_and_unhashable(cls, make):
+    a, b = make(), make()
     assert a == b
     with pytest.raises(TypeError):
         hash(a)
@@ -142,9 +165,9 @@ def test_defaults_and_fields_outside_equality():
     assert repr(PolyCone(2, (), (), table)) == "PolyCone(dim=2, rays=(), lineality=())"
 
 
-@pytest.mark.parametrize("cls", {**VALUE, **IDENTITY, **MUTABLE}, ids=lambda c: c.__name__)
-def test_records_repr_their_fields(cls):
-    record = {**VALUE, **IDENTITY, **MUTABLE}[cls]()
+@pytest.mark.parametrize(("cls", "make"), _cases(VALUE, IDENTITY, MUTABLE, checks=True))
+def test_records_repr_their_fields(cls, make):
+    record = make()
     text = repr(record)
     assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
     first = _fields(cls)[0]
