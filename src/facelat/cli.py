@@ -1,13 +1,14 @@
 """Command-line front end: lattices, polar bodies, theorem checks, state spaces.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input or parse error,
-3 internal error.
+3 internal error, 141 the reader closed standard output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -177,7 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # `facelat ... | head`: the reader is done
+        # point stdout at devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE: what a shell reports for a writer a closed pipe ends
     except (ParseError, UnsupportedForBodyType) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -434,6 +434,10 @@ class PlanarBody(Frozen):
                         raise ValueError("arc endpoint is not exactly on the circle")
                 if f.start == f.end:
                     raise ValueError("full-circle arcs must be split in two")
+        # The outward normal turns counterclockwise at each junction and over
+        # each arc's radial wedge.  It must turn exactly once, so it passes
+        # d = (1, 0) once, a turn from a to b passing d when d is in (a, b].
+        d, passes = (1, 0), 0
         for j in range(n):
             prev = self.features[j - 1]
             nxt = self.features[j]
@@ -444,6 +448,13 @@ class PlanarBody(Frozen):
                 raise ValueError(f"boundary is not convex at junction {j}")
             if (c == 0 and isinstance(prev, Segment) and isinstance(nxt, Segment)):
                 raise ValueError("consecutive collinear segments must be merged")
+            passes += orient2(n_prev, d) > 0 and orient2(d, n_next) >= 0
+            if isinstance(nxt, Arc):
+                u = nxt.start_radial
+                passes += nxt.wedge_contains(d) and not (orient2(u, d) == 0
+                                                         and dot2_sign(u, d) > 0)
+        if passes != 1:
+            raise ValueError("the boundary must wind around the body exactly once")
         for i, f in enumerate(self.features):
             if not self.feature_closed[i] and isinstance(f, Segment):
                 if self.vertex_closed[i] and self.vertex_closed[(i + 1) % len(self.features)]:

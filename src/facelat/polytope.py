@@ -22,10 +22,10 @@ from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
 from . import exactgeom as eg
 from .exactgeom import (AffineSubspace, ConeTable, IVec, PolyCone, Vec,
-                        aff_hull, cone_faces, full_space, in_conv_hull,
-                        in_ri_conv_hull, intersect_cones, is_zero,
-                        minkowski_sum_cone, pos_hull, project_onto,
-                        span_basis, subspace_cone, vadd, vneg, vscale, zero)
+                        aff_hull, cone_faces, full_space, in_ri_conv_hull,
+                        intersect_cones, is_zero, minkowski_sum_cone, pos_hull,
+                        project_onto, span_basis, subspace_cone, vadd, vneg,
+                        vscale, zero)
 from .lattice import (FiniteLattice, Report, _bits, build_lattice, lattice_map,
                       verify_isomorphism)
 
@@ -105,9 +105,9 @@ class Polytope(Frozen):
             raise DimensionMismatch("inconsistent vertex dimensions")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertices")
+        kept = set(extreme_points(self.vertices))
         for i, v in enumerate(self.vertices):
-            others = [w for j, w in enumerate(self.vertices) if j != i]
-            if others and in_conv_hull(others, v):
+            if v not in kept:
                 raise ValueError(f"vertex {i} is not extreme")
 
     @property
@@ -298,7 +298,7 @@ def _int_point(x: Vec, dim: int) -> tuple[int, list[int]]:
 
 
 def _facet_rows(rays: Sequence[IVec], lin_perp: Sequence[IVec],
-                table: ConeTable) -> list[IVec]:
+                table: ConeTable | None) -> list[IVec]:
     """Facets of the hull of the points n_j/c_j, rays[j] = (n_j, c_j), as
     the integer rays (n, c) of the facets n.x <= c.  lin_perp is the
     orthogonal complement of the direction space of the affine hull.  They
@@ -646,10 +646,17 @@ def pos_iso_check(p: Polytope) -> Report:
 # projections, lifts, cylinders
 # ---------------------------------------------------------------------------
 
-def extreme_points(points: list[Vec]) -> list[Vec]:
+def extreme_points(points: Iterable[Vec]) -> list[Vec]:
+    """The vertices of conv(points), sorted, read off one facet conversion
+    (`_facet_rows`, in no cone table): a point is a vertex exactly when the
+    normals of the facets through it have rank dim conv(points)."""
     pts = sorted(set(points))
-    return [v for i, v in enumerate(pts)
-            if not in_conv_hull(pts[:i] + pts[i + 1:], v)] if len(pts) > 1 else pts
+    if len(pts) < 2:
+        return pts
+    rays, aff = [eg._ray(x) for x in pts], aff_hull(pts)
+    rows = _facet_rows(rays, eg._perp(aff.directions, len(pts[0])), None)
+    return [x for x, r in zip(pts, rays)
+            if eg.rank([m for *m, c in rows if eg._idot(m, r) == c * r[-1]]) == aff.dim]
 
 
 class Projection(Frozen):
@@ -684,7 +691,7 @@ class Projection(Frozen):
     @cached_property
     def polytope(self) -> Polytope:
         """The projection of the body onto V."""
-        return self.body._derive(tuple(extreme_points(list(self.points))))
+        return self.body._derive(tuple(extreme_points(self.points)))
 
     @cached_property
     def canonical_subspace(self) -> tuple[Vec, ...]:

@@ -10,6 +10,7 @@ import pytest
 import facelat
 from facelat import bodyio, checks
 from facelat.cli import main
+from facelat.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -133,6 +134,64 @@ def test_check_float_file_exits_2(tmp_path, capsys):
     f.write_text('{"type": "polytope", "ambient_dim": 1, "vertices": [[0.25], [1]]}')
     code, _, err = run(capsys, "check", str(f))
     assert code == 2 and "floating-point" in err
+
+
+def _polygon(*points):
+    """Closed segment features through the points in order."""
+    return [{"kind": "segment", "from": [str(c) for c in a], "to": [str(c) for c in b]}
+            for a, b in zip(points, points[1:] + points[:1])]
+
+
+_QUARTERS = [(1, 0), (0, 1), (-1, 0), (0, -1)] * 2
+
+
+@pytest.mark.parametrize("features", [
+    # the triangle (0,0), (2,0), (0,2) traversed twice
+    _polygon((0, 0), (2, 0), (0, 2), (0, 0), (2, 0), (0, 2)),
+    # the star pentagon: each turn is convex, the normals turn twice
+    _polygon((0, 3), (-2, -3), (3, 1), (-3, 1), (2, -3)),
+    # eight quarter arcs of the unit circle
+    [{"kind": "arc", "center": ["0", "0"], "radius_sq": "1",
+      "from": [str(c) for c in a], "to": [str(c) for c in b]}
+     for a, b in zip(_QUARTERS, _QUARTERS[1:] + _QUARTERS[:1])],
+], ids=["triangle-twice", "star-pentagon", "eight-quarter-arcs"])
+def test_a_boundary_that_winds_twice_is_a_parse_error(tmp_path, capsys, features):
+    """Convex at every junction, but the outward normals turn twice: a parse
+    error, exit 2, where the check suites used to fail an invariant."""
+    doc = json.dumps({"type": "planar", "features": features})
+    with pytest.raises(ParseError, match="wind around the body exactly once"):
+        bodyio.loads(doc)
+    f = tmp_path / "twice.json"
+    f.write_text(doc)
+    code, out, err = run(capsys, "check", str(f), "--suite", "all")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "internal error" not in err
+
+
+def test_a_closed_pipe_is_not_an_internal_error():
+    """`facelat lattice cell24 --kind exposed | head -1`: the reader closes
+    the pipe after one line.  The pipe holds less than the listing, so the
+    writer is still writing then; it must exit quietly with 141."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set on this platform")
+    read, write = os.pipe()
+    size = fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(facelat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen([sys.executable, "-m", "facelat.cli", "lattice", "cell24",
+                           "--kind", "exposed"], stdout=write, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        os.close(write)
+        line = b""
+        while not line.endswith(b"\n"):  # one byte at a time: the rest stays in the pipe
+            line += os.read(read, 1)
+        os.close(read)
+        err = proc.stderr.read().decode()
+    assert line == b"cell24 exposed lattice: 242 elements\n"
+    assert size < 5000  # less than the listing, about 5.9 kB
+    assert proc.returncode == 141
+    assert err == ""
 
 
 def test_statespace_bloch(capsys):

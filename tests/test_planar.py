@@ -69,6 +69,27 @@ def test_body_validation():
                     Segment(vec(2, 2), vec(0, 0))), (True,) * 4, (True,) * 4)
 
 
+def test_the_winding_check_does_not_depend_on_the_start_or_the_turn():
+    """The outward normals must turn exactly once, counted as they pass one
+    fixed direction; every planar fixture still passes with its feature
+    cycle started anywhere and the plane turned by any quarter turn."""
+    def turn(p):
+        return (-p[1], p[0])
+
+    for name in bodyio.list_fixtures():
+        body = fixture(name)
+        if not isinstance(body, PlanarBody):
+            continue
+        feats = body.features
+        for _ in range(4):
+            feats = tuple(Arc(turn(f.center), f.radius_sq, turn(f.start), turn(f.end))
+                          if isinstance(f, Arc) else Segment(turn(f.start), turn(f.end))
+                          for f in feats)
+            for k in range(body.n):
+                PlanarBody(feats[k:] + feats[:k], body.feature_closed[k:] + body.feature_closed[:k],
+                           body.vertex_closed[k:] + body.vertex_closed[:k])
+
+
 def test_quarter_disk_faces():
     qd = fixture("quarter_disk")
     assert face_at(qd, vec(F(1, 2), 0)) == FaceDescriptor.edge(0)
