@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -133,6 +134,19 @@ def cmd_statespace(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _at_least(kind, low):
+    """An argparse type: a finite `kind` (int or float) of at least `low`,
+    so that a vacuous or invalid value is a usage error (exit 2)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and at least {low}: {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid ... value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="facelat",
@@ -163,11 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("example", choices=["bloch", "cone"])
     p.add_argument("--phi", type=float, default=12.0,
                    help="tilt angle of the section plane, degrees")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--resolution", type=int, default=720)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--tol-flat", type=float, default=None,
+    p.add_argument("--samples", type=_at_least(int, 1), default=1000)
+    p.add_argument("--resolution", type=_at_least(int, 1), default=720)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
+    p.add_argument("--tol-flat", type=_at_least(float, 0), default=None,
                    help="flatness tolerance of the cone experiment "
                         "(default: statespace.TOL_FLAT)")
     p.add_argument("--out", metavar="PATH")

@@ -21,11 +21,10 @@ from ._records import Frozen, setfield
 from .errors import (DimensionMismatch, HypothesisFailed, InvariantViolation,
                      NotAFace, OriginNotInterior, PointNotInBody, ZeroDirection)
 from . import exactgeom as eg
-from .exactgeom import (AffineSubspace, ConeTable, IVec, PolyCone, Vec,
-                        aff_hull, cone_faces, full_space, in_ri_conv_hull,
-                        intersect_cones, is_zero, minkowski_sum_cone, pos_hull,
-                        project_onto, span_basis, subspace_cone, vadd, vneg,
-                        vscale, zero)
+from .exactgeom import (ConeTable, IVec, PolyCone, Vec, cone_faces, full_space,
+                        in_ri_conv_hull, intersect_cones, is_zero, minkowski_sum_cone,
+                        pos_hull, project_onto, span_basis, subspace_cone, vadd,
+                        vneg, vscale, zero)
 from .lattice import (FiniteLattice, Report, _bits, build_lattice, lattice_map,
                       verify_isomorphism)
 
@@ -105,26 +104,21 @@ class Polytope(Frozen):
             raise DimensionMismatch("inconsistent vertex dimensions")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertices")
-        kept = set(extreme_points(self.vertices))
-        for i, v in enumerate(self.vertices):
-            if v not in kept:
+        for i in range(len(self.vertices)):
+            if not _is_vertex(self.facets, i, self.dim):
                 raise ValueError(f"vertex {i} is not extreme")
 
     @property
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
-    @cached_property
-    def affine(self) -> AffineSubspace:
-        return aff_hull(self.vertices)
-
     @property
     def dim(self) -> int:
-        return self.affine.dim
+        return self.ambient_dim - len(self.lin_perp)
 
     @cached_property
     def lin_perp(self) -> tuple[IVec, ...]:
-        return eg._perp(self.affine.directions, self.ambient_dim)
+        return _lin_perp(self._vertex_rays)
 
     @cached_property
     def _vertex_rays(self) -> tuple[IVec, ...]:
@@ -141,13 +135,7 @@ class Polytope(Frozen):
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
-        rays = self._vertex_rays
-        out = []
-        for *m, c in _facet_rows(rays, self.lin_perp, self.cone_table):
-            g = gcd(*m)
-            vset = frozenset(j for j, v in enumerate(rays) if eg._idot(m, v) == c * v[-1])
-            out.append(Facet(tuple(a // g for a in m), Fraction(c, g), vset))
-        return tuple(sorted(out, key=lambda f: f.normal))
+        return _facets(self._vertex_rays, self.lin_perp)
 
     @cached_property
     def _vertex_cone(self) -> eg.Seed:
@@ -297,16 +285,36 @@ def _int_point(x: Vec, dim: int) -> tuple[int, list[int]]:
     return e, xs
 
 
+def _lin_perp(rays: Sequence[IVec]) -> tuple[IVec, ...]:
+    """Canonical basis of D_perp, D the direction space of the hull of the
+    points n_j/c_j, rays[j] = (n_j, c_j): the rays' kernel is {(m, -m.v) : m in D_perp}."""
+    return eg._ispan([m[:-1] for m in eg._ikernel(rays, len(rays[0]))])
+
+
+def _facets(rays: Sequence[IVec], lin_perp: Sequence[IVec]) -> tuple[Facet, ...]:
+    """The facets of the hull of the points n_j/c_j, sorted by normal, in no
+    cone table: a body validates on them before `_derive` attaches one."""
+    out = []
+    for *m, c in _facet_rows(rays, lin_perp, None):
+        g = gcd(*m)
+        vset = frozenset(j for j, v in enumerate(rays) if eg._idot(m, v) == c * v[-1])
+        out.append(Facet(tuple(a // g for a in m), Fraction(c, g), vset))
+    return tuple(sorted(out, key=lambda f: f.normal))
+
+
+def _is_vertex(facets: Sequence[Facet], i: int, dim: int) -> bool:
+    """Point i is a vertex exactly when the facet normals through it have rank dim."""
+    return eg.rank([f.normal for f in facets if i in f.vertex_set]) == dim
+
+
 def _facet_rows(rays: Sequence[IVec], lin_perp: Sequence[IVec],
                 table: ConeTable | None) -> list[IVec]:
     """Facets of the hull of the points n_j/c_j, rays[j] = (n_j, c_j), as
-    the integer rays (n, c) of the facets n.x <= c.  lin_perp is the
-    orthogonal complement of the direction space of the affine hull.  They
-    are the rays of the homogenised cone {(n, c) : n in the direction space,
-    n.n_j <= c*c_j for every j}: each ray (n, c) with n != 0 is an outer
-    facet normal n with offset c = max n.v, and nothing else is.  A point
-    that is not a vertex only adds a redundant row, so the facets are those
-    of the vertices alone."""
+    the integer rays (n, c) of the facets n.x <= c, lin_perp `_lin_perp(rays)`:
+    the rays of the homogenised cone {(n, c) : n in the direction space,
+    n.n_j <= c*c_j for every j}.  Each ray (n, c) with n != 0 is an outer
+    facet normal n with offset c = max n.v, and nothing else is; a point
+    that is not a vertex only adds a redundant row."""
     d = len(rays[0]) - 1
     eqs = [m + (0,) for m in lin_perp]
     ineqs = [r[:d] + (-r[d],) for r in rays]
@@ -647,16 +655,15 @@ def pos_iso_check(p: Polytope) -> Report:
 # ---------------------------------------------------------------------------
 
 def extreme_points(points: Iterable[Vec]) -> list[Vec]:
-    """The vertices of conv(points), sorted, read off one facet conversion
-    (`_facet_rows`, in no cone table): a point is a vertex exactly when the
-    normals of the facets through it have rank dim conv(points)."""
+    """The vertices of conv(points), sorted, read off its facets (`_facets`)
+    by the rule `Polytope` validates its vertices with (`_is_vertex`)."""
     pts = sorted(set(points))
     if len(pts) < 2:
         return pts
-    rays, aff = [eg._ray(x) for x in pts], aff_hull(pts)
-    rows = _facet_rows(rays, eg._perp(aff.directions, len(pts[0])), None)
-    return [x for x, r in zip(pts, rays)
-            if eg.rank([m for *m, c in rows if eg._idot(m, r) == c * r[-1]]) == aff.dim]
+    rays = [eg._ray(x) for x in pts]
+    lin_perp = _lin_perp(rays)
+    facets, dim = _facets(rays, lin_perp), len(pts[0]) - len(lin_perp)
+    return [x for i, x in enumerate(pts) if _is_vertex(facets, i, dim)]
 
 
 class Projection(Frozen):
@@ -698,8 +705,8 @@ class Projection(Frozen):
         """The canonical basis of U, the projection of V onto the body's
         direction space, on which the lift depends.  Only where U differs
         from V does `lifted_face_lattices` compare two lifts."""
-        return span_basis([project_onto(self.body.affine.directions, b)
-                           for b in self.basis])
+        directions = eg._ikernel(self.body.lin_perp, self.body.ambient_dim)
+        return span_basis([project_onto(directions, b) for b in self.basis])
 
     @cached_property
     def v_cone(self) -> PolyCone:
@@ -815,9 +822,7 @@ def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple
     d = p.ambient_dim
     rays = [eg._ray(x) for x in pts]
     eqs = eg._ikernel([*rays, *(b + (0,) for b in eg._perp(basis, d))], d + 1)
-    # the kernel of the rays is {(m, -m.v) : m in D_perp}
-    lin_perp = [m[:d] for m in eg._ikernel(rays, d + 1)]
-    ineqs = [r[:d] + (-r[d],) for r in _facet_rows(rays, lin_perp, p.cone_table)]
+    ineqs = [r[:d] + (-r[d],) for r in _facet_rows(rays, _lin_perp(rays), p.cone_table)]
     return eg._seeded_description(p._vertex_cone, eqs, ineqs)
 
 

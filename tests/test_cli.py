@@ -258,6 +258,34 @@ def test_cli_import_leaves_numpy_out():
     assert not _loads(["facelat.cli"], "dataclasses") or _loads(stdlib, "dataclasses")
 
 
+@pytest.mark.parametrize("args", [
+    ("bloch", "--samples", "-5"), ("bloch", "--samples", "0"),
+    ("cone", "--resolution", "0"), ("bloch", "--seed", "-1"),
+    ("bloch", "--tol", "nan"), ("bloch", "--tol", "inf"), ("bloch", "--tol", "-0.001"),
+    ("cone", "--tol-flat", "nan"), ("cone", "--tol-flat", "inf"),
+    ("cone", "--tol-flat", "-0.5"), ("bloch", "--samples", "many"),
+], ids=" ".join)
+def test_statespace_refuses_a_vacuous_or_invalid_argument(capsys, args):
+    """Each bad value is a usage error (exit 2), never a vacuous pass, an
+    internal error or a report that is not JSON."""
+    with pytest.raises(SystemExit) as exc:
+        main(["statespace", *args])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and f"argument {args[1]}:" in out.err and "usage:" in out.err
+    assert "NaN" not in out.err and "Infinity" not in out.err
+
+
+def test_statespace_accepts_the_least_values(capsys):
+    """The bounds are inclusive: one sample, seed 0, zero tolerances and a
+    resolution of one each give a JSON report."""
+    for argv in (("bloch", "--samples", "1", "--seed", "0", "--tol", "0"),
+                 ("cone", "--resolution", "1", "--tol-flat", "0")):
+        code, out, _ = run(capsys, "statespace", *argv)
+        assert code in (0, 1)
+        json.loads(out)
+
+
 def test_statespace_bad_angle(capsys):
     code, _, err = run(capsys, "statespace", "cone", "--phi", "95")
     assert code == 2 and "BadAngle" in err

@@ -463,7 +463,7 @@ def test_intersect_cones_equals_subset_route(case):
 @settings(max_examples=80, deadline=None)
 @given(point_sets())
 def test_facets_and_exposed_lattice_equal_subset_route(p):
-    ref_facets = ref_enumerate_facets(p.vertices, p.affine)
+    ref_facets = ref_enumerate_facets(p.vertices, eg.aff_hull(p.vertices))
     assert p.facets == ref_facets
     new = exposed_face_lattice(p)
     old = ref_exposed_lattice(p, ref_facets)

@@ -62,9 +62,9 @@ def point_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(point_sets())
 def test_the_rule_agrees_with_the_lp(points):
-    """`extreme_points` equals the LP route, and `Polytope` accepts the
-    distinct points exactly when all are extreme, else names the first that
-    is not."""
+    """`extreme_points` equals the LP route; `Polytope` names the first of
+    the distinct points that is not extreme, and accepts the extreme ones
+    with the affine hull that `aff_hull` gives."""
     want = lp_extreme_points(points)
     assert extreme_points(points) == want
     distinct = tuple(dict.fromkeys(points))
@@ -72,8 +72,15 @@ def test_the_rule_agrees_with_the_lp(points):
     if bad:
         with pytest.raises(ValueError, match=rf"^vertex {bad[0]} is not extreme$"):
             Polytope(distinct)
-    else:
-        assert Polytope(distinct).vertices == distinct
+    # every drawn set holds a centroid, so the vertices alone, in drawn
+    # order, build the body; the integer ray kernel gives its affine hull
+    # as the Fraction route does
+    vertices = tuple(v for v in distinct if v in want)
+    body = Polytope(vertices)
+    assert body.vertices == vertices
+    aff = eg.aff_hull(vertices)
+    assert body.lin_perp == eg._perp(aff.directions, len(vertices[0]))
+    assert body.dim == aff.dim
 
 
 def test_extreme_points_of_no_point_and_of_one():
@@ -146,3 +153,26 @@ def test_no_body_construction_solves_an_lp(monkeypatch):
     with pytest.raises(AssertionError, match="off limits"):
         face_lattice(Polytope(cube.vertices))
     assert called
+
+
+def test_a_body_converts_its_hull_once(monkeypatch):
+    """A body validates its vertices on the facets it keeps: building it and
+    reading its facets makes one double-description conversion.  A
+    projection makes two, one to find its vertices among the projected
+    points and one as a body."""
+    calls = []
+    convert = eg._double_description
+
+    def counting(*args):
+        calls.append(args)
+        return convert(*args)
+    monkeypatch.setattr(eg, "_double_description", counting)
+    cube = Polytope(tuple(CUBE))
+    assert len(cube.facets) == 6 and len(calls) == 1
+    # lower-dimensional, over mixed denominators
+    triangle = Polytope((vec(F(1, 2), 0, 0, F(1, 3)), vec(0, F(2, 3), 1, 0),
+                         vec(1, 1, F(1, 5), 1)))
+    assert (triangle.dim, len(triangle.facets)) == (2, 3) and len(calls) == 2
+    calls.clear()
+    square = pt.projection(cube, [unit(3, 0), unit(3, 1)]).polytope
+    assert len(square.facets) == 4 and len(calls) == 2

@@ -299,18 +299,24 @@ def test_lifts_on_a_rational_body():
     assert checks.run_suite(small, "small", "lift").passed
 
 
-def test_vertex_rays_are_read_from_the_vertices():
+def test_vertex_rays_are_read_from_the_vertices(monkeypatch):
     """The vertex rays come from the vertices alone, so the face route
-    and the lift's comparison never compute the facets through them, and
-    the lift seed starts from the same primitive rays."""
+    never reads the facets, and the lift seed starts from the same
+    primitive rays.  A body computes its facets as it validates its
+    vertices, so the face route is run with the facets dropped and their
+    property stubbed to raise, which the exposed route then hits."""
     small = Polytope((vec(0, 0), vec(F(1, 2), 0), vec(0, F(1, 3))))
     assert small._vertex_rays == ((0, 0, 1), (1, 0, 2), (0, 1, 3))
-    assert "facets" not in small.__dict__
     assert tuple(r for r, _ in small._vertex_cone.rays) == small._vertex_rays
-    assert "facets" in small.__dict__
     fresh = Polytope(small.vertices)
-    face_lattice(fresh)
-    assert "facets" not in fresh.__dict__
+    del fresh.__dict__["facets"]
+
+    def no_facets(self):
+        raise AssertionError("the facets were read")
+    monkeypatch.setattr(Polytope, "facets", property(no_facets))
+    assert len(face_lattice(fresh).elements) == 8
+    with pytest.raises(AssertionError, match="the facets were read"):
+        exposed_face_lattice(fresh)
 
 
 def test_canonical_subspace_lift_on_a_tilted_triangle():
