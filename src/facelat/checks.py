@@ -1,16 +1,17 @@
 """Theorem-check suites over body fixtures.
 
 Each suite evaluates a family of verifiable statements on one body and
-returns verdicts; the detail string of every verdict names the mathematical
-claim it tests.  Hypothesis failures are reported as skips: a theorem whose
-hypothesis does not hold for a fixture makes no claim there, so skips are
-exit-code neutral.
+returns verdicts.  Every verdict is declared once, in `VERDICTS`, with the
+mathematical claim it tests, which heads its detail.  Hypothesis failures
+are reported as skips: a theorem whose hypothesis does not hold for a
+fixture makes no claim there, so skips are exit-code neutral.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import exactgeom as eg
 from . import planar as pl
@@ -66,21 +67,164 @@ class CheckReport(Record):
         }
 
 
-def _v(out: list[Verdict], check_id: str, ok: bool, detail: str):
-    out.append(Verdict(check_id, "pass" if ok else "fail", detail))
+# ---------------------------------------------------------------------------
+# the table of verdicts
+# ---------------------------------------------------------------------------
+
+# A verdict as declared: its id, the kind of body it applies to, the claim
+# heading its detail (None if it only skips), the tail ending a passing
+# detail, and its skip.  The suite that emits a verdict fills in the braced
+# fields of these texts, so `coatoms.face[{face}]` is one family.
+Claim = namedtuple("Claim", "check_id kind claim tail skip", defaults=("", None))
+
+_POINT = "excluded by hypothesis: the body is a single point, "
+_ONE_CONE = _POINT + "whose only touching cone is the whole space"
+_NO_POLAR = "polar body undefined here: {error}"
+_NO_HYPOTHESIS = "hypothesis fails: {error}"
+_VERIFIED = "; verified"
+
+VERDICTS = {(c.kind, c.check_id): c for c in (
+    Claim("antitone.all_faces_exposed", "polytope", "the carrier-closure face lattice "
+          "equals the supporting-hyperplane exposed lattice (classical fact for "
+          "polytopes, asserted here as an invariant; the two computations are "
+          "independent: LP carrier-oracle face_lattice vs supporting-hyperplane "
+          "exposed_face_lattice)"),
+    Claim("antitone.iso", "polytope", "exposed faces correspond to normal cones by an "
+          "antitone lattice isomorphism", _VERIFIED,
+          _POINT + "where the exposed-face/normal-cone correspondence degenerates"),
+    Claim("antitone.cone_constant_on_ri", "polytope", "the normal cone of a face "
+          "equals the normal cone at each sampled relative-interior point "
+          "(active-facet normal_cone vs definitional normal_cone_at_point)"),
+    Claim("antitone.face_from_ri_normal", "polytope", "each proper exposed face is "
+          "recovered as the exposed face of every sampled relative-interior vector of "
+          "its normal cone"),
+    Claim("antitone.pointwise_duality", "polytope", "attaining the support value, "
+          "lying in the exposed face and having the direction in the normal cone are "
+          "equivalent, over all vertex/facet pairs"),
+    Claim("antitone.vector_space_criterion", "polytope", "the normal cone at x is a "
+          "vector space iff x is relatively interior iff it equals the orthogonal "
+          "complement of the body's direction space"),
+    Claim("meets.normal_infimum_is_intersection", "polytope", "the infimum of normal "
+          "cones is their intersection"),
+    Claim("meets.intersection_is_face", "polytope", "an intersection of normal cones "
+          "is a face of each proper one"),
+    Claim("meets.exposed_intersection_witness", "polytope", "a nonempty intersection "
+          "of exposed faces is exposed by one direction in the relative interior of "
+          "the directions' hull"),
+    Claim("touching.lattice_equals_normal", "polytope", "for a closed polytope every "
+          "touching cone is a normal cone (classical fact for polytopes, asserted here "
+          "as an invariant)"),
+    Claim("touching.closed_under_faces", "polytope", "nonempty faces of touching cones "
+          "are touching cones"),
+    Claim("touching.partition_of_directions", "polytope", "each sampled nonzero "
+          "direction lies in the relative interior of exactly one touching cone other "
+          "than the whole space", skip=_ONE_CONE),
+    Claim("lift.lattice_isomorphisms", "polytope", "lifting is an isotone lattice "
+          "isomorphism onto the lifted (exposed) face lattices, with intersection as "
+          "infimum, and a face is lifted iff it is lift-invariant; the lift only "
+          "depends on the projection of the subspace onto the body's direction space "
+          "(a real comparison on {distinct} of {total} coordinate subspaces; on the "
+          "rest the subspace lies in the direction space, so a lift is compared with "
+          "itself)"),
+    Claim("lift.exposed_face_transform", "polytope", "the lift of the projection's "
+          "exposed face of a subspace direction is the body's exposed face of the same "
+          "direction"),
+    Claim("lift.cylinder_normal_cones", "polytope", "the normal cone of the projection "
+          "at a projected point equals (N cap V) + V_perp, at every vertex and "
+          "coordinate subspace"),
+    Claim("lift.sharp_normal_projection", "polytope", "sharp normal directions inside "
+          "the subspace stay sharp normal for the projection"),
+    Claim("lift.touching_equals_normal_downstream", "polytope", "projections of a body "
+          "whose touching cones are all normal again have all touching cones normal"),
+    # a point samples no direction: the claim is excluded, not passed on nothing
+    Claim("sharp.normal_directions", "polytope", "every sampled nonzero direction is "
+          "sharp normal (touching cones of a polytope are all normal)", skip=_ONE_CONE),
+    Claim("sharp.exposed_points", "polytope", "every sampled body point is sharp "
+          "exposed (faces of a polytope are all exposed)"),
+    Claim("coatoms.exposed_faces", "polytope", "every proper exposed face is an "
+          "intersection of at most dim(N)-dim(lin_perp) coatoms of the exposed-face "
+          "lattice"),
+    Claim("coatoms.normal_atoms", "polytope", "every proper normal cone is a join of "
+          "at most dim(N)-dim(lin_perp) atoms of the normal-cone lattice"),
+    Claim("coatoms.minkowski_atoms", "polytope", "every proper exposed face with all "
+          "subfaces exposed is a join of at most dim(F)+1 extreme-point atoms"),
+    Claim("polar.applicable", "polytope", None, skip=_NO_POLAR),
+    Claim("polar.involution", "polytope", "the polar of the polar body is the body "
+          "itself"),
+    Claim("polar.pos_isomorphisms", "polytope", "positive hulls map the polar's "
+          "exposed faces isotonely onto the normal cones and its faces onto the "
+          "touching cones, inverted by intersecting with the polar's relative boundary",
+          _VERIFIED),
+    Claim("polar.conjugate_face_iso", "polytope", "taking conjugate faces is an "
+          "antitone lattice isomorphism onto the exposed faces of the polar body"),
+    Claim("polar.biconjugate", "polytope", "the biconjugate of a face is its smallest "
+          "exposed superface"),
+    Claim("partition.unique_touching_cone", "polytope", "sampled nonzero directions "
+          "lie in the relative interior of exactly one touching cone other than the "
+          "whole space", skip=_ONE_CONE),
+    Claim("2d.applicable", "polytope", None,
+          skip="suite '2d' does not apply to polytope bodies"),
+    Claim("antitone.special_iso", "planar", "special exposed faces correspond to their "
+          "normal cones by an antitone lattice isomorphism", _VERIFIED),
+    Claim("antitone.pointwise_duality", "planar", "sampled boundary points attain the "
+          "support value exactly in the directions of their normal cone"),
+    Claim("meets.applicable", "planar", None,
+          skip="suite 'meets' does not apply to planar bodies"),
+    Claim("lift.applicable", "planar", None,
+          skip="suite 'lift' does not apply to planar bodies"),
+    Claim("touching.extra_are_boundary_rays", "planar", "touching cones that are not "
+          "normal cones are boundary rays of vertex normal cones (faces of normal "
+          "cones)"),
+    Claim("touching.constant_on_ri", "planar", "directions in the relative interior of "
+          "the same touching cone expose the same face"),
+    Claim("sharp.normal_iff_touching_is_normal", "planar", "a direction is sharp "
+          "normal exactly when its touching cone is a normal cone"),
+    Claim("coatoms.face[{face}]", "planar", "every touching cone inside the normal "
+          "cone is normal, so the face must be an intersection of coatoms; exhibited "
+          "{coatoms}",
+          skip="hypothesis fails (a touching cone inside the normal cone is not "
+          "normal); the face {holds} an intersection of coatoms; {note}"),
+    Claim("polar.applicable", "planar", None, skip=_NO_POLAR),
+    Claim("polar.involution", "planar", "the polar of the polar body is the body"),
+    Claim("polar.support_equals_gauge", "planar", "the support function of the polar "
+          "equals the gauge of the body, exactly, at {count} rational directions",
+          " (max deviation 0)"),
+    Claim("polar.pos_of_special_faces", "planar", "positive hulls of the polar's "
+          "special proper faces are exactly the proper normal cones of the body (arc "
+          "families matched through their representatives)"),
+    Claim("partition.unique_touching_cone", "planar", "each of {count} sampled "
+          "rational directions lies in the relative interior of exactly one touching "
+          "cone", _VERIFIED, "partition of directions requires a closed bounded body"),
+    Claim("2d.non_exposed_inventory", "planar", "non-exposed faces: {faces}"),
+    Claim("2d.nonexposed_rule", "planar", "non-exposed faces are exactly the endpoints "
+          "of a unique one-dimensional face", _VERIFIED, _NO_HYPOTHESIS),
+    Claim("2d.smoothness", "planar", "every singular boundary point joins two distinct "
+          "boundary segments", _VERIFIED, _NO_HYPOTHESIS),
+)}
 
 
-def _failures(out: list[Verdict], check_id: str, claim: str, failures,
-              passed_note: str = "; verified"):
-    """A verdict built from a report's failures: it passes when there are
-    none, and its detail is the claim followed by each failure, or by
-    passed_note when there is none."""
-    _v(out, check_id, not failures,
-       "; ".join((claim, *failures)) if failures else claim + passed_note)
+def _kind(body) -> str:
+    return "polytope" if isinstance(body, Polytope) else "planar"
 
 
-def _skip(out: list[Verdict], check_id: str, detail: str):
-    out.append(Verdict(check_id, "skip", detail))
+def _verdict(out: list[Verdict], body, check_id: str, failures=(), **fill):
+    """Emit check_id's verdict for the body's kind: with no failures a pass,
+    detailed by its claim and tail, else a fail, by its claim and each failure."""
+    claim = VERDICTS[_kind(body), check_id]
+    head = claim.claim.format_map(fill)
+    out.append(Verdict(check_id.format_map(fill), "fail" if failures else "pass",
+                       "; ".join((head, *failures)) if failures else head + claim.tail))
+
+
+def _skip(out: list[Verdict], body, check_id: str, **fill):
+    """Emit the declared skip of check_id for the body's kind."""
+    skip = VERDICTS[_kind(body), check_id].skip
+    out.append(Verdict(check_id.format_map(fill), "skip", skip.format_map(fill)))
+
+
+def _differ(a: set, b: set, what: str) -> list[str]:
+    """No failure when two sets agree, else one counting where they differ."""
+    return [] if a == b else [f"{what} on one side only: {len(a ^ b)}"]
 
 
 def _sample_directions(p: Polytope) -> list:
@@ -105,81 +249,48 @@ def _sample_directions(p: Polytope) -> list:
 
 def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     if len(p.vertices) == 1:
-        _skip(out, "antitone.iso", "excluded by hypothesis: the body is a single "
-              "point, where the exposed-face/normal-cone correspondence degenerates")
+        _skip(out, p, "antitone.iso")
         return
     fl = pt.exposed_face_lattice(p)
     nl = pt.normal_cone_lattice(p)
     counts["exposed_faces"] = len(fl)
     counts["normal_cones"] = len(nl)
-    _v(out, "antitone.all_faces_exposed",
-       {f.key for f in pt.face_lattice(p).elements} == {f.key for f in fl.elements},
-       "the carrier-closure face lattice equals the supporting-hyperplane exposed "
-       "lattice (classical fact for polytopes, asserted here as an invariant; "
-       "the two computations are independent: LP carrier-oracle "
-       "face_lattice vs supporting-hyperplane exposed_face_lattice)")
+    _verdict(out, p, "antitone.all_faces_exposed", _differ(
+        *({f.key for f in lat.elements} for lat in (pt.face_lattice(p), fl)), "faces"))
     rep = verify_isomorphism(lattice_map(
         fl, nl, lambda f: ConeElement(pt.normal_cone(p, f)), "antitone"))
-    _failures(out, "antitone.iso",
-              "exposed faces correspond to normal cones by an antitone lattice "
-              "isomorphism", rep.failures)
-    ok = True
-    for f in fl.elements:
-        if not f.vertex_indices:
-            continue
-        n = pt.normal_cone(p, f)
-        for y in p.ri_samples(f):
-            if pt.normal_cone_at_point(p, y) != n:
-                ok = False
-    _v(out, "antitone.cone_constant_on_ri", ok,
-       "the normal cone of a face equals the normal cone at each sampled "
-       "relative-interior point (active-facet normal_cone vs definitional "
-       "normal_cone_at_point)")
-    ok = True
+    _verdict(out, p, "antitone.iso", rep.failures)
+    _verdict(out, p, "antitone.cone_constant_on_ri", [
+        f"a sample inside {f.label()}" for f in fl.elements if f.vertex_indices
+        for y in p.ri_samples(f) if pt.normal_cone_at_point(p, y) != pt.normal_cone(p, f)])
+    failures = []
     for f in fl.elements:
         if not f.vertex_indices or len(f.vertex_indices) == len(p.vertices):
             continue
         n = pt.normal_cone(p, f)
         v = n.ri_vector()
-        if v is None:
-            ok = False
-            continue
         samples = [v]
-        if n.rays:
-            skew = v
-            for k, r in enumerate(n.rays):
-                skew = vadd(skew, vadd(r, r) if k == 0 else r)
-            samples.append(skew)
-        for w in samples:
-            if pt.support(p, w)[1].vset != f.vset:
-                ok = False
-    _v(out, "antitone.face_from_ri_normal", ok,
-       "each proper exposed face is recovered as the exposed face of every "
-       "sampled relative-interior vector of its normal cone")
-    ok = True
+        if n.rays and v is not None:  # and the skewed v + 2 r_1 + r_2 + ... + r_k
+            samples.append(vadd(vadd(v, n.rays[0]), tuple(map(sum, zip(*n.rays)))))
+        if v is None or any(pt.support(p, w)[1].vset != f.vset for w in samples):
+            failures.append(f.label())
+    _verdict(out, p, "antitone.face_from_ri_normal", failures)
     supports = [(f.normal, *pt.support(p, f.normal)) for f in p.facets]
-    for x in p.vertices:
-        for u, h, face in supports:
-            a = dot(u, x) == h
-            b = x in (p.vertices[i] for i in face.vertex_indices)
-            c = pt.normal_cone_at_point(p, x).contains(u)
-            if not (a == b == c):
-                ok = False
-    _v(out, "antitone.pointwise_duality", ok,
-       "attaining the support value, lying in the exposed face and having the "
-       "direction in the normal cone are equivalent, over all vertex/facet pairs")
-    ok = True
-    samples = [p.ri_point(fl.elements[fl.top])] + list(p.vertices)
-    for x in samples:
+    failures = []
+    for i, x in enumerate(p.vertices):
         n = pt.normal_cone_at_point(p, x)
-        is_vs = n.is_subspace()
-        in_ri = in_ri_conv_hull(list(p.vertices), x)
-        is_perp = n == subspace_cone(list(p.lin_perp), p.ambient_dim)
-        if not (is_vs == in_ri == is_perp):
-            ok = False
-    _v(out, "antitone.vector_space_criterion", ok,
-       "the normal cone at x is a vector space iff x is relatively interior "
-       "iff it equals the orthogonal complement of the body's direction space")
+        for k, (u, h, face) in enumerate(supports):
+            if not (dot(u, x) == h) == (i in face.vset) == n.contains(u):
+                failures.append(f"vertex {i} and facet {k}")
+    _verdict(out, p, "antitone.pointwise_duality", failures)
+    lin_perp = subspace_cone(list(p.lin_perp), p.ambient_dim)
+    failures = []
+    for name, x in [("the centroid", p.ri_point(fl.elements[fl.top])),
+                    *((f"vertex {i}", x) for i, x in enumerate(p.vertices))]:
+        n = pt.normal_cone_at_point(p, x)
+        if not n.is_subspace() == in_ri_conv_hull(list(p.vertices), x) == (n == lin_perp):
+            failures.append(name)
+    _verdict(out, p, "antitone.vector_space_criterion", failures)
 
 
 def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
@@ -202,7 +313,7 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     top_is_whole = nl.elements[nl.top].cone == whole
     irreducible = nl.meet_irreducibles()
     among = set(irreducible)
-    ok_meet = ok_face = True
+    meet_failures, face_failures = [], []
     # both claims are symmetric in the pair, so each unordered pair is
     # intersected once and the intersection tested against both cones
     for i, a in enumerate(nl.elements):
@@ -211,26 +322,19 @@ def _meets_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
                 continue
             b = nl.elements[j]
             inter = intersect_cones(a.cone, b.cone)
-            met = nl.elements[nl.meet([i, j])].cone
-            if inter != met:
-                ok_meet = False
+            if inter != nl.elements[nl.meet([i, j])].cone:
+                meet_failures.append(f"{a.label()} and {b.label()}")
             if any(c != whole and not inter.is_face_of(c) for c in (a.cone, b.cone)):
-                ok_face = False
-    _v(out, "meets.normal_infimum_is_intersection", ok_meet,
-       "the infimum of normal cones is their intersection")
-    _v(out, "meets.intersection_is_face", ok_face,
-       "an intersection of normal cones is a face of each proper one")
-    ok = True
-    facets = p.facets
-    for i in range(len(facets)):
-        for j in range(i, len(facets)):
-            face, witness = pt.exposed_meet(p, [facets[i].normal, facets[j].normal])
-            if face.vertex_indices and (
-                    witness is None or pt.support(p, witness)[1].vset != face.vset):
-                ok = False
-    _v(out, "meets.exposed_intersection_witness", ok,
-       "a nonempty intersection of exposed faces is exposed by one direction "
-       "in the relative interior of the directions' hull")
+                face_failures.append(f"{a.label()} and {b.label()}")
+    _verdict(out, p, "meets.normal_infimum_is_intersection", meet_failures)
+    _verdict(out, p, "meets.intersection_is_face", face_failures)
+    failures = []
+    for i, j in combinations_with_replacement(range(len(p.facets)), 2):
+        face, witness = pt.exposed_meet(p, [p.facets[i].normal, p.facets[j].normal])
+        if face.vertex_indices and (
+                witness is None or pt.support(p, witness)[1].vset != face.vset):
+            failures.append(f"facets {i} and {j}")
+    _verdict(out, p, "meets.exposed_intersection_witness", failures)
 
 
 def _ri_counts(cones: list, dirs) -> list[int]:
@@ -261,32 +365,20 @@ def _ri_counts(cones: list, dirs) -> list[int]:
     return out
 
 
-_SINGLE_POINT = ("excluded by hypothesis: the body is a single point, whose "
-                 "only touching cone is the whole space")
-
-
 def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     nl = pt.normal_cone_lattice(p)
     tl = pt.touching_cone_lattice(p)
     counts["touching_cones"] = len(tl)
-    _v(out, "touching.lattice_equals_normal",
-       {e.key for e in nl.elements} == {e.key for e in tl.elements},
-       "for a closed polytope every touching cone is a normal cone "
-       "(classical fact for polytopes, asserted here as an invariant)")
     keys = {e.key for e in tl.elements}
-    ok = True
-    for el in tl.elements:
-        for f in cone_faces(el.cone):
-            if (f.rays, f.lineality) not in keys:
-                ok = False
-    _v(out, "touching.closed_under_faces", ok,
-       "nonempty faces of touching cones are touching cones")
+    _verdict(out, p, "touching.lattice_equals_normal",
+             _differ({e.key for e in nl.elements}, keys, "cones"))
+    _verdict(out, p, "touching.closed_under_faces", [
+        f"{f.label()}, a face of {el.label()}" for el in tl.elements
+        for f in cone_faces(el.cone) if (f.rays, f.lineality) not in keys])
     if len(p.vertices) == 1:
-        _skip(out, "touching.partition_of_directions", _SINGLE_POINT)
+        _skip(out, p, "touching.partition_of_directions")
         return
-    _v(out, "touching.partition_of_directions", run.partition[1],
-       "each sampled nonzero direction lies in the relative interior of "
-       "exactly one touching cone other than the whole space")
+    _verdict(out, p, "touching.partition_of_directions", run.partition[1])
 
 
 def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
@@ -294,14 +386,14 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     axes = [(i,) for i in range(d)]
     if d >= 3:
         axes += combinations(range(d), 2)
-    ok_cyl = ok_sharp = ok_cor = ok_exp = True
-    failures, distinct = [], 0
+    lattice, exposed, cylinder, sharp, touching = [], [], [], [], []
+    distinct = 0
     for ax in axes:
         basis = [unit(d, i) for i in ax]
         proj = pt.projection(p, basis)
         _, _, rep = pt.lifted_face_lattices(p, proj.basis)
         span = "span(" + ", ".join(f"e{i + 1}" for i in ax) + ")"
-        failures += (f"{span}: {failure}" for failure in rep.failures)
+        lattice += (f"{span}: {failure}" for failure in rep.failures)
         distinct += proj.canonical_subspace != proj.basis
         q = proj.polytope
         for f in pt.exposed_face_lattice(q).elements:
@@ -311,137 +403,94 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
             active = [fc.normal for fc in q.facets if f.vset <= fc.vertex_set]
             w = tuple(map(sum, zip(*active)))
             if proj.lift_face(f).vset != pt.support(p, w)[1].vset:
-                ok_exp = False
-        for v in p.vertices:
-            if not proj.cylinder_normal_check(v).passed:
-                ok_cyl = False
-        for u in basis:
-            if pt.is_sharp_normal(p, u) and not pt.is_sharp_normal(q, u):
-                ok_sharp = False
-        qn = pt.normal_cone_lattice(q)
-        qt = pt.touching_cone_lattice(q)
-        if {e.key for e in qn.elements} != {e.key for e in qt.elements}:
-            ok_cor = False
-    _failures(out, "lift.lattice_isomorphisms",
-              "lifting is an isotone lattice isomorphism onto the lifted (exposed) "
-              "face lattices, with intersection as infimum, and a face is lifted "
-              "iff it is lift-invariant; the lift only depends on the projection of "
-              "the subspace onto the body's direction space (a real comparison on "
-              f"{distinct} of {len(axes)} coordinate subspaces; on the rest the "
-              "subspace lies in the direction space, so a lift is compared with "
-              "itself)", failures, "")
-    _v(out, "lift.exposed_face_transform", ok_exp,
-       "the lift of the projection's exposed face of a subspace direction is "
-       "the body's exposed face of the same direction")
-    _v(out, "lift.cylinder_normal_cones", ok_cyl,
-       "the normal cone of the projection at a projected point equals "
-       "(N cap V) + V_perp, at every vertex and coordinate subspace")
-    _v(out, "lift.sharp_normal_projection", ok_sharp,
-       "sharp normal directions inside the subspace stay sharp normal for "
-       "the projection")
-    _v(out, "lift.touching_equals_normal_downstream", ok_cor,
-       "projections of a body whose touching cones are all normal again "
-       "have all touching cones normal")
+                exposed.append(f"{span}: {f.label()}")
+        cylinder += (f"{span}: vertex {i}" for i, v in enumerate(p.vertices)
+                     if not proj.cylinder_normal_check(v).passed)
+        sharp += (f"{span}: e{i + 1}" for i, u in zip(ax, basis)
+                  if pt.is_sharp_normal(p, u) and not pt.is_sharp_normal(q, u))
+        touching += _differ({e.key for e in pt.normal_cone_lattice(q).elements},
+                            {e.key for e in pt.touching_cone_lattice(q).elements},
+                            f"cones of the projection to {span}")
+    _verdict(out, p, "lift.lattice_isomorphisms", lattice,
+             distinct=distinct, total=len(axes))
+    _verdict(out, p, "lift.exposed_face_transform", exposed)
+    _verdict(out, p, "lift.cylinder_normal_cones", cylinder)
+    _verdict(out, p, "lift.sharp_normal_projection", sharp)
+    _verdict(out, p, "lift.touching_equals_normal_downstream", touching)
 
 
 def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
-    _v(out, "sharp.normal_directions",
-       all(pt.is_sharp_normal(p, u) for u in run.directions),
-       "every sampled nonzero direction is sharp normal (touching cones of a "
-       "polytope are all normal)")
-    ok = True
+    if len(p.vertices) == 1:
+        _skip(out, p, "sharp.normal_directions")
+    else:
+        _verdict(out, p, "sharp.normal_directions", [
+            f"direction {eg._fmt_vec(u)}" for u in run.directions
+            if not pt.is_sharp_normal(p, u)])
     samples = list(p.vertices)
-    fl = pt.face_lattice(p)
-    for f in fl.elements:
-        if f.vertex_indices:
-            samples.append(p.ri_point(f))
-    for x in samples:
-        if not pt.is_sharp_exposed(p, x):
-            ok = False
-    _v(out, "sharp.exposed_points", ok,
-       "every sampled body point is sharp exposed (faces of a polytope are "
-       "all exposed)")
+    samples += (p.ri_point(f) for f in pt.face_lattice(p).elements if f.vertex_indices)
+    _verdict(out, p, "sharp.exposed_points", [
+        f"point {eg._fmt_vec(x)}" for x in samples if not pt.is_sharp_exposed(p, x)])
 
 
 def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     fl = pt.exposed_face_lattice(p)
     nl = pt.normal_cone_lattice(p)
-    ok_co = ok_at = ok_mink = True
+    everything = frozenset(range(len(p.vertices)))
+    coatoms, atoms, minkowski = [], [], []
     for idx, f in enumerate(fl.elements):
         if idx in (fl.bottom, fl.top):
             continue
         try:
             coat = pt.coatom_decomposition(p, f)
-            inter = frozenset(range(len(p.vertices)))
-            for c in coat:
-                inter &= c.vset
-            if inter != f.vset:
-                ok_co = False
-        except HypothesisFailed:
-            ok_co = False
-        try:
-            pt.minkowski_atom_check(p, f)
-        except HypothesisFailed:
-            ok_mink = False
+            if everything.intersection(*(c.vset for c in coat)) != f.vset:
+                coatoms.append(f"the coatoms given for {f.label()} meet in more")
+        except HypothesisFailed as e:
+            coatoms.append(f"{f.label()}: {e}")
+        minkowski += _refused(pt.minkowski_atom_check, p, f)
     for idx, el in enumerate(nl.elements):
-        if idx in (nl.bottom, nl.top):
-            continue
-        try:
-            pt.atom_decomposition(p, el.cone)
-        except HypothesisFailed:
-            ok_at = False
-    _v(out, "coatoms.exposed_faces", ok_co,
-       "every proper exposed face is an intersection of at most "
-       "dim(N)-dim(lin_perp) coatoms of the exposed-face lattice")
-    _v(out, "coatoms.normal_atoms", ok_at,
-       "every proper normal cone is a join of at most dim(N)-dim(lin_perp) "
-       "atoms of the normal-cone lattice")
-    _v(out, "coatoms.minkowski_atoms", ok_mink,
-       "every proper exposed face with all subfaces exposed is a join of at "
-       "most dim(F)+1 extreme-point atoms")
+        if idx not in (nl.bottom, nl.top):
+            atoms += _refused(pt.atom_decomposition, p, el.cone)
+    _verdict(out, p, "coatoms.exposed_faces", coatoms)
+    _verdict(out, p, "coatoms.normal_atoms", atoms)
+    _verdict(out, p, "coatoms.minkowski_atoms", minkowski)
+
+
+def _refused(decompose, p: Polytope, x) -> list[str]:
+    """The hypothesis decompose(p, x) finds failing, as a one-entry list."""
+    try:
+        decompose(p, x)
+    except HypothesisFailed as e:
+        return [f"{x.label()}: {e}"]
+    return []
 
 
 def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     try:
         q = pt.polar(p)
     except OriginNotInterior as e:
-        _skip(out, "polar.applicable", f"polar body undefined here: {e}")
+        _skip(out, p, "polar.applicable", error=e)
         return
     counts["polar_vertices"] = len(q.vertices)
-    _v(out, "polar.involution", set(pt.polar(q).vertices) == set(p.vertices),
-       "the polar of the polar body is the body itself")
-    _failures(out, "polar.pos_isomorphisms",
-              "positive hulls map the polar's exposed faces isotonely onto the "
-              "normal cones and its faces onto the touching cones, inverted by "
-              "intersecting with the polar's relative boundary",
-              pt.pos_iso_check(p).failures)
-    fl = pt.exposed_face_lattice(p)
-    ql = pt.exposed_face_lattice(q)
-    rep = verify_isomorphism(lattice_map(
-        fl, ql, lambda f: pt.conjugate_face(p, f), "antitone"))
-    _failures(out, "polar.conjugate_face_iso",
-              "taking conjugate faces is an antitone lattice isomorphism onto the "
-              "exposed faces of the polar body", rep.failures, "")
-    ok = True
     pp = pt.polar(q)
-    for f in fl.elements:
-        back = pt.conjugate_face(q, pt.conjugate_face(p, f))
-        back_pts = {pp.vertices[i] for i in back.vertex_indices}
-        sup_pts = {p.vertices[i] for i in pt.sup_exposed(p, f).vertex_indices}
-        if back_pts != sup_pts:
-            ok = False
-    _v(out, "polar.biconjugate", ok,
-       "the biconjugate of a face is its smallest exposed superface")
+    _verdict(out, p, "polar.involution",
+             _differ(set(pp.vertices), set(p.vertices), "vertices"))
+    _verdict(out, p, "polar.pos_isomorphisms", pt.pos_iso_check(p).failures)
+    fl = pt.exposed_face_lattice(p)
+    rep = verify_isomorphism(lattice_map(
+        fl, pt.exposed_face_lattice(q), lambda f: pt.conjugate_face(p, f), "antitone"))
+    _verdict(out, p, "polar.conjugate_face_iso", rep.failures)
+    _verdict(out, p, "polar.biconjugate", [
+        f.label() for f in fl.elements
+        if set(pp.face_points(pt.conjugate_face(q, pt.conjugate_face(p, f))))
+        != set(p.face_points(pt.sup_exposed(p, f)))])
 
 
 def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     if len(p.vertices) == 1:
-        _skip(out, "partition.unique_touching_cone", _SINGLE_POINT)
+        _skip(out, p, "partition.unique_touching_cone")
         return
-    counts["partition_directions"], ok = run.partition
-    _v(out, "partition.unique_touching_cone", ok,
-       "sampled nonzero directions lie in the relative interior of exactly "
-       "one touching cone other than the whole space")
+    counts["partition_directions"], failures = run.partition
+    _verdict(out, p, "partition.unique_touching_cone", failures)
 
 
 # ---------------------------------------------------------------------------
@@ -450,38 +499,28 @@ def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
 
 def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     faces = pl.special_faces(b, exposed_only=True)
-    cones = {}
-    for f in faces:
-        c = pl.normal_cone_at(b, f)
-        cones[c.key] = c
+    cones = {c.key: c for c in (pl.normal_cone_at(b, f) for f in faces)}
     counts["special_exposed_faces"] = len(faces)
     counts["special_normal_cones"] = len(cones)
     if len(cones) != len(faces):
-        _v(out, "antitone.special_iso", False,
-           "special exposed faces and their normal cones are not in bijection")
+        _verdict(out, b, "antitone.special_iso", [
+            f"{len(faces)} special exposed faces have {len(cones)} normal cones"])
         return
     src = pl.special_face_lattice(b, exposed_only=True)
     ordered = sorted(cones.values(), key=lambda c: (c.dim, str(c.key)))
     tgt = build_lattice(ordered, held_generators(ordered))
     rep = verify_isomorphism(lattice_map(
         src, tgt, lambda f: pl.normal_cone_at(b, f), "antitone"))
-    _failures(out, "antitone.special_iso",
-              "special exposed faces correspond to their normal cones by an "
-              "antitone lattice isomorphism", rep.failures)
-    ok = True
+    _verdict(out, b, "antitone.special_iso", rep.failures)
+    failures = []
     for x in pl.sample_boundary_points(b):
         f = pl.face_at(b, x)
         n = pl.normal_cone_at(b, f)
         u = n.ri_vector()
-        if u is None:
-            continue
-        h, _ = pl.support_value(b, u)
-        attained = quad_compare(h, pl.QuadVal(dot(u, x))) == 0
-        if not (attained and n.contains(u)):
-            ok = False
-    _v(out, "antitone.pointwise_duality", ok,
-       "sampled boundary points attain the support value exactly in the "
-       "directions of their normal cone")
+        if u is not None and not (quad_compare(
+                pl.support_value(b, u)[0], pl.QuadVal(dot(u, x))) == 0 and n.contains(u)):
+            failures.append(f"a boundary point of {f.label()}")
+    _verdict(out, b, "antitone.pointwise_duality", failures)
 
 
 def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
@@ -491,41 +530,23 @@ def _touching_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     counts["arc_families"] = len(inv.arc_families)
     counts["non_normal_touching"] = len(inv.extra_touching)
     counts["non_exposed_faces"] = len(pl.non_exposed_faces(b))
-    ok = all(t.kind == "ray" for t in inv.extra_touching)
-    _v(out, "touching.extra_are_boundary_rays", ok,
-       "touching cones that are not normal cones are boundary rays of vertex "
-       "normal cones (faces of normal cones)")
-    ok = True
-    for j in range(b.n):
-        if not b.junction_present(j):
-            continue
-        cone = b.junction_cone(j)
-        if cone.kind != "sector":
-            continue
-        v1 = cone.ri_vector()
-        v2 = vadd(vadd(cone.d1, cone.d1), cone.d2)
-        f1, f2 = pl.exposed_face(b, v1), pl.exposed_face(b, v2)
-        if f1 != f2:
-            ok = False
-    _v(out, "touching.constant_on_ri", ok,
-       "directions in the relative interior of the same touching cone expose "
-       "the same face")
+    _verdict(out, b, "touching.extra_are_boundary_rays",
+             [t.label() for t in inv.extra_touching if t.kind != "ray"])
+    sectors = [c for c in map(b.junction_cone, filter(b.junction_present, range(b.n)))
+               if c.kind == "sector"]
+    _verdict(out, b, "touching.constant_on_ri", [
+        c.label() for c in sectors if pl.exposed_face(b, c.ri_vector())
+        != pl.exposed_face(b, vadd(vadd(c.d1, c.d1), c.d2))])
 
 
 def _sharp_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
-    ok = True
+    failures = []
     for u in run.compass(120):
         f = pl.exposed_face(b, u)
-        if f.tag == "empty":
-            continue
-        t, is_normal = pl.touching_cone(b, u)
-        n = pl.normal_cone_at(b, f)
-        sharp = n.ri_contains(u)
-        if sharp != is_normal:
-            ok = False
-    _v(out, "sharp.normal_iff_touching_is_normal", ok,
-       "a direction is sharp normal exactly when its touching cone is a "
-       "normal cone")
+        if f.tag != "empty" and (pl.touching_cone(b, u)[1]
+                                 != pl.normal_cone_at(b, f).ri_contains(u)):
+            failures.append(f"direction {u}")
+    _verdict(out, b, "sharp.normal_iff_touching_is_normal", failures)
 
 
 def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
@@ -533,93 +554,72 @@ def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
         if f.tag in ("empty", "whole"):
             continue
         rep = pl.coatom_check_planar(b, f)
-        cid = f"coatoms.face[{f.label()}]"
+        held = rep.is_intersection_of_coatoms
         if rep.hypothesis_ok:
-            _v(out, cid, rep.is_intersection_of_coatoms,
-               "every touching cone inside the normal cone is normal, so the "
-               "face must be an intersection of coatoms; exhibited "
-               + ", ".join(c.label() for c in rep.coatoms))
+            _verdict(out, b, "coatoms.face[{face}]",
+                     [] if held else ["they do not intersect in the face"],
+                     face=f.label(), coatoms=", ".join(c.label() for c in rep.coatoms))
         else:
-            extra = ("is" if rep.is_intersection_of_coatoms else "is not")
-            _skip(out, cid,
-                  f"hypothesis fails (a touching cone inside the normal cone "
-                  f"is not normal); the face {extra} an intersection of "
-                  f"coatoms; {rep.note}")
+            _skip(out, b, "coatoms.face[{face}]", face=f.label(),
+                  holds="is" if held else "is not", note=rep.note)
 
 
 def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, run):
     try:
         q = pl.polar_planar(b)
     except (OriginNotInterior, UnsupportedArcCenter) as e:
-        _skip(out, "polar.applicable", f"polar body undefined here: {e}")
+        _skip(out, b, "polar.applicable", error=e)
         return
     rt = pl.polar_planar(q)
-    same = ({(f.kind, f.start, f.end) for f in rt.features}
-            == {(f.kind, f.start, f.end) for f in b.features})
-    _v(out, "polar.involution", same, "the polar of the polar body is the body")
-    worst_ok = True
-    for u in run.compass(120):
-        if pl.form_compare(pl.support_form(q, u), pl.gauge_form(b, u)) != 0:
-            worst_ok = False
-    _v(out, "polar.support_equals_gauge", worst_ok,
-       "the support function of the polar equals the gauge of the body, "
-       "exactly, at 120 rational directions (max deviation 0)")
+    _verdict(out, b, "polar.involution", _differ(
+        {(f.kind, f.start, f.end) for f in rt.features},
+        {(f.kind, f.start, f.end) for f in b.features}, "features"))
+    dirs = run.compass(120)
+    _verdict(out, b, "polar.support_equals_gauge", [
+        f"direction {u}: the polar's support differs from the body's gauge"
+        for u in dirs
+        if pl.form_compare(pl.support_form(q, u), pl.gauge_form(b, u)) != 0][:4],
+        count=len(dirs))
     inv = pl.cone_inventory(b)
-    pos_cones = {}
+    pos = set()
     for f in pl.special_faces(q, exposed_only=True):
-        if f.tag == "vertex":
-            c = pl.Cone2.ray(f.point)
+        if f.tag in ("vertex", "arcpoint"):
+            pos.add(pl.Cone2.ray(f.point if f.tag == "vertex" else f.direction).key)
         elif f.tag == "edge":
             feat = q.features[f.feature]
-            c = pl.Cone2.sector(feat.start, feat.end)
-        elif f.tag == "arcpoint":
-            c = pl.Cone2.ray(f.direction)
-        else:
-            continue
-        pos_cones[c.key] = c
-    normal_keys = {c.key for c in inv.proper_normal}
-    for i in inv.arc_families:
-        arc = b.features[i]
-        normal_keys.add(pl.Cone2.ray(arc.interior_direction()).key)
-    _v(out, "polar.pos_of_special_faces", set(pos_cones) == normal_keys,
-       "positive hulls of the polar's special proper faces are exactly the "
-       "proper normal cones of the body (arc families matched through their "
-       "representatives)")
+            pos.add(pl.Cone2.sector(feat.start, feat.end).key)
+    normal = {c.key for c in inv.proper_normal}
+    normal.update(pl.Cone2.ray(b.features[i].interior_direction()).key
+                  for i in inv.arc_families)
+    _verdict(out, b, "polar.pos_of_special_faces", _differ(pos, normal, "cones"))
 
 
 def _partition_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     if not b.is_closed():
-        _skip(out, "partition.unique_touching_cone",
-              "partition of directions requires a closed bounded body")
+        _skip(out, b, "partition.unique_touching_cone")
         return
     dirs = run.compass(360)
     rep = pl.partition_check_planar(b, dirs)
     counts["partition_directions"] = len(dirs)
-    _failures(out, "partition.unique_touching_cone",
-              "each of 360 sampled rational directions lies in the relative "
-              "interior of exactly one touching cone", rep.failures[:4])
+    _verdict(out, b, "partition.unique_touching_cone", rep.failures[:4],
+             count=len(dirs))
 
 
 def _2d_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     ne = pl.non_exposed_faces(b)
     counts["non_exposed_faces"] = len(ne)
-    out.append(Verdict("2d.non_exposed_inventory", "pass",
-                       "non-exposed faces: "
-                       + (", ".join(f.label() for f in ne) or "none")))
+    _verdict(out, b, "2d.non_exposed_inventory",
+             faces=", ".join(f.label() for f in ne) or "none")
     try:
-        _failures(out, "2d.nonexposed_rule",
-                  "non-exposed faces are exactly the endpoints of a unique "
-                  "one-dimensional face", pl.check_2d_nonexposed_rule(b).failures)
+        _verdict(out, b, "2d.nonexposed_rule", pl.check_2d_nonexposed_rule(b).failures)
     except HypothesisFailed as e:
-        _skip(out, "2d.nonexposed_rule", f"hypothesis fails: {e}")
+        _skip(out, b, "2d.nonexposed_rule", error=e)
     try:
         rep = pl.check_2d_smoothness(b)
         counts["singular_points"] = len(pl.singular_points(b))
-        _failures(out, "2d.smoothness",
-                  "every singular boundary point joins two distinct boundary "
-                  "segments", rep.failures)
+        _verdict(out, b, "2d.smoothness", rep.failures)
     except HypothesisFailed as e:
-        _skip(out, "2d.smoothness", f"hypothesis fails: {e}")
+        _skip(out, b, "2d.smoothness", error=e)
 
 
 # ---------------------------------------------------------------------------
@@ -662,15 +662,17 @@ class _Run:
         return _sample_directions(self.body)
 
     @cached_property
-    def partition(self) -> tuple[int, bool]:
-        """How many directions are sampled, and whether each lies in the relative
-        interior of exactly one touching cone other than the whole space."""
+    def partition(self) -> tuple[int, list[str]]:
+        """How many directions are sampled, and the first four not in the
+        relative interior of exactly one touching cone but the whole space."""
         p = self.body
         dirs = self.compass(360) if p.ambient_dim == 2 else self.directions
         whole = full_space(p.ambient_dim)
         proper = [el.cone for el in pt.touching_cone_lattice(p).elements
                   if el.cone != whole]
-        return len(dirs), all(n == 1 for n in _ri_counts(proper, dirs))
+        return len(dirs), [
+            f"direction {eg._fmt_vec(u)} lies in {n} touching-cone interiors"
+            for u, n in zip(dirs, _ri_counts(proper, dirs)) if n != 1][:4]
 
 
 def run_suite(body, fixture_name: str, suite: str) -> CheckReport:
@@ -686,13 +688,11 @@ def run_suite(body, fixture_name: str, suite: str) -> CheckReport:
     suites = SUITE_NAMES if suite == "all" else (suite,)
     report = CheckReport(suite, fixture_name)
     table = _POLY if isinstance(body, Polytope) else _PLANAR
-    kind = "polytope" if isinstance(body, Polytope) else "planar"
     run = _Run(body)
     for s in suites:
         fn = table.get(s)
         if fn is None:
-            _skip(report.verdicts, f"{s}.applicable",
-                  f"suite '{s}' does not apply to {kind} bodies")
-            continue
-        fn(body, report.verdicts, report.counts, run)
+            _skip(report.verdicts, body, f"{s}.applicable")
+        else:
+            fn(body, report.verdicts, report.counts, run)
     return report

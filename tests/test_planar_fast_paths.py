@@ -822,16 +822,29 @@ def test_polar_suite_checks_each_body_once(monkeypatch):
 
 @pytest.mark.parametrize("name", GAUGED)
 def test_a_wrong_gauge_form_fails_support_equals_gauge(monkeypatch, name):
-    """A planted defect: the gauge form's P off by one."""
+    """A planted defect: the gauge form's P off by one.  The failing detail
+    names the first four directions where the forms differ, and no longer
+    claims a maximum deviation of 0."""
+    claim = ("the support function of the polar equals the gauge of the body, "
+             "exactly, at 120 rational directions")
+
     def verdict():
         report = checks.run_suite(bodyio.load_fixture(name), name, "polar")
-        return {v.check_id: v.status for v in report.verdicts}["polar.support_equals_gauge"]
+        return next(v for v in report.verdicts
+                    if v.check_id == "polar.support_equals_gauge")
 
-    assert verdict() == "pass"
+    passing = verdict()
+    assert (passing.status, passing.detail) == ("pass", claim + " (max deviation 0)")
     real = planar.gauge_form
     monkeypatch.setattr(planar, "gauge_form",
                         lambda body, u: (lambda p, r, e: (p + 1, r, e))(*real(body, u)))
-    assert verdict() == "fail"
+    failing = verdict()
+    assert failing.status == "fail"
+    head, *failures = failing.detail.split("; ")
+    assert head == claim and "deviation" not in failing.detail
+    first = planar.compass_directions(120)[:4]
+    assert failures == [f"direction {u}: the polar's support differs from the body's gauge"
+                        for u in first]
 
 
 @pytest.mark.parametrize("name", sorted(PLANAR))

@@ -502,11 +502,14 @@ def _status(report, check_id):
 def test_partition_verdicts_skip_a_single_point(dim):
     """A point's only touching cone is the whole space, so no direction lies
     in a proper one: both partition verdicts are excluded by hypothesis, in
-    2D too, where every compass direction would count 0."""
+    2D too, where every compass direction would count 0.  A point has no
+    sample direction either, so `sharp.normal_directions`, which would pass
+    having tested nothing, is excluded by the same hypothesis."""
     point = Polytope((vec(*range(1, dim + 1)),))
+    assert checks._sample_directions(point) == []
     rep = checks.run_suite(point, "point", "all")
     assert rep.passed
-    for check_id in PARTITION_VERDICTS:
+    for check_id in (*PARTITION_VERDICTS, "sharp.normal_directions"):
         assert _status(rep, check_id) == "skip"
         assert "single point" in _detail(rep, check_id)
 

@@ -7,9 +7,13 @@ and the other verdicts the defect flips are listed, so a defect that starts
 to flip more, or fewer, shows up here.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from facelat import bodyio, checks
+from facelat import exactgeom as eg
 from facelat import polytope as pt
 
 
@@ -103,3 +107,184 @@ def test_a_lift_that_is_not_a_face_fails_lattice_isomorphisms(monkeypatch):
     detail = next(v.detail for v in report.verdicts
                   if v.check_id == "lift.lattice_isomorphisms")
     assert "span(e1): faces: the lift {0 2} of {0} is not a face" in detail
+
+
+@pytest.mark.parametrize("name", ["cube", "square", "triangle", "simplex4"])
+def test_a_missing_coatom_fails_exposed_faces(monkeypatch, name):
+    """`coatom_decomposition` with its last coatom dropped: the coatoms
+    left meet in more than the face, and over every suite only
+    `coatoms.exposed_faces` fails, naming the faces."""
+    body = bodyio.load_fixture(name)
+    real = pt.coatom_decomposition
+    monkeypatch.setattr(pt, "coatom_decomposition", lambda p, f: real(p, f)[:-1])
+    report = checks.run_suite(body, name, "all")
+    assert {v.check_id for v in report.verdicts if v.status == "fail"} == {
+        "coatoms.exposed_faces"}
+    detail = next(v.detail for v in report.verdicts
+                  if v.check_id == "coatoms.exposed_faces")
+    assert "; the coatoms given for {0} meet in more" in detail
+
+
+def test_a_cone_without_its_faces_fails_closed_under_faces(monkeypatch):
+    """A touching-cone enumeration that admits a cone without its faces:
+    the cube's touching lattice gains pos{(1,0,0), (0,1,2)}, which is still
+    a lattice, but its ray (0,1,2) is no touching cone.  Closure under faces
+    fails and names that ray; the lattice no longer equals the normal-cone
+    lattice, and the polar's faces no longer cover it; no sampled direction
+    lies in the new cone, so the partition verdicts pass."""
+    cube = bodyio.load_fixture("cube")
+    real = pt._build_touching_lattice
+
+    def planted(p):
+        lattice = real(p)
+        if p is not cube:
+            return lattice
+        extra = eg.pos_hull([(1, 0, 0), (0, 1, 2)], 3, p.cone_table)
+        return pt._cone_lattice({e.cone for e in lattice.elements} | {extra})
+
+    monkeypatch.setattr(pt, "_build_touching_lattice", planted)
+    report = checks.run_suite(cube, "cube", "all")
+    assert {v.check_id for v in report.verdicts if v.status == "fail"} == {
+        "touching.closed_under_faces", "touching.lattice_equals_normal",
+        "polar.pos_isomorphisms"}
+    detail = next(v.detail for v in report.verdicts
+                  if v.check_id == "touching.closed_under_faces")
+    assert detail.endswith("; pos{(0,1,2)}, a face of pos{(0,1,2), (1,0,0)}")
+
+
+@pytest.mark.parametrize("name", ["cube", "square", "triangle", "segment"])
+def test_a_refused_hypothesis_fails_both_decompositions(monkeypatch, name):
+    """With `_touching_inside_all_normal` refusing every normal cone, the
+    atom and the coatom decompositions raise HypothesisFailed on a closed
+    polytope, where the hypothesis holds: `coatoms.normal_atoms` and
+    `coatoms.exposed_faces` fail, and no other verdict does."""
+    body = bodyio.load_fixture(name)
+    monkeypatch.setattr(pt, "_touching_inside_all_normal", lambda p, n: False)
+    assert failing(body, name, "all") == {"coatoms.normal_atoms", "coatoms.exposed_faces"}
+
+
+@pytest.mark.parametrize("name", ["cube", "square", "simplex4"])
+def test_a_wrong_smallest_exposed_superface_fails_biconjugate(monkeypatch, name):
+    """`sup_exposed` answering the whole body for every face: the
+    biconjugate of a proper face is no longer its smallest exposed
+    superface, and over every suite only `polar.biconjugate` fails."""
+    body = bodyio.load_fixture(name)
+    monkeypatch.setattr(pt, "sup_exposed", lambda p, f: p.make_face(
+        frozenset(range(len(p.vertices)))))
+    assert failing(body, name, "all") == {"polar.biconjugate"}
+
+
+@pytest.mark.parametrize("name", ["cube", "square", "triangle", "simplex4"])
+def test_a_cylinder_without_its_perp_fails_cylinder_normal_cones(monkeypatch, name):
+    """`Projection.cylinder_normal_check` with (N cap V) + V_perp taken as
+    N cap V alone: the projection's normal cone at a vertex holds V_perp, so
+    over every suite only `lift.cylinder_normal_cones` fails."""
+    body = bodyio.load_fixture(name)
+    monkeypatch.setattr(pt, "minkowski_sum_cone", lambda a, b: a)
+    assert failing(body, name, "all") == {"lift.cylinder_normal_cones"}
+
+
+# ---------------------------------------------------------------------------
+# the planted-defect matrix over the table of verdicts
+# ---------------------------------------------------------------------------
+
+# each verdict that a planted defect turns to fail: the test that plants it
+PLANTED = {
+    ("polytope", "coatoms.exposed_faces"):
+        "test_verdict_sensitivity.py::test_a_missing_coatom_fails_exposed_faces",
+    ("polytope", "coatoms.normal_atoms"):
+        "test_verdict_sensitivity.py::test_a_refused_hypothesis_fails_both_decompositions",
+    ("polytope", "lift.cylinder_normal_cones"):
+        "test_verdict_sensitivity.py::test_a_cylinder_without_its_perp_fails_cylinder_normal_cones",
+    ("polytope", "lift.exposed_face_transform"):
+        "test_verdict_sensitivity.py::test_swapped_lifts_fail_exposed_face_transform",
+    ("polytope", "lift.lattice_isomorphisms"):
+        "test_verdict_sensitivity.py::test_a_lift_that_is_not_a_face_fails_lattice_isomorphisms",
+    ("polytope", "meets.exposed_intersection_witness"):
+        "test_verdict_sensitivity.py::test_a_wrong_witness_fails_exposed_intersection_witness",
+    ("polytope", "meets.normal_infimum_is_intersection"):
+        "test_cross_validation.py::test_meets_fails_on_planted_defects",
+    ("polytope", "partition.unique_touching_cone"):
+        "test_polytope.py::test_planted_touching_cone_defects_fail_both_partition_verdicts",
+    ("polytope", "polar.biconjugate"):
+        "test_verdict_sensitivity.py::test_a_wrong_smallest_exposed_superface_fails_biconjugate",
+    ("polytope", "polar.conjugate_face_iso"):
+        "test_verdict_sensitivity.py::test_a_dropped_face_fails_the_polar_isomorphisms",
+    ("polytope", "polar.pos_isomorphisms"):
+        "test_verdict_sensitivity.py::test_a_dropped_face_fails_the_polar_isomorphisms",
+    ("polytope", "touching.closed_under_faces"):
+        "test_verdict_sensitivity.py::test_a_cone_without_its_faces_fails_closed_under_faces",
+    ("polytope", "touching.lattice_equals_normal"):
+        "test_verdict_sensitivity.py::test_a_cone_without_its_faces_fails_closed_under_faces",
+    ("polytope", "touching.partition_of_directions"):
+        "test_polytope.py::test_planted_touching_cone_defects_fail_both_partition_verdicts",
+    ("planar", "antitone.pointwise_duality"):
+        "test_planar_fast_paths.py::test_a_wrong_support_form_fails_pointwise_duality",
+    ("planar", "polar.support_equals_gauge"):
+        "test_planar_fast_paths.py::test_a_wrong_gauge_form_fails_support_equals_gauge",
+}
+
+_NONE_YET = "no defect planted yet"
+
+# each verdict no planted defect turns to fail yet, with the reason; an entry
+# leaves this list when a test in PLANTED flips it
+NOT_YET_PLANTED = {
+    ("polytope", "antitone.all_faces_exposed"):
+        "a defect both face routes share leaves them equal; none planted in one alone",
+    ("polytope", "antitone.cone_constant_on_ri"): _NONE_YET,
+    ("polytope", "antitone.face_from_ri_normal"): _NONE_YET,
+    ("polytope", "antitone.iso"): _NONE_YET,
+    ("polytope", "antitone.pointwise_duality"): _NONE_YET,
+    ("polytope", "antitone.vector_space_criterion"): _NONE_YET,
+    ("polytope", "coatoms.minkowski_atoms"): _NONE_YET,
+    ("polytope", "lift.sharp_normal_projection"):
+        "`is_sharp_normal` always true flips nothing on the fixtures",
+    ("polytope", "lift.touching_equals_normal_downstream"): _NONE_YET,
+    ("polytope", "meets.intersection_is_face"):
+        "the planted meet-lattice defects flip only the infimum verdict",
+    ("polytope", "polar.involution"): _NONE_YET,
+    ("polytope", "sharp.exposed_points"): _NONE_YET,
+    ("polytope", "sharp.normal_directions"):
+        "`is_sharp_normal` always true flips nothing on the fixtures",
+    ("planar", "2d.non_exposed_inventory"):
+        "always passes; becomes a count in a benchmark PR",
+    ("planar", "2d.nonexposed_rule"): _NONE_YET,
+    ("planar", "2d.smoothness"): _NONE_YET,
+    ("planar", "antitone.special_iso"): _NONE_YET,
+    ("planar", "coatoms.face[{face}]"): _NONE_YET,
+    ("planar", "partition.unique_touching_cone"): _NONE_YET,
+    ("planar", "polar.involution"): _NONE_YET,
+    ("planar", "polar.pos_of_special_faces"): _NONE_YET,
+    ("planar", "sharp.normal_iff_touching_is_normal"): _NONE_YET,
+    ("planar", "touching.constant_on_ri"): _NONE_YET,
+    ("planar", "touching.extra_are_boundary_rays"): _NONE_YET,
+}
+
+
+def names_verdict(where: str, check_id: str) -> bool:
+    """Whether the test `file::name` spells check_id, in its own body or in
+    a module-level constant it reads."""
+    path, name = where.split("::")
+    source = (Path(__file__).parent / path).read_text()
+    tree = ast.parse(source)
+    test = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    read = {n.id for n in ast.walk(test) if isinstance(n, ast.Name)}
+    texts = [ast.get_source_segment(source, test)] + [
+        ast.get_source_segment(source, n) for n in tree.body if isinstance(n, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in read for t in n.targets)]
+    return any(f'"{check_id}"' in text for text in texts)
+
+
+def test_every_verdict_is_planted_or_allowlisted():
+    """Every verdict of the table that can fail (all but the skip-only
+    `*.applicable` entries) is flipped by a named planted-defect test, or
+    waits in NOT_YET_PLANTED with its reason.  A named test must exist and
+    spell the verdict's id.  The allowlist only shrinks: its ceiling is
+    lowered as entries leave, and never raised."""
+    claims = {key for key, c in checks.VERDICTS.items() if c.claim is not None}
+    assert set(PLANTED).isdisjoint(NOT_YET_PLANTED)
+    assert set(PLANTED) | set(NOT_YET_PLANTED) == claims
+    assert all(NOT_YET_PLANTED.values())
+    for (_, check_id), where in PLANTED.items():
+        assert names_verdict(where, check_id), where
+    assert len(NOT_YET_PLANTED) <= 24
