@@ -74,11 +74,16 @@ class CheckReport(Record):
 # A verdict as declared: its id, the kind of body it applies to, the claim
 # heading its detail (None if it only skips), the tail ending a passing
 # detail, and its skip.  The suite that emits a verdict fills in the braced
-# fields of these texts, so `coatoms.face[{face}]` is one family.
-Claim = namedtuple("Claim", "check_id kind claim tail skip", defaults=("", None))
+# fields of these texts, so `coatoms.face[{face}]` is one family.  A claim
+# whose skip begins with `_POINT` is excluded on a single point: there it
+# ranges over nothing, or degenerates, and `_verdict` emits that skip.
+Claim = namedtuple("Claim", "check_id kind claim tail skip", defaults=("", ""))
 
 _POINT = "excluded by hypothesis: the body is a single point, "
 _ONE_CONE = _POINT + "whose only touching cone is the whole space"
+_ONE_NORMAL = _POINT + "whose only normal cone is the whole space"
+_NO_FACE = _POINT + "which has no proper face"
+_NO_FACET = _POINT + "which has no facet"
 _NO_POLAR = "polar body undefined here: {error}"
 _NO_HYPOTHESIS = "hypothesis fails: {error}"
 _VERIFIED = "; verified"
@@ -97,20 +102,20 @@ VERDICTS = {(c.kind, c.check_id): c for c in (
           "(active-facet normal_cone vs definitional normal_cone_at_point)"),
     Claim("antitone.face_from_ri_normal", "polytope", "each proper exposed face is "
           "recovered as the exposed face of every sampled relative-interior vector of "
-          "its normal cone"),
+          "its normal cone", skip=_NO_FACE),
     Claim("antitone.pointwise_duality", "polytope", "attaining the support value, "
           "lying in the exposed face and having the direction in the normal cone are "
-          "equivalent, over all vertex/facet pairs"),
+          "equivalent, over all vertex/facet pairs", skip=_NO_FACET),
     Claim("antitone.vector_space_criterion", "polytope", "the normal cone at x is a "
           "vector space iff x is relatively interior iff it equals the orthogonal "
           "complement of the body's direction space"),
     Claim("meets.normal_infimum_is_intersection", "polytope", "the infimum of normal "
-          "cones is their intersection"),
+          "cones is their intersection", skip=_ONE_NORMAL),
     Claim("meets.intersection_is_face", "polytope", "an intersection of normal cones "
-          "is a face of each proper one"),
+          "is a face of each proper one", skip=_ONE_NORMAL),
     Claim("meets.exposed_intersection_witness", "polytope", "a nonempty intersection "
           "of exposed faces is exposed by one direction in the relative interior of "
-          "the directions' hull"),
+          "the directions' hull", skip=_NO_FACET),
     Claim("touching.lattice_equals_normal", "polytope", "for a closed polytope every "
           "touching cone is a normal cone (classical fact for polytopes, asserted here "
           "as an invariant)"),
@@ -128,7 +133,7 @@ VERDICTS = {(c.kind, c.check_id): c for c in (
           "itself)"),
     Claim("lift.exposed_face_transform", "polytope", "the lift of the projection's "
           "exposed face of a subspace direction is the body's exposed face of the same "
-          "direction"),
+          "direction", skip=_POINT + "whose projections have no proper face"),
     Claim("lift.cylinder_normal_cones", "polytope", "the normal cone of the projection "
           "at a projected point equals (N cap V) + V_perp, at every vertex and "
           "coordinate subspace"),
@@ -136,18 +141,18 @@ VERDICTS = {(c.kind, c.check_id): c for c in (
           "the subspace stay sharp normal for the projection"),
     Claim("lift.touching_equals_normal_downstream", "polytope", "projections of a body "
           "whose touching cones are all normal again have all touching cones normal"),
-    # a point samples no direction: the claim is excluded, not passed on nothing
     Claim("sharp.normal_directions", "polytope", "every sampled nonzero direction is "
           "sharp normal (touching cones of a polytope are all normal)", skip=_ONE_CONE),
     Claim("sharp.exposed_points", "polytope", "every sampled body point is sharp "
           "exposed (faces of a polytope are all exposed)"),
     Claim("coatoms.exposed_faces", "polytope", "every proper exposed face is an "
           "intersection of at most dim(N)-dim(lin_perp) coatoms of the exposed-face "
-          "lattice"),
+          "lattice", skip=_NO_FACE),
     Claim("coatoms.normal_atoms", "polytope", "every proper normal cone is a join of "
-          "at most dim(N)-dim(lin_perp) atoms of the normal-cone lattice"),
+          "at most dim(N)-dim(lin_perp) atoms of the normal-cone lattice", skip=_ONE_NORMAL),
     Claim("coatoms.minkowski_atoms", "polytope", "every proper exposed face with all "
-          "subfaces exposed is a join of at most dim(F)+1 extreme-point atoms"),
+          "subfaces exposed is a join of at most dim(F)+1 extreme-point atoms",
+          skip=_NO_FACE),
     Claim("polar.applicable", "polytope", None, skip=_NO_POLAR),
     Claim("polar.involution", "polytope", "the polar of the polar body is the body "
           "itself"),
@@ -207,13 +212,19 @@ def _kind(body) -> str:
     return "polytope" if isinstance(body, Polytope) else "planar"
 
 
-def _verdict(out: list[Verdict], body, check_id: str, failures=(), **fill):
-    """Emit check_id's verdict for the body's kind: with no failures a pass,
-    detailed by its claim and tail, else a fail, by its claim and each failure."""
+def _verdict(out: list[Verdict], body, check_id: str, failures=(), **fill) -> bool:
+    """Emit check_id's verdict for the body's kind and say whether it was
+    tested: its declared skip if it is excluded on a single point and the
+    body is one, else with no failures a pass, detailed by its claim and
+    tail, else a fail, by its claim and each failure."""
     claim = VERDICTS[_kind(body), check_id]
+    if claim.skip.startswith(_POINT) and not body.dim:
+        _skip(out, body, check_id, **fill)
+        return False
     head = claim.claim.format_map(fill)
     out.append(Verdict(check_id.format_map(fill), "fail" if failures else "pass",
                        "; ".join((head, *failures)) if failures else head + claim.tail))
+    return True
 
 
 def _skip(out: list[Verdict], body, check_id: str, **fill):
@@ -227,14 +238,18 @@ def _differ(a: set, b: set, what: str) -> list[str]:
     return [] if a == b else [f"{what} on one side only: {len(a ^ b)}"]
 
 
+def _proper(lattice) -> list:
+    """The elements of a lattice other than its bottom and top."""
+    return [e for i, e in enumerate(lattice.elements) if i not in (lattice.bottom, lattice.top)]
+
+
 def _sample_directions(p: Polytope) -> list:
     """Deterministic nonzero rational directions adapted to the polytope."""
     dirs = [f.normal for f in p.facets]
-    for face in pt.exposed_face_lattice(p).elements:
-        if face.vertex_indices and len(face.vertex_indices) < len(p.vertices):
-            v = pt.normal_cone(p, face).ri_vector()
-            if v is not None and not is_zero(v):
-                dirs.append(v)
+    for face in _proper(pt.exposed_face_lattice(p)):
+        v = pt.normal_cone(p, face).ri_vector()
+        if v is not None and not is_zero(v):
+            dirs.append(v)
     for i, a in enumerate(dirs[: len(p.facets)]):
         for b in dirs[i + 1: len(p.facets)]:
             s = vadd(a, b)
@@ -248,9 +263,6 @@ def _sample_directions(p: Polytope) -> list:
 # ---------------------------------------------------------------------------
 
 def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
-    if len(p.vertices) == 1:
-        _skip(out, p, "antitone.iso")
-        return
     fl = pt.exposed_face_lattice(p)
     nl = pt.normal_cone_lattice(p)
     counts["exposed_faces"] = len(fl)
@@ -264,9 +276,7 @@ def _antitone_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
         f"a sample inside {f.label()}" for f in fl.elements if f.vertex_indices
         for y in p.ri_samples(f) if pt.normal_cone_at_point(p, y) != pt.normal_cone(p, f)])
     failures = []
-    for f in fl.elements:
-        if not f.vertex_indices or len(f.vertex_indices) == len(p.vertices):
-            continue
+    for f in _proper(fl):
         n = pt.normal_cone(p, f)
         v = n.ri_vector()
         samples = [v]
@@ -375,9 +385,6 @@ def _touching_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     _verdict(out, p, "touching.closed_under_faces", [
         f"{f.label()}, a face of {el.label()}" for el in tl.elements
         for f in cone_faces(el.cone) if (f.rays, f.lineality) not in keys])
-    if len(p.vertices) == 1:
-        _skip(out, p, "touching.partition_of_directions")
-        return
     _verdict(out, p, "touching.partition_of_directions", run.partition[1])
 
 
@@ -396,9 +403,7 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
         lattice += (f"{span}: {failure}" for failure in rep.failures)
         distinct += proj.canonical_subspace != proj.basis
         q = proj.polytope
-        for f in pt.exposed_face_lattice(q).elements:
-            if not f.vertex_indices or len(f.vertex_indices) == len(q.vertices):
-                continue
+        for f in _proper(pt.exposed_face_lattice(q)):
             # a direction exposing f in q: the sum of the facet normals at f
             active = [fc.normal for fc in q.facets if f.vset <= fc.vertex_set]
             w = tuple(map(sum, zip(*active)))
@@ -420,12 +425,9 @@ def _lift_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
 
 
 def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
-    if len(p.vertices) == 1:
-        _skip(out, p, "sharp.normal_directions")
-    else:
-        _verdict(out, p, "sharp.normal_directions", [
-            f"direction {eg._fmt_vec(u)}" for u in run.directions
-            if not pt.is_sharp_normal(p, u)])
+    _verdict(out, p, "sharp.normal_directions", [
+        f"direction {eg._fmt_vec(u)}" for u in run.directions
+        if not pt.is_sharp_normal(p, u)])
     samples = list(p.vertices)
     samples += (p.ri_point(f) for f in pt.face_lattice(p).elements if f.vertex_indices)
     _verdict(out, p, "sharp.exposed_points", [
@@ -435,11 +437,9 @@ def _sharp_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
 def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
     fl = pt.exposed_face_lattice(p)
     nl = pt.normal_cone_lattice(p)
-    everything = frozenset(range(len(p.vertices)))
+    everything = fl.elements[fl.top].vset
     coatoms, atoms, minkowski = [], [], []
-    for idx, f in enumerate(fl.elements):
-        if idx in (fl.bottom, fl.top):
-            continue
+    for f in _proper(fl):
         try:
             coat = pt.coatom_decomposition(p, f)
             if everything.intersection(*(c.vset for c in coat)) != f.vset:
@@ -447,9 +447,8 @@ def _coatoms_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
         except HypothesisFailed as e:
             coatoms.append(f"{f.label()}: {e}")
         minkowski += _refused(pt.minkowski_atom_check, p, f)
-    for idx, el in enumerate(nl.elements):
-        if idx not in (nl.bottom, nl.top):
-            atoms += _refused(pt.atom_decomposition, p, el.cone)
+    for el in _proper(nl):
+        atoms += _refused(pt.atom_decomposition, p, el.cone)
     _verdict(out, p, "coatoms.exposed_faces", coatoms)
     _verdict(out, p, "coatoms.normal_atoms", atoms)
     _verdict(out, p, "coatoms.minkowski_atoms", minkowski)
@@ -486,11 +485,9 @@ def _polar_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
 
 
 def _partition_polytope(p: Polytope, out: list[Verdict], counts: dict, run):
-    if len(p.vertices) == 1:
-        _skip(out, p, "partition.unique_touching_cone")
-        return
-    counts["partition_directions"], failures = run.partition
-    _verdict(out, p, "partition.unique_touching_cone", failures)
+    count, failures = run.partition
+    if _verdict(out, p, "partition.unique_touching_cone", failures):
+        counts["partition_directions"] = count
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +500,14 @@ def _antitone_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
     counts["special_exposed_faces"] = len(faces)
     counts["special_normal_cones"] = len(cones)
     if len(cones) != len(faces):
-        _verdict(out, b, "antitone.special_iso", [
-            f"{len(faces)} special exposed faces have {len(cones)} normal cones"])
-        return
-    src = pl.special_face_lattice(b, exposed_only=True)
-    ordered = sorted(cones.values(), key=lambda c: (c.dim, str(c.key)))
-    tgt = build_lattice(ordered, held_generators(ordered))
-    rep = verify_isomorphism(lattice_map(
-        src, tgt, lambda f: pl.normal_cone_at(b, f), "antitone"))
-    _verdict(out, b, "antitone.special_iso", rep.failures)
+        failures = [f"{len(faces)} special exposed faces have {len(cones)} normal cones"]
+    else:
+        ordered = sorted(cones.values(), key=lambda c: (c.dim, str(c.key)))
+        failures = verify_isomorphism(lattice_map(
+            pl.special_face_lattice(b, exposed_only=True),
+            build_lattice(ordered, held_generators(ordered)),
+            lambda f: pl.normal_cone_at(b, f), "antitone")).failures
+    _verdict(out, b, "antitone.special_iso", failures)
     failures = []
     for x in pl.sample_boundary_points(b):
         f = pl.face_at(b, x)

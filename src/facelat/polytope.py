@@ -25,8 +25,8 @@ from .exactgeom import (ConeTable, IVec, PolyCone, Vec, cone_faces, full_space,
                         in_ri_conv_hull, intersect_cones, is_zero, minkowski_sum_cone,
                         pos_hull, project_onto, span_basis, subspace_cone, vadd,
                         vneg, vscale, zero)
-from .lattice import (FiniteLattice, Report, _bits, build_lattice, lattice_map,
-                      verify_isomorphism)
+from .lattice import (FiniteLattice, Report, _bits, build_lattice, decompose_by_atoms,
+                      decompose_by_coatoms, lattice_map, verify_isomorphism)
 
 
 class Facet(Frozen):
@@ -671,29 +671,35 @@ class Projection(Frozen):
     subspace by `projection` and freed with the body.
 
     `basis` is the canonical basis of V and `points` the projection of each
-    vertex, in vertex order.  The memos: `lifted_faces` by face of the
-    projection, `lifted_point_sets` by the projected points of a face of the
-    body (faces with the same projection have the same lift), and `sums`,
-    the Minkowski sum with V_perp by N(C, a) cap V.  `vertex_slacks` keeps
-    one integer slack row per projected vertex for every lift, and a cylinder
-    check at a vertex reads that vertex's projection from `points`.
-    Projections compare by identity.
+    vertex, in vertex order.  The memos live on the record: `lifted_faces`
+    by face of the projection, `lifted_point_sets` by the projected points
+    of a face of the body (faces with the same projection have the same
+    lift), and `sums`, the Minkowski sum with V_perp by N(C, a) cap V.
+    `vertex_slacks` keeps one integer slack row per projected vertex for
+    every lift, and a cylinder check at a vertex reads that vertex's
+    projection from `points`.  Projections compare by identity.
     """
 
-    _fields = ("body", "basis", "points", "lifted_faces", "lifted_point_sets", "sums")
+    _fields = ("body", "basis", "points")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, body: Polytope, basis: tuple[Vec, ...], points: tuple[Vec, ...],
-                 lifted_faces: dict[tuple[int, ...], PolyFace],
-                 lifted_point_sets: dict[frozenset[Vec], tuple[IVec, ...]],
-                 sums: dict[PolyCone, PolyCone]):
+    def __init__(self, body: Polytope, basis: tuple[Vec, ...], points: tuple[Vec, ...]):
         setfield(self, "body", body)
         setfield(self, "basis", basis)
         setfield(self, "points", points)
-        setfield(self, "lifted_faces", lifted_faces)
-        setfield(self, "lifted_point_sets", lifted_point_sets)
-        setfield(self, "sums", sums)
+
+    @cached_property
+    def lifted_faces(self) -> dict[tuple[int, ...], PolyFace]:
+        return {}
+
+    @cached_property
+    def lifted_point_sets(self) -> dict[frozenset[Vec], tuple[IVec, ...]]:
+        return {}
+
+    @cached_property
+    def sums(self) -> dict[PolyCone, PolyCone]:
+        return {}
 
     @cached_property
     def polytope(self) -> Polytope:
@@ -786,7 +792,7 @@ def projection(p: Polytope, v_basis: list[Vec]) -> Projection:
         out = p._projections.get(key)
         if out is None:
             out = p._projections[key] = Projection(
-                p, basis, tuple(project_onto(basis, x) for x in p.vertices), {}, {}, {})
+                p, basis, tuple(project_onto(basis, x) for x in p.vertices))
     return out
 
 
@@ -950,7 +956,6 @@ def atom_decomposition(p: Polytope, n: PolyCone) -> list[PolyCone]:
     if not _touching_inside_all_normal(p, n):
         raise HypothesisFailed("a touching cone inside N is not a normal cone")
     bound = n.cone_dim - len(p.lin_perp)
-    from .lattice import decompose_by_atoms
     subset = decompose_by_atoms(lat, idx, bound)
     if subset is None:
         raise InvariantViolation("decomposition guaranteed under the hypothesis")
@@ -967,7 +972,6 @@ def coatom_decomposition(p: Polytope, f: PolyFace) -> list[PolyFace]:
     if not _touching_inside_all_normal(p, n):
         raise HypothesisFailed("a touching cone inside N(C,F) is not a normal cone")
     bound = n.cone_dim - len(p.lin_perp)
-    from .lattice import decompose_by_coatoms
     subset = decompose_by_coatoms(lat, idx, bound)
     if subset is None:
         raise InvariantViolation("decomposition guaranteed under the hypothesis")
@@ -985,7 +989,6 @@ def minkowski_atom_check(p: Polytope, f: PolyFace) -> list[PolyFace]:
         if sub.vset <= f.vset and sub.key not in lat._by_key:
             raise HypothesisFailed(f"face {sub.label()} inside F is not exposed")
     bound = f.dim + 1
-    from .lattice import decompose_by_atoms
     subset = decompose_by_atoms(lat, idx, bound)
     if subset is None:
         raise InvariantViolation("join decomposition guaranteed for closed polytopes")

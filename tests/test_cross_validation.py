@@ -706,7 +706,11 @@ MEETS_IDS = ("meets.normal_infimum_is_intersection", "meets.intersection_is_face
 
 def all_pairs_meets(p, nl):
     """The two meets verdicts as the all-pairs loop gave them before the
-    irreducible pairs: every unordered pair of the lattice intersected."""
+    irreducible pairs: every unordered pair of the lattice intersected.  On
+    a single point, whose only normal cone is the whole space, both claims
+    are excluded by hypothesis."""
+    if not p.dim:
+        return dict.fromkeys(MEETS_IDS, "skip")
     whole = eg.full_space(p.ambient_dim)
     ok_meet = ok_face = True
     for i, a in enumerate(nl.elements):

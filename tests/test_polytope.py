@@ -6,7 +6,6 @@ import pytest
 
 from facelat import checks
 from facelat import exactgeom as eg
-from facelat import lattice as lattice_module
 from facelat import polytope as pt
 from facelat.errors import (GeometryError, InvariantViolation, NotAFace,
                             OriginNotInterior, PointNotInBody, ZeroDirection)
@@ -470,7 +469,7 @@ def test_invariant_violation_is_raised_not_asserted(monkeypatch):
     assert not issubclass(InvariantViolation, GeometryError)
     sq = square()
     f = support(sq, vec(1, 1))[1]
-    monkeypatch.setattr(lattice_module, "decompose_by_coatoms", lambda *a: None)
+    monkeypatch.setattr(pt, "decompose_by_coatoms", lambda *a: None)
     with pytest.raises(InvariantViolation):
         coatom_decomposition(sq, f)
 
@@ -498,20 +497,34 @@ def _status(report, check_id):
     return next(v.status for v in report.verdicts if v.check_id == check_id)
 
 
+# the claims that range over nothing on a single point, or degenerate there
+POINT_EXCLUDED = (*PARTITION_VERDICTS, "sharp.normal_directions", "antitone.iso",
+                  "antitone.face_from_ri_normal", "antitone.pointwise_duality",
+                  "meets.normal_infimum_is_intersection", "meets.intersection_is_face",
+                  "meets.exposed_intersection_witness", "coatoms.exposed_faces",
+                  "coatoms.normal_atoms", "coatoms.minkowski_atoms",
+                  "lift.exposed_face_transform")
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_partition_verdicts_skip_a_single_point(dim):
     """A point's only touching cone is the whole space, so no direction lies
     in a proper one: both partition verdicts are excluded by hypothesis, in
-    2D too, where every compass direction would count 0.  A point has no
-    sample direction either, so `sharp.normal_directions`, which would pass
-    having tested nothing, is excluded by the same hypothesis."""
+    2D too, where every compass direction would count 0, and no partition
+    count is recorded.  A point has no sample direction, no proper face, no
+    facet and one normal cone either, so every verdict that would pass
+    having tested nothing is excluded by the same hypothesis, and so is the
+    degenerate antitone isomorphism: 13 in all, and no other."""
     point = Polytope((vec(*range(1, dim + 1)),))
     assert checks._sample_directions(point) == []
     rep = checks.run_suite(point, "point", "all")
     assert rep.passed
-    for check_id in (*PARTITION_VERDICTS, "sharp.normal_directions"):
+    assert len(POINT_EXCLUDED) == 13
+    assert {v.check_id for v in rep.verdicts if "single point" in v.detail} == set(
+        POINT_EXCLUDED)
+    for check_id in POINT_EXCLUDED:
         assert _status(rep, check_id) == "skip"
-        assert "single point" in _detail(rep, check_id)
+    assert "partition_directions" not in rep.counts
 
 
 def _duplicated_full_cone(p, elements):

@@ -59,7 +59,7 @@ VALUE = {
 IDENTITY = {
     ConeTable: ConeTable,
     Projection: lambda: Projection(Polytope((vec(0), vec(1))), (vec(1),),
-                                   (vec(0), vec(1)), {}, {}, {}),
+                                   (vec(0), vec(1))),
 }
 MUTABLE = {
     Verdict: lambda: Verdict("suite.claim", "pass", "detail"),
