@@ -3,10 +3,13 @@
 Two kinds of vector cross this module's boundary.  Points, solutions and
 support values are `fractions.Fraction`s (`Vec`), and so is every result of
 the public kernel helpers (`rref`, `span_basis`, `kernel_basis`,
-`solve_linear`, `simplex_max`, `dot`, `primitive`, ...).  Canonical vectors
-are tuples of Python `int`s (`IVec`): the rays, lineality and facet normals
-of a cone, its span and perp bases, the facet normals of a polytope, and
-every direction the planar layer builds.  `Fraction(n) == n`,
+`solve_linear`, `simplex_max`, `dot`, `primitive`, `project_onto`).
+`in_conv_hull`, `hull_weight_support`, `aff_hull`, `cone_from_hrep` and
+`dual_cone` have no caller in the library: they are public references the
+tests hold its routes to (README, "Python API").  Canonical vectors are
+tuples of Python `int`s (`IVec`): the rays, lineality and facet normals of
+a cone, its span and perp bases, the facet normals of a polytope, and every
+direction the planar layer builds.  `Fraction(n) == n`,
 `hash(Fraction(n)) == hash(n)` and both print alike, so keys, order and
 labels do not depend on the type, and every predicate accepts either.
 
@@ -287,7 +290,8 @@ def _ispan(rows: Sequence[Sequence[int]]) -> tuple[IVec, ...]:
 
 
 def _perp(basis: Sequence[Vec], dim: int) -> tuple[IVec, ...]:
-    """`orth_complement` as ints, for rational or integer basis vectors."""
+    """A canonical integer basis of the orthogonal complement of span(basis)
+    in R^dim, for rational or integer basis vectors."""
     return _ikernel([_scaled(b) for b in basis], dim)
 
 
@@ -304,11 +308,6 @@ def solve_linear(rows: Sequence[Vec], rhs: Sequence[Fraction]) -> Vec | None:
     for row, p in zip(m, pivots):
         x[p] = Fraction(row[dim], row[p])
     return tuple(x)
-
-
-def orth_complement(basis: Sequence[Vec], dim: int) -> tuple[Vec, ...]:
-    """Canonical basis of the orthogonal complement of span(basis) in R^dim."""
-    return kernel_basis(list(basis), dim)
 
 
 def project_onto(basis: Sequence[Vec], x: Vec) -> Vec:
@@ -519,12 +518,13 @@ def hull_weight_support(points: Sequence[Vec], x: Vec,
                         known: Iterable[int] = ()) -> set[int]:
     """Indices that can carry positive weight in some convex combination for x.
 
-    Empty set when x is not in the hull at all.  This is the carrier oracle of
-    the face route: for the vertices of a polytope the result is the vertex set
-    of the unique face containing x in its relative interior.  `known` names
-    indices the caller already knows can be positive (for a centroid, the
-    averaged points).  The LPs are `hull_carrier`'s, on the rays of the
-    points and x.
+    Empty set when x is not in the hull at all.  For the vertices of a
+    polytope the result is the vertex set of the unique face containing x in
+    its relative interior.  The point-set front end of `hull_carrier`, kept
+    for the tests and the benchmark tracer: the face route calls
+    `hull_carrier` on the vertex rays directly.  `known` names indices the
+    caller already knows can be positive (for a centroid, the averaged
+    points).  The LPs are `hull_carrier`'s, on the rays of the points and x.
     """
     return hull_carrier(*_hull_system(points, x), known) if points else set()
 
@@ -964,19 +964,6 @@ def subspace_cone(basis: Sequence[Vec], dim: int,
 def full_space(dim: int, table: ConeTable | None = None) -> PolyCone:
     return subspace_cone([[int(i == j) for j in range(dim)] for i in range(dim)],
                          dim, table)
-
-
-def zero_cone(dim: int) -> PolyCone:
-    return PolyCone(dim, (), ())
-
-
-def ri_contains(shape, x: Vec) -> bool:
-    """Relative-interior membership for a PolyCone or a vertex list (polytope)."""
-    if isinstance(shape, PolyCone):
-        if shape.dim != len(x):
-            raise DimensionMismatch("point and cone dimensions differ")
-        return shape.ri_contains(x)
-    return in_ri_conv_hull([tuple(Fraction(c) for c in p) for p in shape], x)
 
 
 def held_generators(cones: Sequence) -> list[int]:

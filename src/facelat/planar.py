@@ -376,11 +376,11 @@ class Arc(Frozen):
                 return _primitive2(cand)
         raise ValueError("degenerate arc")
 
-    def rational_points(self, count: int = 2) -> list[Vec]:
-        """Rational points strictly inside the arc, by rational rotations."""
+    def rational_points(self) -> list[Vec]:
+        """Two rational points strictly inside the arc, by rational rotations."""
         out = []
         k = 1
-        while len(out) < count and k < 60:
+        while len(out) < 2 and k < 60:
             t = Fraction(1, k + 2)
             c = (1 - t * t) / (1 + t * t)
             s = 2 * t / (1 + t * t)
@@ -391,7 +391,7 @@ class Arc(Frozen):
                 if self.point_on(x, strict=True) and x not in out:
                     out.append(x)
             k += 1
-        return out[:count]
+        return out[:2]
 
 
 Feature = Segment | Arc
@@ -814,14 +814,6 @@ def touching_cone(body: PlanarBody, u: Vec) -> tuple[Cone2, bool]:
     return t, g.tag != "empty" and normal_cone_at(body, g) == t
 
 
-def sup_exposed_planar(body: PlanarBody, f: FaceDescriptor) -> FaceDescriptor:
-    """Smallest exposed face containing f: the face exposed by any ri normal."""
-    if f.tag in ("whole", "empty"):
-        return f
-    v = normal_cone_at(body, f).ri_vector()
-    return exposed_face(body, v)
-
-
 # ---------------------------------------------------------------------------
 # cone inventory
 # ---------------------------------------------------------------------------
@@ -896,11 +888,6 @@ def cone_inventory(body: PlanarBody) -> ConeInventory:
 def non_exposed_faces(body: PlanarBody) -> list[FaceDescriptor]:
     """The finitely many faces that are not exposed (always vertex faces)."""
     return list(body._inventory.non_exposed)
-
-
-def touching_not_normal(body: PlanarBody) -> list[Cone2]:
-    """Proper touching cones that are not normal cones (always rays)."""
-    return list(body._inventory.extra_touching)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,7 +1199,7 @@ def special_face_lattice(body: PlanarBody, exposed_only: bool = False) -> Finite
 # samples for invariant tests
 # ---------------------------------------------------------------------------
 
-def sample_boundary_points(body: PlanarBody, per_arc: int = 2) -> list[Vec]:
+def sample_boundary_points(body: PlanarBody) -> list[Vec]:
     """Rational points of the body's boundary: junctions, midpoints, arc points."""
     out = []
     for j in range(body.n):
@@ -1224,7 +1211,7 @@ def sample_boundary_points(body: PlanarBody, per_arc: int = 2) -> list[Vec]:
         if isinstance(f, Segment):
             out.append(vscale(Fraction(1, 2), vadd(f.start, f.end)))
         else:
-            out.extend(f.rational_points(per_arc))
+            out.extend(f.rational_points())
     return out
 
 

@@ -125,8 +125,9 @@ class Polytope(Frozen):
         """Vertex i = n/c as its primitive ray (n, c), c > 0, the one integer
         form of a vertex: the vertices are the rays of the homogenised body,
         and x lies in it exactly when (x, 1) is a positive combination of
-        the rays.  The form in which `lift_point_set` returns a vertex;
-        built from the vertices alone, so reading it computes no facets."""
+        the rays.  The form in which `Projection.lift_point_set` returns a
+        vertex; built from the vertices alone, so reading it computes no
+        facets."""
         return tuple(map(eg._ray, self.vertices))
 
     @cached_property
@@ -263,13 +264,13 @@ class Polytope(Frozen):
         den *= sum(weights)
         return tuple(Fraction(eg._idot(scaled, col), den) for col in columns)
 
-    def ri_samples(self, f: PolyFace, count: int = 3) -> list[Vec]:
+    def ri_samples(self, f: PolyFace) -> list[Vec]:
         """A few distinct relative-interior points (positive-weight mixes)."""
         idx = f.vertex_indices
         if not idx:
             raise NotAFace("the empty face has no relative-interior point")
         out = []
-        for s in range(count):
+        for s in range(3):
             x = self._mix(idx, [1 + (i + s) % len(idx) for i in range(len(idx))])
             if x not in out:
                 out.append(x)
@@ -525,18 +526,6 @@ def touching_cone_lattice(p: Polytope) -> FiniteLattice:
 def _build_touching_lattice(p: Polytope) -> FiniteLattice:
     return _cone_lattice({face for el in normal_cone_lattice(p).elements
                           for face in cone_faces(el.cone)})
-
-
-def touching_cone_at(p: Polytope, u: Vec) -> PolyCone:
-    """The face of N(C, F_perp(C,u)) holding u in its relative interior."""
-    if is_zero(u):
-        raise ZeroDirection("touching cone direction must be nonzero")
-    _, face = support(p, u)
-    n = normal_cone(p, face)
-    for t in cone_faces(n):
-        if t.ri_contains(u):
-            return t
-    raise InvariantViolation("relative interiors of cone faces must partition the cone")
 
 
 # ---------------------------------------------------------------------------
@@ -796,25 +785,9 @@ def projection(p: Polytope, v_basis: list[Vec]) -> Projection:
     return out
 
 
-def project_polytope(p: Polytope, v_basis: list[Vec]) -> Polytope:
-    """Orthogonal projection onto the subspace spanned by v_basis."""
-    return projection(p, v_basis).polytope
-
-
-def lift_face(p: Polytope, v_basis: list[Vec], f: PolyFace) -> PolyFace:
-    """Lift a face of the projection back to a face of p (`Projection.lift_face`)."""
-    return projection(p, v_basis).lift_face(f)
-
-
-def lift_point_set(p: Polytope, v_basis: list[Vec], f: PolyFace) -> tuple[IVec, ...]:
-    """Vertices of (conv(f) + V_perp) cap p as primitive rays (x*t, t), t > 0,
-    by vertex enumeration (`Projection.lift_point_set`)."""
-    return projection(p, v_basis).lift_point_set(f)
-
-
 def _lift_vertices(p: Polytope, basis: tuple[Vec, ...], pts: list[Vec]) -> tuple[IVec, ...]:
-    """`lift_point_set` computed: pts are the projections onto V = span(basis)
-    of the face's vertices, extreme or not.
+    """`Projection.lift_point_set` computed: pts are the projections onto
+    V = span(basis) of the face's vertices, extreme or not.
 
     The system is p's own, plus conv(pts) pulled back through V: its facets,
     and the slab equalities on V cap D_perp, D the direction space of
@@ -906,12 +879,6 @@ class CylinderNormalReport(Frozen):
     @property
     def passed(self) -> bool:
         return self.projected_cone == self.formula_cone
-
-
-def cylinder_normal_check(p: Polytope, v_basis: list[Vec], a: Vec) -> CylinderNormalReport:
-    """Compare N(pi_V(C), pi_V(a)) against (N(C,a) cap V) + V_perp, exactly
-    (`Projection.cylinder_normal_check`)."""
-    return projection(p, v_basis).cylinder_normal_check(a)
 
 
 # ---------------------------------------------------------------------------

@@ -52,34 +52,6 @@ def maximal_projection(u: np.ndarray, tol_gap: float = TOL_GAP) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def proj_leq(p: np.ndarray, q: np.ndarray, tol: float = 1e-8) -> bool:
-    """Projection order p <= q, i.e. qp = p, within tolerance."""
-    return bool(np.linalg.norm(q @ p - p) <= tol)
-
-
-def proj_eq(p: np.ndarray, q: np.ndarray, tol: float = 1e-8) -> bool:
-    return bool(np.linalg.norm(p - q) <= tol)
-
-
-def exposed_face_state(alg: Algebra, u: np.ndarray,
-                       tol_gap: float = TOL_GAP) -> np.ndarray:
-    """The projection p with exposed face {rho : supp(rho) <= p} for direction u."""
-    return maximal_projection(u, tol_gap)
-
-
-def normal_cone_state(alg: Algebra, rho: np.ndarray, tol: float = 1e-8):
-    """Membership and relative-interior predicates of the normal cone at rho."""
-    s = support_projection(rho)
-
-    def member(u: np.ndarray) -> bool:
-        return proj_leq(s, maximal_projection(u), tol)
-
-    def ri_member(u: np.ndarray) -> bool:
-        return proj_eq(s, maximal_projection(u), tol)
-
-    return member, ri_member
-
-
 def random_hermitian(alg: Algebra, rng: np.random.Generator) -> np.ndarray:
     n = algebra_dim(alg)
     m = np.zeros((n, n), dtype=complex)
@@ -200,11 +172,11 @@ def cone_support(u: np.ndarray) -> float:
     return max(base, apex)
 
 
-def state_space_support(alg: Algebra, u: np.ndarray) -> float:
+def state_space_support(u: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(u)[-1])
 
 
-def verify_cone_frame(samples: int = 200, seed: int = 7, tol: float = 1e-9) -> float:
+def verify_cone_frame(samples: int = 200, seed: int = 7) -> float:
     """Max deviation between the matrix state-space support and the 3D cone model.
 
     Confirms that the projection of the state space to the frame and its
@@ -218,7 +190,7 @@ def verify_cone_frame(samples: int = 200, seed: int = 7, tol: float = 1e-9) -> f
     for _ in range(samples):
         c = rng.standard_normal(3)
         u = sum(ci * ei for ci, ei in zip(c, es))
-        h_matrix = state_space_support((2, 1), u) - float(np.trace(eye @ u).real)
+        h_matrix = state_space_support(u) - float(np.trace(eye @ u).real)
         h_model = cone_support(c)
         worst = max(worst, abs(h_matrix - h_model))
     return worst

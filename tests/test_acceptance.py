@@ -58,7 +58,7 @@ def test_criterion_02_lattice_sizes(bodies):
 
 def test_criterion_03_quarter_disk(bodies):
     qd = bodies["quarter_disk"]
-    tnn = pl.touching_not_normal(qd)
+    tnn = pl.cone_inventory(qd).extra_touching
     ok = ({c.d1 for c in tnn} == {vec(1, 0), vec(0, 1)}
           and len(tnn) == 2
           and pl.non_exposed_faces(qd) == []
@@ -73,7 +73,7 @@ def test_criterion_04_stadium(bodies):
     ne = pl.non_exposed_faces(st)
     ok = ({f.point for f in ne}
           == {vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)}
-          and pl.touching_not_normal(st) == []
+          and pl.cone_inventory(st).extra_touching == ()
           and pl.check_2d_nonexposed_rule(st).passed)
     _report(4, "stadium: flat-edge endpoints non-exposed, all touching cones "
                "normal, 2D endpoint rule holds", ok)
@@ -81,7 +81,7 @@ def test_criterion_04_stadium(bodies):
 
 def test_criterion_05_lens(bodies):
     lens = bodies["lens"]
-    tnn = pl.touching_not_normal(lens)
+    tnn = pl.cone_inventory(lens).extra_touching
     ok = len(tnn) == 4
     # no one-dimensional faces exist, so every proper face is its own coatom;
     # check the corners and arc representatives explicitly
@@ -204,7 +204,7 @@ def test_criterion_10_lifting(bodies):
                              for i in range(3) for j in range(i + 1, 3)])):
         for basis in subspaces:
             for v in p.vertices:
-                ok = ok and pt.cylinder_normal_check(p, basis, v).passed
+                ok = ok and pt.projection(p, basis).cylinder_normal_check(v).passed
     _report(10, "triangle/x-axis lifts corners but not the bottom edge; "
                 "cylinder normal-cone formula exact at all vertices and "
                 "coordinate subspaces of square and cube", ok)

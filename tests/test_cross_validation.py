@@ -36,10 +36,10 @@ from facelat.planar import (Cone2, FaceDescriptor, PlanarBody, Segment,
                             compass_directions, exposed_face, face_at,
                             normal_cone_at, polar_planar)
 from facelat.polytope import (ConeElement, Polytope, exposed_face_lattice,
-                              extreme_points, face_lattice, lift_face,
-                              lift_point_set, normal_cone, normal_cone_at_point,
-                              normal_cone_lattice, polar, pos_iso_check,
-                              project_polytope, support, touching_cone_lattice)
+                              extreme_points, face_lattice, normal_cone,
+                              normal_cone_at_point, normal_cone_lattice, polar,
+                              pos_iso_check, projection, support,
+                              touching_cone_lattice)
 
 coord = st.integers(min_value=-3, max_value=3)
 small = st.integers(min_value=-2, max_value=2)
@@ -470,7 +470,8 @@ def test_memoised_lifts_equal_fresh_lifts(raw):
             canon = span_basis(basis)
             for f in faces:
                 pts = [project_onto(canon, x) for x in p.face_points(f)]
-                assert lift_point_set(p, basis, f) == pt._lift_vertices(p, canon, pts)
+                lifted = projection(p, basis).lift_point_set(f)
+                assert lifted == pt._lift_vertices(p, canon, pts)
 
 
 def test_cube_conversions_are_memoised(monkeypatch):
@@ -495,10 +496,11 @@ def test_body_caches_die_with_the_body():
     for build in (face_lattice, exposed_face_lattice, normal_cone_lattice,
                   touching_cone_lattice, polar):
         build(p)
-    q = project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)])
-    lifted = lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], q.make_face({0}))
-    assert lifted == lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], q.make_face({0}))
-    assert lift_point_set(p, [vec(1, 0, 0)], p.make_face({3}))
+    xy = [vec(1, 0, 0), vec(0, 1, 0)]
+    q = projection(p, xy).polytope
+    lifted = projection(p, xy).lift_face(q.make_face({0}))
+    assert lifted == projection(p, xy).lift_face(q.make_face({0}))
+    assert projection(p, [vec(1, 0, 0)]).lift_point_set(p.make_face({3}))
     edge = p.make_face({0, 3})
     cone = normal_cone(p, edge)
     assert cone == normal_cone_at_point(p, p.ri_point(edge))
@@ -673,24 +675,22 @@ def test_lift_suite_derives_one_body_per_subspace(monkeypatch):
 
 def test_projection_record_holds_the_subspace_memos():
     """One record per canonical subspace holds the projection and its lift
-    and cylinder memos; the public functions read and fill it."""
+    and cylinder memos; its methods read and fill them."""
     p = Polytope((vec(-1, -1, 0), vec(1, -1, 0), vec(0, 2, 0), vec(0, 0, 1),
                   vec(0, 0, -1)))
     rec = pt.projection(p, [vec(0, 3, 0), vec(2, 0, 0)])
     assert rec is pt.projection(p, [vec(1, 0, 0), vec(0, 1, 0)])
     assert rec.basis == span_basis([vec(1, 0, 0), vec(0, 1, 0)])
     assert rec.points == tuple(project_onto(rec.basis, v) for v in p.vertices)
-    assert project_polytope(p, [vec(1, 0, 0), vec(0, 1, 0)]) is rec.polytope
     assert rec.polytope.cone_table is p.cone_table
     q = rec.polytope
-    for f in face_lattice(q).elements:
-        assert lift_face(p, [vec(1, 0, 0), vec(0, 1, 0)], f) == rec.lift_face(f)
-    assert set(rec.lifted_faces) == {f.key for f in face_lattice(q).elements
-                                     if f.vertex_indices}
-    for f in face_lattice(p).elements:
-        assert lift_point_set(p, [vec(1, 0, 0), vec(0, 1, 0)], f) == rec.lift_point_set(f)
+    lifted = {f.key: rec.lift_face(f) for f in face_lattice(q).elements
+              if f.vertex_indices}
+    assert rec.lifted_faces == lifted
+    lifts = {rec.lift_point_set(f) for f in face_lattice(p).elements if f.vertex_indices}
+    assert set(rec.lifted_point_sets.values()) == lifts
     for v in p.vertices:
-        rep = pt.cylinder_normal_check(p, [vec(1, 0, 0), vec(0, 1, 0)], v)
+        rep = rec.cylinder_normal_check(v)
         assert rep.passed and rep.formula_cone in rec.sums.values()
     assert rec.v_cone == subspace_cone(rec.basis, 3)
     assert rec.perp_cone == subspace_cone([unit(3, 2)], 3)

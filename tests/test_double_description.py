@@ -32,7 +32,7 @@ from facelat.exactgeom import (ConeTable, PolyCone, _cone_facet_normals,
                                dot, dot2_sign, double_description, dual_cone,
                                held_generators, intersect_cones,
                                intersection_closure, is_zero, kernel_basis,
-                               orient2, orth_complement, pos_hull, primitive,
+                               orient2, pos_hull, primitive,
                                project_onto, rank, solve_linear, span_basis,
                                subspace_cone, vadd, vec, vneg, vscale,
                                vsub, zero)
@@ -40,7 +40,7 @@ from facelat.lattice import build_lattice
 from facelat.planar import Cone2, FaceDescriptor, special_face_lattice
 from facelat.polytope import (ConeElement, Facet, PolyFace, Polytope,
                               exposed_face_lattice, extreme_points,
-                              lift_point_set, normal_cone_lattice,
+                              normal_cone_lattice, projection,
                               touching_cone_lattice)
 
 
@@ -51,7 +51,7 @@ from facelat.polytope import (ConeElement, Facet, PolyFace, Polytope,
 def subspace_intersection(b1, b2, dim):
     """Canonical basis of span(b1) ∩ span(b2): the kernel of both
     orthogonal complements."""
-    cons = list(orth_complement(b1, dim)) + list(orth_complement(b2, dim))
+    cons = list(kernel_basis(b1, dim)) + list(kernel_basis(b2, dim))
     return kernel_basis(cons, dim)
 
 
@@ -86,7 +86,7 @@ def ref_pos_hull(generators, dim):
     if normals:
         lin = subspace_intersection(lin, span, dim)
     rays = set()
-    spanc = list(orth_complement(span, dim))
+    spanc = list(kernel_basis(span, dim))
     for g in gens:
         r0 = vsub(g, project_onto(lin, g))
         if is_zero(r0):
@@ -101,7 +101,7 @@ def ref_cone_from_hrep(span, normals, dim):
     w = len(span)
     if w == 0:
         return PolyCone(dim, (), ())
-    span_c = list(orth_complement(span, dim))
+    span_c = list(kernel_basis(span, dim))
     lin = kernel_basis(list(normals) + span_c, dim)
     candidates = set()
     want = w - len(lin) - 1
@@ -474,15 +474,16 @@ def test_facets_and_exposed_lattice_equal_subset_route(p):
 @settings(max_examples=30, deadline=None)
 @given(point_sets(), st.lists(st.tuples(small, small, small, small), min_size=1, max_size=2))
 def test_lift_systems_equal_subset_route(p, raw_basis):
-    """The systems lift_point_set solves, from the body's vertex cone, and
-    each made infeasible by a contradictory pair of rows, against the subset
-    route on the whole system, its vertices as rays."""
+    """The systems `Projection.lift_point_set` solves, from the body's vertex
+    cone, and each made infeasible by a contradictory pair of rows, against
+    the subset route on the whole system, its vertices as rays."""
     basis = [vec(*b[:p.ambient_dim]) for b in raw_basis]
     assume(any(not is_zero(b) for b in basis))
     systems = []
     eg._seeded_description = recording_lifts(p, systems)
     try:
-        lifts = [lift_point_set(p, basis, f) for f in exposed_face_lattice(p).elements
+        proj = projection(p, basis)
+        lifts = [proj.lift_point_set(f) for f in exposed_face_lattice(p).elements
                  if f.vertex_indices]
     finally:
         eg._seeded_description = _seeded_description

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from facelat import exactgeom as eg
 from facelat.errors import DimensionMismatch
-from facelat.exactgeom import (aff_hull, cone_faces, cone_from_hrep, dot,
-                               dot2_sign, dual_cone, full_space,
-                               hull_weight_support, intersect_cones,
-                               kernel_basis, minkowski_sum_cone, orient2,
-                               orth_complement,
-                               pos_hull, primitive, project_onto, rank,
-                               ri_contains, rref, simplex_max, solve_linear,
-                               span_basis, subspace_cone, vec, zero_cone)
+from facelat.exactgeom import (PolyCone, aff_hull, cone_faces, cone_from_hrep,
+                               dot, dot2_sign, dual_cone, full_space,
+                               hull_weight_support, in_ri_conv_hull,
+                               intersect_cones, kernel_basis,
+                               minkowski_sum_cone, orient2, pos_hull,
+                               primitive, project_onto, rank, rref,
+                               simplex_max, solve_linear, span_basis,
+                               subspace_cone, vec)
 
 
 def test_primitive_scaling():
@@ -53,7 +53,7 @@ def test_pos_hull_halfplane_recognizes_lineality():
 
 def test_pos_hull_of_nothing_is_zero_cone():
     k = pos_hull([], 2)
-    assert k == zero_cone(2)
+    assert k == PolyCone(2, (), ())
     assert k.contains(vec(0, 0)) and not k.contains(vec(1, 0))
 
 
@@ -93,14 +93,14 @@ def test_cross_section_spans_faces():
 
 def test_ri_membership():
     quadrant = pos_hull([vec(1, 0), vec(0, 1)])
-    assert ri_contains(quadrant, vec(1, 1))
-    assert not ri_contains(quadrant, vec(1, 0))
-    assert ri_contains([vec(0, 0), vec(2, 0)], vec(1, 0))
-    assert not ri_contains([vec(0, 0), vec(2, 0)], vec(0, 0))
+    assert quadrant.ri_contains(vec(1, 1))
+    assert not quadrant.ri_contains(vec(1, 0))
+    assert in_ri_conv_hull([vec(0, 0), vec(2, 0)], vec(1, 0))
+    assert not in_ri_conv_hull([vec(0, 0), vec(2, 0)], vec(0, 0))
     with pytest.raises(DimensionMismatch):
-        ri_contains(quadrant, vec(1, 0, 0))
+        quadrant.ri_contains(vec(1, 0, 0))
     with pytest.raises(DimensionMismatch):
-        ri_contains([vec(0, 0), vec(2, 0)], vec(1, 0, 0))
+        in_ri_conv_hull([vec(0, 0), vec(2, 0)], vec(1, 0, 0))
 
 
 def test_ri_intersection_formula():
@@ -125,7 +125,7 @@ def test_intersect_orth_aff():
     quadrant = pos_hull([vec(1, 0), vec(0, 1)])
     lower = pos_hull([vec(1, 0), vec(-1, 0), vec(0, -1)])
     assert intersect_cones(quadrant, lower) == pos_hull([vec(1, 0)])
-    assert orth_complement([vec(1, 0)], 2) == (vec(0, 1),)
+    assert kernel_basis([vec(1, 0)], 2) == (vec(0, 1),)
     aff = aff_hull([vec(0, 0), vec(1, 0), vec(0, 1)])
     assert aff.dim == 2
     assert aff_hull([vec(2, 2)]).dim == 0
@@ -134,8 +134,8 @@ def test_intersect_orth_aff():
 def test_dual_cone():
     quadrant = pos_hull([vec(1, 0), vec(0, 1)])
     assert dual_cone(quadrant) == pos_hull([vec(-1, 0), vec(0, -1)])
-    assert dual_cone(zero_cone(2)) == full_space(2)
-    assert dual_cone(full_space(2)) == zero_cone(2)
+    assert dual_cone(pos_hull([], 2)) == full_space(2)
+    assert dual_cone(full_space(2)) == pos_hull([], 2)
     line = subspace_cone([vec(1, 0)], 2)
     assert dual_cone(line) == subspace_cone([vec(0, 1)], 2)
 
@@ -182,7 +182,6 @@ def test_hull_helpers_on_no_points(x):
     interior, and no index carries weight."""
     assert eg.in_conv_hull([], x) is False
     assert eg.in_ri_conv_hull([], x) is False
-    assert ri_contains([], x) is False
     assert hull_weight_support([], x) == set()
 
 

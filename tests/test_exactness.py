@@ -126,7 +126,7 @@ def assert_exact(p: Polytope):
     for i in range(p.ambient_dim):
         basis = [unit(p.ambient_dim, i)]
         for f in pt.face_lattice(p).elements:
-            canonical += pt.lift_point_set(p, basis, f)
+            canonical += pt.projection(p, basis).lift_point_set(f)
     for k in cones:
         canonical += [*k.rays, *k.lineality, *k.facet_normals, *k.span, *k.span_perp]
     assert all(type(x) is int for v in canonical for x in v)

@@ -22,9 +22,8 @@ from facelat.planar import (Arc, Cone2, FaceDescriptor, PlanarBody, QuadVal,
                             normal_cone_at, partition_check_planar,
                             polar_planar, quad_compare, singular_points,
                             special_face_lattice, special_faces,
-                            sup_exposed_planar, support_value, touching_cone,
-                            touching_not_normal)
-from facelat.polytope import Polytope, cylinder_normal_check, normal_cone
+                            support_value, touching_cone)
+from facelat.polytope import Polytope, normal_cone, projection
 
 
 def fixture(name):
@@ -150,19 +149,20 @@ def test_non_exposed_faces():
 
 def test_touching_not_normal():
     qd = fixture("quarter_disk")
-    assert {c.d1 for c in touching_not_normal(qd)} == {vec(1, 0), vec(0, 1)}
-    assert touching_not_normal(fixture("stadium")) == []
-    assert len(touching_not_normal(fixture("lens"))) == 4
+    assert {c.d1 for c in cone_inventory(qd).extra_touching} == {vec(1, 0), vec(0, 1)}
+    assert cone_inventory(fixture("stadium")).extra_touching == ()
+    assert len(cone_inventory(fixture("lens")).extra_touching) == 4
 
 
 def test_sup_exposed_planar():
+    """The smallest exposed face containing a face is the face exposed by a
+    relative-interior normal of it."""
     st = fixture("stadium")
-    assert sup_exposed_planar(st, FaceDescriptor.vertex(vec(1, 1))) == \
-        FaceDescriptor.edge(1)
+    corner = normal_cone_at(st, FaceDescriptor.vertex(vec(1, 1))).ri_vector()
+    assert exposed_face(st, corner) == FaceDescriptor.edge(1)
     qd = fixture("quarter_disk")
     b = FaceDescriptor.vertex(vec(1, 0))
-    assert sup_exposed_planar(qd, b) == b
-    assert sup_exposed_planar(qd, FaceDescriptor.whole()) == FaceDescriptor.whole()
+    assert exposed_face(qd, normal_cone_at(qd, b).ri_vector()) == b
 
 
 def test_2d_nonexposed_rule():
@@ -550,7 +550,7 @@ def test_memoised_support_equals_fresh_support(name, u, scale):
     lambda: touching_cone(fixture("unit_disk"), (1, 0, 0)),
     lambda: gauge_value(fixture("unit_disk"), (1, 0, 0)),
     lambda: face_at(fixture("unit_disk"), (1,)),
-    lambda: cylinder_normal_check(fixture("square"), [(1, 0, 0)], (0, 0)),
+    lambda: projection(fixture("square"), [(1, 0, 0)]).cylinder_normal_check((0, 0)),
 ], ids=["support_value", "exposed_face", "touching_cone", "gauge_value",
         "face_at", "cylinder_normal_check"])
 def test_wrong_dimension_raises_dimension_mismatch(query):

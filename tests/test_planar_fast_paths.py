@@ -1029,7 +1029,7 @@ def _locate_probes(body, x, eps):
                     vadd(f.end, step), vsub(f.start, step)]
         else:
             out.append(f.center)
-            for p in f.rational_points(2) + [f.start, f.end]:
+            for p in f.rational_points() + [f.start, f.end]:
                 r = vsub(p, f.center)
                 tangent = vscale(eps, (-r[1], r[0]))
                 out += [p, vsub(f.center, r), vadd(p, vscale(eps, r)),

@@ -15,14 +15,13 @@ from facelat.lattice import (FiniteLattice, decompose_by_coatoms, lattice_map,
                              verify_isomorphism)
 from facelat.polytope import (ConeElement, Polytope, atom_decomposition,
                               coatom_decomposition, conjugate_face,
-                              cylinder_normal_check, exposed_face_lattice,
-                              exposed_meet, face_lattice, is_sharp_exposed,
-                              is_sharp_normal, lift_face, lifted_face_lattices,
-                              minkowski_atom_check, normal_cone,
-                              normal_cone_at_point, normal_cone_lattice,
-                              polar, pos_iso_check,
-                              project_polytope, sup_exposed, support,
-                              touching_cone_at, touching_cone_lattice)
+                              exposed_face_lattice, exposed_meet, face_lattice,
+                              is_sharp_exposed, is_sharp_normal,
+                              lifted_face_lattices, minkowski_atom_check,
+                              normal_cone, normal_cone_at_point,
+                              normal_cone_lattice, polar, pos_iso_check,
+                              projection, sup_exposed, support,
+                              touching_cone_lattice)
 
 
 # One instance per body for the whole module: lattices are cached on the body,
@@ -139,28 +138,20 @@ def test_touching_equals_normal():
         assert nl == tl
 
 
-def test_touching_cone_at():
-    sq = square()
-    assert touching_cone_at(sq, vec(1, 0)) == pos_hull([vec(1, 0)])
-    assert touching_cone_at(sq, vec(2, 1)) == pos_hull([vec(1, 0), vec(0, 1)])
-    assert touching_cone_at(sq, vec(1, 1)) == pos_hull([vec(1, 0), vec(0, 1)])
-    with pytest.raises(ZeroDirection):
-        touching_cone_at(sq, vec(0, 0))
-
-
 def test_lift_of_exposed_face_is_exposed_face_of_direction():
     """The direction of a proper face of the projection is the sum of the
     normals of its facets through it, as `lift.exposed_face_transform`
     takes it."""
     tri = triangle()
-    q = project_polytope(tri, [vec(1, 0)])
+    proj = projection(tri, [vec(1, 0)])
+    q = proj.polytope
     proper = 0
     for f in exposed_face_lattice(q).elements:
         if not f.vertex_indices or len(f.vertex_indices) == len(q.vertices):
             continue
         proper += 1
         w = tuple(map(sum, zip(*(fc.normal for fc in q.facets if f.vset <= fc.vertex_set))))
-        lifted = lift_face(tri, [vec(1, 0)], f)
+        lifted = proj.lift_face(f)
         _, direct = support(tri, w)
         assert lifted.vset == direct.vset
     assert proper == 2
@@ -232,13 +223,13 @@ def test_pos_iso_check():
 
 def test_project_polytope():
     tri = triangle()
-    q = project_polytope(tri, [vec(1, 0)])
+    q = projection(tri, [vec(1, 0)]).polytope
     assert set(q.vertices) == {vec(0, 0), vec(2, 0)}
     c = cube()
-    z = project_polytope(c, [unit(3, 2)])
+    z = projection(c, [unit(3, 2)]).polytope
     assert set(z.vertices) == {vec(0, 0, -1), vec(0, 0, 1)}
     sq = square()
-    assert set(project_polytope(sq, [vec(1, 0), vec(0, 1)]).vertices) == set(sq.vertices)
+    assert set(projection(sq, [vec(1, 0), vec(0, 1)]).polytope.vertices) == set(sq.vertices)
 
 
 def test_empty_face_has_no_relative_interior_points():
@@ -254,16 +245,17 @@ def test_empty_face_has_no_relative_interior_points():
 
 def test_lift_face_examples():
     tri = triangle()
-    q = project_polytope(tri, [vec(1, 0)])
+    proj = projection(tri, [vec(1, 0)])
+    q = proj.polytope
     corner = q.face_of_point(vec(0, 0))
-    lifted = lift_face(tri, [vec(1, 0)], corner)
+    lifted = proj.lift_face(corner)
     assert tri.face_points(lifted) == [vec(0, 0)]
     top = q.make_face(frozenset(range(len(q.vertices))))
-    assert len(lift_face(tri, [vec(1, 0)], top).vertex_indices) == 3
-    assert lift_face(tri, [vec(1, 0)], q.make_face(frozenset())).vertex_indices == ()
+    assert len(proj.lift_face(top).vertex_indices) == 3
+    assert proj.lift_face(q.make_face(frozenset())).vertex_indices == ()
     from facelat.polytope import PolyFace
     with pytest.raises(NotAFace):
-        lift_face(tri, [vec(1, 0)], PolyFace((0, 2), 1))
+        proj.lift_face(PolyFace((0, 2), 1))
 
 
 def test_lifted_lattices_triangle():
@@ -335,18 +327,18 @@ def test_canonical_subspace_lift_on_a_tilted_triangle():
 
 
 def test_cylinder_normal_check():
-    sq = square()
-    r = cylinder_normal_check(sq, [vec(1, 0)], vec(1, 1))
+    x_axis = projection(square(), [vec(1, 0)])
+    r = x_axis.cylinder_normal_check(vec(1, 1))
     assert r.passed
     assert r.projected_cone == pos_hull([vec(1, 0), vec(0, 1), vec(0, -1)])
-    r = cylinder_normal_check(sq, [vec(1, 0)], vec(0, 0))
+    r = x_axis.cylinder_normal_check(vec(0, 0))
     assert r.passed and r.projected_cone == subspace_cone([vec(0, 1)], 2)
     with pytest.raises(PointNotInBody):
-        cylinder_normal_check(sq, [vec(1, 0)], vec(3, 0))
+        x_axis.cylinder_normal_check(vec(3, 0))
     c = cube()
     for basis in ([unit(3, 0)], [unit(3, 0), unit(3, 1)]):
         for v in c.vertices:
-            assert cylinder_normal_check(c, basis, v).passed
+            assert projection(c, basis).cylinder_normal_check(v).passed
 
 
 def test_cylinder_check_sums_each_distinct_cone_once():
@@ -366,7 +358,7 @@ def test_cylinder_check_sums_each_distinct_cone_once():
 
     eg.pos_hull = counting
     try:
-        reports = [(basis, v, cylinder_normal_check(c, basis, v))
+        reports = [(basis, v, projection(c, basis).cylinder_normal_check(v))
                    for basis in subspaces for v in c.vertices]
     finally:
         eg.pos_hull = hull

@@ -3,10 +3,8 @@ import pytest
 
 from facelat.errors import BadAngle, EigenFailure
 from facelat.statespace import (HALF_APERTURE_DEG, cone_experiment,
-                                exposed_face_state, maximal_projection,
-                                normal_cone_state, proj_eq, proj_leq,
-                                support_projection, verify_cone_frame,
-                                verify_sharp_properties)
+                                maximal_projection, support_projection,
+                                verify_cone_frame, verify_sharp_properties)
 
 S1 = np.array([[0, 1], [1, 0]], dtype=complex)
 S3 = np.diag([1.0, -1.0]).astype(complex)
@@ -36,23 +34,20 @@ def test_non_hermitian_rejected():
 
 
 def test_exposed_face_and_normal_cone_predicates():
-    p = exposed_face_state((2,), S3)
-    assert np.allclose(p, np.diag([1, 0]))
-    assert np.allclose(exposed_face_state((2,), I2), I2)
+    """Direction u exposes the face {rho : supp(rho) <= p} of p, its maximal
+    projection; u is normal at rho when supp(rho) <= p, and lies in the
+    relative interior of the normal cone when the two are equal."""
+    assert np.allclose(maximal_projection(S3), np.diag([1, 0]))
+    assert np.allclose(maximal_projection(I2), I2)
     # on the classical 2-simplex a two-level direction exposes an edge
     u = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    assert np.allclose(exposed_face_state((1, 1, 1), u), np.diag([1, 1, 0]))
-    member, ri = normal_cone_state((2,), np.diag([1.0, 0.0]).astype(complex))
-    assert member(S3) and ri(S3)
-    member2, ri2 = normal_cone_state((2,), I2 / 2)
-    assert not member2(S3)
-    assert member2(I2) and ri2(I2)
-
-
-def test_projection_order():
-    p, q = np.diag([1.0, 0.0]).astype(complex), I2
-    assert proj_leq(p, q) and not proj_leq(q, p)
-    assert proj_eq(p, p) and not proj_eq(p, q)
+    assert np.allclose(maximal_projection(u), np.diag([1, 1, 0]))
+    pure = support_projection(np.diag([1.0, 0.0]).astype(complex))
+    assert np.allclose(maximal_projection(S3) @ pure, pure)
+    assert np.allclose(maximal_projection(S3), pure)
+    mixed = support_projection(I2 / 2)
+    assert not np.allclose(maximal_projection(S3) @ mixed, mixed)
+    assert np.allclose(maximal_projection(I2), mixed)
 
 
 def test_sharp_properties_qubit():
