@@ -253,19 +253,16 @@ class Cone2(Frozen):
             return [self.d1, self.d2]
         return [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
-    def faces(self) -> list["Cone2"]:
-        """All nonempty faces of this cone."""
-        if self.kind in ("zero", "plane"):
-            return [self]
-        if self.kind == "ray":
-            return [Cone2.zero(), self]
-        return [Cone2.zero(), Cone2.ray(self.d1), Cone2.ray(self.d2), self]
-
     def face_with_in_ri(self, u: Vec) -> "Cone2":
-        """The face holding u in its relative interior."""
-        for f in self.faces():
-            if f.ri_contains(u):
-                return f
+        """The face holding u in its relative interior, by sign tests: the
+        cone itself, a boundary ray of a sector or the zero face, in turn."""
+        if self.ri_contains(u):
+            return self
+        for d in (self.d1, self.d2):
+            if d is not None and orient2(d, u) == 0 and dot2_sign(d, u) > 0:
+                return Cone2("ray", d)
+        if is_zero(u):
+            return Cone2.zero()
         raise ValueError(f"{u} is not in the cone")
 
 
@@ -362,12 +359,6 @@ class Arc(Frozen):
         return tuple(Fraction(c.numerator * rd + rn * t * c.denominator,
                               c.denominator * rd) for c, t in zip(self.center, (p, q)))
 
-    def point_on(self, x: Vec, strict: bool = False) -> bool:
-        r = vsub(x, self.center)
-        if dot(r, r) != self.radius_sq:
-            return False
-        return self.wedge_contains(r, strict=strict)
-
     def interior_direction(self) -> IVec:
         """A primitive direction strictly inside the radial wedge."""
         u, w = self.start_radial, self.end_radial
@@ -377,21 +368,26 @@ class Arc(Frozen):
         raise ValueError("degenerate arc")
 
     def rational_points(self) -> list[Vec]:
-        """Two rational points strictly inside the arc, by rational rotations."""
+        """Two rational points strictly inside the arc: the start turned about
+        the center by the rotations (m^2 - 1, ±2m)/(m^2 + 1), m = 3, 4, ...,
+        + before -, the first two that land.  The + turn, by 2*atan(1/m),
+        lands once shorter than the arc: from m = 3 on, or, on an arc from s
+        to e with C = s x e > 0 and D = s . e, once 1/m < C/(|s||e| + D), the
+        tangent of half the arc, that is from m0 = floor((D + sqrt(C^2 +
+        D^2))/C) + 1 on.  Below m0 no turn lands, so the points are the + turn
+        at m0 and the - turn there if it lands, else the + turn at m0 + 1."""
+        (a, b), (x, y) = self.start_radial, self.end_radial
+        cr, dt = a * y - b * x, a * x + b * y
+        m = max(3, (dt + isqrt(dt * dt + cr * cr)) // cr + 1) if cr > 0 else 3
+        c, t = m * m - 1, 2 * m  # start_radial's - turn is (a*c + b*t, b*c - a*t)/(m^2 + 1)
+        minus = self.wedge_contains((a * c + b * t, b * c - a * t), strict=True)
+        bx, by, e = _scaled_direction(vsub(self.start, self.center))
         out = []
-        k = 1
-        while len(out) < 2 and k < 60:
-            t = Fraction(1, k + 2)
-            c = (1 - t * t) / (1 + t * t)
-            s = 2 * t / (1 + t * t)
-            for cc, ss in ((c, s), (c, -s)):
-                base = vsub(self.start, self.center)
-                p = (base[0] * cc - base[1] * ss, base[0] * ss + base[1] * cc)
-                x = vadd(self.center, p)
-                if self.point_on(x, strict=True) and x not in out:
-                    out.append(x)
-            k += 1
-        return out[:2]
+        for m, t in ((m, t), (m, -t) if minus else (m + 1, 2 * m + 2)):
+            c, q = m * m - 1, e * (m * m + 1)
+            out.append(tuple(Fraction(z.numerator * q + p * z.denominator, z.denominator * q)
+                             for z, p in zip(self.center, (bx * c - by * t, bx * t + by * c))))
+        return out
 
 
 Feature = Segment | Arc
@@ -500,6 +496,21 @@ class PlanarBody(Frozen):
     def _support_memo(self) -> dict[tuple[int, ...], FaceDescriptor]:
         """`_exact_key` of a direction -> the face of the closure it exposes."""
         return {}
+
+    @cached_property
+    def _exposed_memo(self) -> dict[tuple[int, ...], FaceDescriptor]:
+        """`_exact_key` of a direction -> the face of the body it exposes."""
+        return {}
+
+    @cached_property
+    def _touching_normal(self) -> dict[tuple, bool]:
+        """`Cone2.key` of a touching cone -> whether it is a normal cone."""
+        return {}
+
+    @cached_property
+    def _vertex_faces(self) -> tuple[FaceDescriptor, ...]:
+        """The vertex face of each junction, built once."""
+        return tuple(map(FaceDescriptor.vertex, self.junctions))
 
     @cached_property
     def _junction_indices(self) -> dict[tuple[int, ...], int]:
@@ -624,12 +635,6 @@ class FaceDescriptor(Frozen):
     def edge(feature: int) -> "FaceDescriptor":
         return FaceDescriptor("edge", feature=feature)
 
-    @staticmethod
-    def arc_point(feature: int, direction: Vec, point: Vec | None = None
-                  ) -> "FaceDescriptor":
-        return FaceDescriptor("arcpoint", feature=feature, point=point,
-                              direction=_primitive2(direction))
-
     @property
     def key(self):
         if self.tag == "vertex":
@@ -673,7 +678,7 @@ def face_at(body: PlanarBody, x: Vec) -> FaceDescriptor:
     if kind == "segment":
         return FaceDescriptor.edge(i)
     arc = body.features[i]
-    return FaceDescriptor.arc_point(i, vsub(x, arc.center), x)
+    return FaceDescriptor("arcpoint", i, x, _primitive2(vsub(x, arc.center)))
 
 
 def _junction_index(body: PlanarBody, point: Vec) -> int:
@@ -693,11 +698,11 @@ def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
         feat = body.features[f.feature]
         if not isinstance(feat, Segment) or not body.feature_closed[f.feature]:
             raise NotAFace("edge descriptor must name a present segment feature")
-        return Cone2.ray(feat.outward_normal)
+        return Cone2("ray", feat.outward_normal)  # primitive, as is f.direction
     if f.tag == "arcpoint":
         if not body.feature_closed[f.feature]:
             raise NotAFace("arc feature is deleted")
-        return Cone2.ray(f.direction)
+        return Cone2("ray", f.direction)
     j = _junction_index(body, f.point)
     if not body.junction_present(j):
         raise NotAFace("vertex is deleted")
@@ -721,11 +726,12 @@ def support_form(body: PlanarBody, u: Vec) -> Form:
     return _support_scan(body, u)[3]
 
 
-def _support_entry(body: PlanarBody, u: Vec, scan=None) -> FaceDescriptor:
-    """The face of the closure that u exposes, memoised; on a miss `_support`
-    builds it from scan, which is `_support_scan(body, u)` when not given."""
+def _support_entry(body: PlanarBody, u: Vec, scan=None, key=None) -> FaceDescriptor:
+    """The face of the closure that u exposes, memoised by u's `_exact_key`
+    (key, when given); on a miss `_support` builds it from scan, which is
+    `_support_scan(body, u)` when not given."""
     memo = body._support_memo
-    key = _exact_key(u)
+    key = key or _exact_key(u)
     found = memo.get(key)
     if found is None:
         found = memo[key] = _support(body, u, scan or _support_scan(body, u))
@@ -770,11 +776,11 @@ def _support(body: PlanarBody, u: Vec, scan) -> FaceDescriptor:
     `_support_scan`."""
     best, vals, top, _ = scan
     if best is not None:
-        p = _primitive2(u)
-        return FaceDescriptor.arc_point(best, p, body.features[best].radial_point(p))
+        p = _primitive2(u)  # radial_point and the descriptor take it as it is
+        return FaceDescriptor("arcpoint", best, body.features[best].radial_point(p), p)
     junctions = [j for j, v in enumerate(vals) if v == top]
     if len(junctions) == 1:
-        return FaceDescriptor.vertex(body.junction(junctions[0]))
+        return body._vertex_faces[junctions[0]]
     if len(junctions) != 2:
         raise InvariantViolation("at most one segment can attain the support")
     pts = {body.junction(j) for j in junctions}
@@ -785,8 +791,18 @@ def _support(body: PlanarBody, u: Vec, scan) -> FaceDescriptor:
 
 
 def exposed_face(body: PlanarBody, u: Vec) -> FaceDescriptor:
-    """Exposed face of the body by u; Empty when the supremum is not attained."""
-    closure_face = _support_entry(body, u)
+    """Exposed face of the body by u; Empty when the supremum is not attained.
+    Memoised per direction, beside the face of the closure it is read from."""
+    memo = body._exposed_memo
+    key = _exact_key(u)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _exposed(body, _support_entry(body, u, key=key))
+    return found
+
+
+def _exposed(body: PlanarBody, closure_face: FaceDescriptor) -> FaceDescriptor:
+    """The part of a face of the closure that the body keeps, as a face."""
     if closure_face.tag == "vertex":
         j = _junction_index(body, closure_face.point)
         return closure_face if body.junction_present(j) else FaceDescriptor.empty()
@@ -798,20 +814,26 @@ def exposed_face(body: PlanarBody, u: Vec) -> FaceDescriptor:
         return closure_face
     for j in (i, (i + 1) % body.n):
         if body.junction_present(j):
-            return FaceDescriptor.vertex(body.junction(j))
+            return body._vertex_faces[j]
     return FaceDescriptor.empty()
 
 
 def touching_cone(body: PlanarBody, u: Vec) -> tuple[Cone2, bool]:
-    """Touching cone of the direction u and whether it is a normal cone."""
+    """Touching cone t of the direction u and whether it is a normal cone,
+    memoised by t's key: that depends on t alone (is N(g) == t for the face
+    g exposed by t's relative-interior vector)."""
     if is_zero(u):
         raise ZeroDirection("touching-cone direction must be nonzero")
     f = exposed_face(body, u)
     if f.tag == "empty":
         raise UndefinedTouchingCone(f"direction {u} exposes the empty face")
     t = normal_cone_at(body, f).face_with_in_ri(u)  # a ray or a sector
-    g = exposed_face(body, t.ri_vector())
-    return t, g.tag != "empty" and normal_cone_at(body, g) == t
+    memo, key = body._touching_normal, t.key
+    normal = memo.get(key)
+    if normal is None:
+        g = exposed_face(body, t.ri_vector())
+        normal = memo[key] = g.tag != "empty" and normal_cone_at(body, g) == t
+    return t, normal
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +888,7 @@ def _build_inventory(body: PlanarBody) -> ConeInventory:
         if not body.vertex_closed[j]:
             continue
         normals[cone.key] = cone
-        v = FaceDescriptor.vertex(body.junctions[j])
+        v = body._vertex_faces[j]
         if exposed_face(body, cone.ri_vector()) != v:
             non_exposed.append(v)
         if cone.kind == "sector":
@@ -919,7 +941,7 @@ def check_2d_nonexposed_rule(body: PlanarBody) -> Report:
     for j in range(body.n):
         if not body.junction_present(j):
             continue
-        v = FaceDescriptor.vertex(body.junction(j))
+        v = body._vertex_faces[j]
         ends_one = len(_adjacent_segment_faces(body, j)) == 1
         if (v.key in non_exp) != ends_one:
             failures.append(
@@ -975,8 +997,9 @@ def coatom_check_planar(body: PlanarBody, f: FaceDescriptor) -> CoatomReport:
     v = n.ri_vector()
     if exposed_face(body, v) != f:
         raise NotAFace("face is not exposed")
+    # of the faces of n, the zero cone and n itself are normal cones
     extra = body._inventory.extra_touching
-    hypothesis_ok = not any(t in extra for t in n.faces())
+    hypothesis_ok = not any(Cone2("ray", d) in extra for d in n.generators())
     coatoms: list[FaceDescriptor] = []
     if _is_coatom(body, f):
         coatoms.append(f)
@@ -1033,13 +1056,20 @@ def _touching_counts(cones: list[Cone2], arcs: list[Arc], directions: list[Vec])
     for u in directions:
         if is_zero(u):
             raise ZeroDirection("partition directions must be nonzero")
-        # orient2 in {-1, 1} off the ray's line, 2 * dot2_sign in {-2, 2} on it
-        cell = tuple(orient2(r, u) or 2 * dot2_sign(r, u) for r in rays)
+        cell = _cell_key(rays, u)
         count = by_cell.get(cell)
         if count is None:
             count = by_cell[cell] = (sum(c.ri_contains(u) for c in cones)
                                      + sum(f.wedge_contains(u, strict=True) for f in arcs))
         yield count
+
+
+def _cell_key(rays: list[IVec], u: Vec) -> tuple[int, ...]:
+    """orient2(r, u) in {-1, 1} off each int ray r's line, 2*dot2_sign(r, u)
+    in {-2, 2} on it: u scaled to ints once, the products formed inline."""
+    un, vn, _ = _scaled_direction(u)
+    return tuple([(c > 0) - (c < 0) if (c := x * vn - y * un)
+                  else 2 * ((d := x * un + y * vn) > 0) - 2 * (d < 0) for x, y in rays])
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1190,7 @@ def special_faces(body: PlanarBody, exposed_only: bool = False
                else set())
     for j in range(body.n):
         if body.junction_present(j):
-            v = FaceDescriptor.vertex(body.junction(j))
+            v = body._vertex_faces[j]
             if v.key not in non_exp:
                 out.append(v)
     for i, f in enumerate(body.features):
@@ -1170,7 +1200,7 @@ def special_faces(body: PlanarBody, exposed_only: bool = False
             out.append(FaceDescriptor.edge(i))
         else:
             d = f.interior_direction()
-            out.append(FaceDescriptor.arc_point(i, d, f.radial_point(d)))
+            out.append(FaceDescriptor("arcpoint", i, f.radial_point(d), d))
     return out
 
 

@@ -635,20 +635,25 @@ def test_planar_caches_die_with_the_body():
     body = fixture("quarter_disk")
     checks.run_suite(body, "quarter_disk", "all")
     memo, cones, inv = body._support_memo, body._junction_cones, body._inventory
-    assert memo and cones
+    exposed, normal, vertices = body._exposed_memo, body._touching_normal, body._vertex_faces
+    assert memo and cones and exposed and normal and vertices
     # the support memo holds faces alone: no support value outlives its call
     assert all(type(f) is FaceDescriptor for f in memo.values())
+    assert all(type(f) is FaceDescriptor for f in exposed.values())
+    assert all(type(n) is bool for n in normal.values())
     # dicts and tuples take no weak references; the objects they alone hold do
     f = next(iter(memo.values()))
-    refs = [weakref.ref(x) for x in (body, f, cones[0], inv)]
-    del body, memo, cones, inv, f
+    g = next(g for g in exposed.values() if g.tag == "arcpoint")
+    refs = [weakref.ref(x) for x in (body, f, g, vertices[0], cones[0], inv)]
+    del body, memo, cones, inv, f, g, exposed, normal, vertices
     gc.collect()
     assert all(r() is None for r in refs)
 
 
 def test_planar_support_values_are_memoised(monkeypatch):
-    """The ten planar fixtures' suites ask for 3,444 closure faces on 1,263
-    distinct (body, direction) pairs: at most half may be computed."""
+    """The ten planar fixtures' suites ask for 2,885 exposed faces and, past
+    the exposed-face memo, 1,308 closure faces (3,444 without it) on 1,263
+    distinct (body, direction) pairs: at most half of 3,444 may be computed."""
     computed = []
     core = planar._support
 
