@@ -18,12 +18,11 @@ The arithmetic inside runs on Python integers: elimination is fraction-free
 by their gcd, Bareiss-style), the simplex keeps an integer tableau, `dot` and
 `primitive` work on numerators over a common denominator, the cone predicates
 read a sign off an integer dot product, and the 2D predicates
-`orient2`/`dot2_sign` return a sign read off integer products: of the
-coordinates themselves when all four are ints, of numerators and
-denominators otherwise.  There is no
-floating point anywhere.  Cones are kept in a canonical V-representation
-(extreme rays modulo lineality, primitive integer scaling, sorted), so record
-equality coincides with geometric equality.  Every conversion between an
+`orient2`/`dot2_sign` return the sign of one cross or dot product, exact on
+ints and on Fractions alike.  There is no floating point anywhere.  Cones
+are kept in a canonical V-representation (extreme rays modulo lineality,
+primitive integer scaling, sorted), so record equality coincides with
+geometric equality.  Every conversion between an
 H- and a V-description, of cones here and of polytopes in `polytope`, goes
 through one integer double-description loop, `_insert_rows`, started from a
 simplicial cone (`double_description`, on top of one integer kernel,
@@ -115,30 +114,18 @@ def unit(dim: int, i: int) -> Vec:
 
 def orient2(a: Vec, b: Vec) -> int:
     """Sign of the 2D cross product a0*b1 - a1*b0: 1 when b lies
-    counterclockwise of a, -1 clockwise, 0 when they are parallel.
-
-    On four ints the product is formed directly.  Otherwise both products
-    are brought over the positive denominator a0.d*a1.d*b0.d*b1.d, so the
-    sign is read off integers and no Fraction is built."""
+    counterclockwise of a, -1 clockwise, 0 when they are parallel."""
     a0, a1 = a
     b0, b1 = b
-    if type(a0) is type(a1) is type(b0) is type(b1) is int:
-        c = a0 * b1 - a1 * b0
-    else:
-        c = (a0.numerator * b1.numerator * a1.denominator * b0.denominator
-             - a1.numerator * b0.numerator * a0.denominator * b1.denominator)
+    c = a0 * b1 - a1 * b0
     return (c > 0) - (c < 0)
 
 
 def dot2_sign(a: Vec, b: Vec) -> int:
-    """Sign of the 2D dot product, decided in integers like `orient2`."""
+    """Sign of the 2D dot product a0*b0 + a1*b1."""
     a0, a1 = a
     b0, b1 = b
-    if type(a0) is type(a1) is type(b0) is type(b1) is int:
-        c = a0 * b0 + a1 * b1
-    else:
-        c = (a0.numerator * b0.numerator * a1.denominator * b1.denominator
-             + a1.numerator * b1.numerator * a0.denominator * b0.denominator)
+    c = a0 * b0 + a1 * b1
     return (c > 0) - (c < 0)
 
 

@@ -99,9 +99,6 @@ class FiniteLattice(Frozen):
     def le(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.le(i, j)
-
     def meet(self, indices: Iterable[int]) -> int:
         """Infimum of a set of elements; the empty infimum is the top."""
         mask = self.down[self.top]

@@ -16,13 +16,13 @@ radii stay `Fraction`s.  Support and gauge values are integer `Form`s
 (P, R, E), the number (P + sqrt(R))/E: `support_form` and `gauge_form`
 compute them, `form_compare` orders them, and `support_value` and
 `gauge_value` turn one into a `QuadVal` of `Fraction`s only at the end.
-Each decision is an integer sign test, on the coordinates themselves when
-both vectors are int pairs and on numerators and denominators otherwise,
-and the support and gauge maxima are ranked on integers: no Fraction is
-built for a sign.  The public functions accept `Fraction` directions as
-well; since `Fraction(n) == n` with the same hash and the same printed form,
-keys, labels and reports do not depend on which was passed, and the support
-memo keys a direction by its integer numerators and denominators.
+Each 2D sign test is one cross or dot product (`orient2`, `dot2_sign`);
+the check suites pass it Fractions only where `locate` tests a point, and
+the support and gauge maxima are ranked on integers.  The public functions
+accept `Fraction` directions as well; since `Fraction(n) == n` with the
+same hash and the same printed form, keys, labels and reports do not depend
+on which was passed, and the exposed-face memo keys a direction by its
+integer numerators and denominators.
 """
 
 from __future__ import annotations
@@ -493,11 +493,6 @@ class PlanarBody(Frozen):
         return tuple(cones)
 
     @cached_property
-    def _support_memo(self) -> dict[tuple[int, ...], FaceDescriptor]:
-        """`_exact_key` of a direction -> the face of the closure it exposes."""
-        return {}
-
-    @cached_property
     def _exposed_memo(self) -> dict[tuple[int, ...], FaceDescriptor]:
         """`_exact_key` of a direction -> the face of the body it exposes."""
         return {}
@@ -717,25 +712,13 @@ def support_value(body: PlanarBody, u: Vec) -> tuple[QuadVal, FaceDescriptor]:
     """Support value over the closure and the exposed face of the closure,
     both read off one `_support_scan`."""
     scan = _support_scan(body, u)
-    return _quad(scan[3]), _support_entry(body, u, scan)
+    return _quad(scan[3]), _support(body, u, scan)
 
 
 def support_form(body: PlanarBody, u: Vec) -> Form:
     """The support value over the closure in direction u, as an integer
     `Form`; builds no face, no point and no Fraction."""
     return _support_scan(body, u)[3]
-
-
-def _support_entry(body: PlanarBody, u: Vec, scan=None, key=None) -> FaceDescriptor:
-    """The face of the closure that u exposes, memoised by u's `_exact_key`
-    (key, when given); on a miss `_support` builds it from scan, which is
-    `_support_scan(body, u)` when not given."""
-    memo = body._support_memo
-    key = key or _exact_key(u)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = _support(body, u, scan or _support_scan(body, u))
-    return found
 
 
 def _support_scan(body: PlanarBody, u: Vec
@@ -783,21 +766,22 @@ def _support(body: PlanarBody, u: Vec, scan) -> FaceDescriptor:
         return body._vertex_faces[junctions[0]]
     if len(junctions) != 2:
         raise InvariantViolation("at most one segment can attain the support")
-    pts = {body.junction(j) for j in junctions}
-    for i, f in enumerate(body.features):
-        if isinstance(f, Segment) and {f.start, f.end} == pts:
+    # feature i runs from junction i to junction i + 1, so only these two
+    # can join them; on a 2-feature body both do, at most one a segment
+    for i in junctions:
+        if (i + 1) % body.n in junctions and isinstance(body.features[i], Segment):
             return FaceDescriptor.edge(i)
     raise InvariantViolation("two support junctions must bound a segment feature")
 
 
 def exposed_face(body: PlanarBody, u: Vec) -> FaceDescriptor:
     """Exposed face of the body by u; Empty when the supremum is not attained.
-    Memoised per direction, beside the face of the closure it is read from."""
+    Memoised by u's `_exact_key`, so u as ints and as Fractions share it."""
     memo = body._exposed_memo
     key = _exact_key(u)
     found = memo.get(key)
     if found is None:
-        found = memo[key] = _exposed(body, _support_entry(body, u, key=key))
+        found = memo[key] = _exposed(body, _support(body, u, _support_scan(body, u)))
     return found
 
 
@@ -1214,7 +1198,7 @@ def special_face_lattice(body: PlanarBody, exposed_only: bool = False) -> Finite
     masks = []
     for f in faces:
         if f.tag == "vertex":
-            masks.append(1 << body.junctions.index(f.point))
+            masks.append(1 << _junction_index(body, f.point))
         elif f.tag == "edge":
             i = f.feature
             masks.append(1 << n + i | 1 << i | 1 << (i + 1) % n)

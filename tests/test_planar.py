@@ -530,11 +530,13 @@ def test_memoised_support_equals_fresh_support(name, u, scale):
         face = planar._support(body, v, planar._support_scan(body, v))
         fresh = planar._quad(planar.support_form(body, v)), face
         assert _exact(support_value(body, v)) == _exact(fresh)
-        assert _exact(support_value(body, v)) == _exact(fresh)  # a memo hit
-        # the memo holds the face alone, and every answer hands it out
-        entry = body._support_memo[planar._exact_key(v)]
-        assert type(entry) is FaceDescriptor
-        assert support_value(body, v)[1] is entry
+        assert _exact(support_value(body, v)) == _exact(fresh)
+        # the exposed-face memo holds the face alone, read off the support
+        # face, and every answer hands it out
+        exposed_face(body, v)
+        entry = body._exposed_memo[planar._exact_key(v)]
+        assert type(entry) is FaceDescriptor and entry == planar._exposed(body, face)
+        assert exposed_face(body, v) is entry
         _, f = fresh
         if f.tag == "arcpoint":
             assert f.direction == primitive(v)
@@ -562,9 +564,10 @@ def test_wrong_dimension_raises_dimension_mismatch(query):
 
 def test_support_memo_rejects_zero_and_stores_no_error():
     body = fixture("quarter_disk")
-    with pytest.raises(ZeroDirection):
-        support_value(body, vec(0, 0))
-    assert not body._support_memo
+    for query in (support_value, exposed_face):
+        with pytest.raises(ZeroDirection):
+            query(body, vec(0, 0))
+    assert not body._exposed_memo
 
 
 def test_cached_junction_cones_equal_fresh_cones():
@@ -634,37 +637,57 @@ def test_compass_lists_are_built_once_per_run(monkeypatch, name, counts):
 def test_planar_caches_die_with_the_body():
     body = fixture("quarter_disk")
     checks.run_suite(body, "quarter_disk", "all")
-    memo, cones, inv = body._support_memo, body._junction_cones, body._inventory
+    cones, inv = body._junction_cones, body._inventory
     exposed, normal, vertices = body._exposed_memo, body._touching_normal, body._vertex_faces
-    assert memo and cones and exposed and normal and vertices
-    # the support memo holds faces alone: no support value outlives its call
-    assert all(type(f) is FaceDescriptor for f in memo.values())
+    assert cones and exposed and normal and vertices
+    # the exposed-face memo holds faces alone: no support value outlives its call
     assert all(type(f) is FaceDescriptor for f in exposed.values())
     assert all(type(n) is bool for n in normal.values())
     # dicts and tuples take no weak references; the objects they alone hold do
-    f = next(iter(memo.values()))
+    f = next(f for f in exposed.values() if f.tag == "edge")
     g = next(g for g in exposed.values() if g.tag == "arcpoint")
     refs = [weakref.ref(x) for x in (body, f, g, vertices[0], cones[0], inv)]
-    del body, memo, cones, inv, f, g, exposed, normal, vertices
+    del body, cones, inv, f, g, exposed, normal, vertices
     gc.collect()
     assert all(r() is None for r in refs)
 
 
 def test_planar_support_values_are_memoised(monkeypatch):
-    """The ten planar fixtures' suites ask for 2,885 exposed faces and, past
-    the exposed-face memo, 1,308 closure faces (3,444 without it) on 1,263
-    distinct (body, direction) pairs: at most half of 3,444 may be computed."""
-    computed = []
-    core = planar._support
+    """The ten planar fixtures' suites, with their polars, ask for 2,885
+    exposed faces on 1,252 distinct (body, direction) pairs and for 56
+    support values, so `_support` computes 1,308 closure faces (3,444
+    without the exposed-face memo): at most half of 3,444 may be computed.
+    The exposed-face memo answers 1,633 of its 2,885 lookups and the
+    touching-cone normality memo 503 of its 1,041: each must answer at
+    least a quarter."""
+    computed, asked, seen = [], {"exposed": 0, "touching": 0}, {}
+    core, exposed, touching = planar._support, planar.exposed_face, planar.touching_cone
 
     def counting(body, u, scan):
         computed.append(u)
         return core(body, u, scan)
 
+    def counting_exposed(body, u):  # sees the polar bodies too
+        asked["exposed"] += 1
+        seen[id(body)] = body
+        return exposed(body, u)
+
+    def counting_touching(body, u):
+        answer = touching(body, u)  # a raising call reads no normality memo
+        asked["touching"] += 1
+        return answer
+
     monkeypatch.setattr(planar, "_support", counting)
+    monkeypatch.setattr(planar, "exposed_face", counting_exposed)
+    monkeypatch.setattr(planar, "touching_cone", counting_touching)
     for name in PLANAR_FIXTURES:
         assert checks.run_suite(bodyio.load_fixture(name), name, "all").passed, name
     assert 0 < len(computed) <= 1722
+    # each miss stores one entry, so the misses are the entries stored
+    for memo, lookups in (("_exposed_memo", asked["exposed"]),
+                          ("_touching_normal", asked["touching"])):
+        misses = sum(len(getattr(body, memo)) for body in seen.values())
+        assert 0 < misses <= lookups * 3 // 4, memo
 
 
 # ---------------------------------------------------------------------------

@@ -574,10 +574,9 @@ def test_support_raises_when_an_arc_ties_the_maximum():
 
 
 def test_support_value_scans_the_body_once_per_call(monkeypatch):
-    """`support_value` reads the face and the form off one `_support_scan`:
-    on a memo miss that scan also builds the face, and on a hit it gives
-    the form, so every call scans once.  Both answers equal a fresh
-    computation."""
+    """`support_value` reads the face and the form off one `_support_scan`,
+    and `exposed_face` scans once on a memo miss and not on a hit.  Every
+    answer equals a fresh computation."""
     body, scans = bodyio.load_fixture("stadium"), []
     real = planar._support_scan
 
@@ -587,17 +586,21 @@ def test_support_value_scans_the_body_once_per_call(monkeypatch):
 
     dirs = planar.compass_directions(72)
     want = [_exact(_fresh(body, u)) for u in dirs]
+    faces = [planar._exposed(body, _fresh(body, u)[1]) for u in dirs]
     monkeypatch.setattr(planar, "_support_scan", counting)
-    for rounds in (1, 2):  # misses, then hits
+    for rounds in (1, 2):
         assert [_exact(planar.support_value(body, u)) for u in dirs] == want
-        assert len(scans) == 72 * rounds and len(body._support_memo) == 72
+        assert len(scans) == 72 * rounds and not body._exposed_memo
+    for rounds in (1, 2):  # misses, then hits
+        assert [planar.exposed_face(body, u) for u in dirs] == faces
+        assert len(scans) == 144 + 72 and len(body._exposed_memo) == 72
 
 
 def test_exposed_face_builds_no_quadval(monkeypatch):
-    """Faces are read off the support memo: a compass sweep of
+    """Faces are read off the exposed-face memo: a compass sweep of
     `exposed_face` and `touching_cone` on the unit disk builds no
-    `QuadVal`; `support_value` then builds one per call, off the faces
-    already memoised, and computes no face afresh."""
+    `QuadVal`, and a second sweep computes no face; `support_value` then
+    builds one per call and leaves the memo as it was."""
     built, computed = [0], [0]
     real, core = planar.QuadVal, planar._support
 
@@ -616,13 +619,17 @@ def test_exposed_face_builds_no_quadval(monkeypatch):
     for u in dirs:
         planar.exposed_face(body, u)
         planar.touching_cone(body, u)
-    assert built[0] == 0 and len(body._support_memo) >= 360
-    faces, calls = dict(body._support_memo), computed[0]
+    assert built[0] == 0 and len(body._exposed_memo) >= 360
+    faces, calls = dict(body._exposed_memo), computed[0]
+    for u in dirs:
+        planar.exposed_face(body, u)
+    assert computed[0] == calls
     for rounds in (1, 2):
         for u in dirs:
             planar.support_value(body, u)
         assert built[0] == 360 * rounds
-    assert computed[0] == calls and body._support_memo == faces
+    assert body._exposed_memo.keys() == faces.keys()
+    assert all(body._exposed_memo[k] is f for k, f in faces.items())
 
 
 def test_cross_checks_fail_when_the_arc_comparison_flips(monkeypatch):
@@ -990,23 +997,25 @@ def test_cones_from_rational_multiples_equal_int_primitive_cones(a, b, s, t):
        int_first=st.booleans(), face_first=st.booleans())
 def test_int_and_fraction_directions_share_one_support_entry(name, u, int_first,
                                                              face_first):
-    """`support_value` of (x, y) and of (F(x), F(y)) is one memo entry, a
+    """`exposed_face` of (x, y) and of (F(x), F(y)) is one memo entry, a
     face, whichever form comes first and whether `exposed_face` or
-    `support_value` asks first.  Every answer hands out that face, with a
-    value equal to a fresh `_face_value` and to the all-QuadVal reference."""
+    `support_value` asks first; `support_value` stores nothing.  Every
+    answer equals a fresh `_fresh` answer and the all-QuadVal reference,
+    and the entry is the part of the support face that the body keeps."""
     body = bodyio.load_fixture(name)  # a fresh, empty memo
     fu = _as_fractions(u)
     first, second = (u, fu) if int_first else (fu, u)
-    face = None
     if face_first:
-        planar.exposed_face(body, second)
-        (face,) = body._support_memo.values()
+        face = planar.exposed_face(body, second)
     answer = planar.support_value(body, first)
     again = planar.support_value(body, second)
-    (entry,) = body._support_memo.values()
-    assert type(entry) is FaceDescriptor
-    assert answer[1] is entry and again[1] is entry
-    assert face is None or entry is face
+    if not face_first:
+        assert not body._exposed_memo
+        face = planar.exposed_face(body, second)
+    (entry,) = body._exposed_memo.values()
+    assert type(entry) is FaceDescriptor and entry is face
+    assert planar.exposed_face(body, first) is entry
+    assert entry == planar._exposed(body, answer[1]) == planar._exposed(body, again[1])
     for v, got in ((first, answer), (second, again)):
         assert _exact(got) == _exact(_fresh(body, v))
     assert _exact(answer) == _exact(again) == _exact(_ref_support(body, fu))
