@@ -22,7 +22,8 @@ the support and gauge maxima are ranked on integers.  The public functions
 accept `Fraction` directions as well; since `Fraction(n) == n` with the
 same hash and the same printed form, keys, labels and reports do not depend
 on which was passed, and the exposed-face memo keys a direction by its
-integer numerators and denominators.
+integer numerators and denominators.  A face names its feature or junction
+by index (`FaceDescriptor.feature`), so only `locate` maps a point to one.
 """
 
 from __future__ import annotations
@@ -504,12 +505,13 @@ class PlanarBody(Frozen):
 
     @cached_property
     def _vertex_faces(self) -> tuple[FaceDescriptor, ...]:
-        """The vertex face of each junction, built once."""
-        return tuple(map(FaceDescriptor.vertex, self.junctions))
+        """The vertex face of each junction j, built once and only here, so
+        each carries j as its `feature`."""
+        return tuple(FaceDescriptor("vertex", j, p) for j, p in enumerate(self.junctions))
 
     @cached_property
     def _junction_indices(self) -> dict[tuple[int, ...], int]:
-        """`_exact_key` of a junction point -> its first index."""
+        """`_exact_key` of a junction point -> its first index, for `locate`."""
         out: dict[tuple[int, ...], int] = {}
         for j, p in enumerate(self.junctions):
             out.setdefault(_exact_key(p), j)
@@ -592,7 +594,10 @@ class PlanarBody(Frozen):
 class FaceDescriptor(Frozen):
     """Symbolic identity of a face of a planar body.
 
-    Arc-point faces are keyed by (feature, primitive radial direction); the
+    `feature` indexes the body: an edge's or arc point's feature, a vertex's
+    junction (junction j starts feature j; `PlanarBody._vertex_faces`
+    builds every vertex face).  A vertex is keyed by its point, an arc
+    point by (feature, primitive radial direction); the
     rational point is carried when it exists (most support points on arcs
     of non-square radius are irrational).  Equality is by canonical key, so
     descriptors agree whether or not the optional point was computed.
@@ -621,10 +626,6 @@ class FaceDescriptor(Frozen):
     @staticmethod
     def whole() -> "FaceDescriptor":
         return FaceDescriptor("whole")
-
-    @staticmethod
-    def vertex(point: Vec) -> "FaceDescriptor":
-        return FaceDescriptor("vertex", point=point)
 
     @staticmethod
     def edge(feature: int) -> "FaceDescriptor":
@@ -667,7 +668,7 @@ def face_at(body: PlanarBody, x: Vec) -> FaceDescriptor:
     if kind == "junction":
         if not body.junction_present(i):
             raise PointNotInBody(f"junction {i} is deleted")
-        return FaceDescriptor.vertex(x)
+        return body._vertex_faces[i]
     if not body.feature_closed[i]:
         raise PointNotInBody(f"feature {i} is deleted")
     if kind == "segment":
@@ -676,32 +677,31 @@ def face_at(body: PlanarBody, x: Vec) -> FaceDescriptor:
     return FaceDescriptor("arcpoint", i, x, _primitive2(vsub(x, arc.center)))
 
 
-def _junction_index(body: PlanarBody, point: Vec) -> int:
-    j = body._junction_indices.get(_exact_key(point))
-    if j is None:
-        raise NotAFace(f"{point} is not a junction")
-    return j
-
-
 def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
-    """Exact normal cone of a nonempty face (the empty face maps to the plane)."""
+    """Exact normal cone of a nonempty face (the empty face maps to the plane);
+    `NotAFace` when f names no face of the body."""
     if f.tag == "empty":
         return Cone2.plane()
     if f.tag == "whole":
         return Cone2.zero()
+    i = f.feature
+    if type(i) is not int or not 0 <= i < body.n:
+        raise NotAFace(f"{i!r} is not a feature or junction index of the body")
     if f.tag == "edge":
-        feat = body.features[f.feature]
-        if not isinstance(feat, Segment) or not body.feature_closed[f.feature]:
+        feat = body.features[i]
+        if not isinstance(feat, Segment) or not body.feature_closed[i]:
             raise NotAFace("edge descriptor must name a present segment feature")
         return Cone2("ray", feat.outward_normal)  # primitive, as is f.direction
     if f.tag == "arcpoint":
-        if not body.feature_closed[f.feature]:
-            raise NotAFace("arc feature is deleted")
-        return Cone2("ray", f.direction)
-    j = _junction_index(body, f.point)
-    if not body.junction_present(j):
-        raise NotAFace("vertex is deleted")
-    return body.junction_cone(j)
+        feat = body.features[i]
+        d = f.direction
+        if (not isinstance(feat, Arc) or not body.feature_closed[i] or d is None
+                or not feat.wedge_contains(d, strict=True)):
+            raise NotAFace("arc point must name a present arc and a direction in its wedge")
+        return Cone2("ray", d)
+    if f.tag != "vertex" or f.point != body.junctions[i] or not body.vertex_closed[i]:
+        raise NotAFace("vertex descriptor must name a present junction and its point")
+    return body._junction_cones[i]
 
 
 # ---------------------------------------------------------------------------
@@ -787,13 +787,10 @@ def exposed_face(body: PlanarBody, u: Vec) -> FaceDescriptor:
 
 def _exposed(body: PlanarBody, closure_face: FaceDescriptor) -> FaceDescriptor:
     """The part of a face of the closure that the body keeps, as a face."""
-    if closure_face.tag == "vertex":
-        j = _junction_index(body, closure_face.point)
-        return closure_face if body.junction_present(j) else FaceDescriptor.empty()
-    if closure_face.tag == "arcpoint":
-        return closure_face if body.feature_closed[closure_face.feature] \
-            else FaceDescriptor.empty()
-    i = closure_face.feature
+    tag, i = closure_face.tag, closure_face.feature
+    if tag != "edge":  # a vertex or an arc point, kept whole or not at all
+        kept = body.vertex_closed if tag == "vertex" else body.feature_closed
+        return closure_face if kept[i] else FaceDescriptor.empty()
     if body.feature_closed[i]:
         return closure_face
     for j in (i, (i + 1) % body.n):
@@ -945,8 +942,10 @@ def check_2d_smoothness(body: PlanarBody) -> Report:
     if body._inventory.extra_touching:
         raise HypothesisFailed("some touching cone is not a normal cone")
     return Report(tuple(
-        f"singular point {x} does not join two segments" for x in singular_points(body)
-        if len(_adjacent_segment_faces(body, _junction_index(body, x))) != 2))
+        f"singular point {v.label()} does not join two segments"
+        for j, v in enumerate(body._vertex_faces) if body.junction_present(j)
+        and body.junction_cone(j).kind == "sector"
+        and len(_adjacent_segment_faces(body, j)) != 2))
 
 
 class CoatomReport(Frozen):
@@ -964,8 +963,7 @@ def _is_coatom(body: PlanarBody, f: FaceDescriptor) -> bool:
     if f.tag in ("edge", "arcpoint"):
         return True
     if f.tag == "vertex":
-        j = _junction_index(body, f.point)
-        return not _adjacent_segment_faces(body, j)
+        return not _adjacent_segment_faces(body, f.feature)
     return False
 
 
@@ -989,8 +987,7 @@ def coatom_check_planar(body: PlanarBody, f: FaceDescriptor) -> CoatomReport:
         coatoms.append(f)
         inter_is_f = True
     elif f.tag == "vertex":
-        j = _junction_index(body, f.point)
-        edges = [FaceDescriptor.edge(i) for i in _adjacent_segment_faces(body, j)]
+        edges = [FaceDescriptor.edge(i) for i in _adjacent_segment_faces(body, f.feature)]
         coatoms.extend(edges)
         inter_is_f = len(edges) == 2
     else:
@@ -1198,7 +1195,7 @@ def special_face_lattice(body: PlanarBody, exposed_only: bool = False) -> Finite
     masks = []
     for f in faces:
         if f.tag == "vertex":
-            masks.append(1 << _junction_index(body, f.point))
+            masks.append(1 << f.feature)
         elif f.tag == "edge":
             i = f.feature
             masks.append(1 << n + i | 1 << i | 1 << (i + 1) % n)

@@ -16,7 +16,7 @@ from facelat import statespace as ss
 from facelat.exactgeom import unit, vec
 from facelat.lattice import (decompose_by_atoms, decompose_by_coatoms,
                              lattice_map, verify_isomorphism)
-from facelat.planar import Cone2, FaceDescriptor, compass_directions, quad_compare
+from facelat.planar import Cone2, compass_directions, quad_compare
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_criterion_03_quarter_disk(bodies):
     ok = ({c.d1 for c in tnn} == {vec(1, 0), vec(0, 1)}
           and len(tnn) == 2
           and pl.non_exposed_faces(qd) == []
-          and pl.normal_cone_at(qd, FaceDescriptor.vertex(vec(0, 0)))
+          and pl.normal_cone_at(qd, pl.face_at(qd, vec(0, 0)))
           == Cone2.sector(vec(-1, 0), vec(0, -1)))
     _report(3, "quarter disk: two non-normal touching rays, no non-exposed "
                "faces, quadrant cone at the corner", ok)
@@ -107,7 +107,7 @@ def test_criterion_06_open_triangles(bodies):
         ok = ok and pl.coatom_check_planar(left, f).is_intersection_of_coatoms
     ok = ok and ir.proper_normal_count == il.proper_normal_count + 1
     ok = ok and ir.proper_touching_count == il.proper_touching_count + 2
-    top = pl.coatom_check_planar(right, FaceDescriptor.vertex(vec(0, 2)))
+    top = pl.coatom_check_planar(right, pl.face_at(right, vec(0, 2)))
     ok = ok and not top.is_intersection_of_coatoms
     _report(6, "pinned open-triangle encodings: left 3/3 normal touching cones with "
                "coatom property; right adds 1 normal + 2 touching cones and "

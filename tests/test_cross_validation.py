@@ -302,7 +302,7 @@ def test_random_polygons_agree_across_modules(raw):
     p = Polytope(tuple(sorted(ordered)))
     # vertex normal cones agree
     for v in ordered:
-        c2 = normal_cone_at(body, FaceDescriptor.vertex(v))
+        c2 = normal_cone_at(body, face_at(body, v))
         c3 = normal_cone(p, p.face_of_point(v))
         assert cone2_as_polycone(c2) == c3
     # edge normal cones agree

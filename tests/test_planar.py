@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from fractions import Fraction as F
 from collections import Counter
@@ -28,6 +29,10 @@ from facelat.polytope import Polytope, normal_cone, projection
 
 def fixture(name):
     return bodyio.load_fixture(name)
+
+
+PLANAR_FIXTURES = [name for name in bodyio.list_fixtures()
+                   if isinstance(fixture(name), PlanarBody)]
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +100,14 @@ def test_quarter_disk_faces():
     f = face_at(qd, vec(F(3, 5), F(4, 5)))
     assert f.tag == "arcpoint" and f.direction == vec(3, 4)
     assert face_at(qd, vec(F(1, 4), F(1, 4))) == FaceDescriptor.whole()
-    assert face_at(qd, vec(0, 0)) == FaceDescriptor.vertex(vec(0, 0))
+    assert face_at(qd, vec(0, 0)) == FaceDescriptor("vertex", 0, vec(0, 0))
     with pytest.raises(PointNotInBody):
         face_at(qd, vec(1, 1))
 
 
 def test_quarter_disk_normal_cones():
     qd = fixture("quarter_disk")
-    assert normal_cone_at(qd, FaceDescriptor.vertex(vec(0, 0))) == \
+    assert normal_cone_at(qd, face_at(qd, vec(0, 0))) == \
         Cone2.sector(vec(-1, 0), vec(0, -1))
     assert normal_cone_at(qd, FaceDescriptor.edge(0)) == Cone2.ray(vec(0, -1))
     f = face_at(qd, vec(F(3, 5), F(4, 5)))
@@ -113,9 +118,89 @@ def test_quarter_disk_normal_cones():
         normal_cone_at(qd, FaceDescriptor.edge(1))  # feature 1 is the arc
 
 
+# descriptors naming no face of the quarter disk: segment 0, arc 1 and
+# segment 2, from junctions (0,0), (1,0) and (0,1) in turn
+NOT_QUARTER_DISK_FACES = {
+    "edge -1": FaceDescriptor.edge(-1),
+    "edge 3": FaceDescriptor.edge(3),
+    "edge True": FaceDescriptor.edge(True),
+    "arc point on feature 7": FaceDescriptor("arcpoint", 7, None, (1, 1)),
+    "arc point on segment 0": FaceDescriptor("arcpoint", 0, None, (0, -1)),
+    "arc point outside the arc's wedge": FaceDescriptor("arcpoint", 1, None, (-1, -1)),
+    "arc point on the wedge's boundary": FaceDescriptor("arcpoint", 1, vec(1, 0), (1, 0)),
+    "arc point with no direction": FaceDescriptor("arcpoint", 1),
+    "vertex with no junction": FaceDescriptor("vertex", point=vec(0, 0)),
+    "vertex at another junction's point": FaceDescriptor("vertex", 1, vec(0, 0)),
+    "vertex off the body": FaceDescriptor("vertex", 0, vec(1, 1)),
+    "unknown tag": FaceDescriptor("corner", 0, vec(0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_QUARTER_DISK_FACES))
+def test_a_descriptor_naming_no_face_is_refused(name):
+    """The index must be an int in range(n), the feature of the tag's kind
+    and present, an arc point's direction strictly inside its wedge and a
+    vertex's point that of its junction: otherwise both the normal cone and
+    the coatom check raise `NotAFace`."""
+    qd, f = fixture("quarter_disk"), NOT_QUARTER_DISK_FACES[name]
+    with pytest.raises(NotAFace):
+        normal_cone_at(qd, f)
+    with pytest.raises(NotAFace):
+        coatom_check_planar(qd, f)
+
+
+def test_a_deleted_vertex_is_refused():
+    """A vertex face of the closure whose junction the body deletes."""
+    body = fixture("triangle_open_side")
+    j = body.vertex_closed.index(False)
+    for call in (normal_cone_at, coatom_check_planar):
+        with pytest.raises(NotAFace):
+            call(body, FaceDescriptor("vertex", j, body.junction(j)))
+
+
+def _rotated(body, k):
+    def turn(t):
+        return t[k:] + t[:k]
+    return PlanarBody(turn(body.features), turn(body.feature_closed),
+                      turn(body.vertex_closed))
+
+
+def _statuses(body, name, k):
+    """Each verdict's status, its feature labels renamed from the body turned
+    by k to the unturned one: feature i there is feature i + k here."""
+    def rename(m):
+        return f"#{(int(m.group(1)) + k) % body.n}"
+    return {re.sub(r"#(\d+)", rename, v.check_id): v.status
+            for v in checks.run_suite(body, name, "all").verdicts}
+
+
+@pytest.mark.parametrize("name", PLANAR_FIXTURES)
+def test_vertex_faces_name_their_junction_in_every_rotation(name):
+    """Turning the feature cycle, as the benchmark's body variants do, moves
+    every junction index.  Each vertex face that `face_at`, `exposed_face`,
+    `special_faces` and `non_exposed_faces` hand out names the junction at
+    its point and gets that junction's cone, and the vertex labels and
+    every verdict stay as on the unturned body."""
+    base = fixture(name)
+    for k in range(base.n):
+        body = _rotated(base, k)
+        faces = [face_at(body, body.junction(j)) for j in range(body.n)
+                 if body.junction_present(j)]
+        faces += [exposed_face(body, u) for u in compass_directions(360)]
+        faces += special_faces(body) + non_exposed_faces(body)
+        vertices = [f for f in faces if f.tag == "vertex"]
+        for f in vertices:
+            assert body.junction(f.feature) == f.point
+            assert normal_cone_at(body, f) == body.junction_cone(f.feature)
+        got = (sorted(f.label() for f in vertices), _statuses(body, name, k))
+        if k == 0:
+            want = got
+        assert got == want
+
+
 def test_exposed_faces():
     qd = fixture("quarter_disk")
-    assert exposed_face(qd, vec(1, 0)) == FaceDescriptor.vertex(vec(1, 0))
+    assert exposed_face(qd, vec(1, 0)) == FaceDescriptor("vertex", 1, vec(1, 0))
     st = fixture("stadium")
     assert exposed_face(st, vec(0, 1)) == FaceDescriptor.edge(1)
     tri_open = fixture("triangle_open_side")
@@ -158,10 +243,10 @@ def test_sup_exposed_planar():
     """The smallest exposed face containing a face is the face exposed by a
     relative-interior normal of it."""
     st = fixture("stadium")
-    corner = normal_cone_at(st, FaceDescriptor.vertex(vec(1, 1))).ri_vector()
+    corner = normal_cone_at(st, face_at(st, vec(1, 1))).ri_vector()
     assert exposed_face(st, corner) == FaceDescriptor.edge(1)
     qd = fixture("quarter_disk")
-    b = FaceDescriptor.vertex(vec(1, 0))
+    b = face_at(qd, vec(1, 0))
     assert exposed_face(qd, normal_cone_at(qd, b).ri_vector()) == b
 
 
@@ -184,13 +269,14 @@ def test_smoothness():
 
 def test_coatom_checks():
     qd = fixture("quarter_disk")
-    rep = coatom_check_planar(qd, FaceDescriptor.vertex(vec(0, 0)))
+    rep = coatom_check_planar(qd, face_at(qd, vec(0, 0)))
     assert rep.hypothesis_ok and rep.is_intersection_of_coatoms
     assert {c.feature for c in rep.coatoms} == {0, 2}
-    rep = coatom_check_planar(qd, FaceDescriptor.vertex(vec(1, 0)))
+    rep = coatom_check_planar(qd, face_at(qd, vec(1, 0)))
     assert not rep.hypothesis_ok and not rep.is_intersection_of_coatoms
     assert "sufficient condition" in rep.note
-    rep = coatom_check_planar(fixture("lens"), FaceDescriptor.vertex(vec(0, F(4, 5))))
+    lens = fixture("lens")
+    rep = coatom_check_planar(lens, face_at(lens, vec(0, F(4, 5))))
     assert not rep.hypothesis_ok and rep.is_intersection_of_coatoms
     assert "no converse" in rep.note
 
@@ -258,7 +344,7 @@ def test_touching_cone_constant_on_ri_samples():
     assert t1 == t2 == t3
     f1 = exposed_face(qd, vec(1, -1))
     f2 = exposed_face(qd, vec(2, -1))
-    assert f1 == f2 == FaceDescriptor.vertex(vec(1, 0))
+    assert f1 == f2 == FaceDescriptor("vertex", 1, vec(1, 0))
 
 
 def test_special_lattices_stadium():
@@ -372,7 +458,7 @@ def test_open_triangle_encoding_resolution():
             dn = inv2.proper_normal_count - inv.proper_normal_count
             dt = inv2.proper_touching_count - inv.proper_touching_count
             not_coatom = not coatom_check_planar(
-                right, FaceDescriptor.vertex(T)).is_intersection_of_coatoms
+                right, face_at(right, T)).is_intersection_of_coatoms
             if dn == 1 and dt == 2 and not_coatom:
                 matches.append((fc, vc))
     # the pinned encoding (deleted left side) and its mirror both qualify
@@ -393,7 +479,7 @@ def test_open_triangle_fixture_counts():
     assert il.proper_touching_count == 3 and not il.extra_touching
     assert ir.proper_normal_count == il.proper_normal_count + 1
     assert ir.proper_touching_count == il.proper_touching_count + 2
-    rep = coatom_check_planar(right, FaceDescriptor.vertex(vec(0, 2)))
+    rep = coatom_check_planar(right, face_at(right, vec(0, 2)))
     assert not rep.is_intersection_of_coatoms
 
 
@@ -428,7 +514,7 @@ def test_ambient_independence_of_cones():
     emb = Polytope(pts3)
     for j in range(sq.n):
         v2 = sq.junction(j)
-        c2 = normal_cone_at(sq, FaceDescriptor.vertex(v2))
+        c2 = normal_cone_at(sq, face_at(sq, v2))
         face3 = emb.face_of_point(vec(v2[0], v2[1], 0))
         c3 = normal_cone(emb, face3)
         gens = [vec(d[0], d[1], 0) for d in (c2.d1, c2.d2)]

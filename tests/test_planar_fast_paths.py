@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from facelat import bodyio, checks, planar
-from facelat.errors import (InvariantViolation, NotAFace, OriginNotInterior,
+from facelat.errors import (InvariantViolation, OriginNotInterior,
                             UndefinedTouchingCone, UnsupportedArcCenter,
                             ZeroDirection)
 from facelat.exactgeom import (dot, dot2_sign, is_zero, orient2, primitive,
@@ -180,7 +180,7 @@ def _ref_support(body, u):
                                     direction=tuple(map(int, primitive(u))))
     junctions = [j for _, j in attainers]
     if len(junctions) == 1:
-        return best, FaceDescriptor.vertex(body.junction(junctions[0]))
+        return best, FaceDescriptor("vertex", junctions[0], body.junction(junctions[0]))
     pts = {body.junction(j) for j in junctions}
     assert len(junctions) == 2
     i = next(i for i, f in enumerate(body.features)
@@ -401,14 +401,15 @@ def _scan(body, point):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(PLANAR)), st.integers(0, 20), vector)
 def test_junction_index_matches_linear_scan(name, j, offset):
+    """`locate` names a junction point by its index, the one a linear scan
+    finds, and any other point by something else."""
     body = PLANAR[name]
     for x in (body.junction(j), vadd(body.junction(j), offset), offset):
-        want = _scan(body, x)
+        want, loc = _scan(body, x), body.locate(x)
         if want is None:
-            with pytest.raises(NotAFace):
-                planar._junction_index(body, x)
+            assert not isinstance(loc, tuple) or loc[0] != "junction"
         else:
-            assert planar._junction_index(body, x) == want
+            assert loc == ("junction", want)
 
 
 def test_support_compares_each_arc_candidate_at_most_once(monkeypatch):

@@ -231,6 +231,9 @@ WHOLE_CONE_FLIPS = {
     "lens": {"sharp.normal_iff_touching_is_normal", "partition.unique_touching_cone",
              "2d.smoothness"},
 }
+# the arc vertices `2d.smoothness` then names, by their labels, per body
+WHOLE_CONE_SINGULAR = {"quarter_disk": ("vertex(1,0)", "vertex(0,1)"),
+                       "lens": ("vertex(0,-4/5)", "vertex(0,4/5)")}
 
 
 @pytest.mark.parametrize("name", sorted(WHOLE_CONE_FLIPS))
@@ -241,11 +244,17 @@ def test_a_whole_cone_as_the_face_holding_a_direction_fails_sharp(monkeypatch, n
     `sharp.normal_iff_touching_is_normal` fails.  The inventory loses its
     touching rays that are not normal: the partition check finds those
     directions in no cone, and the 2D rules and the coatom theorem, whose
-    hypothesis now seems to hold, fail on the bodies' arc vertices."""
+    hypothesis now seems to hold, fail on the bodies' arc vertices, which
+    the smoothness detail names by their labels."""
     body = bodyio.load_fixture(name)
     assert not failing(body, name, "all")
     monkeypatch.setattr(pl.Cone2, "face_with_in_ri", lambda self, u: self)
-    assert failing(bodyio.load_fixture(name), name, "all") == WHOLE_CONE_FLIPS[name]
+    report = checks.run_suite(bodyio.load_fixture(name), name, "all")
+    assert {v.check_id for v in report.verdicts if v.status == "fail"} \
+        == WHOLE_CONE_FLIPS[name]
+    detail = next(v.detail for v in report.verdicts if v.check_id == "2d.smoothness")
+    assert detail.split("; ")[1:] == [f"singular point {v} does not join two segments"
+                                      for v in WHOLE_CONE_SINGULAR[name]]
 
 
 # ---------------------------------------------------------------------------
