@@ -10,7 +10,7 @@ fixture makes no claim there, so skips are exit-code neutral.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache, cached_property, cmp_to_key
 from itertools import combinations, combinations_with_replacement
 
 from . import exactgeom as eg
@@ -19,8 +19,8 @@ from . import polytope as pt
 from ._records import Record
 from .errors import HypothesisFailed, OriginNotInterior, UnsupportedArcCenter
 from .exactgeom import (cone_faces, dot, full_space, held_generators,
-                        in_ri_conv_hull, intersect_cones, is_zero,
-                        subspace_cone, unit, vadd)
+                        in_ri_conv_hull, intersect_cones, is_zero, orient2,
+                        perp2, subspace_cone, unit, vadd)
 from .lattice import build_lattice, lattice_map, verify_isomorphism
 from .planar import PlanarBody, compass_directions, quad_compare
 from .polytope import ConeElement, Polytope
@@ -192,8 +192,10 @@ VERDICTS = {(c.kind, c.check_id): c for c in (
     Claim("polar.applicable", "planar", None, skip=_NO_POLAR),
     Claim("polar.involution", "planar", "the polar of the polar body is the body"),
     Claim("polar.support_equals_gauge", "planar", "the support function of the polar "
-          "equals the gauge of the body, exactly, at {count} rational directions",
-          " (max deviation 0)"),
+          "equals the gauge of the body, exactly, in every direction: each is one fixed "
+          "form on each of the {cells} cells of the common refinement of the body's "
+          "radial fan and the polar's normal fan, and the two agree at each cell's "
+          "boundary rays and at one direction inside it", " (max deviation 0)"),
     Claim("polar.pos_of_special_faces", "planar", "positive hulls of the polar's "
           "special proper faces are exactly the proper normal cones of the body (arc "
           "families matched through their representatives)"),
@@ -560,6 +562,50 @@ def _coatoms_planar(b: PlanarBody, out: list[Verdict], counts: dict, run):
                   holds="is" if held else "is not", note=rep.note)
 
 
+def _ccw(a, b) -> int:
+    """Order of two primitive directions by angle in [0, 2*pi) from (1, 0),
+    on integer sign tests: the half-plane of each first (angle below pi or
+    not), then the cross product, which is nonzero inside one half."""
+    ha, hb = (v[1] < 0 or (v[1] == 0 and v[0] < 0) for v in (a, b))
+    return (ha - hb) or -orient2(a, b)
+
+
+def _polar_fan(b: PlanarBody, q: PlanarBody) -> list:
+    """The rays of the common refinement of b's radial fan and q's normal
+    fan, counterclockwise, every cell between consecutive rays (the last
+    and the first included) narrower than pi.
+
+    b's gauge changes feature at the directions of its junction points; q's
+    support changes its maximiser at its segments' outward normals and its
+    arcs' radial ends.  A gap of pi or more is split by turning its first
+    ray by pi/2 until what is left is narrower (orient2 > 0): a single ray,
+    or two opposite rays, become four.
+
+    On one closed cell each side is one fixed form of u: a segment's gauge
+    and a vertex's support are linear, an arc centred at the origin (all
+    arcs are, on a gauge body and its polar) gives c*|u|.  Two linear forms
+    that agree at two independent directions are equal; two forms c*|u|
+    that agree at one direction are equal; a linear form a.u and c*|u| agree
+    where cos(u, a) = c/|a|, on at most two rays.  So two forms that agree
+    at the cell's two boundary rays, independent since the cell is narrower
+    than pi, and at one direction inside agree on the whole cell, and the
+    cells cover every direction."""
+    rays = {pl._primitive2(p) for p in b.junctions}
+    for f in q.features:
+        if isinstance(f, pl.Segment):
+            rays.add(f.outward_normal)
+        else:
+            rays.update((f.start_radial, f.end_radial))
+    ordered = sorted(rays, key=cmp_to_key(_ccw))
+    out = []
+    for a, c in zip(ordered, ordered[1:] + ordered[:1]):
+        out.append(a)
+        while orient2(a, c) <= 0:
+            a = perp2(a)
+            out.append(a)
+    return out
+
+
 def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, run):
     try:
         q = pl.polar_planar(b)
@@ -570,12 +616,13 @@ def _polar_planar_suite(b: PlanarBody, out: list[Verdict], counts: dict, run):
     _verdict(out, b, "polar.involution", _differ(
         {(f.kind, f.start, f.end) for f in rt.features},
         {(f.kind, f.start, f.end) for f in b.features}, "features"))
-    dirs = run.compass(120)
+    rays = _polar_fan(b, q)
+    dirs = [u for a, c in zip(rays, rays[1:] + rays[:1]) for u in (a, vadd(a, c))]
     _verdict(out, b, "polar.support_equals_gauge", [
         f"direction {u}: the polar's support differs from the body's gauge"
         for u in dirs
         if pl.form_compare(pl.support_form(q, u), pl.gauge_form(b, u)) != 0][:4],
-        count=len(dirs))
+        cells=len(rays))
     inv = pl.cone_inventory(b)
     pos = set()
     for f in pl.special_faces(q, exposed_only=True):

@@ -106,7 +106,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_statespace(args) -> int:
-    from . import statespace as ss  # numeric, needs numpy; the exact commands do not
+    try:  # numeric, needs numpy; the exact commands do not
+        from . import statespace as ss
+    except ModuleNotFoundError as e:
+        if e.name != "numpy":
+            raise
+        print("error: facelat statespace needs numpy: pip install 'facelat[numeric]'",
+              file=sys.stderr)
+        return 2
 
     if args.example == "bloch":
         out = {"example": "bloch", "seed": args.seed, "samples": args.samples,

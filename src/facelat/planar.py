@@ -597,10 +597,12 @@ class FaceDescriptor(Frozen):
     `feature` indexes the body: an edge's or arc point's feature, a vertex's
     junction (junction j starts feature j; `PlanarBody._vertex_faces`
     builds every vertex face).  A vertex is keyed by its point, an arc
-    point by (feature, primitive radial direction); the
-    rational point is carried when it exists (most support points on arcs
-    of non-square radius are irrational).  Equality is by canonical key, so
-    descriptors agree whether or not the optional point was computed.
+    point by (feature, primitive radial direction): the constructor reduces
+    a given direction to its primitive int form, so (2, 2) and (1/2, 1/2)
+    name the face of (1, 1).  The rational point is carried when it exists
+    (most support points on arcs of non-square radius are irrational).
+    Equality is by canonical key, so descriptors agree whether or not the
+    optional point was computed.
     """
 
     _fields = ("tag", "feature", "point", "direction")
@@ -611,7 +613,7 @@ class FaceDescriptor(Frozen):
         setfield(self, "tag", tag)  # empty | vertex | edge | arcpoint | whole
         setfield(self, "feature", feature)
         setfield(self, "point", point)
-        setfield(self, "direction", direction)
+        setfield(self, "direction", None if direction is None else _primitive2(direction))
 
     def __eq__(self, other):
         return isinstance(other, FaceDescriptor) and self.key == other.key
@@ -673,8 +675,7 @@ def face_at(body: PlanarBody, x: Vec) -> FaceDescriptor:
         raise PointNotInBody(f"feature {i} is deleted")
     if kind == "segment":
         return FaceDescriptor.edge(i)
-    arc = body.features[i]
-    return FaceDescriptor("arcpoint", i, x, _primitive2(vsub(x, arc.center)))
+    return FaceDescriptor("arcpoint", i, x, vsub(x, body.features[i].center))
 
 
 def normal_cone_at(body: PlanarBody, f: FaceDescriptor) -> Cone2:
@@ -759,8 +760,7 @@ def _support(body: PlanarBody, u: Vec, scan) -> FaceDescriptor:
     `_support_scan`."""
     best, vals, top, _ = scan
     if best is not None:
-        p = _primitive2(u)  # radial_point and the descriptor take it as it is
-        return FaceDescriptor("arcpoint", best, body.features[best].radial_point(p), p)
+        return FaceDescriptor("arcpoint", best, body.features[best].radial_point(u), u)
     junctions = [j for j, v in enumerate(vals) if v == top]
     if len(junctions) == 1:
         return body._vertex_faces[junctions[0]]

@@ -221,6 +221,19 @@ def test_statespace_cone_default_tolerance(capsys):
     assert default == explicit
 
 
+@pytest.mark.parametrize("example", ["bloch", "cone"])
+def test_statespace_without_numpy_names_the_extra(monkeypatch, capsys, example):
+    """numpy is the optional extra `facelat[numeric]`: where it cannot be
+    imported, `facelat statespace` exits 2 with a message naming the extra
+    and prints no report."""
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
+    monkeypatch.delitem(sys.modules, "facelat.statespace", raising=False)
+    monkeypatch.delattr(facelat, "statespace", raising=False)
+    code, out, err = run(capsys, "statespace", example)
+    assert (code, out) == (2, "")
+    assert "facelat[numeric]" in err and "numpy" in err
+
+
 def _stdlib_imports() -> set[str]:
     """The standard modules that facelat's modules, `statespace` aside,
     import by absolute name: those the exact commands load."""

@@ -149,6 +149,22 @@ def test_a_descriptor_naming_no_face_is_refused(name):
         coatom_check_planar(qd, f)
 
 
+@pytest.mark.parametrize("direction", [(2, 2), (3, 3), (F(1, 2), F(1, 2))])
+def test_a_non_primitive_arc_direction_names_the_primitive_face(direction):
+    """An arc point's direction is reduced to its primitive int form where
+    the descriptor is built: on the quarter disk, (2, 2), (3, 3) and (1/2,
+    1/2) name the arc point of (1, 1), with its key, its normal ray and its
+    coatom report; the cone used to be the ray (2, 2) and the coatom check
+    raised `NotAFace`."""
+    qd = fixture("quarter_disk")
+    f, primitive_face = (FaceDescriptor("arcpoint", 1, None, d) for d in (direction, (1, 1)))
+    assert f.direction == (1, 1) and all(type(x) is int for x in f.direction)
+    assert f.key == primitive_face.key == exposed_face(qd, (1, 1)).key
+    cone = normal_cone_at(qd, f)
+    assert cone == Cone2.ray((1, 1)) and cone.d1 == (1, 1)
+    assert coatom_check_planar(qd, f) == coatom_check_planar(qd, primitive_face)
+
+
 def test_a_deleted_vertex_is_refused():
     """A vertex face of the closure whose junction the body deletes."""
     body = fixture("triangle_open_side")

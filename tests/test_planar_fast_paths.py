@@ -832,13 +832,27 @@ def test_polar_suite_checks_each_body_once(monkeypatch):
     assert len({id(b) for b in seen}) == len(seen) == 2
 
 
+# the first four directions of each gauged fixture's fan walk: from the
+# first ray counterclockwise of (1, 0), each ray and then the sum of it and
+# the next, the direction inside their cell
+FAN_WALK_HEADS = {
+    "square_planar": [(1, 1), (0, 2), (-1, 1), (-2, 0)],
+    "truncated_disk_closed": [(1, 2), (-1, 3), (-2, 1), (-1, -1)],
+    "unit_disk": [(1, 0), (1, 1), (0, 1), (-1, 1)],
+}
+
+
 @pytest.mark.parametrize("name", GAUGED)
 def test_a_wrong_gauge_form_fails_support_equals_gauge(monkeypatch, name):
     """A planted defect: the gauge form's P off by one.  The failing detail
-    names the first four directions where the forms differ, and no longer
-    claims a maximum deviation of 0."""
+    names the first four directions of the fan walk where the forms differ,
+    and no longer claims a maximum deviation of 0."""
+    cells = {"square_planar": 4, "truncated_disk_closed": 3, "unit_disk": 4}[name]
     claim = ("the support function of the polar equals the gauge of the body, "
-             "exactly, at 120 rational directions")
+             "exactly, in every direction: each is one fixed form on each of the "
+             f"{cells} cells of the common refinement of the body's radial fan and "
+             "the polar's normal fan, and the two agree at each cell's boundary rays "
+             "and at one direction inside it")
 
     def verdict():
         report = checks.run_suite(bodyio.load_fixture(name), name, "polar")
@@ -854,9 +868,85 @@ def test_a_wrong_gauge_form_fails_support_equals_gauge(monkeypatch, name):
     assert failing.status == "fail"
     head, *failures = failing.detail.split("; ")
     assert head == claim and "deviation" not in failing.detail
-    first = planar.compass_directions(120)[:4]
     assert failures == [f"direction {u}: the polar's support differs from the body's gauge"
-                        for u in first]
+                        for u in FAN_WALK_HEADS[name]]
+
+
+def _image(body, swap, sx, sy, k):
+    """The body under a signed permutation of the coordinates, its feature
+    cycle turned by k, as the benchmark's seeded variants are: a map that
+    flips orientation reverses the cycle and runs each feature backwards."""
+    def m(p):
+        x, y = (p[1], p[0]) if swap else p
+        return (sx * x, sy * y)
+
+    feats = [Segment(m(f.start), m(f.end)) if isinstance(f, Segment)
+             else Arc(m(f.center), f.radius_sq, m(f.start), m(f.end)) for f in body.features]
+    fc, vc = list(body.feature_closed), list(body.vertex_closed)
+    if swap != (sx * sy < 0):
+        feats = [Segment(f.end, f.start) if isinstance(f, Segment)
+                 else Arc(f.center, f.radius_sq, f.end, f.start) for f in reversed(feats)]
+        fc, vc = fc[::-1], [vc[-i] for i in range(body.n)]
+    k %= body.n
+    return PlanarBody(*(tuple(t[k:] + t[:k]) for t in (feats, fc, vc)))
+
+
+def _fan_rays(body, polar):
+    """The fan rays, found apart from `checks`: the primitive directions of
+    the body's junctions, the polar's segment normals and arc radial ends."""
+    rays = {tuple(map(int, primitive(p))) for p in body.junctions}
+    for f in polar.features:
+        rays.update([f.outward_normal] if isinstance(f, Segment)
+                    else [f.start_radial, f.end_radial])
+    return sorted(rays)
+
+
+def _support_equals_gauge_status(body):
+    report = checks.run_suite(body, "body", "polar")
+    return next(v.status for v in report.verdicts
+                if v.check_id == "polar.support_equals_gauge")
+
+
+gauge_bodies = st.one_of(
+    st.builds(_image, st.sampled_from(GAUGED).map(PLANAR.get), st.booleans(),
+              st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.integers(0, 3)),
+    major_about_origin.map(chord_body))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gauge_bodies, st.integers(0, 99), st.sampled_from(["none", "closed", "open"]))
+def test_the_per_cell_verdict_agrees_with_a_dense_sample(body, pick, perturb):
+    """`polar.support_equals_gauge`, decided once per cell of the fan, and a
+    direct comparison at 360 compass directions and every fan ray, on the
+    gauged fixtures under signed permutations and turns of their feature
+    cycle, and on a major arc about the origin with its chord.  As they
+    are, both pass; with the gauge form's P off by one on one closed cell
+    of the verdict's fan, both fail.  Off by one only inside the open cell,
+    the verdict fails, and the dense sample fails exactly when one of its
+    directions lies inside that cell."""
+    polar = planar.polar_planar(body)
+    rays = checks._polar_fan(body, polar)
+    assert set(_fan_rays(body, polar)) <= set(rays)
+    a, c = rays[pick % len(rays)], rays[(pick + 1) % len(rays)]
+    real = planar.gauge_form
+    low = 0 if perturb == "closed" else 1  # the least orient2 that counts as inside
+
+    def off_by_one(b, u):
+        p, r, e = real(b, u)
+        return (p + 1, r, e) if orient2(a, u) >= low and orient2(u, c) >= low else (p, r, e)
+
+    dirs = planar.compass_directions(360) + _fan_rays(body, polar)
+    with pytest.MonkeyPatch.context() as mp:
+        if perturb != "none":
+            mp.setattr(planar, "gauge_form", off_by_one)
+        dense = all(planar.form_compare(planar.support_form(polar, u),
+                                        planar.gauge_form(body, u)) == 0 for u in dirs)
+        per_cell = _support_equals_gauge_status(body) == "pass"
+    if perturb == "open":
+        assert not per_cell
+        assert dense == (not any(orient2(a, u) > 0 and orient2(u, c) > 0 for u in dirs))
+    else:
+        assert per_cell == dense == (perturb == "none")
 
 
 @pytest.mark.parametrize("name", sorted(PLANAR))

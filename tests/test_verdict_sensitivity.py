@@ -257,6 +257,30 @@ def test_a_whole_cone_as_the_face_holding_a_direction_fails_sharp(monkeypatch, n
                                       for v in WHOLE_CONE_SINGULAR[name]]
 
 
+def test_a_gauge_wrong_only_on_a_junction_ray_fails_support_equals_gauge(monkeypatch):
+    """A defect that sampling misses: the gauge form of `square_planar` off
+    by one only on the ray of its junction (1, 1), which no direction of
+    `compass_directions(120)` lies on.  The comparison at those 120
+    directions, how `polar.support_equals_gauge` was decided before, still
+    passes; the verdict, which compares the forms on every ray of the fan,
+    fails, and no other verdict of the polar suite does."""
+    body, ray = bodyio.load_fixture("square_planar"), (1, 1)
+    assert not failing(body, "square_planar", "polar")
+    real = pl.gauge_form
+
+    def planted(b, u):
+        p, r, e = real(b, u)
+        on_ray = eg.orient2(ray, u) == 0 and eg.dot2_sign(ray, u) > 0
+        return (p + 1, r, e) if on_ray else (p, r, e)
+
+    monkeypatch.setattr(pl, "gauge_form", planted)
+    dirs, q = pl.compass_directions(120), pl.polar_planar(body)
+    assert not any(eg.orient2(ray, u) == 0 for u in dirs)
+    assert all(pl.form_compare(pl.support_form(q, u), pl.gauge_form(body, u)) == 0
+               for u in dirs)
+    assert failing(body, "square_planar", "polar") == {"polar.support_equals_gauge"}
+
+
 # ---------------------------------------------------------------------------
 # the planted-defect matrix over the table of verdicts
 # ---------------------------------------------------------------------------
@@ -310,7 +334,8 @@ PLANTED = {
     ("planar", "partition.unique_touching_cone"):
         "test_verdict_sensitivity.py::test_a_whole_cone_as_the_face_holding_a_direction_fails_sharp",
     ("planar", "polar.support_equals_gauge"):
-        "test_planar_fast_paths.py::test_a_wrong_gauge_form_fails_support_equals_gauge",
+        "test_verdict_sensitivity.py::"
+        "test_a_gauge_wrong_only_on_a_junction_ray_fails_support_equals_gauge",
     ("planar", "sharp.normal_iff_touching_is_normal"):
         "test_verdict_sensitivity.py::test_a_whole_cone_as_the_face_holding_a_direction_fails_sharp",
 }
