@@ -599,7 +599,7 @@ class FaceDescriptor(Frozen):
     builds every vertex face).  A vertex is keyed by its point, an arc
     point by (feature, primitive radial direction): the constructor reduces
     a given direction to its primitive int form, so (2, 2) and (1/2, 1/2)
-    name the face of (1, 1).  The rational point is carried when it exists
+    name the face of (1, 1), and refuses a zero one (ValueError).  The rational point is carried when it exists
     (most support points on arcs of non-square radius are irrational).
     Equality is by canonical key, so descriptors agree whether or not the
     optional point was computed.

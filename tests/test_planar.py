@@ -155,7 +155,8 @@ def test_a_non_primitive_arc_direction_names_the_primitive_face(direction):
     the descriptor is built: on the quarter disk, (2, 2), (3, 3) and (1/2,
     1/2) name the arc point of (1, 1), with its key, its normal ray and its
     coatom report; the cone used to be the ray (2, 2) and the coatom check
-    raised `NotAFace`."""
+    raised `NotAFace`.  A zero direction has no primitive form and is
+    refused where the descriptor is built."""
     qd = fixture("quarter_disk")
     f, primitive_face = (FaceDescriptor("arcpoint", 1, None, d) for d in (direction, (1, 1)))
     assert f.direction == (1, 1) and all(type(x) is int for x in f.direction)
@@ -163,6 +164,8 @@ def test_a_non_primitive_arc_direction_names_the_primitive_face(direction):
     cone = normal_cone_at(qd, f)
     assert cone == Cone2.ray((1, 1)) and cone.d1 == (1, 1)
     assert coatom_check_planar(qd, f) == coatom_check_planar(qd, primitive_face)
+    with pytest.raises(ValueError):
+        FaceDescriptor("arcpoint", 1, None, (0, 0))
 
 
 def test_a_deleted_vertex_is_refused():

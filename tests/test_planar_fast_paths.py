@@ -901,12 +901,6 @@ def _fan_rays(body, polar):
     return sorted(rays)
 
 
-def _support_equals_gauge_status(body):
-    report = checks.run_suite(body, "body", "polar")
-    return next(v.status for v in report.verdicts
-                if v.check_id == "polar.support_equals_gauge")
-
-
 gauge_bodies = st.one_of(
     st.builds(_image, st.sampled_from(GAUGED).map(PLANAR.get), st.booleans(),
               st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.integers(0, 3)),
@@ -941,7 +935,9 @@ def test_the_per_cell_verdict_agrees_with_a_dense_sample(body, pick, perturb):
             mp.setattr(planar, "gauge_form", off_by_one)
         dense = all(planar.form_compare(planar.support_form(polar, u),
                                         planar.gauge_form(body, u)) == 0 for u in dirs)
-        per_cell = _support_equals_gauge_status(body) == "pass"
+        report = checks.run_suite(body, "body", "polar")
+        per_cell = next(v.status for v in report.verdicts
+                        if v.check_id == "polar.support_equals_gauge") == "pass"
     if perturb == "open":
         assert not per_cell
         assert dense == (not any(orient2(a, u) > 0 and orient2(u, c) > 0 for u in dirs))
